@@ -11,9 +11,9 @@ import argparse
 import os
 
 
-from lagbound.curves import Curve, geodesic_curvature, tameness, trig_curve
+from lagbound.curves import trig_curve
 from lagbound.exactness import build_contraction, contraction_bounds_check
-from lagbound.hausdorff import hausdorff_distance
+from lagbound.pipelines import bound_table
 from lagbound.report import write_csv
 from lagbound.surface import sphere_band
 
@@ -27,13 +27,8 @@ def main():
     patch = sphere_band(halfwidth=0.6, grid=(1024, 257))
     xi = trig_curve(patch, {1: 0.08, 2: 0.06}, offset=0.04, n=1024)
     path = build_contraction(patch, xi, n_alpha=args.n_alpha)
-    base = Curve.constant(patch, 0.0, n=1024)
-
-    rows = []
-    for a, c, curve in zip(path.alphas, path.c, path.curves):
-        rows.append((a, c, geodesic_curvature(curve).sup,
-                     tameness(curve).epsilon,
-                     hausdorff_distance(curve, base).value))
+    rows = [(a, c, *bounds)
+            for a, c, bounds in zip(path.alphas, path.c, bound_table(path.curves))]
     csv = write_csv(os.path.join(args.out, "contraction_path.csv"),
                     ["alpha", "c", "sup_curvature", "epsilon",
                      "delta_h_to_base"], rows, {"patch": "sphere_equator"})

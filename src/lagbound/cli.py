@@ -19,12 +19,12 @@ import numpy as np
 from .classify import FamilySpec, classify as classify_curve, generate_family
 from . import sasaki as sas
 from .config import (ExperimentConfig, build_patch_from_spec, load_config,
-                     parse_curve_spec)
+                     parse_curve_spec, parse_grid)
 from .curves import geodesic_curvature, tameness
 from .errors import ConfigError, LagboundError
 from .exactness import area_functional, build_contraction, solve_c
 from .hausdorff import hausdorff_distance
-from .pipelines import run_figure, run_lemma_suite
+from .pipelines import bound_table, run_figure, run_lemma_suite
 from .report import write_csv
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, unit_cylinder)
@@ -37,14 +37,6 @@ _PATCHES = {
     "hyperbolic_band": lambda grid: hyperbolic_band(grid=grid),
     "unit_cylinder": lambda grid: unit_cylinder(grid=(grid[0], 257)),
 }
-
-
-def _parse_grid(text):
-    try:
-        ns, nt = text.lower().split("x")
-        return int(ns), int(nt)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}, want <n_s>x<n_t>") from exc
 
 
 def _resolve_patch(name, config: ExperimentConfig, grid=None):
@@ -144,7 +136,7 @@ def _load(args) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = args.seed
     if getattr(args, "grid", None):
-        config.grid = _parse_grid(args.grid)
+        config.grid = parse_grid(args.grid.lower().split("x"))
     if getattr(args, "quick", False):
         config.quick = True
     config.out_dir = args.out
@@ -165,6 +157,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     config = _load(args)
+    if args.command == "classify" and not (np.isfinite(args.k) and args.k > 0):
+        raise ConfigError(f"--k must be a finite positive level, got {args.k}")
     os.makedirs(config.out_dir, exist_ok=True)
     cmd = args.command
 
@@ -184,15 +178,8 @@ def _dispatch(args) -> int:
     if cmd == "family":
         curves = generate_family(FamilySpec(args.family_id))
         patch = curves[0].patch
-        from .curves import Curve
-
-        base = Curve.constant(patch, 0.0, n=curves[0].n)
-        rows = []
-        for cv in curves:
-            rows.append((cv.name, geodesic_curvature(cv).sup,
-                         tameness(cv).epsilon,
-                         hausdorff_distance(cv, base).value,
-                         area_functional(patch, cv)))
+        rows = [(cv.name, *bounds, area_functional(patch, cv))
+                for cv, bounds in zip(curves, bound_table(curves))]
         path = write_csv(os.path.join(config.out_dir, f"{args.family_id}.csv"),
                          ["member", "sup_curvature", "epsilon",
                           "delta_h_to_base", "action_class"], rows,
@@ -305,12 +292,8 @@ def _dispatch(args) -> int:
 
     if cmd == "contract":
         path_obj = build_contraction(patch, curve, n_alpha=args.n_alpha)
-        base = type(curve).constant(patch, 0.0, n=curve.n)
-        rows = []
-        for a, c, cv in zip(path_obj.alphas, path_obj.c, path_obj.curves):
-            rows.append((a, c, geodesic_curvature(cv).sup,
-                         tameness(cv).epsilon,
-                         hausdorff_distance(cv, base).value))
+        rows = [(a, c, *bounds) for a, c, bounds in
+                zip(path_obj.alphas, path_obj.c, bound_table(path_obj.curves))]
         path = write_csv(os.path.join(config.out_dir, "contract.csv"),
                          ["alpha", "c", "sup_curvature", "epsilon",
                           "delta_h_to_base"], rows, {"patch": args.patch,

@@ -19,10 +19,10 @@ import numpy as np
 
 from .curves import Curve, trig_curve
 from .errors import ConfigError
-from .surface import BaseCurve, SurfacePatch, solve_warp
+from .surface import BaseCurve, SurfacePatch, check_grid, solve_warp
 
 __all__ = ["ExperimentConfig", "load_config", "build_patch_from_spec",
-           "parse_curve_spec", "DEFAULT_TOLERANCES"]
+           "parse_grid", "parse_curve_spec", "DEFAULT_TOLERANCES"]
 
 DEFAULT_TOLERANCES = {
     "taylor_order": 2.9,
@@ -55,6 +55,17 @@ _SAFE_NAMES = {name: getattr(np, name) for name in (
     "sin", "cos", "tan", "exp", "log", "sqrt", "abs", "sinh", "cosh", "tanh",
     "arctan", "arcsin", "arccos", "pi", "e")}
 _SAFE_NAMES["np"] = np
+
+
+def parse_grid(grid) -> tuple[int, int]:
+    """Patch grid (n_s, n_t) from a pair of numbers or numeric strings; a
+    malformed or invalid grid is a ConfigError."""
+    try:
+        n_s, n_t = (int(n) for n in grid)
+        check_grid(n_s, n_t)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid {grid!r}, want [n_s, n_t]: {exc}") from exc
+    return n_s, n_t
 
 
 def _expr_callable(spec, variables):
@@ -100,10 +111,7 @@ class ExperimentConfig:
         cfg.out_dir = str(data.get("out_dir", cfg.out_dir))
         cfg.quick = bool(data.get("quick", cfg.quick))
         if "grid" in data:
-            grid = data["grid"]
-            if len(grid) != 2:
-                raise ConfigError("grid must be [n_s, n_t]")
-            cfg.grid = (int(grid[0]), int(grid[1]))
+            cfg.grid = parse_grid(data["grid"])
         tols = data.get("tolerances", {})
         for key, val in tols.items():
             if key not in DEFAULT_TOLERANCES:
@@ -142,7 +150,7 @@ def build_patch_from_spec(spec: dict) -> SurfacePatch:
         raise ConfigError(f"patch spec missing {exc}") from exc
     kappa = _expr_callable(spec.get("kappa", 0.0), ("s",))
     gauss = _expr_callable(spec.get("gauss", 0.0), ("s", "t"))
-    grid = tuple(spec.get("grid", (2048, 513)))
+    grid = parse_grid(spec.get("grid", (2048, 513)))
     base = BaseCurve(length, kappa, gauss, name=str(spec.get("name", "config")))
     return solve_warp(base, halfwidth, grid)
 

@@ -247,8 +247,7 @@ def _pairwise_intrinsic(curve: Curve, idx: np.ndarray) -> np.ndarray:
     return np.minimum(diff, total - diff)
 
 
-def _pairwise_ambient(curve: Curve, idx: np.ndarray, dist_grid=None,
-                      stencil: int = 16, scale=None) -> np.ndarray:
+def _pairwise_ambient(curve: Curve, idx: np.ndarray, scale=None) -> np.ndarray:
     pts = curve.points(idx)
     if scale is None and curve.patch.is_flat_cylinder:
         dq = wrap_difference(pts[:, 0][:, None], pts[:, 0][None, :],
@@ -256,7 +255,7 @@ def _pairwise_ambient(curve: Curve, idx: np.ndarray, dist_grid=None,
         return np.hypot(dq, pts[:, 1][:, None] - pts[:, 1][None, :])
     from .distances import pairwise_point_distances
 
-    return pairwise_point_distances(curve.patch, pts, dist_grid, stencil, scale)
+    return pairwise_point_distances(curve.patch, pts, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +290,7 @@ def _gauss_bound(patch: SurfacePatch) -> float:
 
 
 def tameness(curve: Curve, n_scan: int | None = None,
-             delta_min: float | None = None, dist_grid=None,
-             stencil: int = 16) -> TamenessReport:
+             delta_min: float | None = None) -> TamenessReport:
     """Tameness constant of a graph curve (see TamenessReport).
 
     The exclusion radius keeps the sampled infimum away from the removable
@@ -313,7 +311,7 @@ def tameness(curve: Curve, n_scan: int | None = None,
     idx = np.linspace(0, curve.n, n_scan, endpoint=False).astype(int)
 
     d_xi = _pairwise_intrinsic(curve, idx)
-    d_m = _pairwise_ambient(curve, idx, dist_grid, stencil)
+    d_m = _pairwise_ambient(curve, idx)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m / np.minimum(1.0, d_xi)
     ratio[d_xi < delta_min] = np.inf
@@ -352,8 +350,8 @@ class ComparisonCheck:
 
 
 def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
-                              tol: float = 5e-3, n_scan: int | None = None,
-                              dist_grid=None) -> ComparisonCheck:
+                              tol: float = 5e-3,
+                              n_scan: int | None = None) -> ComparisonCheck:
     """Verify that conformal rescaling g' = e^{2 phi} g with e^{2 phi} in
     [1/C, C] degrades the tameness constant by at most C^{-2}.
 
@@ -371,7 +369,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
             f"e^(2 phi) spans [{factors.min():.4f}, {factors.max():.4f}], "
             f"outside [1/C, C] = [{1 / C:.4f}, {C:.4f}]")
 
-    base_report = tameness(curve, n_scan=n_scan, dist_grid=dist_grid)
+    base_report = tameness(curve, n_scan=n_scan)
     delta_min = base_report.delta_min
     n_pairs = base_report.n_scan
     idx = np.linspace(0, curve.n, n_pairs, endpoint=False).astype(int)
@@ -386,10 +384,10 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     span = float(factors.max() - factors.min())
     if span < 1e-13:
         lam = float(np.sqrt(factors.max()))
-        d_m_p = lam * _pairwise_ambient(curve, idx, dist_grid)
+        d_m_p = lam * _pairwise_ambient(curve, idx)
     else:
         scale = lambda s, t: np.exp(_eval2(conformal_phi, s, t))  # noqa: E731
-        d_m_p = _pairwise_ambient(curve, idx, dist_grid, scale=scale)
+        d_m_p = _pairwise_ambient(curve, idx, scale=scale)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m_p / np.minimum(1.0, d_xi_p)

@@ -27,9 +27,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import OutOfPatch
-from .numerics import wrap_difference
+from .numerics import periodic_bilinear, wrap_difference
 
 DEFAULT_DIST_GRID = (256, 129)
+_DIRECT_REACH = 0.4  # coordinate arc joined by direct quadrature edges
 
 _SIMPSON5 = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
 _SIMPSON5_X = np.linspace(0.0, 1.0, 5)
@@ -37,7 +38,7 @@ _SIMPSON5_X = np.linspace(0.0, 1.0, 5)
 
 def stencil_offsets(order: int) -> np.ndarray:
     """Coprime lattice directions with max coordinate <= radius(order)."""
-    radius = {8: 1, 16: 2, 48: 4}[order]
+    radius = {8: 1, 16: 2}[order]
     offs = []
     for a in range(-radius, radius + 1):
         for b in range(-radius, radius + 1):
@@ -80,7 +81,6 @@ class BandGraph:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    scale_tag: str | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -112,13 +112,18 @@ def default_dist_grid(patch, n_sd: int | None = None) -> tuple[int, int]:
     return n_sd, n_td
 
 
-def build_band_graph(patch, dist_grid=None, stencil: int = 16, scale=None,
-                     scale_tag: str | None = None) -> BandGraph:
+def build_band_graph(patch, dist_grid=None, stencil: int = 16,
+                     scale=None) -> BandGraph:
+    """Stencil graph of the band on `dist_grid` (default: `default_dist_grid`).
+
+    Graphs of the unscaled metric are cached on the patch; a conformal
+    `scale` factor builds a fresh graph each call.
+    """
     if dist_grid is None:
         dist_grid = default_dist_grid(patch)
     n_sd = min(dist_grid[0], patch.n_s)
     n_td = min(dist_grid[1], patch.n_t)
-    key = (n_sd, n_td, stencil, scale_tag)
+    key = (n_sd, n_td, stencil)
     if scale is None and key in patch._dist_graphs:
         return patch._dist_graphs[key]
 
@@ -142,7 +147,7 @@ def build_band_graph(patch, dist_grid=None, stencil: int = 16, scale=None,
 
     graph = BandGraph(patch, n_sd, n_td, stencil, s_d, t_d,
                       np.concatenate(rows_all), np.concatenate(cols_all),
-                      np.concatenate(wts_all), scale_tag)
+                      np.concatenate(wts_all))
     if scale is None:
         patch._dist_graphs[key] = graph
     return graph
@@ -197,21 +202,18 @@ def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
     return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=int)
 
 
-def pairwise_point_distances(patch, pts: np.ndarray, dist_grid=None,
-                             stencil: int = 16, scale=None,
-                             direct_reach: float = 0.4) -> np.ndarray:
+def pairwise_point_distances(patch, pts: np.ndarray, scale=None) -> np.ndarray:
     """All-pairs shortest-path matrix between band points (one ring of points).
 
     Points are injected into the band graph; consecutive points within
-    `direct_reach` (coordinate arc) are also joined by direct quadrature edges.
+    `_DIRECT_REACH` (coordinate arc) are also joined by direct quadrature edges.
     """
     pts = np.asarray(pts, dtype=float)
     patch.require_inside(pts[:, 1], margin=0.0)
-    graph = build_band_graph(patch, dist_grid, stencil, scale,
-                             scale_tag="custom" if scale else None)
+    graph = build_band_graph(patch, scale=scale)
     n = pts.shape[0]
     spacing = patch.length / n
-    k_max = max(1, int(np.ceil(direct_reach / spacing)))
+    k_max = max(1, int(np.ceil(_DIRECT_REACH / spacing)))
     (lr, lc, lw), m = _point_link_edges(graph, pts, graph.n_nodes, scale)
     dr, dc, dw = _direct_edges(patch, pts, _ring_pairs(n, k_max), graph.n_nodes, scale)
     csr = graph.csr((np.concatenate([lr, dr]), np.concatenate([lc, dc]),
@@ -222,8 +224,7 @@ def pairwise_point_distances(patch, pts: np.ndarray, dist_grid=None,
 
 
 def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
-                           dist_grid=None, stencil: int = 16, scale=None,
-                           direct_reach: float = 0.4) -> np.ndarray:
+                           scale=None) -> np.ndarray:
     """min over the source set of the distance to each target point.
 
     Both sets are injected; aligned and nearby cross pairs get direct edges
@@ -232,14 +233,13 @@ def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
-    graph = build_band_graph(patch, dist_grid, stencil, scale,
-                             scale_tag="custom" if scale else None)
+    graph = build_band_graph(patch, scale=scale)
     pts = np.concatenate([sources, targets])
     ns, nt = sources.shape[0], targets.shape[0]
     (lr, lc, lw), m = _point_link_edges(graph, pts, graph.n_nodes, scale)
     pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns)]
     if ns == nt:
-        k_cross = max(1, int(np.ceil(direct_reach * ns / patch.length)))
+        k_cross = max(1, int(np.ceil(_DIRECT_REACH * ns / patch.length)))
         i = np.arange(ns)
         for k in range(-k_cross, k_cross + 1):
             pairs.append(np.stack([i, ns + (i + k) % nt], axis=1))
@@ -268,25 +268,12 @@ class DistanceField:
         if abs(t) > self.patch.halfwidth:
             raise OutOfPatch(f"|t|={abs(t):.4f} outside band of halfwidth "
                              f"{self.patch.halfwidth:.4f}")
-        n_sd = len(self.s_d)
-        ds = self.patch.length / n_sd
-        dt = self.t_d[1] - self.t_d[0]
-        s = s % self.patch.length
-        i = int(np.floor(s / ds)) % n_sd
-        fx = s / ds - np.floor(s / ds)
-        j = int(np.clip(np.floor((t - self.t_d[0]) / dt), 0, len(self.t_d) - 2))
-        fy = (t - self.t_d[0]) / dt - j
-        i1 = (i + 1) % n_sd
-        return float((1 - fx) * (1 - fy) * self.field[i, j]
-                     + fx * (1 - fy) * self.field[i1, j]
-                     + (1 - fx) * fy * self.field[i, j + 1]
-                     + fx * fy * self.field[i1, j + 1])
+        return float(periodic_bilinear(self.field, self.patch.length, self.t_d,
+                                       s, t))
 
 
-def build_distance_field(patch, source, dist_grid=None, stencil: int = 16,
-                         scale=None) -> DistanceField:
-    graph = build_band_graph(patch, dist_grid, stencil, scale,
-                             scale_tag="custom" if scale else None)
+def build_distance_field(patch, source) -> DistanceField:
+    graph = build_band_graph(patch)
     ds = patch.length / graph.n_sd
     dt = graph.t_d[1] - graph.t_d[0]
     i0 = int(np.round((source[0] % patch.length) / ds)) % graph.n_sd
@@ -297,16 +284,16 @@ def build_distance_field(patch, source, dist_grid=None, stencil: int = 16,
                          snapped=(float(graph.s_d[i0]), float(graph.t_d[j0])),
                          s_d=graph.s_d, t_d=graph.t_d,
                          field=field.reshape(graph.n_sd, graph.n_td),
-                         stencil=stencil, rel_error=patch.stencil_error_ratio())
+                         stencil=graph.stencil,
+                         rel_error=patch.stencil_error_ratio())
 
 
-def estimate_stencil_error(patch, dist_grid=None) -> float:
+def estimate_stencil_error(patch) -> float:
     """Max relative gap between 8- and 16-neighbor shortest paths on the band,
     from a central source.  Both overestimate; the gap bounds the anisotropy
     improvement still available and serves as the documented error estimate.
     """
-    if dist_grid is None:
-        dist_grid = default_dist_grid(patch, n_sd=128)
+    dist_grid = default_dist_grid(patch, n_sd=128)
     fields = {}
     for stencil in (8, 16):
         graph = build_band_graph(patch, dist_grid, stencil)

@@ -202,8 +202,7 @@ class BoundsCheck:
 
 def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
                              tol_curv: float = 1e-6, tol_eps: float = 5e-3,
-                             n_scan: int | None = None,
-                             dist_grid=None) -> BoundsCheck:
+                             n_scan: int | None = None) -> BoundsCheck:
     """Along the contraction path, curvature stays below max(k', |B| at a=1)
     and tameness above min of the endpoint values, within tolerances.
 
@@ -214,7 +213,7 @@ def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
         raise ValueError("k_prime must exceed k")
     curv = np.array([geodesic_curvature(cv, _with_error=False).sup
                      for cv in path.curves])
-    eps = np.array([tameness(cv, n_scan=n_scan, dist_grid=dist_grid).epsilon
+    eps = np.array([tameness(cv, n_scan=n_scan).epsilon
                     for cv in path.curves])
     curv_bound = max(k_prime, float(curv[-1]))
     eps_bound = min(float(eps[0]), float(eps[-1]))

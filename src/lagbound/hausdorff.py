@@ -56,8 +56,8 @@ def _directed_flat(pts_a, pts_b, length):
     return float(mins[i]), (tuple(pts_a[i]), float(dmat[i, j]))
 
 
-def hausdorff_distance(a: Curve, b: Curve, n_scan: int | None = None,
-                       dist_grid=None, stencil: int = 16) -> HausdorffResult:
+def hausdorff_distance(a: Curve, b: Curve,
+                       n_scan: int | None = None) -> HausdorffResult:
     """Hausdorff distance between two sampled curves on the same patch."""
     if a.patch is not b.patch:
         raise PatchMismatch("curves live on different patches")
@@ -76,8 +76,8 @@ def hausdorff_distance(a: Curve, b: Curve, n_scan: int | None = None,
     else:
         from .distances import set_to_points_distance
 
-        to_a = set_to_points_distance(patch, pts_b, pts_a, dist_grid, stencil)
-        to_b = set_to_points_distance(patch, pts_a, pts_b, dist_grid, stencil)
+        to_a = set_to_points_distance(patch, pts_b, pts_a)
+        to_b = set_to_points_distance(patch, pts_a, pts_b)
         ia, ib = int(np.argmax(to_a)), int(np.argmax(to_b))
         d_ab, wit_ab = float(to_a[ia]), (tuple(pts_a[ia]), float(to_a[ia]))
         d_ba, wit_ba = float(to_b[ib]), (tuple(pts_b[ib]), float(to_b[ib]))
@@ -96,7 +96,7 @@ class RadialCheck:
 
 
 def radial_path_check(section: Curve, scale_pairs, n_scan: int | None = None,
-                      dist_grid=None, tol_factor: float = 2.0) -> RadialCheck:
+                      tol_factor: float = 2.0) -> RadialCheck:
     """Check that vertical scalings of a graph realize Hausdorff distance
     |t - s| * max|xi| for each requested (t, s) pair.
 
@@ -110,7 +110,7 @@ def radial_path_check(section: Curve, scale_pairs, n_scan: int | None = None,
     ok = True
     for tv, sv in scale_pairs:
         ca, cb = scaled_curve(section, tv), scaled_curve(section, sv)
-        res = hausdorff_distance(ca, cb, n_scan=n_scan, dist_grid=dist_grid)
+        res = hausdorff_distance(ca, cb, n_scan=n_scan)
         expected = abs(tv - sv) * sup
         residual = abs(res.value - expected)
         tol = tol_factor * res.error

@@ -1,5 +1,6 @@
-"""Shared numerical helpers: periodic spectral calculus, uniform-grid interpolation,
-log-log slope fits, and the smoothstep bump used by the oscillating families.
+"""Shared numerical helpers: periodic spectral calculus, the RK4 step, periodic
+bilinear and uniform-grid interpolation, log-log slope fits, and the smoothstep
+bump used by the oscillating families.
 
 All routines operate on plain numpy arrays and are deterministic.
 """
@@ -7,8 +8,6 @@ All routines operate on plain numpy arrays and are deterministic.
 from __future__ import annotations
 
 import numpy as np
-
-TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -29,14 +28,8 @@ def fourier_derivative(values: np.ndarray, period: float) -> np.ndarray:
     return np.fft.irfft(c, n)
 
 
-def fourier_primitive_grid(values: np.ndarray, period: float) -> np.ndarray:
-    """Primitive F with F(0)=0 of periodic data, evaluated on the sample grid.
-
-    F(s) = mean * s + periodic part; exact for band-limited data.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    c = np.fft.rfft(values)
+def _primitive_spectrum(c: np.ndarray, n: int, period: float):
+    """Mean and periodic-part spectrum of the primitive of data with rfft c."""
     mean = c[..., 0].real / n
     k = np.arange(c.shape[-1])
     omega = 2j * np.pi * k / period
@@ -44,24 +37,40 @@ def fourier_primitive_grid(values: np.ndarray, period: float) -> np.ndarray:
     cp[..., 1:] = c[..., 1:] / omega[1:]
     if n % 2 == 0:
         cp[..., -1] = 0.0
+    return mean, cp
+
+
+def fourier_primitive_grid(values: np.ndarray, period: float) -> np.ndarray:
+    """Primitive F with F(0)=0 of periodic data, evaluated on the sample grid.
+
+    F(s) = mean * s + periodic part; exact for band-limited data.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    mean, cp = _primitive_spectrum(np.fft.rfft(values), n, period)
     periodic = np.fft.irfft(cp, n)
     s = np.arange(n) * (period / n)
     return mean * s + (periodic - periodic[..., :1])
+
+
+def _trig_sum(c: np.ndarray, n: int, period: float, s: np.ndarray):
+    """The real trigonometric sum with rfft coefficients c of n samples, at the
+    points s and at 0."""
+    k = np.arange(c.shape[-1])
+    scale = np.full(c.shape[-1], 2.0)
+    scale[0] = 1.0
+    if n % 2 == 0:
+        scale[-1] = 1.0
+    weighted = scale * c
+    phase = np.exp(2j * np.pi / period * np.outer(s, k))
+    return (phase * weighted).real.sum(axis=-1) / n, weighted.real.sum() / n
 
 
 def eval_fourier_series(values: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of sampled periodic data at points s."""
     values = np.asarray(values, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    n = values.shape[-1]
-    c = np.fft.rfft(values)
-    k = np.arange(c.shape[-1])
-    phase = np.exp(2j * np.pi / period * np.outer(s, k))
-    scale = np.full(c.shape[-1], 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    return (phase * (scale * c)).real.sum(axis=-1) / n
+    return _trig_sum(np.fft.rfft(values), values.shape[-1], period, s)[0]
 
 
 def eval_fourier_primitive(values: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
@@ -73,22 +82,50 @@ def eval_fourier_primitive(values: np.ndarray, period: float, s: np.ndarray) -> 
     values = np.asarray(values, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     n = values.shape[-1]
-    c = np.fft.rfft(values)
-    mean = c[0].real / n
-    k = np.arange(c.shape[-1])
-    omega = 2j * np.pi * k / period
-    cp = np.zeros_like(c)
-    cp[1:] = c[1:] / omega[1:]
-    if n % 2 == 0:
-        cp[-1] = 0.0
-    scale = np.full(c.shape[-1], 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    phase = np.exp(2j * np.pi / period * np.outer(s, k))
-    periodic = (phase * (scale * cp)).real.sum(axis=-1) / n
-    at_zero = (scale * cp).real.sum() / n
+    mean, cp = _primitive_spectrum(np.fft.rfft(values), n, period)
+    periodic, at_zero = _trig_sum(cp, n, period, s)
     return mean * s + periodic - at_zero
+
+
+# ---------------------------------------------------------------------------
+# fixed-step Runge-Kutta
+# ---------------------------------------------------------------------------
+
+def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(t, y) from t to t + h.
+
+    t and h may be scalars or arrays broadcasting against y's trailing axes,
+    so one call advances a whole batch of independent trajectories.
+    """
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + (h / 2) * k1)
+    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+# ---------------------------------------------------------------------------
+# periodic bilinear lookup
+# ---------------------------------------------------------------------------
+
+def periodic_bilinear(table: np.ndarray, period: float, t_axis: np.ndarray,
+                      s, t):
+    """Bilinear interpolation of table[i, j] sampled at (i * period / n_s, t_axis[j]).
+
+    Rows wrap with the period in s; t is clamped to the uniform axis t_axis.
+    """
+    n_s, n_t = table.shape
+    s = np.asarray(s, dtype=float) % period
+    t = np.clip(np.asarray(t, dtype=float), t_axis[0], t_axis[-1])
+    ds = period / n_s
+    dt = t_axis[1] - t_axis[0]
+    i = np.floor(s / ds).astype(int) % n_s
+    fx = s / ds - np.floor(s / ds)
+    j = np.clip(np.floor((t - t_axis[0]) / dt).astype(int), 0, n_t - 2)
+    fy = (t - t_axis[0]) / dt - j
+    i1 = (i + 1) % n_s
+    return ((1 - fx) * (1 - fy) * table[i, j] + fx * (1 - fy) * table[i1, j]
+            + (1 - fx) * fy * table[i, j + 1] + fx * fy * table[i1, j + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +183,6 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
         return np.inf
     lx, ly = np.log(x[mask]), np.log(y[mask])
     return float(np.polyfit(lx, ly, 1)[0])
-
-
-def fit_quadratic(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares quadratic fit; returns (c0, c1, c2) and the max residual."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    coeffs = np.polyfit(t, y, 2)[::-1]
-    resid = float(np.max(np.abs(y - (coeffs[0] + coeffs[1] * t + coeffs[2] * t * t))))
-    return coeffs, resid
 
 
 # ---------------------------------------------------------------------------

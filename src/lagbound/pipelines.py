@@ -26,7 +26,8 @@ from .report import write_csv, write_curves_svg
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, warp_taylor_check)
 
-__all__ = ["run_lemma_suite", "run_figure", "SuiteResult", "CheckResult"]
+__all__ = ["run_lemma_suite", "run_figure", "bound_table", "SuiteResult",
+           "CheckResult"]
 
 
 @dataclass
@@ -358,8 +359,16 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# figures
+# figures and tables
 # ---------------------------------------------------------------------------
+
+def bound_table(curves: list) -> list:
+    """(sup|B|, epsilon, delta_H to the base curve) for each curve of a family
+    or path; the curves share one patch and one sample count."""
+    base = Curve.constant(curves[0].patch, 0.0, n=curves[0].n)
+    return [(geodesic_curvature(cv).sup, tameness(cv).epsilon,
+             hausdorff_distance(cv, base).value) for cv in curves]
+
 
 def run_figure(family_id: str, out_dir: str,
                config: ExperimentConfig | None = None) -> tuple[str, str]:
@@ -375,12 +384,8 @@ def run_figure(family_id: str, out_dir: str,
         curves = generate_family(spec)
         patch = curves[0].patch
         base = Curve.constant(patch, 0.0)
-        rows = []
-        for cv in curves:
-            rows.append((cv.name, geodesic_curvature(cv).sup,
-                         tameness(cv).epsilon,
-                         hausdorff_distance(cv, base).value,
-                         area_functional(patch, cv)))
+        rows = [(cv.name, *bounds, area_functional(patch, cv))
+                for cv, bounds in zip(curves, bound_table(curves))]
         panels = []
         for m in (2, 10):
             cv = curves[m - 1]

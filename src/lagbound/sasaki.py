@@ -35,6 +35,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import FrameDegenerate, StepTooLarge
+from .numerics import rk4_step
 
 __all__ = [
     "FlatTorus",
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 _U1, _U2 = sp.symbols("u1 u2", real=True)
+_THETA_BLOCK = 180  # frame directions evaluated per vectorized block
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +78,6 @@ class _ConformalBase:
 
     def lam(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(self.lam2(u))
-
-    def metric(self, u: np.ndarray) -> np.ndarray:
-        """Closed-form metric components g_ij(u), shape (..., 2, 2)."""
-        lam2 = self.lam2(u)
-        out = np.zeros(u.shape[:-1] + (2, 2))
-        out[..., 0, 0] = lam2
-        out[..., 1, 1] = lam2
-        return out
-
-    def christoffel(self, u: np.ndarray) -> np.ndarray:
-        """Closed-form symbols Gamma^i_{jk}(u), shape (..., 2, 2, 2)."""
-        dphi = self.phi_grad(u)
-        eye = np.eye(2)
-        out = (eye[:, :, None] * dphi[..., None, None, :]
-               + eye[:, None, :] * dphi[..., None, :, None]
-               - eye[None, :, :] * dphi[..., :, None, None])
-        return out
 
     def gamma_vw(self, u, v, w):
         """Gamma(v, w)^i contracted form used by the integrator."""
@@ -289,39 +274,31 @@ class Trajectory:
 
 
 def _rhs(base, x, v, y, z):
-    k = base.gauss_curvature
-    dv = -base.gamma_vw(x, v, v)
-    if k != 0.0:
-        lam2 = base.lam2(x)[..., None]
-        zv = (z * v).sum(-1, keepdims=True)
-        yv = (y * v).sum(-1, keepdims=True)
-        dv = dv - k * lam2 * (zv * y - yv * z)
+    """Bundle geodesic equations: x' = v, cov_v v = -R(Y, Z) v, cov_v Y = Z,
+    cov_v Z = 0, written with the chart Christoffel symbols."""
+    dv = -base.gamma_vw(x, v, v) - base.riemann(x, y, z, v)
     dy = z - base.gamma_vw(x, v, y)
     dz = -base.gamma_vw(x, v, z)
     return v, dv, dy, dz
 
 
-def _integrate(base, x, v, y, z, charts, horizon, h, record_every):
+def _integrate(base, state, charts, horizon, h, record_every):
+    """Fixed-step RK4 on the stacked state (x, v, Y, Z) of shape (4, B, 2),
+    re-charting after every step; records every `record_every` steps."""
+    def rhs(_t, st):
+        return np.array(_rhs(base, *st))
+
     n_steps = int(np.ceil(horizon / h))
     rec_t, rec = [], []
     for step_i in range(n_steps + 1):
         if step_i % record_every == 0 or step_i == n_steps:
             rec_t.append(step_i * h)
-            rec.append((x.copy(), v.copy(), y.copy(), z.copy(), charts.copy()))
+            rec.append((state.copy(), charts.copy()))
         if step_i == n_steps:
             break
-        k1 = _rhs(base, x, v, y, z)
-        k2 = _rhs(base, x + h / 2 * k1[0], v + h / 2 * k1[1],
-                  y + h / 2 * k1[2], z + h / 2 * k1[3])
-        k3 = _rhs(base, x + h / 2 * k2[0], v + h / 2 * k2[1],
-                  y + h / 2 * k2[2], z + h / 2 * k2[3])
-        k4 = _rhs(base, x + h * k3[0], v + h * k3[1],
-                  y + h * k3[2], z + h * k3[3])
-        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        y = y + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        z = z + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        x, charts, v, y, z = base.rechart(x, charts, v, y, z)
+        state = rk4_step(rhs, step_i * h, state, h)
+        x, charts, *vecs = base.rechart(state[0], charts, *state[1:])
+        state = np.array([x, *vecs])
     return rec_t, rec
 
 
@@ -334,30 +311,25 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0, step: float = 1e-3,
     raised when the Richardson estimate exceeds `tol`.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
-    x = np.stack([np.asarray(s.x, dtype=float) for s in states])
-    v = np.stack([np.asarray(s.v, dtype=float) for s in states])
-    y = np.stack([np.asarray(s.y, dtype=float) for s in states])
-    z = np.stack([np.asarray(s.z, dtype=float) for s in states])
+    state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
+                      for f in ("x", "v", "y", "z")])
     charts = np.array([s.chart for s in states], dtype=int)
 
-    rec_t, rec = _integrate(base, x, v, y, z, charts, horizon, step, record_every)
-    _, rec2 = _integrate(base, x, v, y, z, charts, horizon, 2 * step,
+    rec_t, rec = _integrate(base, state, charts, horizon, step, record_every)
+    _, rec2 = _integrate(base, state, charts, horizon, 2 * step,
                          record_every=max(1, int(np.ceil(horizon / (2 * step)))))
-    lam2_f = base.lam2(rec[-1][0])
-    lam2_c = base.lam2(rec2[-1][0])
-    y2_f = lam2_f * (rec[-1][2] ** 2).sum(-1)
-    y2_c = lam2_c * (rec2[-1][2] ** 2).sum(-1)
+    (x_f, _, y_f, _), _ = rec[-1]
+    (x_c, _, y_c, _), _ = rec2[-1]
+    y2_f = base.lam2(x_f) * (y_f ** 2).sum(-1)
+    y2_c = base.lam2(x_c) * (y_c ** 2).sum(-1)
     halving = float(np.max(np.abs(y2_f - y2_c))) / 15.0
     if halving > tol:
         raise StepTooLarge(f"step-halving estimate {halving:.2e} exceeds "
                            f"tolerance {tol:.2e}; reduce the step")
 
     times = np.array(rec_t)
-    xs = np.stack([r[0] for r in rec])
-    vs = np.stack([r[1] for r in rec])
-    ys = np.stack([r[2] for r in rec])
-    zs = np.stack([r[3] for r in rec])
-    ch = np.stack([r[4] for r in rec])
+    xs, vs, ys, zs = np.stack([r[0] for r in rec], axis=1)
+    ch = np.stack([r[1] for r in rec])
     lam2 = base.lam2(xs.reshape(-1, 2)).reshape(xs.shape[:2])
     y_norm2 = lam2 * (ys ** 2).sum(-1)
     z_norm2 = lam2 * (zs ** 2).sum(-1)
@@ -544,7 +516,7 @@ def sphere_harmonic_graph(eps: float) -> GradientGraph:
 
 
 def _sup_over_frames(data: dict, k_curv: float, t: float,
-                     n_theta: int, theta_block: int = 180) -> float:
+                     n_theta: int) -> float:
     """sup over base samples and unit tangent frames of the normalized
     trilinear form at scale t, with the normal frame maximized in closed form.
     """
@@ -561,8 +533,8 @@ def _sup_over_frames(data: dict, k_curv: float, t: float,
 
     best = 0.0
     theta = np.arange(n_theta) * (np.pi / n_theta)
-    for k0 in range(0, n_theta, theta_block):
-        th = theta[k0:k0 + theta_block]
+    for k0 in range(0, n_theta, _THETA_BLOCK):
+        th = theta[k0:k0 + _THETA_BLOCK]
         xhat = np.stack([np.cos(th), np.sin(th)], axis=-1)      # (m, 2)
         tx = np.einsum("bij,mj->bmi", t_mat, xhat)
         norm = np.sqrt(1.0 + t2 * (tx * tx).sum(-1))            # (b, m)

@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartDegenerate, OutOfPatch
-from .numerics import fourier_derivative, loglog_slope, wrap_difference
+from .numerics import (fourier_derivative, loglog_slope, periodic_bilinear,
+                       rk4_step, wrap_difference)
 
 __all__ = [
     "BaseCurve",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _PERIOD_TOL = 1e-12
+_MARCH_SUBSTEPS = 2  # RK4 substeps per grid row of the warp march
 
 
 def _eval2(f: Callable, s: np.ndarray, t) -> np.ndarray:
@@ -124,24 +126,47 @@ def _warp_rhs(base: BaseCurve, s: np.ndarray, t, state: np.ndarray) -> np.ndarra
     return np.stack([u, -kk * w, y, -kk * v - kks * w, w])
 
 
+def check_grid(n_s: int, n_t: int):
+    """Raise ValueError unless n_s >= 16 and n_t is odd and >= 9, so that the
+    base curve is the middle grid row."""
+    if n_t % 2 == 0 or n_t < 9:
+        raise ValueError("n_t must be odd and at least 9")
+    if n_s < 16:
+        raise ValueError("n_s must be at least 16")
+
+
+def _warp_initial(base: BaseCurve, s: np.ndarray) -> np.ndarray:
+    """Warp system state on the base curve: w = 1, w_t = -kappa, w_st = -kappa'."""
+    state = np.zeros((5, s.size))
+    state[0] = 1.0
+    state[1] = -_eval1(base.kappa, s)
+    state[3] = -base.kappa_s(s)
+    return state
+
+
+def _march_warp(base: BaseCurve, s: np.ndarray, state: np.ndarray, t, h,
+                n_steps: int):
+    """Advance the warp system n_steps fixed RK4 steps of size h from t.
+
+    `_warp_rhs` is looked up at each stage, so instrumentation that replaces
+    the module global sees every evaluation.
+    """
+    def rhs(tt, y):
+        return _warp_rhs(base, s, tt, y)
+
+    for _ in range(n_steps):
+        state = rk4_step(rhs, t, state, h)
+        t = t + h
+    return state, t
+
+
 def _integrate_warp(base: BaseCurve, s: np.ndarray, t_target: np.ndarray,
                     n_steps: int) -> np.ndarray:
     """March the warp system from t=0 to per-sample targets with fixed-step RK4."""
     s = np.asarray(s, dtype=float)
     t_target = np.broadcast_to(np.asarray(t_target, dtype=float), s.shape)
-    h = t_target / n_steps
-    state = np.zeros((5, s.size))
-    state[0] = 1.0
-    state[1] = -_eval1(base.kappa, s)
-    state[3] = -base.kappa_s(s)
-    t = np.zeros_like(s)
-    for _ in range(n_steps):
-        k1 = _warp_rhs(base, s, t, state)
-        k2 = _warp_rhs(base, s, t + h / 2, state + (h / 2) * k1)
-        k3 = _warp_rhs(base, s, t + h / 2, state + (h / 2) * k2)
-        k4 = _warp_rhs(base, s, t + h, state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
+    state, _ = _march_warp(base, s, _warp_initial(base, s), np.zeros_like(s),
+                           t_target / n_steps, n_steps)
     return state
 
 
@@ -162,12 +187,8 @@ class SurfacePatch:
     with an odd point count so the base curve is the middle row.
     """
 
-    def __init__(self, base: BaseCurve, halfwidth: float, n_s: int, n_t: int,
-                 n_substeps: int = 2):
-        if n_t % 2 == 0 or n_t < 9:
-            raise ValueError("n_t must be odd and at least 9")
-        if n_s < 16:
-            raise ValueError("n_s must be at least 16")
+    def __init__(self, base: BaseCurve, halfwidth: float, n_s: int, n_t: int):
+        check_grid(n_s, n_t)
         if not halfwidth > 0:
             raise ValueError("halfwidth must be positive")
         self.base = base
@@ -176,7 +197,7 @@ class SurfacePatch:
         self.n_t = int(n_t)
         self.s = np.arange(n_s) * (base.length / n_s)
         self.t = np.linspace(-halfwidth, halfwidth, n_t)
-        self._march(n_substeps)
+        self._march()
         if np.min(self.w) <= 0.0:
             raise ChartDegenerate(
                 f"warp field reaches {np.min(self.w):.3e} inside the band; "
@@ -187,29 +208,22 @@ class SurfacePatch:
         self._dist_fields: dict = {}
         self._stencil_error: float | None = None
 
-    def _march(self, n_substeps: int):
+    def _march(self):
+        """Integrate the warp outward from the base row in both directions."""
         mid = (self.n_t - 1) // 2
         h_row = self.t[1] - self.t[0]
         w = np.empty((self.n_s, self.n_t))
         w_t = np.empty_like(w)
         cum = np.empty_like(w)
         for direction in (+1, -1):
-            state = np.zeros((5, self.n_s))
-            state[0] = 1.0
-            state[1] = -_eval1(self.base.kappa, self.s)
-            state[3] = -self.base.kappa_s(self.s)
+            state = _warp_initial(self.base, self.s)
             t = 0.0
             w[:, mid], w_t[:, mid], cum[:, mid] = state[0], state[1], state[4]
-            h = direction * h_row / n_substeps
+            h = direction * h_row / _MARCH_SUBSTEPS
             rows = range(mid + 1, self.n_t) if direction > 0 else range(mid - 1, -1, -1)
             for j in rows:
-                for _ in range(n_substeps):
-                    k1 = _warp_rhs(self.base, self.s, t, state)
-                    k2 = _warp_rhs(self.base, self.s, t + h / 2, state + (h / 2) * k1)
-                    k3 = _warp_rhs(self.base, self.s, t + h / 2, state + (h / 2) * k2)
-                    k4 = _warp_rhs(self.base, self.s, t + h, state + h * k3)
-                    state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    t = t + h
+                state, t = _march_warp(self.base, self.s, state, t, h,
+                                       _MARCH_SUBSTEPS)
                 w[:, j], w_t[:, j], cum[:, j] = state[0], state[1], state[4]
         self.w = w
         self.w_t = w_t
@@ -258,22 +272,9 @@ class SurfacePatch:
         w, u, v, _, q = state
         return {"w": w, "w_t": u, "w2_t": 2 * w * u, "w2_s": 2 * w * v, "area": q}
 
-    def warp_at(self, s: float, t: float) -> float:
-        return float(self.warp_on_curve(np.array([s]), np.array([t]))["w"][0])
-
     def grid_w(self, s_query: np.ndarray, t_query: np.ndarray) -> np.ndarray:
         """Bilinear warp lookup on the stored grid (wraps in s)."""
-        s_query = np.asarray(s_query, dtype=float) % self.length
-        t_query = np.clip(np.asarray(t_query, dtype=float), self.t[0], self.t[-1])
-        ds = self.length / self.n_s
-        dt = self.t[1] - self.t[0]
-        i = np.floor(s_query / ds).astype(int) % self.n_s
-        fx = s_query / ds - np.floor(s_query / ds)
-        j = np.clip(np.floor((t_query - self.t[0]) / dt).astype(int), 0, self.n_t - 2)
-        fy = (t_query - self.t[0]) / dt - j
-        i1 = (i + 1) % self.n_s
-        return ((1 - fx) * (1 - fy) * self.w[i, j] + fx * (1 - fy) * self.w[i1, j]
-                + (1 - fx) * fy * self.w[i, j + 1] + fx * fy * self.w[i1, j + 1])
+        return periodic_bilinear(self.w, self.length, self.t, s_query, t_query)
 
     # -- area ----------------------------------------------------------------
 
@@ -284,14 +285,12 @@ class SurfacePatch:
 
     # -- distances ------------------------------------------------------------
 
-    def distance_field(self, source: tuple[float, float], dist_grid=None,
-                       stencil: int = 16):
+    def distance_field(self, source: tuple[float, float]):
         from .distances import build_distance_field
 
-        key = (round(source[0], 12), round(source[1], 12), dist_grid, stencil)
+        key = (round(source[0], 12), round(source[1], 12))
         if key not in self._dist_fields:
-            self._dist_fields[key] = build_distance_field(self, source, dist_grid,
-                                                          stencil)
+            self._dist_fields[key] = build_distance_field(self, source)
         return self._dist_fields[key]
 
     def stencil_error_ratio(self) -> float:

@@ -96,6 +96,20 @@ class TestOtherCommands:
         assert run("curvature", "--patch", "nope", "--curve", "parallel:0",
                    "--out", str(tmp_path)) == 4
 
+    @pytest.mark.parametrize("grid", ["512x128", "512x7", "8x65"])
+    def test_bad_grid_is_config_error(self, tmp_path, grid):
+        assert run("curvature", "--curve", "parallel:0", "--grid", grid,
+                   "--out", str(tmp_path)) == 4
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": [int(n) for n in grid.split("x")]}))
+        assert run("curvature", "--curve", "parallel:0", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_level_is_config_error(self, tmp_path, level):
+        assert run("classify", "--curve", "parallel:0", f"--k={level}",
+                   *GRID, "--out", str(tmp_path)) == 4
+
     def test_lemmas_exit_codes(self, tmp_path):
         base = {"quick": True, "grid": [256, 65],
                 "checks": {name: False for name in

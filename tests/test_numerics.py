@@ -1,0 +1,70 @@
+import numpy as np
+
+from lagbound.numerics import periodic_bilinear, rk4_step
+
+
+class TestRK4Step:
+    @staticmethod
+    def _error(n_steps):
+        # y' = y cos t, y(0) = 1 has the closed form y = exp(sin t)
+        rhs = lambda t, y: y * np.cos(t)  # noqa: E731
+        y, t, h = np.array([1.0]), 0.0, 1.0 / n_steps
+        for _ in range(n_steps):
+            y = rk4_step(rhs, t, y, h)
+            t += h
+        return abs(y[0] - np.exp(np.sin(1.0)))
+
+    def test_fourth_order_convergence(self):
+        errs = [self._error(n) for n in (8, 16, 32, 64)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_batched_steps_match_single_trajectories(self):
+        rhs = lambda t, y: np.stack([y[1], -t * y[0]])  # noqa: E731
+        y0 = np.array([[1.0, 0.5, -0.2], [0.0, 0.3, 1.1]])
+        t = np.array([0.0, 0.4, 1.3])
+        h = np.array([0.1, -0.05, 0.02])
+        batched = rk4_step(rhs, t, y0, h)
+        for b in range(3):
+            single = rk4_step(rhs, t[b], y0[:, b], h[b])
+            assert np.array_equal(batched[:, b], single)
+
+
+class TestPeriodicBilinear:
+    period = 2.0
+    t_axis = np.linspace(-0.5, 0.5, 11)
+
+    def test_exact_on_bilinear_data(self, rng):
+        n_s = 16
+        s_nodes = np.arange(n_s) * (self.period / n_s)
+        f = lambda s, t: 0.3 - 1.2 * s + 0.7 * t + 2.5 * s * t  # noqa: E731
+        table = f(s_nodes[:, None], self.t_axis[None, :])
+        # queries stay off the wrapping cell [s_{n-1}, l), where the table
+        # is not bilinear
+        s = rng.uniform(0.0, s_nodes[-1], 200)
+        t = rng.uniform(-0.5, 0.5, 200)
+        got = periodic_bilinear(table, self.period, self.t_axis, s, t)
+        assert np.max(np.abs(got - f(s, t))) < 1e-13
+
+    def test_nodes_wrap_and_clamp(self, rng):
+        table = rng.normal(size=(16, 11))
+        s_nodes = np.arange(16) * (self.period / 16)
+        ii, jj = np.meshgrid(np.arange(16), np.arange(11), indexing="ij")
+        at_nodes = periodic_bilinear(table, self.period, self.t_axis,
+                                     s_nodes[ii] + 3 * self.period,
+                                     self.t_axis[jj])
+        assert np.max(np.abs(at_nodes - table)) < 1e-12
+        beyond = periodic_bilinear(table, self.period, self.t_axis,
+                                   s_nodes, np.full(16, 9.0))
+        assert np.max(np.abs(beyond - table[:, -1])) < 1e-12
+
+    def test_continuous_across_the_seam(self, rng):
+        table = rng.normal(size=(16, 11))
+        t = rng.uniform(-0.5, 0.5, 50)
+        lookup = lambda s: periodic_bilinear(  # noqa: E731
+            table, self.period, self.t_axis, np.full(t.shape, s), t)
+        assert np.array_equal(lookup(self.period), lookup(0.0))
+        for delta in (1e-3, 1e-6, 1e-9):
+            gap = np.max(np.abs(lookup(self.period - delta) - lookup(delta)))
+            # two cells of width l/16, each with Lipschitz constant <= 2*max|T| / (l/16)
+            assert gap <= 2 * delta * 2 * np.max(np.abs(table)) * 16 / self.period
