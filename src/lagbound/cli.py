@@ -5,7 +5,8 @@ sasaki, classify, family, lemmas, figure.  All outputs are UTF-8 CSV with LF
 line endings and a `# schema=1` header; figures are standalone SVG.
 
 Exit codes: 0 success (classify: membership true), 1 failure / membership
-false, 2 indeterminate membership, 3 runtime error, 4 configuration error.
+false, 2 indeterminate membership, 3 runtime error, 4 configuration error
+(usage errors included).
 """
 
 from __future__ import annotations
@@ -56,17 +57,24 @@ def _add_common(p, patch_default="cylinder"):
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the check tolerance where applicable")
     p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
     p.add_argument("--patch", default=patch_default,
                    help=f"patch name (default {patch_default})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 4 (configuration error);
+    argparse's own code 2 means "indeterminate" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lagbound",
-                                 description="curvature/tameness laboratory "
-                                             "for curves in surface bands")
+    ap = _Parser(prog="lagbound",
+                 description="curvature/tameness laboratory "
+                             "for curves in surface bands")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("patch", help="build a patch and export its warp grid")

@@ -26,14 +26,12 @@ __all__ = ["ExperimentConfig", "load_config", "build_patch_from_spec",
 
 DEFAULT_TOLERANCES = {
     "taylor_order": 2.9,
-    "curvature_rel": 1e-8,
     "radial_factor": 2.0,
     "area_residual": 1e-12,
     "contraction_curvature": 1e-6,
     "contraction_tameness": 5e-3,
     "parabola_residual": 1e-6,
     "monotonicity": 1e-8,
-    "tameness_limit": 5e-3,
     "comparison": 5e-3,
     "lipschitz_slack": 1e-11,
 }
@@ -156,6 +154,19 @@ def build_patch_from_spec(spec: dict) -> SurfacePatch:
 
 
 def parse_curve_spec(text: str, patch: SurfacePatch, n: int = 2048) -> Curve:
+    """Curve from a command-line spec.  Samples that are not finite, a curve
+    that leaves the band and a `csv:` file whose s column is not the uniform
+    grid on [0, l) are ConfigErrors."""
+    try:
+        curve = _curve_from_spec(text, patch, n)
+    except ValueError as exc:
+        raise ConfigError(f"bad curve {text!r}: {exc}") from exc
+    if not all(np.all(np.isfinite(v)) for v in (curve.xi, curve.dxi, curve.d2xi)):
+        raise ConfigError(f"curve {text!r} has non-finite samples")
+    return curve
+
+
+def _curve_from_spec(text: str, patch: SurfacePatch, n: int) -> Curve:
     kind, _, rest = text.partition(":")
     if kind == "parallel":
         try:
@@ -180,5 +191,10 @@ def parse_curve_spec(text: str, patch: SurfacePatch, n: int = 2048) -> Curve:
             raise ConfigError(f"cannot read curve CSV {rest}: {exc}") from exc
         if data.ndim != 2 or data.shape[1] < 2:
             raise ConfigError(f"curve CSV {rest} must have rows s,xi")
+        m = data.shape[0]
+        grid = np.arange(m) * (patch.length / m)
+        if not np.max(np.abs(data[:, 0] - grid)) <= 1e-9 * patch.length:
+            raise ConfigError(f"curve CSV {rest}: s must be the uniform grid "
+                              f"k*l/{m} on [0, l), l={patch.length:g}")
         return Curve.from_samples(patch, data[:, 1], name=f"csv_{rest}")
     raise ConfigError(f"unknown curve spec {text!r}")

@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import DegenerateCurve, DistortionExceeded
 from .numerics import (eval_fourier_primitive, eval_fourier_series,
-                       fourier_derivative, fourier_primitive_grid,
-                       wrap_difference)
+                       fourier_derivative, fourier_primitive_grid)
 from .surface import SurfacePatch, _eval1, _eval2
 
 __all__ = [
@@ -247,17 +246,6 @@ def _pairwise_intrinsic(curve: Curve, idx: np.ndarray) -> np.ndarray:
     return np.minimum(diff, total - diff)
 
 
-def _pairwise_ambient(curve: Curve, idx: np.ndarray, scale=None) -> np.ndarray:
-    pts = curve.points(idx)
-    if scale is None and curve.patch.is_flat_cylinder:
-        dq = wrap_difference(pts[:, 0][:, None], pts[:, 0][None, :],
-                             curve.patch.length)
-        return np.hypot(dq, pts[:, 1][:, None] - pts[:, 1][None, :])
-    from .distances import pairwise_point_distances
-
-    return pairwise_point_distances(curve.patch, pts, scale)
-
-
 # ---------------------------------------------------------------------------
 # tameness
 # ---------------------------------------------------------------------------
@@ -310,8 +298,11 @@ def tameness(curve: Curve, n_scan: int | None = None,
         n_scan = min(512, curve.n) if flat else min(128, curve.n)
     idx = np.linspace(0, curve.n, n_scan, endpoint=False).astype(int)
 
+    # imported on first use, so that `import lagbound` does not load scipy's csgraph
+    from .distances import pairwise_point_distances
+
     d_xi = _pairwise_intrinsic(curve, idx)
-    d_m = _pairwise_ambient(curve, idx)
+    d_m = pairwise_point_distances(curve.patch, curve.points(idx))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m / np.minimum(1.0, d_xi)
     ratio[d_xi < delta_min] = np.inf
@@ -381,13 +372,15 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     diff = np.abs(cum[:, None] - cum[None, :])
     d_xi_p = np.minimum(diff, total - diff)
 
+    from .distances import pairwise_point_distances
+
     span = float(factors.max() - factors.min())
     if span < 1e-13:
         lam = float(np.sqrt(factors.max()))
-        d_m_p = lam * _pairwise_ambient(curve, idx)
+        d_m_p = lam * pairwise_point_distances(patch, curve.points(idx))
     else:
         scale = lambda s, t: np.exp(_eval2(conformal_phi, s, t))  # noqa: E731
-        d_m_p = _pairwise_ambient(curve, idx, scale=scale)
+        d_m_p = pairwise_point_distances(patch, curve.points(idx), scale)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m_p / np.minimum(1.0, d_xi_p)

@@ -12,6 +12,11 @@ Two refinements keep point queries sharp:
 * nearby injected points are additionally joined by direct quadrature edges,
   so short chords are measured by quadrature rather than by grid hops.
 
+`pairwise_point_distances` and `set_to_points_distance` are the one place that
+chooses between formula and graph: on a flat cylinder without a conformal
+scale they use the exact unrolled formula `surface.cylinder_distance`, and
+every other query runs on the graph.
+
 The stencil overestimates oblique distances by at most its anisotropy ratio
 (about 2.8% for the 16-neighbor stencil); the comparison between the 8- and
 16-neighbor results provides the per-patch empirical error estimate.
@@ -26,8 +31,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import OutOfPatch
-from .numerics import periodic_bilinear, wrap_difference
+from .numerics import wrap_difference
+from .surface import cylinder_distance
 
 DEFAULT_DIST_GRID = (256, 129)
 _DIRECT_REACH = 0.4  # coordinate arc joined by direct quadrature edges
@@ -75,7 +80,6 @@ class BandGraph:
     patch: object
     n_sd: int
     n_td: int
-    stencil: int
     s_d: np.ndarray
     t_d: np.ndarray
     rows: np.ndarray
@@ -85,10 +89,6 @@ class BandGraph:
     @property
     def n_nodes(self) -> int:
         return self.n_sd * self.n_td
-
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        ii, jj = np.divmod(np.arange(self.n_nodes), self.n_td)
-        return self.s_d[ii], self.t_d[jj]
 
     def csr(self, extra=None, n_extra: int = 0) -> csr_matrix:
         n = self.n_nodes + n_extra
@@ -145,7 +145,7 @@ def build_band_graph(patch, dist_grid=None, stencil: int = 16,
         cols_all.append(i2 * n_td + j2[ok])
         wts_all.append(wts)
 
-    graph = BandGraph(patch, n_sd, n_td, stencil, s_d, t_d,
+    graph = BandGraph(patch, n_sd, n_td, s_d, t_d,
                       np.concatenate(rows_all), np.concatenate(cols_all),
                       np.concatenate(wts_all))
     if scale is None:
@@ -153,12 +153,11 @@ def build_band_graph(patch, dist_grid=None, stencil: int = 16,
     return graph
 
 
-def _point_link_edges(graph: BandGraph, pts: np.ndarray, base_id: int, scale=None):
+def _point_link_edges(graph: BandGraph, pts: np.ndarray, scale=None):
     """Bidirectional edges between injected points and nearby grid nodes."""
     patch = graph.patch
     ds = patch.length / graph.n_sd
     dt = graph.t_d[1] - graph.t_d[0]
-    m = pts.shape[0]
     i0 = np.floor(pts[:, 0] / ds).astype(int)
     j0 = np.clip(np.floor((pts[:, 1] - graph.t_d[0]) / dt).astype(int),
                  0, graph.n_td - 2)
@@ -168,22 +167,20 @@ def _point_link_edges(graph: BandGraph, pts: np.ndarray, base_id: int, scale=Non
             gi = (i0 + di) % graph.n_sd
             gj = j0 + dj
             ok = (gj >= 0) & (gj < graph.n_td)
-            pid = np.nonzero(ok)[0]
+            pid = graph.n_nodes + np.nonzero(ok)[0]
             node = gi[ok] * graph.n_td + gj[ok]
             seg = _segment_lengths(patch, pts[ok, 0], pts[ok, 1],
                                    pts[ok, 0] + wrap_difference(
                                        graph.s_d[gi[ok]], pts[ok, 0], patch.length),
                                    graph.t_d[gj[ok]], scale)
-            rows.extend([base_id + pid, node])
-            cols.extend([node, base_id + pid])
+            rows.extend([pid, node])
+            cols.extend([node, pid])
             wts.extend([seg, seg])
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(wts)), m
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(wts)
 
 
 def _direct_edges(patch, pts: np.ndarray, pairs: np.ndarray, base_id: int, scale=None):
     """Direct quadrature edges between injected point pairs (short chords)."""
-    if len(pairs) == 0:
-        return np.array([], dtype=int), np.array([], dtype=int), np.array([])
     i, j = pairs[:, 0], pairs[:, 1]
     dsw = wrap_difference(pts[j, 0], pts[i, 0], patch.length)
     seg = _segment_lengths(patch, pts[i, 0], pts[i, 1], pts[i, 0] + dsw, pts[j, 1],
@@ -202,90 +199,70 @@ def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
     return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=int)
 
 
-def pairwise_point_distances(patch, pts: np.ndarray, scale=None) -> np.ndarray:
-    """All-pairs shortest-path matrix between band points (one ring of points).
+def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
+                        n_sources: int, scale=None,
+                        min_only: bool = False) -> np.ndarray:
+    """Shortest paths from the first `n_sources` of `pts` to every point of
+    `pts`, all injected into the band graph; each index pair in `pairs` is
+    also joined by a direct quadrature edge.  With `min_only` the result is
+    the distance from the nearest source."""
+    graph = build_band_graph(patch, scale=scale)
+    lr, lc, lw = _point_link_edges(graph, pts, scale)
+    dr, dc, dw = _direct_edges(patch, pts, pairs, graph.n_nodes, scale)
+    csr = graph.csr((np.concatenate([lr, dr]), np.concatenate([lc, dc]),
+                     np.concatenate([lw, dw])), n_extra=len(pts))
+    ids = graph.n_nodes + np.arange(len(pts))
+    dist = dijkstra(csr, directed=True, indices=ids[:n_sources],
+                    min_only=min_only)
+    return dist[..., ids]
 
-    Points are injected into the band graph; consecutive points within
-    `_DIRECT_REACH` (coordinate arc) are also joined by direct quadrature edges.
+
+def pairwise_point_distances(patch, pts: np.ndarray, scale=None) -> np.ndarray:
+    """All-pairs distance matrix between band points (one ring of points).
+
+    Flat cylinders without a conformal `scale` use the exact unrolled formula.
+    Otherwise points are injected into the band graph, and consecutive points
+    within `_DIRECT_REACH` (coordinate arc) are also joined by direct
+    quadrature edges.
     """
     pts = np.asarray(pts, dtype=float)
     patch.require_inside(pts[:, 1], margin=0.0)
-    graph = build_band_graph(patch, scale=scale)
+    if scale is None and patch.is_flat_cylinder:
+        return cylinder_distance(patch.length, pts[:, None], pts[None])
     n = pts.shape[0]
     spacing = patch.length / n
     k_max = max(1, int(np.ceil(_DIRECT_REACH / spacing)))
-    (lr, lc, lw), m = _point_link_edges(graph, pts, graph.n_nodes, scale)
-    dr, dc, dw = _direct_edges(patch, pts, _ring_pairs(n, k_max), graph.n_nodes, scale)
-    csr = graph.csr((np.concatenate([lr, dr]), np.concatenate([lc, dc]),
-                     np.concatenate([lw, dw])), n_extra=m)
-    ids = graph.n_nodes + np.arange(n)
-    dist = dijkstra(csr, directed=True, indices=ids)
-    return dist[:, ids]
+    return _injected_distances(patch, pts, _ring_pairs(n, k_max), n, scale)
 
 
 def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
                            scale=None) -> np.ndarray:
     """min over the source set of the distance to each target point.
 
-    Both sets are injected; aligned and nearby cross pairs get direct edges
-    (so e.g. vertical chords between two graphs over the same base are exact).
+    Flat cylinders without a conformal `scale` use the exact unrolled formula.
+    Otherwise both sets are injected; aligned and nearby cross pairs get
+    direct edges (so e.g. vertical chords between two graphs over the same
+    base are exact).
     """
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
-    graph = build_band_graph(patch, scale=scale)
-    pts = np.concatenate([sources, targets])
+    if scale is None and patch.is_flat_cylinder:
+        # one row per target, as wrap_difference is not antisymmetric in floats
+        return cylinder_distance(patch.length, targets[:, None],
+                                 sources[None]).min(axis=1)
     ns, nt = sources.shape[0], targets.shape[0]
-    (lr, lc, lw), m = _point_link_edges(graph, pts, graph.n_nodes, scale)
     pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns)]
     if ns == nt:
+        # each offset once: csr_matrix would sum a repeated edge
         k_cross = max(1, int(np.ceil(_DIRECT_REACH * ns / patch.length)))
         i = np.arange(ns)
-        for k in range(-k_cross, k_cross + 1):
+        for k in np.unique(np.arange(-k_cross, k_cross + 1) % nt):
             pairs.append(np.stack([i, ns + (i + k) % nt], axis=1))
-    dr, dc, dw = _direct_edges(patch, pts, np.concatenate(pairs), graph.n_nodes, scale)
-    csr = graph.csr((np.concatenate([lr, dr]), np.concatenate([lc, dc]),
-                     np.concatenate([lw, dw])), n_extra=m)
-    src_ids = graph.n_nodes + np.arange(ns)
-    field = dijkstra(csr, directed=True, indices=src_ids, min_only=True)
-    return field[graph.n_nodes + ns + np.arange(nt)]
-
-
-@dataclass
-class DistanceField:
-    """Sampled shortest-path distances from one (grid-snapped) source point."""
-
-    patch: object
-    source: tuple[float, float]
-    snapped: tuple[float, float]
-    s_d: np.ndarray
-    t_d: np.ndarray
-    field: np.ndarray
-    stencil: int
-    rel_error: float
-
-    def value_at(self, s: float, t: float) -> float:
-        if abs(t) > self.patch.halfwidth:
-            raise OutOfPatch(f"|t|={abs(t):.4f} outside band of halfwidth "
-                             f"{self.patch.halfwidth:.4f}")
-        return float(periodic_bilinear(self.field, self.patch.length, self.t_d,
-                                       s, t))
-
-
-def build_distance_field(patch, source) -> DistanceField:
-    graph = build_band_graph(patch)
-    ds = patch.length / graph.n_sd
-    dt = graph.t_d[1] - graph.t_d[0]
-    i0 = int(np.round((source[0] % patch.length) / ds)) % graph.n_sd
-    j0 = int(np.clip(np.round((source[1] - graph.t_d[0]) / dt), 0, graph.n_td - 1))
-    node = i0 * graph.n_td + j0
-    field = dijkstra(graph.csr(), directed=True, indices=node)
-    return DistanceField(patch=patch, source=(float(source[0]), float(source[1])),
-                         snapped=(float(graph.s_d[i0]), float(graph.t_d[j0])),
-                         s_d=graph.s_d, t_d=graph.t_d,
-                         field=field.reshape(graph.n_sd, graph.n_td),
-                         stencil=graph.stencil,
-                         rel_error=patch.stencil_error_ratio())
+    pts = np.concatenate([sources, targets])
+    field = _injected_distances(patch, pts, np.concatenate(pairs), ns, scale,
+                                min_only=True)
+    return field[ns:]
 
 
 def estimate_stencil_error(patch) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .curves import Curve
 from .errors import PatchMismatch
-from .numerics import wrap_difference
 
 __all__ = [
     "HausdorffResult",
@@ -47,15 +46,6 @@ def _spacing(curve: Curve, n_scan: int) -> float:
     return curve.patch.length / n_scan * float(np.max(curve.speed()))
 
 
-def _directed_flat(pts_a, pts_b, length):
-    dq = wrap_difference(pts_a[:, 0][:, None], pts_b[:, 0][None, :], length)
-    dmat = np.hypot(dq, pts_a[:, 1][:, None] - pts_b[:, 1][None, :])
-    mins = dmat.min(axis=1)
-    i = int(np.argmax(mins))
-    j = int(np.argmin(dmat[i]))
-    return float(mins[i]), (tuple(pts_a[i]), float(dmat[i, j]))
-
-
 def hausdorff_distance(a: Curve, b: Curve,
                        n_scan: int | None = None) -> HausdorffResult:
     """Hausdorff distance between two sampled curves on the same patch."""
@@ -69,19 +59,14 @@ def hausdorff_distance(a: Curve, b: Curve,
     idx_b = np.linspace(0, b.n, n_scan, endpoint=False).astype(int)
     pts_a, pts_b = a.points(idx_a), b.points(idx_b)
 
-    if flat:
-        d_ab, wit_ab = _directed_flat(pts_a, pts_b, patch.length)
-        d_ba, wit_ba = _directed_flat(pts_b, pts_a, patch.length)
-        field_err = 0.0
-    else:
-        from .distances import set_to_points_distance
+    from .distances import set_to_points_distance
 
-        to_a = set_to_points_distance(patch, pts_b, pts_a)
-        to_b = set_to_points_distance(patch, pts_a, pts_b)
-        ia, ib = int(np.argmax(to_a)), int(np.argmax(to_b))
-        d_ab, wit_ab = float(to_a[ia]), (tuple(pts_a[ia]), float(to_a[ia]))
-        d_ba, wit_ba = float(to_b[ib]), (tuple(pts_b[ib]), float(to_b[ib]))
-        field_err = patch.stencil_error_ratio() * max(d_ab, d_ba)
+    to_a = set_to_points_distance(patch, pts_b, pts_a)
+    to_b = set_to_points_distance(patch, pts_a, pts_b)
+    ia, ib = int(np.argmax(to_a)), int(np.argmax(to_b))
+    d_ab, wit_ab = float(to_a[ia]), (tuple(pts_a[ia]), float(to_a[ia]))
+    d_ba, wit_ba = float(to_b[ib]), (tuple(pts_b[ib]), float(to_b[ib]))
+    field_err = 0.0 if flat else patch.stencil_error_ratio() * max(d_ab, d_ba)
 
     err = max(_spacing(a, n_scan), _spacing(b, n_scan)) + field_err
     return HausdorffResult(value=max(d_ab, d_ba), directed_ab=d_ab,

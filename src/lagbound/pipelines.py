@@ -18,6 +18,7 @@ from .classify import FamilySpec, generate_family
 from . import sasaki as sas
 from .config import ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
+from .errors import ParamOutOfRange
 from .exactness import (area_functional, build_contraction,
                         contraction_bounds_check, isotopy_invariant,
                         solve_c_grid)
@@ -444,4 +445,4 @@ def run_figure(family_id: str, out_dir: str,
                   {"family": family_id})
         return svg_path, csv_path
 
-    raise ValueError(f"unknown family {family_id!r}")
+    raise ParamOutOfRange(f"unknown family {family_id!r}")

@@ -205,7 +205,6 @@ class SurfacePatch:
         self.w2_s = np.stack([fourier_derivative(self.w[:, j] ** 2, base.length)
                               for j in range(n_t)], axis=1)
         self._dist_graphs: dict = {}
-        self._dist_fields: dict = {}
         self._stencil_error: float | None = None
 
     def _march(self):
@@ -285,14 +284,6 @@ class SurfacePatch:
 
     # -- distances ------------------------------------------------------------
 
-    def distance_field(self, source: tuple[float, float]):
-        from .distances import build_distance_field
-
-        key = (round(source[0], 12), round(source[1], 12))
-        if key not in self._dist_fields:
-            self._dist_fields[key] = build_distance_field(self, source)
-        return self._dist_fields[key]
-
     def stencil_error_ratio(self) -> float:
         """Relative gap between the 8- and 16-neighbor shortest paths, measured
         once per patch from a central source; quantifies the stencil anisotropy.
@@ -369,27 +360,31 @@ def ambient_distance(patch: SurfacePatch, x: tuple[float, float],
                      y: tuple[float, float]) -> float:
     """Shortest-path distance between two band points in the metric w^2 ds^2 + dt^2.
 
-    Flat cylinders use the exact unrolled formula; otherwise a wide-stencil
-    shortest path on the band grid is queried (see `distances`).  Points must
-    keep a one-cell margin from the band edge.
+    A one-point `distances.set_to_points_distance` query: the exact unrolled
+    formula on flat cylinders, the injected-point graph search otherwise.
+    Points must keep a one-cell margin from the band edge.
     """
+    from .distances import set_to_points_distance
+
     x = (float(x[0]), float(x[1]))
     y = (float(y[0]), float(y[1]))
     patch.require_inside(np.array([x[1], y[1]]))
-    if patch.is_flat_cylinder:
-        return cylinder_distance(patch.length, x, y)
-    field = patch.distance_field(x)
-    return field.value_at(y[0], y[1])
+    return float(set_to_points_distance(patch, np.array([y]), np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------
 # closed-form distances / embeddings for the model bands
 # ---------------------------------------------------------------------------
 
-def cylinder_distance(length: float, x, y) -> float:
-    """Exact distance on the flat cylinder: straight line in the unrolled plane."""
-    dq = wrap_difference(np.asarray(x[0]), np.asarray(y[0]), length)
-    return float(np.hypot(dq, np.asarray(x[1]) - np.asarray(y[1])))
+def cylinder_distance(length: float, x, y):
+    """Exact distance on the flat cylinder: straight line in the unrolled plane.
+
+    x and y are (s, t) points, or arrays of them along the last axis that
+    broadcast against each other.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dq = wrap_difference(x[..., 0], y[..., 0], length)
+    return np.hypot(dq, x[..., 1] - y[..., 1])
 
 
 def plane_embed(circle_radius: float, s, t):

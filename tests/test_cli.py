@@ -110,6 +110,60 @@ class TestOtherCommands:
         assert run("classify", "--curve", "parallel:0", f"--k={level}",
                    *GRID, "--out", str(tmp_path)) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--curve", "cos:1,2"],
+        ["bogus"],
+        ["curvature", "--curve", "parallel:0", "--tol", "1"],
+        ["classify", "--curve", "cos:1,2", "--k", "five"],
+    ])
+    def test_usage_error_is_config_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path))
+        assert exc.value.code == 4
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("classify", "--help")
+        assert exc.value.code == 0
+        assert "--tol" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["curvature_rel", "tameness_limit"])
+    def test_unread_tolerance_is_config_error(self, tmp_path, key):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"tolerances": {key: 1e-3}}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg))
+        assert run("curvature", "--curve", "parallel:0", "--config", str(cfg),
+                   *GRID, "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("spec", ["expr:log(cos(s)-2)", "parallel:nan",
+                                      "cos:nan,2"])
+    def test_non_finite_curve_is_config_error(self, tmp_path, spec):
+        assert run("classify", "--curve", spec, "--k", "5", *GRID,
+                   "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("spec", ["parallel:3", "cos:2.5,1", "parallel:inf"])
+    def test_curve_leaving_band_is_config_error(self, tmp_path, spec):
+        assert run("curvature", "--curve", spec, *GRID,
+                   "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("s_of_k", [
+        lambda k, n, l: k * (l / 2) / n,                  # half a period
+        lambda k, n, l: (k / n) ** 2 * l,                 # not uniform
+        lambda k, n, l: k * l / n + 1e-6 * l,             # shifted grid
+    ])
+    def test_csv_off_grid_is_config_error(self, tmp_path, s_of_k):
+        l, n = 2 * np.pi, 128
+        k = np.arange(n)
+        s = s_of_k(k, n, l)
+        path = tmp_path / "curve.csv"
+        np.savetxt(path, np.stack([s, 0.2 * np.cos(s)], axis=1), delimiter=",")
+        assert run("curvature", "--curve", f"csv:{path}", *GRID,
+                   "--out", str(tmp_path)) == 4
+
+    def test_unknown_figure_is_runtime_error(self, tmp_path):
+        assert run("figure", "nope", *GRID, "--out", str(tmp_path)) == 3
+
     def test_lemmas_exit_codes(self, tmp_path):
         base = {"quick": True, "grid": [256, 65],
                 "checks": {name: False for name in

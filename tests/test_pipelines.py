@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagbound.config import ExperimentConfig
+from lagbound.errors import ParamOutOfRange
 from lagbound.pipelines import run_figure, run_lemma_suite
 
 
@@ -69,5 +70,5 @@ class TestFigures:
         assert all(0.9 <= v <= 1.01 for v in dh.values())
 
     def test_unknown_family(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange):
             run_figure("nope", str(tmp_path))
