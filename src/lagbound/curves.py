@@ -257,6 +257,13 @@ class TamenessReport:
     epsilon is the minimum of the sampled long-range infimum of
     d_ambient / min(1, d_intrinsic) over pairs with d_intrinsic >= delta_min,
     and the analytic chord-arc lower bound covering the excluded short range.
+
+    The long-range scan is capped at ambient distance 1: a pair farther apart
+    has ratio > 1 and cannot set epsilon, since the short-range bound is
+    <= 1.  So `long_range_min` (and `pair`) is exact whenever it is <= 1,
+    which covers every case where it can set epsilon; above 1 it is the
+    infimum over the pairs within the cap, or `inf` (and `pair` is the first
+    sample twice) if there are none.
     """
 
     epsilon: float
@@ -302,7 +309,7 @@ def tameness(curve: Curve, n_scan: int | None = None,
     from .distances import pairwise_point_distances
 
     d_xi = _pairwise_intrinsic(curve, idx)
-    d_m = pairwise_point_distances(curve.patch, curve.points(idx))
+    d_m = pairwise_point_distances(curve.patch, curve.points(idx), limit=1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m / np.minimum(1.0, d_xi)
     ratio[d_xi < delta_min] = np.inf
@@ -333,6 +340,14 @@ def tameness(curve: Curve, n_scan: int | None = None,
 
 @dataclass
 class ComparisonCheck:
+    """Primed tameness against the C^{-2} bound.
+
+    `epsilon_prime` is the long-range scan of the rescaled metric, capped at
+    rescaled ambient distance 1 as in `TamenessReport.long_range_min`: exact
+    whenever it is <= 1, and above 1 the infimum over the pairs within the
+    cap, or `inf`.
+    """
+
     ok: bool
     epsilon: float
     epsilon_prime: float
@@ -377,10 +392,14 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     span = float(factors.max() - factors.min())
     if span < 1e-13:
         lam = float(np.sqrt(factors.max()))
-        d_m_p = lam * pairwise_point_distances(patch, curve.points(idx))
+        # the cap sits a hair above 1/lam, so that rounding in lam * d cannot
+        # drop a pair whose rescaled distance reads <= 1
+        d_m_p = lam * pairwise_point_distances(patch, curve.points(idx),
+                                               limit=(1.0 + 1e-12) / lam)
     else:
         scale = lambda s, t: np.exp(_eval2(conformal_phi, s, t))  # noqa: E731
-        d_m_p = pairwise_point_distances(patch, curve.points(idx), scale)
+        d_m_p = pairwise_point_distances(patch, curve.points(idx), scale,
+                                         limit=1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_m_p / np.minimum(1.0, d_xi_p)

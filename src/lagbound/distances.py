@@ -17,6 +17,12 @@ chooses between formula and graph: on a flat cylinder without a conformal
 scale they use the exact unrolled formula `surface.cylinder_distance`, and
 every other query runs on the graph.
 
+A pairwise query may carry a distance cap `limit`: entries <= limit are
+exactly the uncapped values and every other entry is `inf`, on both paths.
+On the graph Dijkstra stops at the cap, which is exact because every path of
+length <= limit runs through nodes within limit of its source.  The tameness
+scans pass the cap 1, the only range in which a pair can set epsilon.
+
 The stencil overestimates oblique distances by at most its anisotropy ratio
 (about 2.8% for the 16-neighbor stencil); the comparison between the 8- and
 16-neighbor results provides the per-patch empirical error estimate.
@@ -200,12 +206,13 @@ def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
 
 
 def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
-                        n_sources: int, scale=None,
-                        min_only: bool = False) -> np.ndarray:
+                        n_sources: int, scale=None, min_only: bool = False,
+                        limit: float = np.inf) -> np.ndarray:
     """Shortest paths from the first `n_sources` of `pts` to every point of
     `pts`, all injected into the band graph; each index pair in `pairs` is
     also joined by a direct quadrature edge.  With `min_only` the result is
-    the distance from the nearest source."""
+    the distance from the nearest source.  Distances above `limit` are
+    `inf`."""
     graph = build_band_graph(patch, scale=scale)
     lr, lc, lw = _point_link_edges(graph, pts, scale)
     dr, dc, dw = _direct_edges(patch, pts, pairs, graph.n_nodes, scale)
@@ -213,26 +220,30 @@ def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
                      np.concatenate([lw, dw])), n_extra=len(pts))
     ids = graph.n_nodes + np.arange(len(pts))
     dist = dijkstra(csr, directed=True, indices=ids[:n_sources],
-                    min_only=min_only)
+                    min_only=min_only, limit=limit)
     return dist[..., ids]
 
 
-def pairwise_point_distances(patch, pts: np.ndarray, scale=None) -> np.ndarray:
+def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
+                             limit: float = np.inf) -> np.ndarray:
     """All-pairs distance matrix between band points (one ring of points).
 
     Flat cylinders without a conformal `scale` use the exact unrolled formula.
     Otherwise points are injected into the band graph, and consecutive points
     within `_DIRECT_REACH` (coordinate arc) are also joined by direct
-    quadrature edges.
+    quadrature edges.  Entries above `limit` are `inf`; the others are the
+    uncapped values bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     patch.require_inside(pts[:, 1], margin=0.0)
     if scale is None and patch.is_flat_cylinder:
-        return cylinder_distance(patch.length, pts[:, None], pts[None])
+        d = cylinder_distance(patch.length, pts[:, None], pts[None])
+        return np.where(d > limit, np.inf, d)
     n = pts.shape[0]
     spacing = patch.length / n
     k_max = max(1, int(np.ceil(_DIRECT_REACH / spacing)))
-    return _injected_distances(patch, pts, _ring_pairs(n, k_max), n, scale)
+    return _injected_distances(patch, pts, _ring_pairs(n, k_max), n, scale,
+                               limit=limit)
 
 
 def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, geodesic_curvature, tameness
-from .errors import NoBracket, SelfIntersection
+from .errors import NoBracket, ParamOutOfRange, SelfIntersection
 from .numerics import eval_fourier_series, interp_uniform_rows
 from .surface import SurfacePatch, plane_embed
 
@@ -82,7 +82,8 @@ def solve_c_grid(patch: SurfacePatch, curve: Curve, alphas: np.ndarray,
     alphas = np.asarray(alphas, dtype=float)
     sup = curve.sup_norm()
     if sup >= patch.halfwidth / 2:
-        raise ValueError("shift solve requires max|xi| < r/2")
+        raise ParamOutOfRange(f"shift solve requires max|xi| < r/2 = "
+                              f"{patch.halfwidth / 2:.4g}, got {sup:.4g}")
     if sup == 0.0:
         return np.zeros_like(alphas)
     xi_grid = _xi_on_patch_grid(patch, curve)
@@ -159,7 +160,9 @@ def build_contraction(patch: SurfacePatch, curve: Curve,
     |c(a)-c(a')| <= max|xi| |a-a'|, and containment in the band.
     """
     if curve.sup_norm() >= patch.halfwidth / 3:
-        raise ValueError("build_contraction requires max|xi| < r/3")
+        raise ParamOutOfRange(
+            f"build_contraction requires max|xi| < r/3 = "
+            f"{patch.halfwidth / 3:.4g}, got {curve.sup_norm():.4g}")
     c_fix = solve_c(patch, curve, 1.0)
     xi_hat = shifted_curve(curve, c_fix, name=f"{curve.name}_exact") \
         if abs(c_fix) > 0 else curve

@@ -164,6 +164,15 @@ class TestOtherCommands:
     def test_unknown_figure_is_runtime_error(self, tmp_path):
         assert run("figure", "nope", *GRID, "--out", str(tmp_path)) == 3
 
+    # the default cylinder has r = 2: the shift solve needs max|xi| < r/2,
+    # the contraction path max|xi| < r/3
+    @pytest.mark.parametrize("argv", [
+        ("exactify", "--curve", "expr:1.1*cos(s)"),
+        ("contract", "--curve", "expr:0.8*cos(s)"),
+    ])
+    def test_shift_range_is_runtime_error(self, tmp_path, argv):
+        assert run(*argv, *GRID, "--out", str(tmp_path)) == 3
+
     def test_lemmas_exit_codes(self, tmp_path):
         base = {"quick": True, "grid": [256, 65],
                 "checks": {name: False for name in

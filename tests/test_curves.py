@@ -6,13 +6,34 @@ from scipy.integrate import quad
 
 from lagbound.curves import (Curve, geodesic_curvature, intrinsic_distance,
                              tameness, tameness_comparison_check, trig_curve)
+from lagbound.distances import pairwise_point_distances
 from lagbound.errors import DistortionExceeded
-from lagbound.numerics import wrap_difference
+from lagbound.numerics import fourier_primitive_grid, wrap_difference
 
 
 def euclidean_graph_curvature(dxi, d2xi):
     """Independent oracle: curvature of a graph in the flat plane."""
     return np.abs(d2xi) / np.power(1.0 + dxi ** 2, 1.5)
+
+
+def uncapped_scan(curve, n_scan, delta_min, scale=None, lam=1.0):
+    """Reference long-range scan on the uncapped distance matrix, with all
+    lengths scaled by e^phi (`scale`) or by a uniform factor `lam`: the
+    minimal ratio d_ambient / min(1, d_intrinsic) and its sample pair."""
+    idx = np.linspace(0, curve.n, n_scan, endpoint=False).astype(int)
+    speed = curve.speed() * lam
+    if scale is not None:
+        speed = speed * scale(curve.s, curve.xi)
+    cum = fourier_primitive_grid(speed, curve.patch.length)[idx]
+    total = float(np.mean(speed) * curve.patch.length)
+    diff = np.abs(cum[:, None] - cum[None, :])
+    d_xi = np.minimum(diff, total - diff)
+    d_m = lam * pairwise_point_distances(curve.patch, curve.points(idx), scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d_m / np.minimum(1.0, d_xi)
+    ratio[d_xi < delta_min] = np.inf
+    i, j = divmod(int(np.argmin(ratio)), n_scan)
+    return float(ratio[i, j]), (float(curve.s[idx[i]]), float(curve.s[idx[j]]))
 
 
 class TestCurve:
@@ -144,6 +165,18 @@ class TestTameness:
         rep = tameness(Curve.constant(sphere, 0.0, n=512))
         assert rep.epsilon > 0.999
 
+    @pytest.mark.parametrize("name, cos_amps", [
+        ("sphere", {3: 0.1}), ("plane", {2: 0.3}), ("hyperbolic", {1: 0.2, 4: 0.05}),
+    ])
+    def test_capped_scan_matches_uncapped(self, name, cos_amps, request):
+        curve = trig_curve(request.getfixturevalue(name), cos_amps, n=512)
+        rep = tameness(curve)
+        long_min, pair = uncapped_scan(curve, rep.n_scan, rep.delta_min)
+        assert long_min <= 1.0
+        assert rep.long_range_min == long_min
+        assert rep.pair == pair
+        assert rep.epsilon == min(long_min, rep.short_range_bound)
+
 
 class TestComparison:
     def test_identity_factor(self, cyl):
@@ -166,6 +199,27 @@ class TestComparison:
         chk = tameness_comparison_check(curve, lambda s, t: 0.0 * s + np.log(lam),
                                         lam * lam)
         assert chk.ok
+
+    def test_capped_scan_matches_uncapped(self, cyl, sphere):
+        # scaled metric on a graph; uniform lam on the formula and on the
+        # graph path, where lam < 1 puts the pair that sets epsilon' at an
+        # unscaled distance > 1, inside the cap 1/lam
+        curve = trig_curve(cyl, {2: 0.3}, n=512)
+        phi = lambda s, t: 0.1 * np.sin(s) * np.sin(np.pi * t / cyl.halfwidth)
+        chk = tameness_comparison_check(curve, phi, float(np.exp(0.2)),
+                                        n_scan=192)
+        delta_min = tameness(curve, n_scan=192).delta_min
+        eps_prime, _ = uncapped_scan(curve, 192, delta_min,
+                                     scale=lambda s, t: np.exp(phi(s, t)))
+        assert eps_prime <= 1.0 and chk.epsilon_prime == eps_prime
+        lam = 0.7
+        for curve in (curve, trig_curve(sphere, {3: 0.1}, n=512)):
+            chk = tameness_comparison_check(
+                curve, lambda s, t: 0.0 * s + np.log(lam), 1 / lam ** 2)
+            rep = tameness(curve)
+            eps_prime, _ = uncapped_scan(curve, rep.n_scan, rep.delta_min,
+                                         lam=lam)
+            assert eps_prime <= 1.0 and chk.epsilon_prime == eps_prime
 
     def test_distortion_exceeded(self, cyl):
         curve = trig_curve(cyl, {2: 0.3}, n=512)

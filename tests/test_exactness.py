@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from lagbound.curves import Curve, trig_curve
-from lagbound.errors import SelfIntersection
+from lagbound.errors import ParamOutOfRange, SelfIntersection
 from lagbound.exactness import (area_functional, build_contraction,
                                 contraction_bounds_check, isotopy_invariant,
                                 solve_c)
@@ -69,7 +69,7 @@ class TestSolveC:
 
     def test_precondition(self, cyl):
         xi = trig_curve(cyl, {1: 1.0}, n=256)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange):
             solve_c(cyl, xi, 1.0)
 
 
@@ -103,7 +103,7 @@ class TestContractionPath:
         assert np.all(np.abs(path.c) <= path.alphas * sup + 1e-14)
 
     def test_precondition_third(self, cyl):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange):
             build_contraction(cyl, trig_curve(cyl, {1: 0.6}, n=256))
 
 

@@ -193,6 +193,20 @@ class TestDistanceLayer:
         assert np.array_equal(set_to_points_distance(cyl, pts[:5], pts[5:]),
                               exact[5:, :5].min(axis=1))
 
+    @pytest.mark.parametrize("name", ["sphere", "plane", "hyperbolic", "cyl"])
+    def test_limit_caps_exactly(self, name, request):
+        # graph path on the three curved bands, formula path on the cylinder
+        patch = request.getfixturevalue(name)
+        rng = np.random.default_rng(1)
+        s = np.sort(rng.uniform(0, patch.length, 64))
+        pts = np.stack([s, 0.4 * patch.halfwidth * np.cos(3 * s)], axis=1)
+        full = pairwise_point_distances(patch, pts)
+        capped = pairwise_point_distances(patch, pts, limit=1.0)
+        near = full <= 1.0
+        assert near.any() and not near.all()
+        assert np.array_equal(capped[near], full[near])
+        assert np.all(np.isposinf(capped[~near]))
+
     def test_sphere_never_below_great_circle(self, sphere):
         rng = np.random.default_rng(0)
         for _ in range(20):
