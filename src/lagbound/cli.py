@@ -163,10 +163,23 @@ def main(argv=None) -> int:
         return 3
 
 
+def _require_positive(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be finite and positive, got {value}")
+
+
 def _dispatch(args) -> int:
     config = _load(args)
-    if args.command == "classify" and not (np.isfinite(args.k) and args.k > 0):
-        raise ConfigError(f"--k must be a finite positive level, got {args.k}")
+    if args.command == "classify":
+        _require_positive("--k", args.k)
+    if args.command == "sasaki":
+        _require_positive("--step", args.step)
+        _require_positive("--horizon", args.horizon)
+        if args.states < 1:
+            raise ConfigError(f"--states must be at least 1, got {args.states}")
+        if args.sweep is not None and not np.isfinite(args.sweep):
+            raise ConfigError(f"--sweep must be a finite amplitude, "
+                              f"got {args.sweep}")
     os.makedirs(config.out_dir, exist_ok=True)
     cmd = args.command
 

@@ -273,12 +273,18 @@ class Trajectory:
     halving_error: float
 
 
-def _rhs(base, x, v, y, z):
+def _rhs(base, x, vyz):
     """Bundle geodesic equations: x' = v, cov_v v = -R(Y, Z) v, cov_v Y = Z,
-    cov_v Z = 0, written with the chart Christoffel symbols."""
-    dv = -base.gamma_vw(x, v, v) - base.riemann(x, y, z, v)
-    dy = z - base.gamma_vw(x, v, y)
-    dz = -base.gamma_vw(x, v, z)
+    cov_v Z = 0, written with the chart Christoffel symbols.
+
+    `vyz` stacks (v, Y, Z) with shape (3, B, 2), so one Gamma call gives
+    Gamma(v, v), Gamma(v, Y) and Gamma(v, Z).
+    """
+    v, y, z = vyz
+    gam = base.gamma_vw(x, v, vyz)
+    dv = -gam[0] - base.riemann(x, y, z, v)
+    dy = z - gam[1]
+    dz = -gam[2]
     return v, dv, dy, dz
 
 
@@ -286,7 +292,7 @@ def _integrate(base, state, charts, horizon, h, record_every):
     """Fixed-step RK4 on the stacked state (x, v, Y, Z) of shape (4, B, 2),
     re-charting after every step; records every `record_every` steps."""
     def rhs(_t, st):
-        return np.array(_rhs(base, *st))
+        return np.array(_rhs(base, st[0], st[1:]))
 
     n_steps = int(np.ceil(horizon / h))
     rec_t, rec = [], []
@@ -396,6 +402,14 @@ def _lambdify_stack(exprs: list, shape: tuple) -> callable:
     return wrapped
 
 
+def _op_norms(t_mat: np.ndarray) -> np.ndarray:
+    """Operator norms of the symmetric 2x2 frame matrices T (..., 2, 2)."""
+    mean = 0.5 * (t_mat[..., 0, 0] + t_mat[..., 1, 1])
+    rad = np.sqrt(0.25 * (t_mat[..., 0, 0] - t_mat[..., 1, 1]) ** 2
+                  + t_mat[..., 0, 1] * t_mat[..., 1, 0])
+    return np.abs(mean) + rad
+
+
 def _chart_tensor_functions(h_expr, phi_expr):
     """Exact frame tensors of xi = grad(H) on a conformal chart.
 
@@ -487,11 +501,7 @@ class GradientGraph:
     def grad_op_norms(self, coords=None, charts=None) -> np.ndarray:
         if coords is None:
             coords, charts = self.default_samples()
-        t_mat = self.frame_data(coords, charts)["T"]
-        mean = 0.5 * (t_mat[..., 0, 0] + t_mat[..., 1, 1])
-        rad = np.sqrt(0.25 * (t_mat[..., 0, 0] - t_mat[..., 1, 1]) ** 2
-                      + t_mat[..., 0, 1] * t_mat[..., 1, 0])
-        return np.abs(mean) + rad
+        return _op_norms(self.frame_data(coords, charts)["T"])
 
     def grad_bound(self) -> float:
         return float(np.max(self.grad_op_norms()))
@@ -515,40 +525,45 @@ def sphere_harmonic_graph(eps: float) -> GradientGraph:
                          name=f"sphere_harmonic_{eps:g}")
 
 
-def _sup_over_frames(data: dict, k_curv: float, t: float,
-                     n_theta: int) -> float:
-    """sup over base samples and unit tangent frames of the normalized
-    trilinear form at scale t, with the normal frame maximized in closed form.
-    """
+def _direction_block(data: dict, k_curv: float, theta: np.ndarray):
+    """The scale-independent part of the frame form on the unit directions
+    x^ = (cos theta, sin theta): |T x^|^2, A(x^, x^) and K T R(x^) with
+    R(x^) = <T x^, x^> xi - <xi, x^> T x^, each component of shape (b, m)."""
     xi, t_mat, a_ten = data["xi"], data["T"], data["A"]
-    t2 = t * t
-    tsq = np.einsum("bij,bjk->bik", t_mat, t_mat)
-    m = np.eye(2)[None] + t2 * tsq
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    minv = np.empty_like(m)
-    minv[:, 0, 0] = m[:, 1, 1] / det
-    minv[:, 1, 1] = m[:, 0, 0] / det
-    minv[:, 0, 1] = -m[:, 0, 1] / det
-    minv[:, 1, 0] = -m[:, 1, 0] / det
+    c, s = np.cos(theta), np.sin(theta)
+    tx = [t_mat[:, i, 0, None] * c + t_mat[:, i, 1, None] * s for i in range(2)]
+    tx2 = tx[0] * tx[0] + tx[1] * tx[1]
+    cc, cs, ss = c * c, c * s, s * s
+    axx = [a_ten[:, i, 0, 0, None] * cc
+           + (a_ten[:, i, 0, 1] + a_ten[:, i, 1, 0])[:, None] * cs
+           + a_ten[:, i, 1, 1, None] * ss for i in range(2)]
+    if k_curv == 0.0:
+        return tx2, axx, None
+    txx = tx[0] * c + tx[1] * s
+    xix = xi[:, 0, None] * c + xi[:, 1, None] * s
+    rx = [txx * xi[:, i, None] - xix * tx[i] for i in range(2)]
+    ktr = [k_curv * (t_mat[:, i, 0, None] * rx[0]
+                     + t_mat[:, i, 1, None] * rx[1]) for i in range(2)]
+    return tx2, axx, ktr
 
-    best = 0.0
-    theta = np.arange(n_theta) * (np.pi / n_theta)
-    for k0 in range(0, n_theta, _THETA_BLOCK):
-        th = theta[k0:k0 + _THETA_BLOCK]
-        xhat = np.stack([np.cos(th), np.sin(th)], axis=-1)      # (m, 2)
-        tx = np.einsum("bij,mj->bmi", t_mat, xhat)
-        norm = np.sqrt(1.0 + t2 * (tx * tx).sum(-1))            # (b, m)
-        xt = xhat[None] / norm[..., None]
-        txt = tx / norm[..., None]
-        v_vec = np.einsum("bijk,bmj,bmk->bmi", a_ten, xt, xt)
-        if k_curv != 0.0:
-            txx = (txt * xt).sum(-1, keepdims=True)
-            xix = (xi[:, None, :] * xt).sum(-1, keepdims=True)
-            rv = k_curv * (txx * xi[:, None, :] - xix * txt)
-            v_vec = v_vec - t2 * np.einsum("bij,bmj->bmi", t_mat, rv)
-        quad = np.einsum("bmi,bij,bmj->bm", v_vec, minv, v_vec)
-        best = max(best, float(np.sqrt(np.max(quad))))
-    return abs(t) * best
+
+def _block_maxima(data: dict, k_curv: float, theta: np.ndarray,
+                  t_grid: np.ndarray, minvs: list) -> np.ndarray:
+    """Max over samples and the directions theta of |v(t)|^2 in the
+    (I + t^2 T^2)^{-1} form, for each scale t; minvs holds that inverse's
+    entries per scale."""
+    tx2, axx, ktr = _direction_block(data, k_curv, theta)
+    out = np.empty(len(t_grid))
+    for j, t in enumerate(t_grid):
+        t2 = t * t
+        nu2 = 1.0 + t2 * tx2
+        v0, v1 = (axx if ktr is None
+                  else (axx[0] - t2 * ktr[0], axx[1] - t2 * ktr[1]))
+        i00, i01, i10, i11 = minvs[j]
+        quad = (v0 * (i00 * v0 + i01 * v1)
+                + v1 * (i10 * v0 + i11 * v1)) / (nu2 * nu2)
+        out[j] = np.max(quad)
+    return out
 
 
 @dataclass
@@ -559,18 +574,60 @@ class SupReport:
     grad_bound: float
 
 
+def _sweep(base, graph: GradientGraph, t_grid, n_theta: int,
+           samples: int) -> tuple[np.ndarray, float]:
+    """sup over base samples and unit tangent frames of the normalized
+    trilinear form at every scale t in t_grid, with the normal frame maximized
+    in closed form, and the grad bound; the frame tensors are evaluated once.
+
+    The frame x~ = x^ / nu, nu^2 = 1 + t^2 |T x^|^2, gives the vector
+    v(t) = (A(x^, x^) - t^2 K T R(x^)) / nu^2, whose squared normal-frame
+    norm is the quadratic form of (I + t^2 T^2)^{-1}.  Only nu, v and that
+    form depend on t, so each block of directions computes the rest once and
+    then runs through the scales elementwise, keeping one running max per
+    scale.
+
+    Raises FrameDegenerate when the frame tensors or a sup are not finite, or
+    when |grad xi| reaches 1 and the frame normalization is undefined.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    coords, charts = graph.default_samples(samples)
+    data = graph.frame_data(coords, charts)
+    if not all(np.all(np.isfinite(arr)) for arr in data.values()):
+        raise FrameDegenerate(f"frame tensors of {graph.name} are not finite "
+                              "on the sample set")
+    gb = float(np.max(_op_norms(data["T"])))
+    if not gb < 1.0:
+        raise FrameDegenerate(f"|grad xi| reaches {gb:.3f} >= 1; "
+                              "frame normalization undefined")
+
+    tsq = np.einsum("bij,bjk->bik", data["T"], data["T"])
+    minvs = []
+    for t in t_grid:
+        m = np.eye(2) + (t * t) * tsq
+        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])[:, None]
+        minvs.append((m[:, 1, 1, None] / det, -m[:, 0, 1, None] / det,
+                      -m[:, 1, 0, None] / det, m[:, 0, 0, None] / det))
+    best = np.zeros(len(t_grid))
+    theta = np.arange(n_theta) * (np.pi / n_theta)
+    for k0 in range(0, n_theta, _THETA_BLOCK):
+        best = np.maximum(best, _block_maxima(
+            data, base.gauss_curvature, theta[k0:k0 + _THETA_BLOCK], t_grid,
+            minvs))
+    sups = np.abs(t_grid) * np.sqrt(best)
+    if not np.all(np.isfinite(sups)):
+        raise FrameDegenerate(f"sup norm of {graph.name} is not finite at "
+                              f"t = {t_grid[~np.isfinite(sups)]}")
+    return sups, gb
+
+
 def graph_second_fundamental_form(base, graph: GradientGraph, t_scale: float,
                                   n_theta: int = 720,
                                   samples: int = 1600) -> SupReport:
     """Sup norm of the second fundamental form of the graph of t*grad(H)."""
-    coords, charts = graph.default_samples(samples)
-    gb = float(np.max(graph.grad_op_norms(coords, charts)))
-    if gb >= 1.0:
-        raise FrameDegenerate(f"|grad xi| reaches {gb:.3f} >= 1; "
-                              "frame normalization undefined")
-    data = graph.frame_data(coords, charts)
-    val = _sup_over_frames(data, base.gauss_curvature, t_scale, n_theta)
-    return SupReport(value=val, t=t_scale, n_theta=n_theta, grad_bound=gb)
+    sups, gb = _sweep(base, graph, [t_scale], n_theta, samples)
+    return SupReport(value=float(sups[0]), t=t_scale, n_theta=n_theta,
+                     grad_bound=gb)
 
 
 def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
@@ -580,13 +637,15 @@ def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
     The sample and direction grids are fixed across scales, so each indexed
     frame value inherits the pointwise monotonicity of the rescaling law and
     the returned sups are directly comparable.
+
+    The frame tensors are evaluated once per call.  T x^, |T x^|^2, A(x^, x^)
+    and the curvature term T R(x^) do not depend on t, so they are computed
+    once per block of directions and shared by all scales; only nu, the frame
+    vector and the (I + t^2 T^2)^{-1} form are evaluated per scale.  The
+    directions are taken in blocks of _THETA_BLOCK so that the per-block
+    arrays, not all n_theta directions at once, bound the memory.
     """
-    coords, charts = graph.default_samples(samples)
-    if float(np.max(graph.grad_op_norms(coords, charts))) >= 1.0:
-        raise FrameDegenerate("|grad xi| >= 1 somewhere on the sample set")
-    data = graph.frame_data(coords, charts)
-    return np.array([_sup_over_frames(data, base.gauss_curvature, t, n_theta)
-                     for t in np.asarray(t_grid, dtype=float)])
+    return _sweep(base, graph, t_grid, n_theta, samples)[0]
 
 
 # ---------------------------------------------------------------------------

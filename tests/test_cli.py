@@ -110,6 +110,14 @@ class TestOtherCommands:
         assert run("classify", "--curve", "parallel:0", f"--k={level}",
                    *GRID, "--out", str(tmp_path)) == 4
 
+    @pytest.mark.parametrize("flag", [
+        "--step=0", "--step=nan", "--step=-1e-3", "--horizon=nan",
+        "--horizon=inf", "--horizon=-1", "--horizon=0", "--states=0",
+        "--states=-2", "--sweep=nan", "--sweep=inf", "--sweep=-inf"])
+    def test_bad_sasaki_input_is_config_error(self, tmp_path, flag):
+        assert run("sasaki", flag, "--out", str(tmp_path)) == 4
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--curve", "cos:1,2"],
         ["bogus"],

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import sympy as sp
 
+from lagbound import sasaki
 from lagbound.errors import FrameDegenerate, StepTooLarge
 from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
                              curvature_sweep, graph_second_fundamental_form,
@@ -10,6 +12,15 @@ from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
 
 
 class TestBases:
+    @pytest.mark.parametrize("name", ["flat_torus", "round_sphere"])
+    def test_stacked_gamma_matches_separate_calls(self, rng, name):
+        base = base_manifold(name)
+        pts, _ = base.random_points(25, rng)
+        v, y, z = (rng.normal(size=(25, 2)) for _ in range(3))
+        stacked = base.gamma_vw(pts, v, np.stack([v, y, z]))
+        separate = np.stack([base.gamma_vw(pts, v, w) for w in (v, y, z)])
+        assert stacked.tobytes() == separate.tobytes()
+
     def test_first_bianchi(self, rng):
         base = base_manifold("round_sphere")
         pts, _ = base.random_points(40, rng)
@@ -78,7 +89,98 @@ class TestGeodesics:
             sasaki_geodesic(base, st, horizon=8.0, step=0.5)
 
 
+def _reference_sweep(graph, t_grid, n_theta, samples):
+    """The frame form evaluated scale by scale on the normalized frame
+    x~ = x^ / nu: the per-scale formula the block sweep must reproduce."""
+    coords, charts = graph.default_samples(samples)
+    data = graph.frame_data(coords, charts)
+    xi, t_mat, a_ten = data["xi"], data["T"], data["A"]
+    k_curv = graph.base.gauss_curvature
+    theta = np.arange(n_theta) * (np.pi / n_theta)
+    xhat = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    tx = np.einsum("bij,mj->bmi", t_mat, xhat)
+    out = []
+    for t in t_grid:
+        m = np.eye(2) + t * t * np.einsum("bij,bjk->bik", t_mat, t_mat)
+        norm = np.sqrt(1.0 + t * t * (tx * tx).sum(-1))
+        xt = xhat[None] / norm[..., None]
+        txt = tx / norm[..., None]
+        v_vec = np.einsum("bijk,bmj,bmk->bmi", a_ten, xt, xt)
+        if k_curv != 0.0:
+            txx = (txt * xt).sum(-1, keepdims=True)
+            xix = (xi[:, None, :] * xt).sum(-1, keepdims=True)
+            rv = k_curv * (txx * xi[:, None, :] - xix * txt)
+            v_vec = v_vec - t * t * np.einsum("bij,bmj->bmi", t_mat, rv)
+        quad = np.einsum("bmi,bij,bmj->bm", v_vec, np.linalg.inv(m), v_vec)
+        out.append(abs(t) * np.sqrt(np.max(quad)))
+    return np.array(out)
+
+
+def _sphere_xz_graph(eps):
+    """H = eps x z on the round sphere.  Unlike the harmonic graph, whose sup
+    sits where xi = 0, its sup moves with the curvature term K T R(x^)."""
+    u1, u2 = sp.symbols("u1 u2", real=True)
+    r2 = u1 ** 2 + u2 ** 2
+    xz = eps * 2 * u1 * (r2 - 1) / (r2 + 1) ** 2   # z flips sign in chart 1
+    return GradientGraph(base_manifold("round_sphere"), (xz, -xz),
+                         name=f"sphere_xz_{eps:g}")
+
+
 class TestGradientGraphs:
+    @pytest.mark.parametrize("make_graph", [
+        lambda: torus_gradient_graph(0.01),
+        lambda: torus_gradient_graph(0.02, mode=2),
+        lambda: sphere_harmonic_graph(0.01),
+        lambda: _sphere_xz_graph(0.1)],
+        ids=["torus_cos1", "torus_cos2", "sphere_harmonic", "sphere_xz"])
+    def test_sweep_matches_per_scale_reference(self, make_graph):
+        # 250 directions leave a partial last direction block
+        graph = make_graph()
+        t_grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        vals = curvature_sweep(graph.base, graph, t_grid, n_theta=250,
+                               samples=1600)
+        ref = _reference_sweep(graph, t_grid, 250, 1600)
+        assert vals[0] == ref[0] == 0.0
+        assert np.max(np.abs(vals[1:] - ref[1:]) / ref[1:]) <= 1e-12
+
+    def test_each_frame_evaluated_once_per_scale(self, monkeypatch):
+        # 250 directions, 3 scales, 100 samples: every (sample, direction,
+        # scale) frame value is formed exactly once
+        seen = []
+        original = sasaki._block_maxima
+
+        def counted(data, k_curv, theta, t_grid, minvs):
+            seen.append(len(data["xi"]) * len(theta) * len(t_grid))
+            return original(data, k_curv, theta, t_grid, minvs)
+        monkeypatch.setattr(sasaki, "_block_maxima", counted)
+        gg = sphere_harmonic_graph(0.01)
+        curvature_sweep(gg.base, gg, [0.0, 0.5, 1.0], n_theta=250, samples=100)
+        assert sum(seen) == 3 * 250 * 100
+
+    def test_single_scale_is_the_sweep_entry(self):
+        gg = sphere_harmonic_graph(0.02)
+        sweep = curvature_sweep(gg.base, gg, [0.3, 1.0], n_theta=250,
+                                samples=400)
+        singles = [graph_second_fundamental_form(gg.base, gg, t, n_theta=250,
+                                                 samples=400).value
+                   for t in (0.3, 1.0)]
+        assert list(sweep) == singles
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_non_finite_graph_is_frame_degenerate(self, amplitude):
+        gg = torus_gradient_graph(0.01).with_amplitude(amplitude)
+        with pytest.raises(FrameDegenerate):
+            curvature_sweep(gg.base, gg, [0.5, 1.0], n_theta=90, samples=100)
+        with pytest.raises(FrameDegenerate):
+            graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=90,
+                                          samples=100)
+
+    def test_non_finite_scale_is_frame_degenerate(self):
+        gg = sphere_harmonic_graph(0.01)
+        with pytest.raises(FrameDegenerate):
+            curvature_sweep(gg.base, gg, [0.5, np.nan], n_theta=90,
+                            samples=100)
+
     def test_hessian_symmetry(self):
         for gg in (torus_gradient_graph(0.1), sphere_harmonic_graph(0.1)):
             assert gg.hessian_symmetry_gap() < 1e-12
