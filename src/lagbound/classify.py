@@ -26,6 +26,8 @@ __all__ = [
     "MembershipVerdict",
     "FamilySpec",
     "classify",
+    "min_level",
+    "MAX_LEVEL",
     "generate_family",
     "separation_scan",
     "default_cylinder",
@@ -53,12 +55,28 @@ def default_unit_cylinder() -> SurfacePatch:
 # membership
 # ---------------------------------------------------------------------------
 
+MAX_LEVEL = 12  # the largest level `min_level` tries
+
+
 def _clause(margin: float, err: float):
     if margin > err:
         return True
     if margin < -err:
         return False
     return None
+
+
+def _decide(curve: Curve, k: float, curv, trep):
+    """Clauses, three-valued verdict and (margin, error) per clause of level-k
+    membership, from the curve's curvature and tameness reports."""
+    r = curve.patch.halfwidth
+    margins = {"curvature": (k - curv.sup, curv.error),
+               "tameness": (trep.epsilon - 1.0 / (k + 1.0), trep.error),
+               "containment": (r * (1.0 - 1.0 / (k + 1.0)) - curve.sup_norm(),
+                               1e-12)}
+    clauses = tuple(_clause(m, err) for m, err in margins.values())
+    verdict = False if False in clauses else None if None in clauses else True
+    return clauses, verdict, margins
 
 
 @dataclass
@@ -89,33 +107,21 @@ def classify(curve: Curve, k: float, n_scan: int | None = None,
         raise ValueError("level k must be positive")
     curv = geodesic_curvature(curve)
     trep = tameness(curve, n_scan=n_scan)
-    r = curve.patch.halfwidth
-
-    m_curv = k - curv.sup
-    m_tame = trep.epsilon - 1.0 / (k + 1.0)
-    m_cont = r * (1.0 - 1.0 / (k + 1.0)) - curve.sup_norm()
-
-    c_curv = _clause(m_curv, curv.error)
-    c_tame = _clause(m_tame, trep.error)
-    c_cont = _clause(m_cont, 1e-12)
-
-    clauses = (c_curv, c_tame, c_cont)
-    if all(c is True for c in clauses):
-        verdict = True
-    elif any(c is False for c in clauses):
-        verdict = False
-    else:
-        verdict = None
-
+    (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, curv, trep)
     a_val = area_functional(curve.patch, curve)
     return MembershipVerdict(
         k=float(k), curvature_ok=c_curv, tame_ok=c_tame, containment_ok=c_cont,
-        verdict=verdict,
-        margins={"curvature": (m_curv, curv.error),
-                 "tameness": (m_tame, trep.error),
-                 "containment": (m_cont, 1e-12)},
+        verdict=verdict, margins=margins,
         exactness_value=a_val, is_exact=bool(abs(a_val) <= exact_tol),
         curvature=curv.sup, epsilon=trep.epsilon)
+
+
+def min_level(curve: Curve, curv, trep) -> int | None:
+    """Smallest integer level k <= MAX_LEVEL at which `classify` says member,
+    decided from the curve's curvature and tameness reports (default scan);
+    None when no such level exists."""
+    return next((k for k in range(1, MAX_LEVEL + 1)
+                 if _decide(curve, k, curv, trep)[1] is True), None)
 
 
 # ---------------------------------------------------------------------------

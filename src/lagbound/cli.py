@@ -5,8 +5,8 @@ sasaki, classify, family, lemmas, figure.  All outputs are UTF-8 CSV with LF
 line endings and a `# schema=1` header; figures are standalone SVG.
 
 Exit codes: 0 success (classify: membership true), 1 failure / membership
-false, 2 indeterminate membership, 3 runtime error, 4 configuration error
-(usage errors included).
+false (contract: a contraction bound fails), 2 indeterminate membership,
+3 runtime error, 4 configuration error (usage errors included).
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ import sys
 
 import numpy as np
 
-from .classify import FamilySpec, classify as classify_curve, generate_family
+from .classify import classify as classify_curve, separation_scan
 from . import sasaki as sas
 from .config import (ExperimentConfig, build_patch_from_spec, load_config,
                      parse_curve_spec, parse_grid)
 from .curves import geodesic_curvature, tameness
 from .errors import ConfigError, LagboundError
-from .exactness import area_functional, build_contraction, solve_c
+from .exactness import build_contraction, solve_c
 from .hausdorff import hausdorff_distance
-from .pipelines import bound_table, run_figure, run_lemma_suite
+from .pipelines import (contraction_table, family_table, run_figure,
+                        run_lemma_suite)
 from .report import write_csv
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, unit_cylinder)
@@ -197,27 +198,20 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "family":
-        curves = generate_family(FamilySpec(args.family_id))
-        patch = curves[0].patch
-        rows = [(cv.name, *bounds, area_functional(patch, cv))
-                for cv, bounds in zip(curves, bound_table(curves))]
-        path = write_csv(os.path.join(config.out_dir, f"{args.family_id}.csv"),
-                         ["member", "sup_curvature", "epsilon",
-                          "delta_h_to_base", "action_class"], rows,
-                         {"family": args.family_id, "seed": config.seed})
+        curves, path = family_table(args.family_id, config.out_dir,
+                                    config.seed)
         print(path)
+        # the scan rows start with the pairwise table, so it is measured once
+        scan = separation_scan(curves, args.scan) if args.scan else None
         if args.pairwise:
-            mat_rows = [(a.name, b.name, hausdorff_distance(a, b).value)
-                        for i, a in enumerate(curves)
-                        for b in curves[i + 1:]]
+            mat_rows = ([row[:3] for row in scan.rows] if scan else
+                        [(a.name, b.name, hausdorff_distance(a, b).value)
+                         for i, a in enumerate(curves) for b in curves[i + 1:]])
             print(write_csv(
                 os.path.join(config.out_dir, f"{args.family_id}_pairwise.csv"),
                 ["member_a", "member_b", "delta_h"], mat_rows,
                 {"family": args.family_id}))
-        if args.scan:
-            from .classify import separation_scan
-
-            scan = separation_scan(curves, args.scan)
+        if scan:
             print(write_csv(
                 os.path.join(config.out_dir, f"{args.family_id}_scan.csv"),
                 ["member_a", "member_b", "delta_h", "invariant_gap"],
@@ -312,15 +306,22 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "contract":
-        path_obj = build_contraction(patch, curve, n_alpha=args.n_alpha)
-        rows = [(a, c, *bounds) for a, c, bounds in
-                zip(path_obj.alphas, path_obj.c, bound_table(path_obj.curves))]
+        rows, chk = contraction_table(
+            build_contraction(patch, curve, n_alpha=args.n_alpha), config)
         path = write_csv(os.path.join(config.out_dir, "contract.csv"),
                          ["alpha", "c", "sup_curvature", "epsilon",
                           "delta_h_to_base"], rows, {"patch": args.patch,
                                                      "curve": curve.name})
         print(path)
-        return 0
+        tol_b = config.tolerances["contraction_curvature"]
+        tol_e = config.tolerances["contraction_tameness"]
+        print(f"curvature bound: max {chk.max_curvature:.9g} <= "
+              f"{chk.curvature_bound:.9g} + {tol_b:g}  "
+              f"({'ok' if chk.curvature_ok else 'FAIL'})")
+        print(f"tameness bound:  min {chk.min_tameness:.9g} >= "
+              f"{chk.tameness_bound:.9g} - {tol_e:g}  "
+              f"({'ok' if chk.tameness_ok else 'FAIL'})")
+        return 0 if chk.ok else 1
 
     if cmd == "classify":
         verdict = classify_curve(curve, args.k)

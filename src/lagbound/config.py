@@ -67,22 +67,17 @@ def parse_grid(grid) -> tuple[int, int]:
 
 
 def _expr_callable(spec, variables):
+    """Callable (s, t=None) for a number or an expression in `variables`."""
     if isinstance(spec, (int, float)):
         const = float(spec)
-        if variables == ("s",):
-            return lambda s: const + 0.0 * np.asarray(s, dtype=float)
-        return lambda s, t: const + 0.0 * np.asarray(s, dtype=float)
+        return lambda s, t=None: const + 0.0 * np.asarray(s, dtype=float)
     if not isinstance(spec, str):
         raise ConfigError(f"expression spec must be a number or string: {spec!r}")
     code = compile(spec, "<config>", "eval")
     for name in code.co_names:
         if name not in _SAFE_NAMES and name not in variables:
             raise ConfigError(f"name {name!r} not allowed in expression {spec!r}")
-    if variables == ("s",):
-        return lambda s: np.asarray(
-            eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "s": s}),
-            dtype=float) + 0.0 * np.asarray(s, dtype=float)
-    return lambda s, t: np.asarray(
+    return lambda s, t=None: np.asarray(
         eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "s": s, "t": t}),
         dtype=float) + 0.0 * np.asarray(s, dtype=float)
 

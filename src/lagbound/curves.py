@@ -239,13 +239,6 @@ def intrinsic_distance(curve: Curve, s0: float, s1: float) -> float:
     return float(min(arc, total - arc))
 
 
-def _pairwise_intrinsic(curve: Curve, idx: np.ndarray) -> np.ndarray:
-    cum = curve.cum_length()[idx]
-    total = curve.total_length()
-    diff = np.abs(cum[:, None] - cum[None, :])
-    return np.minimum(diff, total - diff)
-
-
 # ---------------------------------------------------------------------------
 # tameness
 # ---------------------------------------------------------------------------
@@ -275,13 +268,31 @@ class TamenessReport:
     n_scan: int
 
 
+def _band_samples(patch: SurfacePatch, f: Callable) -> np.ndarray:
+    """f(s, t) on 9 rows across the band at every 16th grid s, shape (9, m)."""
+    tt = np.linspace(patch.t[0], patch.t[-1], 9)
+    return np.stack([_eval2(f, patch.s[::16], t) for t in tt])
+
+
 def _gauss_bound(patch: SurfacePatch) -> float:
     if not hasattr(patch, "_gauss_bound"):
-        tt = np.linspace(patch.t[0], patch.t[-1], 9)
-        vals = [np.max(np.abs(_eval2(patch.base.gauss, patch.s[::16], t)))
-                for t in tt]
-        patch._gauss_bound = float(max(vals))
+        vals = _band_samples(patch, patch.base.gauss)
+        patch._gauss_bound = float(np.max(np.abs(vals)))
     return patch._gauss_bound
+
+
+def _ratio_scan(cum: np.ndarray, total: float, idx: np.ndarray,
+                d_m: np.ndarray, delta_min: float) -> np.ndarray:
+    """d_ambient / min(1, d_intrinsic) over the sampled pairs idx, with `inf`
+    where the shorter arc is below delta_min; `cum` is the arclength
+    primitive on the curve's grid and `total` the length."""
+    c = cum[idx]
+    diff = np.abs(c[:, None] - c[None, :])
+    d_xi = np.minimum(diff, total - diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d_m / np.minimum(1.0, d_xi)
+    ratio[d_xi < delta_min] = np.inf
+    return ratio
 
 
 def tameness(curve: Curve, n_scan: int | None = None,
@@ -308,11 +319,9 @@ def tameness(curve: Curve, n_scan: int | None = None,
     # imported on first use, so that `import lagbound` does not load scipy's csgraph
     from .distances import pairwise_point_distances
 
-    d_xi = _pairwise_intrinsic(curve, idx)
     d_m = pairwise_point_distances(curve.patch, curve.points(idx), limit=1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d_m / np.minimum(1.0, d_xi)
-    ratio[d_xi < delta_min] = np.inf
+    ratio = _ratio_scan(curve.cum_length(), curve.total_length(), idx, d_m,
+                        delta_min)
     k = int(np.argmin(ratio))
     i, j = divmod(k, n_scan)
     long_min = float(ratio[i, j])
@@ -367,9 +376,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     the honest check.
     """
     patch = curve.patch
-    tgrid = np.linspace(patch.t[0], patch.t[-1], 9)
-    factors = np.concatenate([np.exp(2 * _eval2(conformal_phi, patch.s[::16], t))
-                              for t in tgrid])
+    factors = np.exp(2 * _band_samples(patch, conformal_phi))
     if factors.max() > C * (1 + 1e-12) or factors.min() < 1 / C * (1 - 1e-12):
         raise DistortionExceeded(
             f"e^(2 phi) spans [{factors.min():.4f}, {factors.max():.4f}], "
@@ -382,10 +389,8 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
 
     phi_on_curve = _eval2(conformal_phi, curve.s, curve.xi)
     speed_prime = np.exp(phi_on_curve) * curve.speed()
-    cum = fourier_primitive_grid(speed_prime, patch.length)[idx]
-    total = float(np.mean(speed_prime) * patch.length)
-    diff = np.abs(cum[:, None] - cum[None, :])
-    d_xi_p = np.minimum(diff, total - diff)
+    cum_p = fourier_primitive_grid(speed_prime, patch.length)
+    total_p = float(np.mean(speed_prime) * patch.length)
 
     from .distances import pairwise_point_distances
 
@@ -401,10 +406,8 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
         d_m_p = pairwise_point_distances(patch, curve.points(idx), scale,
                                          limit=1.0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d_m_p / np.minimum(1.0, d_xi_p)
-    ratio[d_xi_p < delta_min] = np.inf
-    eps_prime = float(np.min(ratio))
+    eps_prime = float(np.min(_ratio_scan(cum_p, total_p, idx, d_m_p,
+                                         delta_min)))
 
     bound = base_report.epsilon / (C * C)
     return ComparisonCheck(ok=bool(eps_prime >= bound - tol),

@@ -29,6 +29,7 @@ __all__ = [
     "solve_c",
     "build_contraction",
     "contraction_bounds_check",
+    "bounds_verdict",
     "isotopy_invariant",
     "shifted_curve",
 ]
@@ -212,12 +213,21 @@ def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
     `k` is the curvature bound of the base curve and k' > k absorbs the
     warp corrections for small graphs.
     """
-    if k_prime <= k:
-        raise ValueError("k_prime must exceed k")
     curv = np.array([geodesic_curvature(cv, _with_error=False).sup
                      for cv in path.curves])
     eps = np.array([tameness(cv, n_scan=n_scan).epsilon
                     for cv in path.curves])
+    return bounds_verdict(curv, eps, k, k_prime, tol_curv, tol_eps)
+
+
+def bounds_verdict(curv: np.ndarray, eps: np.ndarray, k: float,
+                   k_prime: float, tol_curv: float = 1e-6,
+                   tol_eps: float = 5e-3) -> BoundsCheck:
+    """The rule of `contraction_bounds_check` applied to measured |B| sups and
+    tameness constants along a path, ordered from a = 0 to a = 1."""
+    if k_prime <= k:
+        raise ValueError("k_prime must exceed k")
+    curv, eps = np.asarray(curv, dtype=float), np.asarray(eps, dtype=float)
     curv_bound = max(k_prime, float(curv[-1]))
     eps_bound = min(float(eps[0]), float(eps[-1]))
     curv_ok = bool(np.max(curv) <= curv_bound + tol_curv)

@@ -155,8 +155,7 @@ def interp_uniform_rows(table: np.ndarray, x0: float, h: float,
     offs = np.arange(order)
     idx = base[:, None] + offs[None, :]
     ynode = table[rows[:, None], idx]
-    xnode = base[:, None] + offs[None, :]
-    diff = pos[:, None] - xnode
+    diff = pos[:, None] - idx
     exact = np.isclose(diff, 0.0, atol=1e-14)
     any_exact = exact.any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,70 +189,41 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _RAMP = 0.125  # bump ramps live on [1/8, 1/4] and [3/4, 7/8]
+# the smoothstep x^3 (10 - 15 x + 6 x^2) and its first three derivatives
+_SMOOTHSTEP = (lambda x: x ** 3 * (10.0 + x * (-15.0 + 6.0 * x)),
+               lambda x: 30.0 * x ** 2 * (1.0 + x * (-2.0 + x)),
+               lambda x: 60.0 * x * (1.0 + x * (-3.0 + 2.0 * x)),
+               lambda x: 60.0 + x * (-360.0 + 360.0 * x))
 
 
-def _smoothstep(x):
-    return x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_d1(x):
-    return 30.0 * x ** 2 * (1.0 + x * (-2.0 + x))
-
-
-def _smoothstep_d2(x):
-    return 60.0 * x * (1.0 + x * (-3.0 + 2.0 * x))
-
-
-def _smoothstep_d3(x):
-    return 60.0 + x * (-360.0 + 360.0 * x)
+def _bump_derivative(q: np.ndarray, order: int) -> np.ndarray:
+    """order-th derivative (0 to 3) of the plateau bump.  The bump is only
+    C^2, so the third derivative jumps at the four ramp joints."""
+    q = np.asarray(q, dtype=float)
+    f, scale = _SMOOTHSTEP[order], _RAMP ** order
+    return np.select(
+        [q < _RAMP, q < 0.25, q <= 0.75, q < 0.875],
+        [0.0, f((q - _RAMP) / _RAMP) / scale, float(order == 0),
+         (-1) ** order * f((0.875 - q) / _RAMP) / scale],
+        default=0.0,
+    )
 
 
 def bump(q: np.ndarray) -> np.ndarray:
     """C^2 plateau bump on [0,1]: zero outside [1/8, 7/8], one on [1/4, 3/4]."""
-    q = np.asarray(q, dtype=float)
-    up = (q - _RAMP) / _RAMP
-    dn = (0.875 - q) / _RAMP
-    return np.select(
-        [q < _RAMP, q < 0.25, q <= 0.75, q < 0.875],
-        [0.0, _smoothstep(up), 1.0, _smoothstep(dn)],
-        default=0.0,
-    )
+    return _bump_derivative(q, 0)
 
 
 def bump_d1(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    up = (q - _RAMP) / _RAMP
-    dn = (0.875 - q) / _RAMP
-    return np.select(
-        [q < _RAMP, q < 0.25, q <= 0.75, q < 0.875],
-        [0.0, _smoothstep_d1(up) / _RAMP, 0.0, -_smoothstep_d1(dn) / _RAMP],
-        default=0.0,
-    )
+    return _bump_derivative(q, 1)
 
 
 def bump_d2(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    up = (q - _RAMP) / _RAMP
-    dn = (0.875 - q) / _RAMP
-    return np.select(
-        [q < _RAMP, q < 0.25, q <= 0.75, q < 0.875],
-        [0.0, _smoothstep_d2(up) / _RAMP ** 2, 0.0, _smoothstep_d2(dn) / _RAMP ** 2],
-        default=0.0,
-    )
+    return _bump_derivative(q, 2)
 
 
 def bump_d3(q: np.ndarray) -> np.ndarray:
-    # The plateau bump is only C^2: this third derivative is piecewise
-    # continuous with jumps at the four ramp joints.
-    q = np.asarray(q, dtype=float)
-    up = (q - _RAMP) / _RAMP
-    dn = (0.875 - q) / _RAMP
-    return np.select(
-        [q < _RAMP, q < 0.25, q <= 0.75, q < 0.875],
-        [0.0, _smoothstep_d3(up) / _RAMP ** 3, 0.0,
-         -_smoothstep_d3(dn) / _RAMP ** 3],
-        default=0.0,
-    )
+    return _bump_derivative(q, 3)
 
 
 def wrap_difference(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:

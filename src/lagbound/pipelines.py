@@ -14,21 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import FamilySpec, generate_family
+from .classify import FamilySpec, generate_family, min_level
 from . import sasaki as sas
 from .config import ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
 from .errors import ParamOutOfRange
-from .exactness import (area_functional, build_contraction,
+from .exactness import (BoundsCheck, ContractionPath, area_functional,
+                        bounds_verdict, build_contraction,
                         contraction_bounds_check, isotopy_invariant,
                         solve_c_grid)
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
+from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, warp_taylor_check)
 
-__all__ = ["run_lemma_suite", "run_figure", "bound_table", "SuiteResult",
-           "CheckResult"]
+__all__ = ["run_lemma_suite", "run_figure", "bound_table", "family_table",
+           "contraction_table", "SuiteResult", "CheckResult"]
 
 
 @dataclass
@@ -150,6 +152,12 @@ def _check_exact_shift(config, params, patches, rng):
                        rows, {"tol_area": tol_area, "lipschitz_slack": slack})
 
 
+def _base_curvature(patch) -> float:
+    """|B| of the base curve, the k of the contraction bounds."""
+    return geodesic_curvature(Curve.constant(patch, 0.0, n=512),
+                              _with_error=False).sup
+
+
 def _contraction_suite(config, params, patches, rng):
     """Shared runner behind the contraction curvature/tameness checks."""
     tol_b = config.tolerances["contraction_curvature"]
@@ -158,8 +166,7 @@ def _contraction_suite(config, params, patches, rng):
     curv_ok = tame_ok = True
     for pname in ("flat_cylinder", "plane_circle", "sphere_equator"):
         patch = patches[pname]
-        k_base = geodesic_curvature(Curve.constant(patch, 0.0, n=512),
-                                    _with_error=False).sup
+        k_base = _base_curvature(patch)
         for i in range(params["members"]):
             xi = _random_trig(patch, rng, sup_target=0.05 * rng.uniform(0.5, 1.0),
                               name=f"{pname}_xi{i}")
@@ -364,29 +371,61 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def bound_table(curves: list) -> list:
-    """(sup|B|, epsilon, delta_H to the base curve) for each curve of a family
-    or path; the curves share one patch and one sample count."""
+    """(curvature report, tameness report, delta_H to the base curve) for each
+    curve of a family or path; the curves share one patch and one sample
+    count."""
     base = Curve.constant(curves[0].patch, 0.0, n=curves[0].n)
-    return [(geodesic_curvature(cv).sup, tameness(cv).epsilon,
+    return [(geodesic_curvature(cv), tameness(cv),
              hausdorff_distance(cv, base).value) for cv in curves]
+
+
+def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
+    """Generate a named family and write `<family_id>.csv`: per member sup|B|,
+    epsilon, delta_H to the base curve, the action class and the smallest
+    admitting level (`classify.min_level`, empty when none).  Returns the
+    curves and the CSV path."""
+    curves = generate_family(FamilySpec(family_id))
+    patch = curves[0].patch
+    rows = [(cv.name, curv.sup, trep.epsilon, dh, area_functional(patch, cv),
+             min_level(cv, curv, trep))
+            for cv, (curv, trep, dh) in zip(curves, bound_table(curves))]
+    path = write_csv(os.path.join(out_dir, f"{family_id}.csv"),
+                     ["member", "sup_curvature", "epsilon", "delta_h_to_base",
+                      "action_class", "min_level"], rows,
+                     {"family": family_id, "seed": seed})
+    return curves, path
+
+
+def contraction_table(path: ContractionPath,
+                      config: ExperimentConfig) -> tuple[list, BoundsCheck]:
+    """Rows (alpha, c, sup|B|, epsilon, delta_H to the base curve) of a
+    contraction path, and its bounds verdict with k = |B| of the base curve
+    and k' = k + 0.1 at the suite's tolerances, as in the lemma suite."""
+    rows = [(a, c, curv.sup, trep.epsilon, dh) for a, c, (curv, trep, dh)
+            in zip(path.alphas, path.c, bound_table(path.curves))]
+    k, tol = _base_curvature(path.patch), config.tolerances
+    return rows, bounds_verdict([r[2] for r in rows], [r[3] for r in rows],
+                                k, k + 0.1, tol["contraction_curvature"],
+                                tol["contraction_tameness"])
 
 
 def run_figure(family_id: str, out_dir: str,
                config: ExperimentConfig | None = None) -> tuple[str, str]:
     """Draw a family in band coordinates (SVG) and write its companion CSV
-    with curvature, tameness, distance-to-base, and invariant columns."""
+    with curvature, tameness, distance-to-base, and invariant columns.
+
+    escape_cos writes the `family_table`; the oscillation ladders record the
+    log-log slope of sup|B| against s as `curvature_slope` in the CSV meta.
+    """
     config = config or ExperimentConfig()
     os.makedirs(out_dir, exist_ok=True)
     svg_path = os.path.join(out_dir, f"{family_id}.svg")
     csv_path = os.path.join(out_dir, f"{family_id}.csv")
 
     if family_id == "escape_cos":
-        spec = FamilySpec("escape_cos", {"modes": list(range(1, 11))})
-        curves = generate_family(spec)
+        curves, csv_path = family_table(family_id, out_dir, config.seed)
         patch = curves[0].patch
         base = Curve.constant(patch, 0.0)
-        rows = [(cv.name, *bounds, area_functional(patch, cv))
-                for cv, bounds in zip(curves, bound_table(curves))]
         panels = []
         for m in (2, 10):
             cv = curves[m - 1]
@@ -394,9 +433,6 @@ def run_figure(family_id: str, out_dir: str,
                            (cv.name, cv.s[::4], cv.xi[::4])])
         write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
                          title="escape family in band coordinates")
-        write_csv(csv_path, ["member", "sup_curvature", "epsilon",
-                             "delta_h_to_base", "action_class"], rows,
-                  {"family": family_id})
         return svg_path, csv_path
 
     if family_id in ("hs_family", "hs_variant_alpha"):
@@ -412,8 +448,10 @@ def run_figure(family_id: str, out_dir: str,
                     cv.xi[::max(1, cv.n // 1024)])] for cv in curves[:3]]
         write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
                          title=f"{family_id}: oscillation ladder")
+        slope = loglog_slope([r[1] for r in rows], [r[2] for r in rows])
         write_csv(csv_path, ["member", "s", "sup_curvature", "delta_h_to_base",
-                             "sup_xi", "sup_dxi"], rows, {"family": family_id})
+                             "sup_xi", "sup_dxi"], rows,
+                  {"family": family_id, "curvature_slope": slope})
         return svg_path, csv_path
 
     if family_id == "parallels":

@@ -96,9 +96,6 @@ class _ConformalBase:
         xz = (x_vec * z_vec).sum(-1, keepdims=True)
         return k * lam2 * (yz * x_vec - xz * y_vec)
 
-    def needs_rechart(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros(u.shape[:-1], dtype=bool)
-
     def rechart(self, u, charts, *vectors):
         return (u, charts) + tuple(vectors)
 
@@ -156,11 +153,8 @@ class RoundSphere(_ConformalBase):
     def lam2(self, u):
         return (2.0 / (1.0 + (u * u).sum(-1))) ** 2
 
-    def needs_rechart(self, u):
-        return (u * u).sum(-1) > self.rechart_radius ** 2
-
     def rechart(self, u, charts, *vectors):
-        mask = self.needs_rechart(u)
+        mask = (u * u).sum(-1) > self.rechart_radius ** 2
         if not mask.any():
             return (u, charts) + tuple(vectors)
         u = u.copy()
@@ -288,13 +282,13 @@ def _rhs(base, x, vyz):
     return v, dv, dy, dz
 
 
-def _integrate(base, state, charts, horizon, h, record_every):
-    """Fixed-step RK4 on the stacked state (x, v, Y, Z) of shape (4, B, 2),
-    re-charting after every step; records every `record_every` steps."""
+def _integrate(base, state, charts, n_steps, h, record_every):
+    """n_steps fixed RK4 steps of size h on the stacked state (x, v, Y, Z) of
+    shape (4, B, 2), re-charting after every step; records every
+    `record_every` steps and the last."""
     def rhs(_t, st):
         return np.array(_rhs(base, st[0], st[1:]))
 
-    n_steps = int(np.ceil(horizon / h))
     rec_t, rec = [], []
     for step_i in range(n_steps + 1):
         if step_i % record_every == 0 or step_i == n_steps:
@@ -314,16 +308,18 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0, step: float = 1e-3,
 
     `initial` is a SasakiState or a list of them (batched).  A coarse run at
     twice the step provides the step-halving error estimate; StepTooLarge is
-    raised when the Richardson estimate exceeds `tol`.
+    raised when the Richardson estimate exceeds `tol`.  The fine run takes
+    2 * ceil(horizon / (2 step)) steps, so both runs end at the same time.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
     state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
                       for f in ("x", "v", "y", "z")])
     charts = np.array([s.chart for s in states], dtype=int)
 
-    rec_t, rec = _integrate(base, state, charts, horizon, step, record_every)
-    _, rec2 = _integrate(base, state, charts, horizon, 2 * step,
-                         record_every=max(1, int(np.ceil(horizon / (2 * step)))))
+    n_coarse = int(np.ceil(horizon / (2 * step)))
+    rec_t, rec = _integrate(base, state, charts, 2 * n_coarse, step, record_every)
+    _, rec2 = _integrate(base, state, charts, n_coarse, 2 * step,
+                         record_every=max(1, n_coarse))
     (x_f, _, y_f, _), _ = rec[-1]
     (x_c, _, y_c, _), _ = rec2[-1]
     y2_f = base.lam2(x_f) * (y_f ** 2).sum(-1)
@@ -498,13 +494,10 @@ class GradientGraph:
         a = self.amplitude
         return {"xi": a * xi, "T": a * t_mat, "A": a * a_ten}
 
-    def grad_op_norms(self, coords=None, charts=None) -> np.ndarray:
-        if coords is None:
-            coords, charts = self.default_samples()
-        return _op_norms(self.frame_data(coords, charts)["T"])
-
     def grad_bound(self) -> float:
-        return float(np.max(self.grad_op_norms()))
+        """max |grad xi| over the default samples."""
+        coords, charts = self.default_samples()
+        return float(np.max(_op_norms(self.frame_data(coords, charts)["T"])))
 
     def hessian_symmetry_gap(self) -> float:
         coords, charts = self.default_samples()
@@ -636,14 +629,9 @@ def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
 
     The sample and direction grids are fixed across scales, so each indexed
     frame value inherits the pointwise monotonicity of the rescaling law and
-    the returned sups are directly comparable.
-
-    The frame tensors are evaluated once per call.  T x^, |T x^|^2, A(x^, x^)
-    and the curvature term T R(x^) do not depend on t, so they are computed
-    once per block of directions and shared by all scales; only nu, the frame
-    vector and the (I + t^2 T^2)^{-1} form are evaluated per scale.  The
-    directions are taken in blocks of _THETA_BLOCK so that the per-block
-    arrays, not all n_theta directions at once, bound the memory.
+    the returned sups are directly comparable.  See `_sweep` for what is
+    computed once; directions go in blocks of _THETA_BLOCK so that the
+    per-block arrays, not all n_theta directions at once, bound the memory.
     """
     return _sweep(base, graph, t_grid, n_theta, samples)[0]
 

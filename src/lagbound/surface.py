@@ -17,14 +17,14 @@ this field and its first partials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ChartDegenerate, OutOfPatch
-from .numerics import (fourier_derivative, loglog_slope, periodic_bilinear,
-                       rk4_step, wrap_difference)
+from .numerics import (loglog_slope, periodic_bilinear, rk4_step,
+                       wrap_difference)
 
 __all__ = [
     "BaseCurve",
@@ -160,16 +160,6 @@ def _march_warp(base: BaseCurve, s: np.ndarray, state: np.ndarray, t, h,
     return state, t
 
 
-def _integrate_warp(base: BaseCurve, s: np.ndarray, t_target: np.ndarray,
-                    n_steps: int) -> np.ndarray:
-    """March the warp system from t=0 to per-sample targets with fixed-step RK4."""
-    s = np.asarray(s, dtype=float)
-    t_target = np.broadcast_to(np.asarray(t_target, dtype=float), s.shape)
-    state, _ = _march_warp(base, s, _warp_initial(base, s), np.zeros_like(s),
-                           t_target / n_steps, n_steps)
-    return state
-
-
 @dataclass
 class TaylorFit:
     """Quadratic fit of w^2 near t=0 with the observed remainder order."""
@@ -202,8 +192,6 @@ class SurfacePatch:
             raise ChartDegenerate(
                 f"warp field reaches {np.min(self.w):.3e} inside the band; "
                 f"halfwidth {halfwidth} exceeds the focal radius of {base.name}")
-        self.w2_s = np.stack([fourier_derivative(self.w[:, j] ** 2, base.length)
-                              for j in range(n_t)], axis=1)
         self._dist_graphs: dict = {}
         self._stencil_error: float | None = None
 
@@ -212,21 +200,18 @@ class SurfacePatch:
         mid = (self.n_t - 1) // 2
         h_row = self.t[1] - self.t[0]
         w = np.empty((self.n_s, self.n_t))
-        w_t = np.empty_like(w)
         cum = np.empty_like(w)
         for direction in (+1, -1):
             state = _warp_initial(self.base, self.s)
             t = 0.0
-            w[:, mid], w_t[:, mid], cum[:, mid] = state[0], state[1], state[4]
+            w[:, mid], cum[:, mid] = state[0], state[4]
             h = direction * h_row / _MARCH_SUBSTEPS
             rows = range(mid + 1, self.n_t) if direction > 0 else range(mid - 1, -1, -1)
             for j in rows:
                 state, t = _march_warp(self.base, self.s, state, t, h,
                                        _MARCH_SUBSTEPS)
-                w[:, j], w_t[:, j], cum[:, j] = state[0], state[1], state[4]
+                w[:, j], cum[:, j] = state[0], state[4]
         self.w = w
-        self.w_t = w_t
-        self.w2_t = 2.0 * w * w_t
         self.cum_w = cum
 
     # -- basic queries ------------------------------------------------------
@@ -247,13 +232,10 @@ class SurfacePatch:
                           and np.max(np.abs(kk0)) < 1e-14)
         return self._flat
 
-    def contains(self, t_values, margin: float = 0.0) -> bool:
-        return bool(np.max(np.abs(t_values)) < self.halfwidth - margin)
-
     def require_inside(self, t_values, margin: float | None = None):
         if margin is None:
             margin = self.t[1] - self.t[0]
-        if not self.contains(t_values, margin):
+        if not np.max(np.abs(t_values)) < self.halfwidth - margin:
             raise OutOfPatch(
                 f"points reach |t|={np.max(np.abs(t_values)):.4f}, "
                 f"margin requires |t| < {self.halfwidth - margin:.4f}")
@@ -262,12 +244,14 @@ class SurfacePatch:
 
     def warp_on_curve(self, s_vals: np.ndarray, t_vals: np.ndarray,
                       n_steps: int = 96) -> dict[str, np.ndarray]:
-        """Warp data along arbitrary points (s_i, t_i), by direct integration
-        of the normal ODE system from the base row.  Returns w, the partials
-        of w^2, and the fiber area integral int_0^t w.
+        """Warp data along arbitrary points (s_i, t_i), by n_steps fixed RK4
+        steps of the normal ODE system from the base row.  Returns w, the
+        partials of w^2, and the fiber area integral int_0^t w.
         """
-        state = _integrate_warp(self.base, np.asarray(s_vals, dtype=float),
-                                np.asarray(t_vals, dtype=float), n_steps)
+        s = np.asarray(s_vals, dtype=float)
+        t = np.broadcast_to(np.asarray(t_vals, dtype=float), s.shape)
+        state, _ = _march_warp(self.base, s, _warp_initial(self.base, s),
+                               np.zeros_like(s), t / n_steps, n_steps)
         w, u, v, _, q = state
         return {"w": w, "w_t": u, "w2_t": 2 * w * u, "w2_s": 2 * w * v, "area": q}
 

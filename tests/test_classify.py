@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lagbound.classify import (FamilySpec, classify, default_cylinder,
-                               generate_family, separation_scan)
-from lagbound.curves import Curve, geodesic_curvature, trig_curve
+from lagbound.classify import (MAX_LEVEL, FamilySpec, classify,
+                               default_cylinder, generate_family, min_level,
+                               separation_scan)
+from lagbound.curves import Curve, geodesic_curvature, tameness, trig_curve
 from lagbound.errors import ParamOutOfRange
 
 
@@ -50,6 +51,17 @@ class TestClassify:
     def test_invalid_level(self, dcyl):
         with pytest.raises(ValueError):
             classify(Curve.constant(dcyl, 0.0, n=64), 0)
+
+
+class TestMinLevel:
+    def test_matches_the_classify_loop(self):
+        # the first integer level at which classify says member, k <= 12
+        fam = generate_family(FamilySpec("escape_cos", {"modes": [1, 2, 3, 4]}))
+        loop = [next((k for k in range(1, MAX_LEVEL + 1)
+                      if classify(cv, k).verdict is True), None) for cv in fam]
+        levels = [min_level(cv, geodesic_curvature(cv), tameness(cv))
+                  for cv in fam]
+        assert levels == loop == [2, 5, 10, None]
 
 
 class TestFamilies:

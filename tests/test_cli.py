@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lagbound.cli import main
-from lagbound.config import (build_patch_from_spec, load_config,
-                             parse_curve_spec)
+from lagbound.config import (DEFAULT_TOLERANCES, build_patch_from_spec,
+                             load_config, parse_curve_spec)
+from lagbound.curves import Curve, geodesic_curvature
 from lagbound.errors import ConfigError
-from lagbound.surface import flat_cylinder
+from lagbound.exactness import build_contraction, contraction_bounds_check
+from lagbound.surface import flat_cylinder, sphere_band
 
 GRID = "--grid", "256x65"
 
@@ -63,6 +65,53 @@ class TestOtherCommands:
         assert run("contract", "--patch", "cylinder", "--curve",
                    "expr:0.1*cos(2*s)", "--n-alpha", "5", *GRID,
                    "--out", str(tmp_path)) == 0
+
+    # with a zero tameness tolerance this path fails: its tameness dips
+    # 1.3e-4 below the endpoint minimum
+    @pytest.mark.parametrize("tol_eps, code", [(None, 0), (0.0, 1)])
+    def test_contract_prints_the_bounds_verdict(self, tmp_path, capsys,
+                                                tol_eps, code):
+        spec = "expr:0.1*cos(2*s)"
+        argv = ["contract", "--patch", "sphere_equator", "--curve", spec,
+                "--n-alpha", "7", *GRID, "--out", str(tmp_path)]
+        tol_b = DEFAULT_TOLERANCES["contraction_curvature"]
+        tol_e = DEFAULT_TOLERANCES["contraction_tameness"]
+        if tol_eps is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(
+                {"tolerances": {"contraction_tameness": tol_eps}}))
+            argv += ["--config", str(cfg)]
+            tol_e = tol_eps
+        assert run(*argv) == code
+        printed = capsys.readouterr().out.splitlines()[1:]
+
+        patch = sphere_band(grid=(256, 65))
+        path = build_contraction(patch, parse_curve_spec(spec, patch),
+                                 n_alpha=7)
+        k = geodesic_curvature(Curve.constant(patch, 0.0, n=512),
+                               _with_error=False).sup
+        chk = contraction_bounds_check(path, k, k + 0.1, tol_b, tol_e)
+        assert chk.ok is (code == 0)
+        assert printed == [
+            f"curvature bound: max {chk.max_curvature:.9g} <= "
+            f"{chk.curvature_bound:.9g} + {tol_b:g}  "
+            f"({'ok' if chk.curvature_ok else 'FAIL'})",
+            f"tameness bound:  min {chk.min_tameness:.9g} >= "
+            f"{chk.tameness_bound:.9g} - {tol_e:g}  "
+            f"({'ok' if chk.tameness_ok else 'FAIL'})"]
+
+    def test_family_min_level_column(self, tmp_path):
+        assert run("family", "escape_cos", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "escape_cos.csv").read_text().splitlines()
+        assert lines[1].split(",")[-1] == "min_level"
+        levels = [line.split(",")[-1] for line in lines[2:]]
+        assert levels == ["2", "5", "10"] + [""] * 7
+
+    # ceil(horizon / step) is odd: the step-halving estimate is only small
+    # when the fine and coarse runs end at the same time
+    @pytest.mark.parametrize("horizon", ["1e-3", "3e-3"])
+    def test_sasaki_odd_step_count(self, tmp_path, horizon):
+        assert run("sasaki", "--horizon", horizon, "--out", str(tmp_path)) == 0
 
     def test_family_and_figure(self, tmp_path):
         assert run("family", "parallels", *GRID, "--out", str(tmp_path)) == 0

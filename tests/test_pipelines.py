@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from lagbound.config import ExperimentConfig
+from lagbound.curves import Curve, geodesic_curvature, trig_curve
 from lagbound.errors import ParamOutOfRange
-from lagbound.pipelines import run_figure, run_lemma_suite
+from lagbound.exactness import build_contraction, contraction_bounds_check
+from lagbound.pipelines import (contraction_table, family_table, run_figure,
+                                run_lemma_suite)
 
 
 @pytest.fixture()
@@ -69,6 +72,46 @@ class TestFigures:
         dh = {r[0]: float(r[3]) for r in rows}
         assert all(0.9 <= v <= 1.01 for v in dh.values())
 
+    def test_escape_figure_writes_the_family_table(self, tmp_path):
+        _, csv = run_figure("escape_cos", str(tmp_path / "figure"))
+        _, path = family_table("escape_cos", str(tmp_path / "family"),
+                               ExperimentConfig().seed)
+        assert open(csv).read() == open(path).read()
+        assert open(path).read().splitlines()[1].endswith(",min_level")
+
+    @pytest.mark.parametrize("family, rate", [("hs_family", -1.5),
+                                              ("hs_variant_alpha", -0.5)])
+    def test_oscillation_curvature_slope(self, tmp_path, family, rate):
+        _, csv = run_figure(family, str(tmp_path))
+        header, _, *rows = open(csv).read().splitlines()
+        meta = dict(item.split("=") for item in header.split(",")[1:])
+        slope = float(meta["curvature_slope"])
+        assert slope == pytest.approx(rate, abs=0.05)
+        # the log-log fit of the written (s, sup_curvature) columns
+        s_vals, sups = np.array([[float(v) for v in r.split(",")[1:3]]
+                                 for r in rows]).T
+        assert slope == pytest.approx(
+            np.polyfit(np.log(s_vals), np.log(sups), 1)[0], rel=1e-12)
+
     def test_unknown_family(self, tmp_path):
         with pytest.raises(ParamOutOfRange):
             run_figure("nope", str(tmp_path))
+
+
+class TestContractionTable:
+    def test_verdict_is_contraction_bounds_check(self, sphere):
+        path = build_contraction(sphere, trig_curve(sphere, {2: 0.1}, n=512),
+                                 n_alpha=5)
+        tol = ExperimentConfig().tolerances
+        rows, chk = contraction_table(path, ExperimentConfig())
+        k = geodesic_curvature(Curve.constant(sphere, 0.0, n=512),
+                               _with_error=False).sup
+        ref = contraction_bounds_check(path, k, k + 0.1,
+                                       tol["contraction_curvature"],
+                                       tol["contraction_tameness"])
+        for name in ("ok", "curvature_ok", "tameness_ok", "max_curvature",
+                     "curvature_bound", "min_tameness", "tameness_bound"):
+            assert getattr(chk, name) == getattr(ref, name)
+        assert np.array_equal(chk.curvatures, ref.curvatures)
+        assert np.array_equal(chk.tameness_values, ref.tameness_values)
+        assert [r[0] for r in rows] == list(path.alphas)

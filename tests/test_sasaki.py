@@ -81,6 +81,16 @@ class TestGeodesics:
         jumps = np.abs(np.diff(traj.y_norm2, axis=0))
         assert np.max(jumps) < 0.2  # |Y|^2 varies smoothly through hand-offs
 
+    @pytest.mark.parametrize("base_name", ["flat_torus", "round_sphere"])
+    @pytest.mark.parametrize("horizon", [1e-3, 3e-3, 0.01])
+    def test_halving_runs_end_together(self, base_name, horizon):
+        base = base_manifold(base_name)
+        states = random_sasaki_states(base, 3, np.random.default_rng(0))
+        traj = sasaki_geodesic(base, states, horizon=horizon, step=1e-3)
+        n_coarse = int(np.ceil(horizon / 2e-3))
+        assert traj.times[-1] == 2 * n_coarse * 1e-3
+        assert traj.halving_error < 1e-12
+
     def test_step_too_large(self):
         base = base_manifold("round_sphere")
         st = SasakiState(x=np.array([0.4, 0.1]), v=np.array([1.2, 0.9]),
