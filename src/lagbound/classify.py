@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import Curve, geodesic_curvature, tameness, trig_curve
+from .curves import Curve, tameness, trig_curve
 from .errors import ParamOutOfRange
 from .exactness import area_functional, isotopy_invariant
 from .hausdorff import hausdorff_distance
@@ -66,10 +66,10 @@ def _clause(margin: float, err: float):
     return None
 
 
-def _decide(curve: Curve, k: float, curv, trep):
+def _decide(curve: Curve, k: float, trep):
     """Clauses, three-valued verdict and (margin, error) per clause of level-k
-    membership, from the curve's curvature and tameness reports."""
-    r = curve.patch.halfwidth
+    membership, from the curve's tameness report (which carries |B|)."""
+    r, curv = curve.patch.halfwidth, trep.curvature
     margins = {"curvature": (k - curv.sup, curv.error),
                "tameness": (trep.epsilon - 1.0 / (k + 1.0), trep.error),
                "containment": (r * (1.0 - 1.0 / (k + 1.0)) - curve.sup_norm(),
@@ -100,28 +100,27 @@ class MembershipVerdict:
     epsilon: float = 0.0
 
 
-def classify(curve: Curve, k: float, n_scan: int | None = None,
-             exact_tol: float = 1e-9) -> MembershipVerdict:
-    """Decide level-k membership of a graph curve."""
+def classify(curve: Curve, k: float) -> MembershipVerdict:
+    """Decide level-k membership of a graph curve; it is exact when its
+    action |A| is at most 1e-9."""
     if k <= 0:
         raise ValueError("level k must be positive")
-    curv = geodesic_curvature(curve)
-    trep = tameness(curve, n_scan=n_scan)
-    (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, curv, trep)
+    trep = tameness(curve)
+    (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, trep)
     a_val = area_functional(curve.patch, curve)
     return MembershipVerdict(
         k=float(k), curvature_ok=c_curv, tame_ok=c_tame, containment_ok=c_cont,
         verdict=verdict, margins=margins,
-        exactness_value=a_val, is_exact=bool(abs(a_val) <= exact_tol),
-        curvature=curv.sup, epsilon=trep.epsilon)
+        exactness_value=a_val, is_exact=bool(abs(a_val) <= 1e-9),
+        curvature=trep.curvature.sup, epsilon=trep.epsilon)
 
 
-def min_level(curve: Curve, curv, trep) -> int | None:
+def min_level(curve: Curve, trep) -> int | None:
     """Smallest integer level k <= MAX_LEVEL at which `classify` says member,
-    decided from the curve's curvature and tameness reports (default scan);
-    None when no such level exists."""
+    decided from the curve's tameness report (default scan); None when no
+    such level exists."""
     return next((k for k in range(1, MAX_LEVEL + 1)
-                 if _decide(curve, k, curv, trep)[1] is True), None)
+                 if _decide(curve, k, trep)[1] is True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +237,12 @@ class ScanResult:
     invariant_kind: str
 
 
-def separation_scan(curves: list[Curve], invariant_kind: str,
-                    gap_tol: float = 1e-9) -> ScanResult:
+def separation_scan(curves: list[Curve], invariant_kind: str) -> ScanResult:
     """Pairwise Hausdorff distances against invariant gaps over a family.
 
     a_emp is the smallest Hausdorff distance among pairs whose invariant
-    values genuinely differ; None when every pair shares its invariant.
+    values genuinely differ (by more than 1e-9); None when every pair shares
+    its invariant.
     """
     ambient = {"liouville_class": "cylinder", "enclosed_area": "plane"}
     if invariant_kind not in ambient:
@@ -257,6 +256,6 @@ def separation_scan(curves: list[Curve], invariant_kind: str,
             dh = hausdorff_distance(curves[i], curves[j]).value
             gap = abs(values[i] - values[j])
             rows.append((curves[i].name, curves[j].name, dh, gap))
-            if gap > gap_tol:
+            if gap > 1e-9:
                 a_emp = dh if a_emp is None else min(a_emp, dh)
     return ScanResult(rows=rows, a_emp=a_emp, invariant_kind=invariant_kind)

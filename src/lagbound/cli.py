@@ -323,23 +323,21 @@ def _dispatch(args) -> int:
               f"({'ok' if chk.tameness_ok else 'FAIL'})")
         return 0 if chk.ok else 1
 
-    if cmd == "classify":
-        verdict = classify_curve(curve, args.k)
-        label = {True: "member", False: "not_member", None: "indeterminate"}
-        write_csv(os.path.join(config.out_dir, "classify.csv"),
-                  ["curve", "k", "verdict", "curvature", "epsilon",
-                   "curvature_margin", "tameness_margin",
-                   "containment_margin"],
-                  [(curve.name, args.k, label[verdict.verdict],
-                    verdict.curvature, verdict.epsilon,
-                    verdict.margins["curvature"][0],
-                    verdict.margins["tameness"][0],
-                    verdict.margins["containment"][0])],
-                  {"patch": args.patch})
-        print(f"{curve.name} at k={args.k:g}: {label[verdict.verdict]}")
-        return {True: 0, False: 1, None: 2}[verdict.verdict]
-
-    raise ConfigError(f"unhandled command {cmd!r}")
+    # classify, the one command left
+    verdict = classify_curve(curve, args.k)
+    label = {True: "member", False: "not_member", None: "indeterminate"}
+    write_csv(os.path.join(config.out_dir, "classify.csv"),
+              ["curve", "k", "verdict", "curvature", "epsilon",
+               "curvature_margin", "tameness_margin",
+               "containment_margin"],
+              [(curve.name, args.k, label[verdict.verdict],
+                verdict.curvature, verdict.epsilon,
+                verdict.margins["curvature"][0],
+                verdict.margins["tameness"][0],
+                verdict.margins["containment"][0])],
+              {"patch": args.patch})
+    print(f"{curve.name} at k={args.k:g}: {label[verdict.verdict]}")
+    return {True: 0, False: 1, None: 2}[verdict.verdict]
 
 
 if __name__ == "__main__":

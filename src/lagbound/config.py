@@ -73,7 +73,10 @@ def _expr_callable(spec, variables):
         return lambda s, t=None: const + 0.0 * np.asarray(s, dtype=float)
     if not isinstance(spec, str):
         raise ConfigError(f"expression spec must be a number or string: {spec!r}")
-    code = compile(spec, "<config>", "eval")
+    try:
+        code = compile(spec, "<config>", "eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"bad expression {spec!r}: {exc.msg}") from exc
     for name in code.co_names:
         if name not in _SAFE_NAMES and name not in variables:
             raise ConfigError(f"name {name!r} not allowed in expression {spec!r}")
@@ -102,7 +105,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.seed = int(data.get("seed", cfg.seed))
         cfg.out_dir = str(data.get("out_dir", cfg.out_dir))
-        cfg.quick = bool(data.get("quick", cfg.quick))
+        cfg.quick = data.get("quick", cfg.quick)
         if "grid" in data:
             cfg.grid = parse_grid(data["grid"])
         tols = data.get("tolerances", {})
@@ -115,8 +118,12 @@ class ExperimentConfig:
         for key, val in data.get("checks", {}).items():
             if key not in ALL_CHECKS:
                 raise ConfigError(f"unknown check {key!r}")
-            cfg.checks[key] = bool(val)
-        cfg.patches = dict(data.get("patches", {}))
+            cfg.checks[key] = val
+        # bool("false") is True: only JSON true/false can switch a flag
+        if not all(isinstance(v, bool) for v in (cfg.quick, *cfg.checks.values())):
+            raise ConfigError("quick and every checks value must be true or false")
+        cfg.patches = {name: dict(spec)
+                       for name, spec in data.get("patches", {}).items()}
         return cfg
 
 
@@ -130,31 +137,37 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return ExperimentConfig.from_dict(data)
+    try:
+        return ExperimentConfig.from_dict(data)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in {path}: {exc}") from exc
 
 
 def build_patch_from_spec(spec: dict) -> SurfacePatch:
     """Patch from a structured description: name, length, halfwidth,
-    kappa/gauss specs, grid."""
+    kappa/gauss specs, grid; a spec that defines no band is a ConfigError."""
     try:
         length = float(spec["length"])
         halfwidth = float(spec["halfwidth"])
+        kappa = _expr_callable(spec.get("kappa", 0.0), ("s",))
+        gauss = _expr_callable(spec.get("gauss", 0.0), ("s", "t"))
+        grid = parse_grid(spec.get("grid", (2048, 513)))
+        base = BaseCurve(length, kappa, gauss,
+                         name=str(spec.get("name", "config")))
+        return solve_warp(base, halfwidth, grid)
     except KeyError as exc:
         raise ConfigError(f"patch spec missing {exc}") from exc
-    kappa = _expr_callable(spec.get("kappa", 0.0), ("s",))
-    gauss = _expr_callable(spec.get("gauss", 0.0), ("s", "t"))
-    grid = parse_grid(spec.get("grid", (2048, 513)))
-    base = BaseCurve(length, kappa, gauss, name=str(spec.get("name", "config")))
-    return solve_warp(base, halfwidth, grid)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad patch spec: {exc}") from exc
 
 
 def parse_curve_spec(text: str, patch: SurfacePatch, n: int = 2048) -> Curve:
-    """Curve from a command-line spec.  Samples that are not finite, a curve
-    that leaves the band and a `csv:` file whose s column is not the uniform
-    grid on [0, l) are ConfigErrors."""
+    """Curve from a command-line spec.  An expression that fails to evaluate,
+    samples that are not finite, a curve that leaves the band and a `csv:`
+    file whose s column is not the uniform grid on [0, l) are ConfigErrors."""
     try:
         curve = _curve_from_spec(text, patch, n)
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"bad curve {text!r}: {exc}") from exc
     if not all(np.all(np.isfinite(v)) for v in (curve.xi, curve.dxi, curve.d2xi)):
         raise ConfigError(f"curve {text!r} has non-finite samples")

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCurve, DistortionExceeded
+from .errors import DistortionExceeded
 from .numerics import (eval_fourier_primitive, eval_fourier_series,
                        fourier_derivative, fourier_primitive_grid)
 from .surface import SurfacePatch, _eval1, _eval2
@@ -257,6 +257,8 @@ class TamenessReport:
     which covers every case where it can set epsilon; above 1 it is the
     infimum over the pairs within the cap, or `inf` (and `pair` is the first
     sample twice) if there are none.
+
+    `curvature` is the |B| report that the short-range bound is built on.
     """
 
     epsilon: float
@@ -266,6 +268,7 @@ class TamenessReport:
     short_range_bound: float
     error: float
     n_scan: int
+    curvature: CurvatureReport
 
 
 def _band_samples(patch: SurfacePatch, f: Callable) -> np.ndarray:
@@ -295,21 +298,18 @@ def _ratio_scan(cum: np.ndarray, total: float, idx: np.ndarray,
     return ratio
 
 
-def tameness(curve: Curve, n_scan: int | None = None,
-             delta_min: float | None = None) -> TamenessReport:
+def tameness(curve: Curve, n_scan: int | None = None) -> TamenessReport:
     """Tameness constant of a graph curve (see TamenessReport).
 
-    The exclusion radius keeps the sampled infimum away from the removable
-    short-range singularity; pairs inside it are covered by the chord-arc
-    bound 1 - |B|^2 delta^2 / 24 minus an ambient-curvature distortion term.
+    The exclusion radius delta = min(0.05, 1/(4|B| + 1)) keeps the sampled
+    infimum away from the removable short-range singularity; pairs inside it
+    are covered by the chord-arc bound 1 - |B|^2 delta^2 / 24 minus an
+    ambient-curvature distortion term.  This delta gives |B| delta < 1/4,
+    inside the bound's range |B| delta < 1.
     """
     curv = geodesic_curvature(curve)
     bnorm = curv.sup
-    if delta_min is None:
-        delta_min = min(0.05, 1.0 / (4.0 * bnorm + 1.0))
-    if bnorm * delta_min >= 1.0:
-        raise DegenerateCurve(
-            f"|B| delta = {bnorm * delta_min:.3f} >= 1; shrink delta_min")
+    delta_min = min(0.05, 1.0 / (4.0 * bnorm + 1.0))
 
     flat = curve.patch.is_flat_cylinder
     if n_scan is None:
@@ -340,7 +340,7 @@ def tameness(curve: Curve, n_scan: int | None = None,
                           delta_min=float(delta_min),
                           long_range_min=long_min,
                           short_range_bound=float(short_bound),
-                          error=float(err), n_scan=n_scan)
+                          error=float(err), n_scan=n_scan, curvature=curv)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class OutOfPatch(LagboundError):
     """A point violates the required margin inside the coordinate band."""
 
 
-class DegenerateCurve(LagboundError):
-    """Curvature times exclusion radius is too large for the short-range bound."""
-
-
 class DistortionExceeded(LagboundError):
     """Conformal factor leaves the declared distortion interval."""
 

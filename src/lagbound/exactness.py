@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, geodesic_curvature, tameness
+from .curves import Curve, tameness
 from .errors import NoBracket, ParamOutOfRange, SelfIntersection
 from .numerics import eval_fourier_series, interp_uniform_rows
 from .surface import SurfacePatch, plane_embed
@@ -29,12 +29,11 @@ __all__ = [
     "solve_c",
     "build_contraction",
     "contraction_bounds_check",
-    "bounds_verdict",
     "isotopy_invariant",
     "shifted_curve",
 ]
 
-_C_TOL = 1e-13
+_C_TOL = 1e-13     # |A| at which a bisection shift counts as exact
 _LIP_SLACK = 1e-11  # float slack; equality is attained for constant graphs
 
 
@@ -71,8 +70,8 @@ def _area_batch(patch: SurfacePatch, xi_block: np.ndarray) -> np.ndarray:
     return inner.reshape(m, n_s).mean(axis=1) * patch.length
 
 
-def solve_c_grid(patch: SurfacePatch, curve: Curve, alphas: np.ndarray,
-                 tol: float = _C_TOL, max_iter: int = 200) -> np.ndarray:
+def solve_c_grid(patch: SurfacePatch, curve: Curve,
+                 alphas: np.ndarray) -> np.ndarray:
     """Vertical shifts c(a) with A(a*xi + c(a)) = 0 for a whole grid of scales.
 
     Bisection inside the guaranteed bracket |c| <= a*max|xi| (the area is
@@ -93,21 +92,21 @@ def solve_c_grid(patch: SurfacePatch, curve: Curve, alphas: np.ndarray,
     hi = alphas * sup
     f_lo = _area_batch(patch, xi_block + lo[:, None])
     f_hi = _area_batch(patch, xi_block + hi[:, None])
-    if np.any(f_lo > tol) or np.any(f_hi < -tol):
+    if np.any(f_lo > _C_TOL) or np.any(f_hi < -_C_TOL):
         raise NoBracket(f"area does not bracket zero: max A(lo)="
                         f"{f_lo.max():.3e}, min A(hi)={f_hi.min():.3e}")
     out = np.where(alphas == 0.0, 0.0, 0.5 * (lo + hi))
-    done = (alphas == 0.0) | (np.abs(f_lo) <= tol) | (np.abs(f_hi) <= tol)
-    out[np.abs(f_hi) <= tol] = hi[np.abs(f_hi) <= tol]
-    out[np.abs(f_lo) <= tol] = lo[np.abs(f_lo) <= tol]
-    for _ in range(max_iter):
+    done = (alphas == 0.0) | (np.abs(f_lo) <= _C_TOL) | (np.abs(f_hi) <= _C_TOL)
+    out[np.abs(f_hi) <= _C_TOL] = hi[np.abs(f_hi) <= _C_TOL]
+    out[np.abs(f_lo) <= _C_TOL] = lo[np.abs(f_lo) <= _C_TOL]
+    for _ in range(200):  # far past the float resolution of c
         if done.all():
             break
         mid = 0.5 * (lo + hi)
         f_mid = np.full_like(mid, np.nan)
         act = ~done
         f_mid[act] = _area_batch(patch, xi_block[act] + mid[act, None])
-        hit = act & (np.abs(f_mid) <= tol)
+        hit = act & (np.abs(f_mid) <= _C_TOL)
         out[hit] = mid[hit]
         done |= hit
         low_side = act & ~hit & (f_mid < 0)
@@ -118,11 +117,9 @@ def solve_c_grid(patch: SurfacePatch, curve: Curve, alphas: np.ndarray,
     return out
 
 
-def solve_c(patch: SurfacePatch, curve: Curve, alpha: float,
-            tol: float = _C_TOL, max_iter: int = 200) -> float:
+def solve_c(patch: SurfacePatch, curve: Curve, alpha: float) -> float:
     """Unique vertical shift c with A(alpha*xi + c) = 0, |c| <= alpha*max|xi|."""
-    return float(solve_c_grid(patch, curve, np.array([float(alpha)]), tol,
-                              max_iter)[0])
+    return float(solve_c_grid(patch, curve, np.array([float(alpha)]))[0])
 
 
 def shifted_curve(curve: Curve, shift: float, scale: float = 1.0,
@@ -211,23 +208,14 @@ def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
     and tameness above min of the endpoint values, within tolerances.
 
     `k` is the curvature bound of the base curve and k' > k absorbs the
-    warp corrections for small graphs.
+    warp corrections for small graphs.  Each path curve is measured once:
+    its tameness report carries its |B| report.
     """
-    curv = np.array([geodesic_curvature(cv, _with_error=False).sup
-                     for cv in path.curves])
-    eps = np.array([tameness(cv, n_scan=n_scan).epsilon
-                    for cv in path.curves])
-    return bounds_verdict(curv, eps, k, k_prime, tol_curv, tol_eps)
-
-
-def bounds_verdict(curv: np.ndarray, eps: np.ndarray, k: float,
-                   k_prime: float, tol_curv: float = 1e-6,
-                   tol_eps: float = 5e-3) -> BoundsCheck:
-    """The rule of `contraction_bounds_check` applied to measured |B| sups and
-    tameness constants along a path, ordered from a = 0 to a = 1."""
     if k_prime <= k:
         raise ValueError("k_prime must exceed k")
-    curv, eps = np.asarray(curv, dtype=float), np.asarray(eps, dtype=float)
+    reports = [tameness(cv, n_scan=n_scan) for cv in path.curves]
+    curv = np.array([rep.curvature.sup for rep in reports])
+    eps = np.array([rep.epsilon for rep in reports])
     curv_bound = max(k_prime, float(curv[-1]))
     eps_bound = min(float(eps[0]), float(eps[-1]))
     curv_ok = bool(np.max(curv) <= curv_bound + tol_curv)

@@ -80,7 +80,7 @@ class RadialCheck:
     ok: bool
 
 
-def radial_path_check(section: Curve, scale_pairs, n_scan: int | None = None,
+def radial_path_check(section: Curve, scale_pairs,
                       tol_factor: float = 2.0) -> RadialCheck:
     """Check that vertical scalings of a graph realize Hausdorff distance
     |t - s| * max|xi| for each requested (t, s) pair.
@@ -95,7 +95,7 @@ def radial_path_check(section: Curve, scale_pairs, n_scan: int | None = None,
     ok = True
     for tv, sv in scale_pairs:
         ca, cb = scaled_curve(section, tv), scaled_curve(section, sv)
-        res = hausdorff_distance(ca, cb, n_scan=n_scan)
+        res = hausdorff_distance(ca, cb)
         expected = abs(tv - sv) * sup
         residual = abs(res.value - expected)
         tol = tol_factor * res.error
@@ -104,10 +104,10 @@ def radial_path_check(section: Curve, scale_pairs, n_scan: int | None = None,
     return RadialCheck(rows=rows, ok=ok)
 
 
-def contraction_path_bound_check(path, tol: float | None = None,
-                                 n_scan: int | None = None) -> tuple[bool, list]:
+def contraction_path_bound_check(path) -> tuple[bool, list]:
     """Check the Lipschitz bound delta_H(graph_a, graph_a') <= 2 |a - a'| max|xi|
-    along a contraction path (duck-typed: needs .alphas, .curves, .xi).
+    along a contraction path (duck-typed: needs .alphas, .curves, .xi), each
+    pair with its measured error as slack.
     """
     sup = path.xi.sup_norm()
     rows = []
@@ -115,11 +115,9 @@ def contraction_path_bound_check(path, tol: float | None = None,
     m = len(path.alphas)
     for i in range(m):
         for j in range(i + 1, m):
-            res = hausdorff_distance(path.curves[i], path.curves[j],
-                                     n_scan=n_scan)
+            res = hausdorff_distance(path.curves[i], path.curves[j])
             bound = 2.0 * abs(path.alphas[i] - path.alphas[j]) * sup
-            slack = res.error if tol is None else tol
-            ok = ok and res.value <= bound + slack
+            ok = ok and res.value <= bound + res.error
             rows.append((float(path.alphas[i]), float(path.alphas[j]),
                          res.value, bound, res.value - bound))
     return ok, rows

@@ -20,16 +20,15 @@ from .config import ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
 from .errors import ParamOutOfRange
 from .exactness import (BoundsCheck, ContractionPath, area_functional,
-                        bounds_verdict, build_contraction,
-                        contraction_bounds_check, isotopy_invariant,
-                        solve_c_grid)
+                        build_contraction, contraction_bounds_check,
+                        isotopy_invariant, solve_c_grid)
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
 from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, warp_taylor_check)
 
-__all__ = ["run_lemma_suite", "run_figure", "bound_table", "family_table",
+__all__ = ["run_lemma_suite", "run_figure", "family_table",
            "contraction_table", "SuiteResult", "CheckResult"]
 
 
@@ -72,8 +71,9 @@ def _suite_patches(params) -> dict:
     }
 
 
-def _random_trig(patch, rng, sup_target, max_mode=8, n_modes=3, name="xi"):
-    modes = rng.choice(np.arange(1, max_mode + 1), size=n_modes, replace=False)
+def _random_trig(patch, rng, sup_target, name="xi"):
+    """Graph of three random modes from 1..8 with sup |xi| = sup_target."""
+    modes = rng.choice(np.arange(1, 9), size=3, replace=False)
     cos_amps, sin_amps = {}, {}
     for m in modes:
         cos_amps[int(m)] = rng.normal()
@@ -370,15 +370,6 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
 # figures and tables
 # ---------------------------------------------------------------------------
 
-def bound_table(curves: list) -> list:
-    """(curvature report, tameness report, delta_H to the base curve) for each
-    curve of a family or path; the curves share one patch and one sample
-    count."""
-    base = Curve.constant(curves[0].patch, 0.0, n=curves[0].n)
-    return [(geodesic_curvature(cv), tameness(cv),
-             hausdorff_distance(cv, base).value) for cv in curves]
-
-
 def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
     """Generate a named family and write `<family_id>.csv`: per member sup|B|,
     epsilon, delta_H to the base curve, the action class and the smallest
@@ -386,9 +377,11 @@ def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
     curves and the CSV path."""
     curves = generate_family(FamilySpec(family_id))
     patch = curves[0].patch
-    rows = [(cv.name, curv.sup, trep.epsilon, dh, area_functional(patch, cv),
-             min_level(cv, curv, trep))
-            for cv, (curv, trep, dh) in zip(curves, bound_table(curves))]
+    base = Curve.constant(patch, 0.0, n=curves[0].n)
+    rows = [(cv.name, trep.curvature.sup, trep.epsilon,
+             hausdorff_distance(cv, base).value, area_functional(patch, cv),
+             min_level(cv, trep))
+            for cv, trep in zip(curves, map(tameness, curves))]
     path = write_csv(os.path.join(out_dir, f"{family_id}.csv"),
                      ["member", "sup_curvature", "epsilon", "delta_h_to_base",
                       "action_class", "min_level"], rows,
@@ -399,14 +392,17 @@ def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
 def contraction_table(path: ContractionPath,
                       config: ExperimentConfig) -> tuple[list, BoundsCheck]:
     """Rows (alpha, c, sup|B|, epsilon, delta_H to the base curve) of a
-    contraction path, and its bounds verdict with k = |B| of the base curve
+    contraction path, and its bounds check with k = |B| of the base curve
     and k' = k + 0.1 at the suite's tolerances, as in the lemma suite."""
-    rows = [(a, c, curv.sup, trep.epsilon, dh) for a, c, (curv, trep, dh)
-            in zip(path.alphas, path.c, bound_table(path.curves))]
     k, tol = _base_curvature(path.patch), config.tolerances
-    return rows, bounds_verdict([r[2] for r in rows], [r[3] for r in rows],
-                                k, k + 0.1, tol["contraction_curvature"],
-                                tol["contraction_tameness"])
+    chk = contraction_bounds_check(path, k, k + 0.1,
+                                   tol["contraction_curvature"],
+                                   tol["contraction_tameness"])
+    base = Curve.constant(path.patch, 0.0, n=path.curves[0].n)
+    rows = [(a, c, curv, eps, hausdorff_distance(cv, base).value)
+            for a, c, curv, eps, cv in zip(path.alphas, path.c, chk.curvatures,
+                                           chk.tameness_values, path.curves)]
+    return rows, chk
 
 
 def run_figure(family_id: str, out_dir: str,

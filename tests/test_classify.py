@@ -59,8 +59,7 @@ class TestMinLevel:
         fam = generate_family(FamilySpec("escape_cos", {"modes": [1, 2, 3, 4]}))
         loop = [next((k for k in range(1, MAX_LEVEL + 1)
                       if classify(cv, k).verdict is True), None) for cv in fam]
-        levels = [min_level(cv, geodesic_curvature(cv), tameness(cv))
-                  for cv in fam]
+        levels = [min_level(cv, tameness(cv)) for cv in fam]
         assert levels == loop == [2, 5, 10, None]
 
 

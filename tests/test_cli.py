@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lagbound.exactness import build_contraction, contraction_bounds_check
 from lagbound.surface import flat_cylinder, sphere_band
 
 GRID = "--grid", "256x65"
+BAND = {"length": 2 * np.pi, "halfwidth": 0.5, "grid": [64, 17]}
 
 
 def run(*args):
@@ -123,6 +125,14 @@ class TestOtherCommands:
         assert run("sasaki", "--base", "flat_torus", "--states", "2",
                    "--horizon", "2", "--out", str(tmp_path)) == 0
 
+    def test_sasaki_sphere_sweep_export(self, tmp_path):
+        assert run("sasaki", "--base", "round_sphere", "--sweep", "0.01",
+                   "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "sweep_round_sphere.csv").read_text().splitlines()
+        sups = [float(row.split(",")[1]) for row in rows[2:]]
+        assert len(sups) == 11
+        assert all(b >= a for a, b in zip(sups, sups[1:]))
+
     def test_sasaki_sweep_export(self, tmp_path):
         assert run("sasaki", "--base", "flat_torus", "--sweep", "0.02",
                    "--out", str(tmp_path)) == 0
@@ -140,6 +150,43 @@ class TestOtherCommands:
         assert "a_emp=0.2" in scan_head
         pair_rows = (tmp_path / "parallels_pairwise.csv").read_text().splitlines()
         assert len(pair_rows) == 2 + 10  # C(5,2) pairs
+        # without the scan, the pairwise table is measured on its own
+        assert run("family", "parallels", "--pairwise", *GRID,
+                   "--out", str(tmp_path / "plain")) == 0
+        plain = (tmp_path / "plain" / "parallels_pairwise.csv").read_text()
+        assert plain.splitlines() == pair_rows
+
+    @pytest.mark.parametrize("config, curve, code", [
+        ({}, "parallel:0", 0),
+        ({"seed": "abc"}, "parallel:0", 4),
+        ({"seed": None}, "parallel:0", 4),
+        ({"tolerances": {"area_residual": "abc"}}, "parallel:0", 4),
+        ({"patches": ["a"]}, "parallel:0", 4),
+        ({"checks": {"warp_taylor": "no"}}, "parallel:0", 4),
+        ({"quick": "false"}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, length="abc")}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, halfwidth=-0.5)}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, kappa="0.1*s")}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, kappa="0.1*cos(")}}, "parallel:0", 4),
+        ({}, "expr:0.1*cos(", 4),
+        ({}, "expr:1/0", 4),
+        ({"patches": {"p": dict(BAND, gauss="1/0")}}, "parallel:0", 4),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
+                                              code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patches": {"p": BAND}, **config}))
+        assert run("curvature", "--config", str(cfg), "--patch", "p",
+                   "--curve", curve, "--out", str(tmp_path)) == code
+
+    def test_readme_config_example(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```json\n")[1].split("```")[0]
+        cfg = tmp_path / "example.json"
+        cfg.write_text(example)
+        (name,) = json.loads(example)["patches"]
+        assert run("curvature", "--config", str(cfg), "--patch", name,
+                   "--curve", "parallel:0", "--out", str(tmp_path)) == 0
 
     def test_unknown_patch_is_config_error(self, tmp_path):
         assert run("curvature", "--patch", "nope", "--curve", "parallel:0",

@@ -154,6 +154,13 @@ class TestTameness:
         assert 0 < rep.delta_min <= 0.05
         assert rep.error > 0
 
+    def test_carries_its_curvature_report(self, sphere):
+        curve = trig_curve(sphere, {3: 0.1}, n=512)
+        rep, ref = tameness(curve).curvature, geodesic_curvature(curve)
+        assert np.array_equal(rep.s, ref.s)
+        assert np.array_equal(rep.values, ref.values)
+        assert (rep.sup, rep.arg_s, rep.error) == (ref.sup, ref.arg_s, ref.error)
+
     def test_resolution_stability(self, cyl):
         c1 = trig_curve(cyl, {2: 0.3}, n=512)
         c2 = trig_curve(cyl, {2: 0.3}, n=1024)

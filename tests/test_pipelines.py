@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lagbound import curves
+from lagbound.classify import classify
 from lagbound.config import ExperimentConfig
 from lagbound.curves import Curve, geodesic_curvature, trig_curve
 from lagbound.errors import ParamOutOfRange
@@ -115,3 +117,29 @@ class TestContractionTable:
         assert np.array_equal(chk.curvatures, ref.curvatures)
         assert np.array_equal(chk.tameness_values, ref.tameness_values)
         assert [r[0] for r in rows] == list(path.alphas)
+
+
+@pytest.fixture()
+def curvature_passes(monkeypatch):
+    """Curves passed to the |B| formula, in call order."""
+    seen, signed = [], curves._curvature_signed
+    monkeypatch.setattr(curves, "_curvature_signed",
+                        lambda cv: seen.append(cv) or signed(cv))
+    return seen
+
+
+class TestCurvatureMeasuredOnce:
+    # two passes per curve: full resolution and the half-resolution error
+    def test_classify(self, sphere, curvature_passes):
+        classify(trig_curve(sphere, {3: 0.1}, n=512), 5)
+        assert len(curvature_passes) == 2
+
+    def test_contraction_bounds_check(self, sphere, curvature_passes):
+        path = build_contraction(sphere, trig_curve(sphere, {2: 0.1}, n=512),
+                                 n_alpha=5)
+        contraction_bounds_check(path, 0.0, 0.1)
+        assert len(curvature_passes) == 2 * 5
+
+    def test_family_table(self, tmp_path, curvature_passes):
+        members, _ = family_table("parallels", str(tmp_path), 0)
+        assert len(curvature_passes) == 2 * len(members)

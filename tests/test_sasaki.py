@@ -256,6 +256,27 @@ class TestSandwich:
         rep = graph_tameness_bounds(gg.base, gg, n_pairs=100)
         assert rep.ok
 
+    def test_grad_bound_evaluates_the_unit_t_once(self):
+        # T is linear in the amplitude: amplitude copies share the unit T
+        gg = sphere_harmonic_graph(1.0)
+        calls = []
+
+        def counted(j, f):
+            def run(u):
+                calls.append(j)
+                return f(u)
+            return run
+
+        gg._fns[:] = [tuple(counted(j, f) for j, f in enumerate(fns))
+                      for fns in gg._fns]
+        amps = (0.4, 0.2, 0.1, 0.05, 0.025)
+        bounds = [gg.with_amplitude(a).grad_bound() for a in amps]
+        assert calls == [1, 1]  # T, once on each chart
+        for a, gb in zip(amps, bounds):
+            g = gg.with_amplitude(a)
+            t_mat = g.frame_data(*g.default_samples())["T"]
+            assert gb == float(np.max(sasaki._op_norms(t_mat)))
+
     def test_scaling_limit_monotone(self):
         gg = torus_gradient_graph(1.0)
         eps = [graph_tameness_bounds(gg.base, gg.with_amplitude(a),
