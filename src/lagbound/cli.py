@@ -56,7 +56,7 @@ def _resolve_patch(name, config: ExperimentConfig, grid=None):
 
 def _add_common(p, patch_default="cylinder"):
     p.add_argument("--config", default=None, help="JSON experiment config")
-    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--out", default=None, help="output directory (default: out_dir)")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
     p.add_argument("--patch", default=patch_default,
@@ -148,7 +148,8 @@ def _load(args) -> ExperimentConfig:
         config.grid = parse_grid(args.grid.lower().split("x"))
     if getattr(args, "quick", False):
         config.quick = True
-    config.out_dir = args.out
+    if args.out is not None:
+        config.out_dir = args.out
     return config
 
 

@@ -103,7 +103,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.seed = int(data.get("seed", cfg.seed))
+        cfg.seed = data.get("seed", cfg.seed)
+        if type(cfg.seed) is not int:  # int(1.5) is 1, and True is an int
+            raise ConfigError("seed must be an integer")
         cfg.out_dir = str(data.get("out_dir", cfg.out_dir))
         cfg.quick = data.get("quick", cfg.quick)
         if "grid" in data:

@@ -119,7 +119,10 @@ class Curve:
 
     def warp_data(self) -> dict[str, np.ndarray]:
         if "warp" not in self._cache:
-            self._cache["warp"] = self.patch.warp_on_curve(self.s, self.xi)
+            n_s = self.patch.n_s
+            self._cache["warp"] = (
+                self.patch.warp_on_columns(np.arange(0, n_s, n_s // self.n), self.xi)
+                if n_s % self.n == 0 else self.patch.warp_on_curve(self.s, self.xi))
         return self._cache["warp"]
 
     def speed(self) -> np.ndarray:

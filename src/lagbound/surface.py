@@ -13,6 +13,10 @@ with kappa the signed geodesic curvature of the base curve and K the Gaussian
 curvature of the ambient surface.  Everything downstream (graph curvature,
 intrinsic lengths, the area functional, shortest-path distances) is driven by
 this field and its first partials.
+
+A patch marches (w, w_t, w_s, w_st, int_0^t w) over its rows within `_MARCH_TOL`,
+measured by step doubling.  Curves sampled on its columns read their warp data by
+quintic Hermite interpolation in t; other points integrate from the base row.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ __all__ = [
 ]
 
 _PERIOD_TOL = 1e-12
-_MARCH_SUBSTEPS = 2  # RK4 substeps per grid row of the warp march
+_MARCH_TOL = 5e-13  # bound on 2x the measured march error, below the 1e-12 |B| floor
+_MAX_SUBSTEPS = 256  # ends the doubling where the estimate cannot converge
 
 
 def _eval2(f: Callable, s: np.ndarray, t) -> np.ndarray:
@@ -60,6 +65,11 @@ def _eval1(f: Callable, s: np.ndarray) -> np.ndarray:
     if out.shape != np.shape(s):
         out = np.broadcast_to(out, np.shape(s)).copy()
     return out
+
+
+def _five_point(f: Callable, h: float) -> np.ndarray:
+    """Fourth-order central difference of d -> f(d) at d = 0."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
 
 
 @dataclass(frozen=True)
@@ -104,26 +114,24 @@ class BaseCurve:
     def kappa_s(self, s: np.ndarray) -> np.ndarray:
         if self.kappa_prime is not None:
             return _eval1(self.kappa_prime, s)
-        h = 1e-4 * self.length
-        f = self.kappa
-        return (_eval1(f, s - 2 * h) - 8 * _eval1(f, s - h)
-                + 8 * _eval1(f, s + h) - _eval1(f, s + 2 * h)) / (12 * h)
+        return _five_point(lambda d: _eval1(self.kappa, s + d), 1e-4 * self.length)
 
     def gauss_ds(self, s: np.ndarray, t) -> np.ndarray:
         if self.gauss_s is not None:
             return _eval2(self.gauss_s, s, t)
-        h = 1e-4 * self.length
-        f = self.gauss
-        return (_eval2(f, s - 2 * h, t) - 8 * _eval2(f, s - h, t)
-                + 8 * _eval2(f, s + h, t) - _eval2(f, s + 2 * h, t)) / (12 * h)
+        return _five_point(lambda d: _eval2(self.gauss, s + d, t),
+                           1e-4 * self.length)
+
+
+def _warp_deriv(nk, nks, state: np.ndarray) -> np.ndarray:
+    """Time derivative of (w, w_t, w_s, w_st, int_0^t w) given -K and -K_s."""
+    w, u, v, y, _ = state
+    return np.array([u, nk * w, y, nk * v + nks * w, w])
 
 
 def _warp_rhs(base: BaseCurve, s: np.ndarray, t, state: np.ndarray) -> np.ndarray:
-    """Time derivative of (w, w_t, w_s, w_st, int_0^t w)."""
-    w, u, v, y, _ = state
-    kk = _eval2(base.gauss, s, t)
-    kks = base.gauss_ds(s, t)
-    return np.stack([u, -kk * w, y, -kk * v - kks * w, w])
+    """The normal ODE system at (s, t), with K and K_s evaluated there."""
+    return _warp_deriv(-_eval2(base.gauss, s, t), -base.gauss_ds(s, t), state)
 
 
 def check_grid(n_s: int, n_t: int):
@@ -144,20 +152,12 @@ def _warp_initial(base: BaseCurve, s: np.ndarray) -> np.ndarray:
     return state
 
 
-def _march_warp(base: BaseCurve, s: np.ndarray, state: np.ndarray, t, h,
-                n_steps: int):
-    """Advance the warp system n_steps fixed RK4 steps of size h from t.
-
-    `_warp_rhs` is looked up at each stage, so instrumentation that replaces
-    the module global sees every evaluation.
-    """
-    def rhs(tt, y):
-        return _warp_rhs(base, s, tt, y)
-
-    for _ in range(n_steps):
-        state = rk4_step(rhs, t, state, h)
-        t = t + h
-    return state, t
+def _hermite5(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, h: float):
+    """Quintic Hermite at fractions x of a step h; lo, hi stack (f, f_t, f_tt)."""
+    def side(f, a, b, hb):
+        return a ** 3 * ((1 + 3 * b + 6 * b * b) * f[0]
+                         + b * (1 + 3 * b) * hb * f[1] + 0.5 * (b * hb) ** 2 * f[2])
+    return side(lo, 1 - x, x, h) + side(hi, x, 1 - x, -h)
 
 
 @dataclass
@@ -196,23 +196,44 @@ class SurfacePatch:
         self._stencil_error: float | None = None
 
     def _march(self):
-        """Integrate the warp outward from the base row in both directions."""
-        mid = (self.n_t - 1) // 2
-        h_row = self.t[1] - self.t[0]
-        w = np.empty((self.n_s, self.n_t))
-        cum = np.empty_like(w)
-        for direction in (+1, -1):
-            state = _warp_initial(self.base, self.s)
-            t = 0.0
-            w[:, mid], cum[:, mid] = state[0], state[4]
-            h = direction * h_row / _MARCH_SUBSTEPS
-            rows = range(mid + 1, self.n_t) if direction > 0 else range(mid - 1, -1, -1)
-            for j in rows:
-                state, t = _march_warp(self.base, self.s, state, t, h,
-                                       _MARCH_SUBSTEPS)
-                w[:, j], cum[:, j] = state[0], state[4]
-        self.w = w
-        self.cum_w = cum
+        """Use the fewest power-of-two RK4 substeps per row (>= 4) that meet
+        `_MARCH_TOL`; `warp_error` adds a unit roundoff per substep."""
+        self.substeps, err = 2, np.inf
+        while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
+            self.substeps *= 2
+            fields, err = self._march_rows(self.substeps)
+        ulp = np.finfo(float).eps * max(fields.max(), -fields.min())
+        self.warp_error = err + float(self.substeps * (self.n_t // 2) * ulp)
+        self.w, self.w_t, self.w_s, self.w_st, self.cum_w = fields
+
+    def _march_rows(self, substeps: int) -> tuple[np.ndarray, float]:
+        """Both directions in one batch at `substeps` RK4 steps per row: the
+        fields (w, w_t, w_s, w_st, int_0^t w) and the step-doubling error."""
+        n_s, mid, h_row = self.n_s, (self.n_t - 1) // 2, self.t[1] - self.t[0]
+        half = h_row / (2 * substeps)
+        sign = np.repeat([1.0, -1.0], n_s)
+        s = np.broadcast_to(np.tile(self.s, 2), (2 * substeps + 1, 2 * n_s))
+        # the second half marches in tau = -t, on (w, -w_t, w_s, -w_st, -int w)
+        flip = np.array([1.0, -1.0, 1.0, -1.0, -1.0])[:, None]
+        fields, err = np.empty((5, n_s, self.n_t)), 0.0
+        state = _warp_initial(self.base, s[0])
+        state[:, n_s:] *= flip
+        fields[:, :, mid] = state[:, :n_s]
+        for k in range(mid):
+            t0 = k * h_row
+            t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
+            nk, nks = -_eval2(self.base.gauss, s, t), -self.base.gauss_ds(s, t)
+            def rhs(tau, y):
+                m = round((tau - t0) / half)  # the row's stage m
+                return _warp_deriv(nk[m], nks[m], y)
+            # a whole-row step's gap to the substeps is ~(S^4 - 1) times their error
+            big = rk4_step(rhs, t0, state, h_row)
+            for i in range(substeps):
+                state = rk4_step(rhs, t0 + 2 * i * half, state, 2 * half)
+            err += np.max(np.abs(state - big)) / (substeps ** 4 - 1)
+            fields[:, :, mid + k + 1] = state[:, :n_s]
+            fields[:, :, mid - k - 1] = state[:, n_s:] * flip
+        return fields, float(err)
 
     # -- basic queries ------------------------------------------------------
 
@@ -245,15 +266,38 @@ class SurfacePatch:
     def warp_on_curve(self, s_vals: np.ndarray, t_vals: np.ndarray,
                       n_steps: int = 96) -> dict[str, np.ndarray]:
         """Warp data along arbitrary points (s_i, t_i), by n_steps fixed RK4
-        steps of the normal ODE system from the base row.  Returns w, the
-        partials of w^2, and the fiber area integral int_0^t w.
+        steps of the normal ODE system from the base row.  Returns w and the
+        partials of w^2.
         """
         s = np.asarray(s_vals, dtype=float)
         t = np.broadcast_to(np.asarray(t_vals, dtype=float), s.shape)
-        state, _ = _march_warp(self.base, s, _warp_initial(self.base, s),
-                               np.zeros_like(s), t / n_steps, n_steps)
-        w, u, v, _, q = state
-        return {"w": w, "w_t": u, "w2_t": 2 * w * u, "w2_s": 2 * w * v, "area": q}
+        state, h, tt = _warp_initial(self.base, s), t / n_steps, np.zeros_like(s)
+        for _ in range(n_steps):
+            state = rk4_step(lambda ti, y: _warp_rhs(self.base, s, ti, y),
+                             tt, state, h)
+            tt = tt + h
+        w, u, v = state[:3]
+        return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
+
+    def warp_on_columns(self, cols: np.ndarray,
+                        t_vals: np.ndarray) -> dict[str, np.ndarray]:
+        """Warp data at (s[cols], t_i) from the marched grid, keyed as in
+        `warp_on_curve`: quintic Hermite interpolation in t between the
+        bracketing rows, with the t-derivatives from the ODE."""
+        h, t = self.t[1] - self.t[0], np.asarray(t_vals, dtype=float)
+        j = np.clip(((t - self.t[0]) // h).astype(int), 0, self.n_t - 2)
+        s, x = self.s[cols], (t - self.t[j]) / h
+        ends = []
+        for row in (j, j + 1):
+            tr = self.t[row]
+            w, u, v, y = (f[cols, row] for f in (self.w, self.w_t, self.w_s, self.w_st))
+            nk, nks = -_eval2(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)
+            nkt = -_five_point(lambda d: _eval2(self.base.gauss, s, tr + d), 1e-4)
+            # (f, f_t, f_tt) of w, w_t and w_s, from w_tt = -K w
+            ends.append(np.array([[w, u, v], [u, nk * w, y],
+                                  [nk * w, nkt * w + nk * u, nk * v + nks * w]]))
+        w, u, v = _hermite5(*ends, x, h)
+        return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
     def grid_w(self, s_query: np.ndarray, t_query: np.ndarray) -> np.ndarray:
         """Bilinear warp lookup on the stored grid (wraps in s)."""

@@ -171,6 +171,8 @@ class TestOtherCommands:
         ({}, "expr:0.1*cos(", 4),
         ({}, "expr:1/0", 4),
         ({"patches": {"p": dict(BAND, gauss="1/0")}}, "parallel:0", 4),
+        ({"seed": 1.5}, "parallel:0", 4),
+        ({"seed": True}, "parallel:0", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):
@@ -178,6 +180,23 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"patches": {"p": BAND}, **config}))
         assert run("curvature", "--config", str(cfg), "--patch", "p",
                    "--curve", curve, "--out", str(tmp_path)) == code
+
+    def test_config_out_dir_is_the_default_output(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "cfg_out"}))
+        assert run("curvature", *GRID, "--curve", "parallel:0",
+                   "--config", "cfg.json") == 0
+        assert (tmp_path / "cfg_out" / "curvature.csv").is_file()
+        assert not (tmp_path / "out").exists()
+
+    def test_out_flag_overrides_config_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "cfg_out"}))
+        assert run("curvature", *GRID, "--curve", "parallel:0",
+                   "--config", "cfg.json", "--out", "flag_out") == 0
+        assert (tmp_path / "flag_out" / "curvature.csv").is_file()
+        assert not (tmp_path / "cfg_out").exists()
 
     def test_readme_config_example(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

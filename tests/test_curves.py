@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from lagbound import surface
 from lagbound.curves import (Curve, geodesic_curvature, intrinsic_distance,
                              tameness, tameness_comparison_check, trig_curve)
 from lagbound.distances import pairwise_point_distances
 from lagbound.errors import DistortionExceeded
 from lagbound.numerics import fourier_primitive_grid, wrap_difference
+from lagbound.surface import hyperbolic_band, plane_annulus, sphere_band
 
 
 def euclidean_graph_curvature(dxi, d2xi):
@@ -87,6 +89,38 @@ class TestGeodesicCurvature:
         c2 = trig_curve(cyl, {3: 0.4}, n=2048)
         r1, r2 = geodesic_curvature(c1), geodesic_curvature(c2)
         assert abs(r2.sup - r1.sup) <= r1.error
+
+
+class TestWarpData:
+    BANDS = {  # band builder, exact |B| of the parallel t = c
+        "sphere": (lambda g: sphere_band(0.6, g), lambda c: abs(np.tan(c))),
+        "hyperbolic": (lambda g: hyperbolic_band(0.6, g),
+                       lambda c: abs(np.tanh(c))),
+        "plane": (lambda g: plane_annulus(2.0, 1.0, g), lambda c: 1 / (2 - c)),
+    }
+
+    @pytest.mark.parametrize("grid", [(64, 17), (512, 129)])
+    @pytest.mark.parametrize("name", sorted(BANDS))
+    def test_parallel_curvature_within_its_error(self, name, grid):
+        build, exact = self.BANDS[name]
+        patch = build(grid)
+        for c in np.linspace(-0.9, 0.9, 10) * patch.halfwidth:
+            rep = geodesic_curvature(Curve.constant(patch, c, n=patch.n_s))
+            assert abs(rep.sup - exact(c)) <= rep.error, c
+
+    def test_column_curves_read_the_grid(self, sphere, monkeypatch):
+        calls = []
+        original = surface._warp_rhs
+        monkeypatch.setattr(surface, "_warp_rhs",
+                            lambda *a: calls.append(1) or original(*a))
+        for n in (sphere.n_s, sphere.n_s // 2, 64):
+            trig_curve(sphere, {3: 0.2}, n=n).warp_data()
+        assert calls == []
+        off = trig_curve(sphere, {3: 0.2}, n=2048)
+        got = off.warp_data()
+        assert calls
+        ref = sphere.warp_on_curve(off.s, off.xi)
+        assert all(np.array_equal(got[k], ref[k]) for k in ref)
 
 
 class TestIntrinsicDistance:

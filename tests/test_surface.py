@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagbound import surface
+from lagbound.config import build_patch_from_spec
 from lagbound.distances import pairwise_point_distances, set_to_points_distance
 from lagbound.errors import ChartDegenerate, OutOfPatch
 from lagbound.surface import (BaseCurve, ambient_distance, area_form,
-                              cylinder_distance, flat_cylinder, plane_annulus,
-                              plane_embed, solve_warp, sphere_band,
-                              sphere_embed, warp_taylor_check)
+                              cylinder_distance, flat_cylinder,
+                              hyperbolic_band, plane_annulus, plane_embed,
+                              solve_warp, sphere_band, sphere_embed,
+                              warp_taylor_check)
 
 
 def _fd_second_derivative(col, h):
@@ -68,6 +71,53 @@ class TestSolveWarp:
         head = path.read_text().splitlines()[0]
         assert head.startswith("# schema=1,")
         assert "n_s=512" in head and "n_t=129" in head
+
+
+CLOSED_FORMS = {  # band builder, w(t), w_t(t)
+    "sphere": (lambda g: sphere_band(0.6, g), np.cos, lambda t: -np.sin(t)),
+    "hyperbolic": (lambda g: hyperbolic_band(0.6, g), np.cosh, np.sinh),
+    "plane": (lambda g: plane_annulus(3.0, 1.0, g), lambda t: 1 - t / 3,
+              lambda t: np.full_like(t, -1 / 3)),
+}
+
+
+class TestWarpMarch:
+    @pytest.mark.parametrize("grid", [(64, 17), (128, 33), (512, 129)])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_measured_error_covers_the_rows(self, name, grid):
+        build, w, w_t = CLOSED_FORMS[name]
+        patch = build(grid)
+        actual = max(np.max(np.abs(patch.w - w(patch.t))),
+                     np.max(np.abs(patch.w_t - w_t(patch.t))))
+        assert actual <= patch.warp_error < 1e-12
+
+    def test_fewest_substeps_that_meet_the_tolerance(self):
+        patch = sphere_band(0.6, (64, 17))
+        assert patch.substeps > 4
+        _, coarser = patch._march_rows(patch.substeps // 2)
+        assert 2 * coarser > surface._MARCH_TOL
+        assert sphere_band(0.6, (512, 129)).substeps == 4
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_lookup_matches_the_closed_form(self, name):
+        build, w, w_t = CLOSED_FORMS[name]
+        patch = build((512, 129))
+        t = np.linspace(-0.99, 0.99, 1001) * patch.halfwidth
+        got = patch.warp_on_columns(np.arange(t.size) % patch.n_s, t)
+        assert np.max(np.abs(got["w"] - w(t))) <= 2e-13
+        assert np.max(np.abs(got["w2_t"] / (2 * got["w"]) - w_t(t))) <= 2e-13
+        assert np.max(np.abs(got["w2_s"])) == 0.0
+
+    def test_lookup_matches_fine_integration_on_a_spec_band(self):
+        patch = build_patch_from_spec({
+            "length": 2 * np.pi, "halfwidth": 0.5, "grid": [512, 129],
+            "kappa": "0.2*cos(s)", "gauss": "0.5*cos(s) + 0.2*t"})
+        t = np.random.default_rng(0).uniform(-0.45, 0.45, patch.n_s)
+        got = patch.warp_on_columns(np.arange(patch.n_s), t)
+        ref = patch.warp_on_curve(patch.s, t, n_steps=2000)
+        assert set(got) == set(ref) == {"w", "w2_t", "w2_s"}
+        for key in got:
+            assert np.max(np.abs(got[key] - ref[key])) <= 1e-13
 
 
 class TestWarpTaylor:
