@@ -197,12 +197,14 @@ def _direct_edges(patch, pts: np.ndarray, pairs: np.ndarray, base_id: int, scale
 
 
 def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
-    """Index pairs (i, i+k mod n) for k=1..k_max, shifted by a block offset."""
-    pairs = []
-    for k in range(1, min(k_max, n - 1) + 1):
-        i = np.arange(n)
-        pairs.append(np.stack([i + offset, (i + k) % n + offset], axis=1))
-    return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=int)
+    """Each unordered index pair {i, i+k mod n} with k <= k_max once, shifted
+    by a block offset."""
+    i = np.arange(n)
+    pairs = [np.stack([i, (i + k) % n], axis=1)
+             for k in range(1, min(k_max, (n - 1) // 2) + 1)]
+    if n % 2 == 0 and k_max >= n // 2:  # k and n - k = k name the same pair
+        pairs.append(np.stack([i[:n // 2], i[:n // 2] + n // 2], axis=1))
+    return np.concatenate(pairs) + offset if pairs else np.empty((0, 2), dtype=int)
 
 
 def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
