@@ -43,28 +43,20 @@ from .surface import cylinder_distance
 DEFAULT_DIST_GRID = (256, 129)
 _DIRECT_REACH = 0.4  # coordinate arc joined by direct quadrature edges
 
+_SIMPSON3 = np.array([1.0, 4.0, 1.0]) / 6.0
+_SIMPSON3_X = np.array([0.0, 0.5, 1.0])
 _SIMPSON5 = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
 _SIMPSON5_X = np.linspace(0.0, 1.0, 5)
+# the 16-neighbor stencil is the coprime (a, b) with |a|, |b| <= 2; each
+# undirected edge is built once, along the half with a > 0 or (a = 0, b > 0)
+_HALF_STENCIL = [(a, b) for a in range(3) for b in range(-2, 3)
+                 if (a > 0 or b > 0) and gcd(a, abs(b)) == 1]
+_LINK_STEPS = np.array([-1, 0, 1, 2])  # grid steps from a point's cell corner
 
 
-def stencil_offsets(order: int) -> np.ndarray:
-    """Coprime lattice directions with max coordinate <= radius(order)."""
-    radius = {8: 1, 16: 2}[order]
-    offs = []
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            if (a, b) == (0, 0):
-                continue
-            if gcd(abs(a), abs(b)) == 1:
-                offs.append((a, b))
-    return np.array(sorted(offs))
-
-
-def _segment_lengths(patch, s0, t0, s1, t1, scale=None, weights=None, nodes=None):
+def _segment_lengths(patch, s0, t0, s1, t1, scale=None, weights=_SIMPSON3,
+                     nodes=_SIMPSON3_X):
     """Quadrature of the metric length of straight (s, t) segments."""
-    if weights is None:
-        weights = np.array([1.0, 4.0, 1.0]) / 6.0
-        nodes = np.array([0.0, 0.5, 1.0])
     ds = np.asarray(s1 - s0, dtype=float)
     dt = np.asarray(t1 - t0, dtype=float)
     total = 0.0
@@ -81,30 +73,23 @@ def _segment_lengths(patch, s0, t0, s1, t1, scale=None, weights=None, nodes=None
 
 @dataclass
 class BandGraph:
-    """Stencil graph over a decimated band grid, plus construction metadata."""
+    """16-neighbor stencil graph over a decimated band grid (node i * n_td + j
+    sits at (s_d[i], t_d[j])), as a CSR matrix."""
 
     patch: object
     n_sd: int
     n_td: int
     s_d: np.ndarray
     t_d: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
+    csr: csr_matrix
 
     @property
     def n_nodes(self) -> int:
         return self.n_sd * self.n_td
 
-    def csr(self, extra=None, n_extra: int = 0) -> csr_matrix:
-        n = self.n_nodes + n_extra
-        rows, cols, wts = self.rows, self.cols, self.weights
-        if extra is not None:
-            er, ec, ew = extra
-            rows = np.concatenate([rows, er])
-            cols = np.concatenate([cols, ec])
-            wts = np.concatenate([wts, ew])
-        return csr_matrix((wts, (rows, cols)), shape=(n, n))
+    @property
+    def weights(self) -> np.ndarray:
+        return self.csr.data
 
 
 def default_dist_grid(patch, n_sd: int | None = None) -> tuple[int, int]:
@@ -118,82 +103,81 @@ def default_dist_grid(patch, n_sd: int | None = None) -> tuple[int, int]:
     return n_sd, n_td
 
 
-def build_band_graph(patch, dist_grid=None, stencil: int = 16,
-                     scale=None) -> BandGraph:
-    """Stencil graph of the band on `dist_grid` (default: `default_dist_grid`).
+def build_band_graph(patch, dist_grid=None, scale=None) -> BandGraph:
+    """16-neighbor stencil graph of the band on `dist_grid` (default:
+    `default_dist_grid`).
 
-    Graphs of the unscaled metric are cached on the patch; a conformal
-    `scale` factor builds a fresh graph each call.
+    w and `scale` are evaluated once at the nodes and once at the midpoint of
+    each undirected edge, whose Simpson length is stored in both directions.
+    Graphs of the unscaled metric are cached on the patch; a conformal `scale`
+    factor builds a fresh graph each call.
     """
     if dist_grid is None:
         dist_grid = default_dist_grid(patch)
     n_sd = min(dist_grid[0], patch.n_s)
     n_td = min(dist_grid[1], patch.n_t)
-    key = (n_sd, n_td, stencil)
-    if scale is None and key in patch._dist_graphs:
-        return patch._dist_graphs[key]
+    if scale is None and (n_sd, n_td) in patch._dist_graphs:
+        return patch._dist_graphs[n_sd, n_td]
 
     s_d = np.arange(n_sd) * (patch.length / n_sd)
     t_d = np.linspace(patch.t[0], patch.t[-1], n_td)
-    ds = patch.length / n_sd
-    dt = t_d[1] - t_d[0]
-
-    rows_all, cols_all, wts_all = [], [], []
-    ii, jj = np.divmod(np.arange(n_sd * n_td), n_td)
-    for a, b in stencil_offsets(stencil):
-        j2 = jj + b
-        ok = (j2 >= 0) & (j2 < n_td)
-        i1, j1 = ii[ok], jj[ok]
-        i2 = (i1 + a) % n_sd
-        s0, t0 = s_d[i1], t_d[j1]
-        wts = _segment_lengths(patch, s0, t0, s0 + a * ds, t0 + b * dt, scale)
-        rows_all.append(i1 * n_td + j1)
-        cols_all.append(i2 * n_td + j2[ok])
-        wts_all.append(wts)
-
+    h_s, h_t = patch.length / n_sd, t_d[1] - t_d[0]
+    ss, tt = np.meshgrid(s_d, t_d, indexing="ij")
+    w = patch.grid_w(ss, tt)
+    sc = 1.0 if scale is None else scale(ss, tt)
+    node = np.arange(n_sd * n_td).reshape(n_sd, n_td)
+    # slot k holds the edge along _HALF_STENCIL[k], slot 8 + k its reverse
+    cols = np.full((n_sd, n_td, 16), -1)
+    wts = np.empty((n_sd, n_td, 16))
+    for k, (a, b) in enumerate(_HALF_STENCIL):
+        ds, dt = a * h_s, b * h_t
+        lo, hi = max(0, -b), n_td - max(0, b)  # rows j with j + b on the grid
+        sp = np.sqrt((w * ds) ** 2 + dt ** 2) * sc
+        sm, tm = ss[:, lo:hi] + 0.5 * ds, tt[:, lo:hi] + 0.5 * dt
+        spm = np.sqrt((patch.grid_w(sm, tm) * ds) ** 2 + dt ** 2)
+        if scale is not None:
+            spm = spm * scale(sm, tm)
+        edge = (_SIMPSON3[0] * sp[:, lo:hi] + _SIMPSON3[1] * spm
+                + _SIMPSON3[2] * np.roll(sp, -a, axis=0)[:, lo + b:hi + b])
+        cols[:, lo:hi, k] = np.roll(node, -a, axis=0)[:, lo + b:hi + b]
+        wts[:, lo:hi, k] = edge
+        cols[:, lo + b:hi + b, 8 + k] = np.roll(node[:, lo:hi], a, axis=0)
+        wts[:, lo + b:hi + b, 8 + k] = np.roll(edge, a, axis=0)
+    ok = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(ok.sum(axis=2).ravel())])
     graph = BandGraph(patch, n_sd, n_td, s_d, t_d,
-                      np.concatenate(rows_all), np.concatenate(cols_all),
-                      np.concatenate(wts_all))
+                      csr_matrix((wts[ok], cols[ok], indptr),
+                                 shape=(n_sd * n_td,) * 2))
     if scale is None:
-        patch._dist_graphs[key] = graph
+        patch._dist_graphs[n_sd, n_td] = graph
     return graph
 
 
 def _point_link_edges(graph: BandGraph, pts: np.ndarray, scale=None):
-    """Bidirectional edges between injected points and nearby grid nodes."""
+    """Edges (point index, grid node, length) from each injected point to the
+    4x4 grid nodes around it."""
     patch = graph.patch
-    ds = patch.length / graph.n_sd
-    dt = graph.t_d[1] - graph.t_d[0]
-    i0 = np.floor(pts[:, 0] / ds).astype(int)
-    j0 = np.clip(np.floor((pts[:, 1] - graph.t_d[0]) / dt).astype(int),
+    h_s, h_t = patch.length / graph.n_sd, graph.t_d[1] - graph.t_d[0]
+    i0 = np.floor(pts[:, 0] / h_s).astype(int)
+    j0 = np.clip(np.floor((pts[:, 1] - graph.t_d[0]) / h_t).astype(int),
                  0, graph.n_td - 2)
-    rows, cols, wts = [], [], []
-    for di in (-1, 0, 1, 2):
-        for dj in (-1, 0, 1, 2):
-            gi = (i0 + di) % graph.n_sd
-            gj = j0 + dj
-            ok = (gj >= 0) & (gj < graph.n_td)
-            pid = graph.n_nodes + np.nonzero(ok)[0]
-            node = gi[ok] * graph.n_td + gj[ok]
-            seg = _segment_lengths(patch, pts[ok, 0], pts[ok, 1],
-                                   pts[ok, 0] + wrap_difference(
-                                       graph.s_d[gi[ok]], pts[ok, 0], patch.length),
-                                   graph.t_d[gj[ok]], scale)
-            rows.extend([pid, node])
-            cols.extend([node, pid])
-            wts.extend([seg, seg])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(wts)
+    gi = (i0[:, None] + np.repeat(_LINK_STEPS, 4)) % graph.n_sd
+    gj = j0[:, None] + np.tile(_LINK_STEPS, 4)
+    ok = (gj >= 0) & (gj < graph.n_td)
+    p = np.nonzero(ok)[0]
+    gi, gj, s0 = gi[ok], gj[ok], pts[p, 0]
+    seg = _segment_lengths(patch, s0, pts[p, 1],
+                           s0 + wrap_difference(graph.s_d[gi], s0, patch.length),
+                           graph.t_d[gj], scale)
+    return p, gi * graph.n_td + gj, seg
 
 
-def _direct_edges(patch, pts: np.ndarray, pairs: np.ndarray, base_id: int, scale=None):
-    """Direct quadrature edges between injected point pairs (short chords)."""
+def _direct_edges(patch, pts: np.ndarray, pairs: np.ndarray, scale=None):
+    """Direct quadrature lengths of the injected point pairs (short chords)."""
     i, j = pairs[:, 0], pairs[:, 1]
     dsw = wrap_difference(pts[j, 0], pts[i, 0], patch.length)
-    seg = _segment_lengths(patch, pts[i, 0], pts[i, 1], pts[i, 0] + dsw, pts[j, 1],
-                           scale, weights=_SIMPSON5, nodes=_SIMPSON5_X)
-    rows = np.concatenate([base_id + i, base_id + j])
-    cols = np.concatenate([base_id + j, base_id + i])
-    return rows, cols, np.concatenate([seg, seg])
+    return _segment_lengths(patch, pts[i, 0], pts[i, 1], pts[i, 0] + dsw,
+                            pts[j, 1], scale, weights=_SIMPSON5, nodes=_SIMPSON5_X)
 
 
 def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
@@ -216,11 +200,25 @@ def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
     the distance from the nearest source.  Distances above `limit` are
     `inf`."""
     graph = build_band_graph(patch, scale=scale)
-    lr, lc, lw = _point_link_edges(graph, pts, scale)
-    dr, dc, dw = _direct_edges(patch, pts, pairs, graph.n_nodes, scale)
-    csr = graph.csr((np.concatenate([lr, dr]), np.concatenate([lc, dc]),
-                     np.concatenate([lw, dw])), n_extra=len(pts))
-    ids = graph.n_nodes + np.arange(len(pts))
+    base, n, m = graph.csr, graph.n_nodes, len(pts)
+    p, node, link = _point_link_edges(graph, pts, scale)
+    chord = _direct_edges(patch, pts, pairs, scale)
+    # grid -> point links go to the ends of their grid rows ...
+    ends = base.indptr[node + 1]
+    data = [np.insert(base.data, ends, link)]
+    indices = [np.insert(base.indices, ends, n + p)]
+    indptr = [base.indptr + np.concatenate([[0], np.cumsum(np.bincount(
+        node, minlength=n))])]
+    # ... and the point rows (links to the grid, direct edges) follow them
+    i, j = pairs[:, 0], pairs[:, 1]
+    rows = np.concatenate([p, i, j])
+    order = np.argsort(rows, kind="stable")
+    data.append(np.concatenate([link, chord, chord])[order])
+    indices.append(np.concatenate([node, n + j, n + i])[order])
+    indptr.append(indptr[0][-1] + np.cumsum(np.bincount(rows, minlength=m)))
+    csr = csr_matrix((np.concatenate(data), np.concatenate(indices),
+                      np.concatenate(indptr)), shape=(n + m, n + m))
+    ids = n + np.arange(m)
     dist = dijkstra(csr, directed=True, indices=ids[:n_sources],
                     min_only=min_only, limit=limit)
     return dist[..., ids]
@@ -278,18 +276,26 @@ def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
     return field[ns:]
 
 
+def _eight_neighbor(graph: BandGraph) -> csr_matrix:
+    """The 8-neighbor stencil graph: the edges of `graph` with |di|, |dj| <= 1."""
+    csr = graph.csr
+    rows = np.repeat(np.arange(graph.n_nodes), np.diff(csr.indptr))
+    di = (csr.indices // graph.n_td - rows // graph.n_td + 1) % graph.n_sd
+    dj = csr.indices % graph.n_td - rows % graph.n_td
+    keep = (di <= 2) & (np.abs(dj) <= 1)
+    indptr = np.concatenate([[0], np.cumsum(keep)])[csr.indptr]
+    return csr_matrix((csr.data[keep], csr.indices[keep], indptr), shape=csr.shape)
+
+
 def estimate_stencil_error(patch) -> float:
     """Max relative gap between 8- and 16-neighbor shortest paths on the band,
     from a central source.  Both overestimate; the gap bounds the anisotropy
     improvement still available and serves as the documented error estimate.
     """
-    dist_grid = default_dist_grid(patch, n_sd=128)
-    fields = {}
-    for stencil in (8, 16):
-        graph = build_band_graph(patch, dist_grid, stencil)
-        node = 0 * graph.n_td + (graph.n_td - 1) // 2
-        fields[stencil] = dijkstra(graph.csr(), directed=True, indices=node)
-    d8, d16 = fields[8], fields[16]
+    graph = build_band_graph(patch, default_dist_grid(patch, n_sd=128))
+    node = (graph.n_td - 1) // 2
+    d8, d16 = (dijkstra(g, directed=True, indices=node)
+               for g in (_eight_neighbor(graph), graph.csr))
     mask = d16 > 0.25 * np.median(d16)
     if not mask.any():
         return 0.0

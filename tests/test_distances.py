@@ -3,11 +3,40 @@ import pytest
 
 from lagbound import distances
 from lagbound.config import build_patch_from_spec
-from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _segment_lengths,
-                                pairwise_point_distances,
+from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _eight_neighbor,
+                                _segment_lengths, build_band_graph,
+                                default_dist_grid, pairwise_point_distances,
                                 set_to_points_distance)
 from lagbound.numerics import wrap_difference
-from lagbound.surface import sphere_band
+from lagbound.surface import hyperbolic_band, plane_annulus, sphere_band
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+BANDS = {
+    "sphere": lambda: sphere_band(0.6, (512, 129)),
+    "hyperbolic": lambda: hyperbolic_band(0.6, (512, 129)),
+    "plane": lambda: plane_annulus(2.0, 1.0, (512, 129)),
+    "spec": lambda: build_patch_from_spec({
+        "length": 2 * np.pi, "halfwidth": 0.6, "kappa": "0.1*cos(s)",
+        "gauss": "0.3 + 0.1*sin(s)*exp(-t*t)", "grid": [512, 129]}),
+}
+
+
+def _dyadic_band():
+    """A band whose graph nodes and stencil steps are exact binary fractions,
+    so a quadrature reference rounds no step of its own."""
+    return build_patch_from_spec({
+        "length": 8.0, "halfwidth": 0.5, "kappa": "0.05*cos(pi*s/4)",
+        "gauss": "0.3 + 0.2*sin(pi*s/4)*exp(-t*t)", "grid": [512, 129]})
+
+
+def _phi_scale(s, t):  # a conformal factor of period 8 in s
+    return np.exp(0.2 * np.sin(np.pi * s / 4) * t + 0.1 * t * t)
+
+
+@pytest.fixture(scope="module", params=sorted(BANDS))
+def band(request):
+    return BANDS[request.param]()
 
 
 def _captured_graphs(monkeypatch):
@@ -57,3 +86,87 @@ class TestQueryGraph:
         for r, c, w in zip(coo.row[direct] - base, coo.col[direct] - base,
                            coo.data[direct]):
             assert w == pytest.approx(_chord(short, pts, r, c), rel=1e-12)
+
+
+def _edge_ends(graph, csr):
+    """(s0, t0, s1, t1) of every stored entry: its row's node, and that node
+    moved by the entry's stencil step."""
+    coo = csr.tocoo()
+    i, j = np.divmod(coo.row, graph.n_td)
+    i2, j2 = np.divmod(coo.col, graph.n_td)
+    di = (i2 - i + 2) % graph.n_sd - 2
+    h_s, h_t = graph.patch.length / graph.n_sd, graph.t_d[1] - graph.t_d[0]
+    s0, t0 = graph.s_d[i], graph.t_d[j]
+    return coo, s0, t0, s0 + di * h_s, t0 + (j2 - j) * h_t
+
+
+def _eight_stencil_reference(patch, dist_grid):
+    """The 8-neighbor graph built edge by edge in both directions."""
+    n_sd, n_td = dist_grid
+    s_d = np.arange(n_sd) * (patch.length / n_sd)
+    t_d = np.linspace(patch.t[0], patch.t[-1], n_td)
+    h_s, h_t = patch.length / n_sd, t_d[1] - t_d[0]
+    ii, jj = np.divmod(np.arange(n_sd * n_td), n_td)
+    rows, cols, wts = [], [], []
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            if (a, b) == (0, 0):
+                continue
+            ok = (jj + b >= 0) & (jj + b < n_td)
+            i1, j1 = ii[ok], jj[ok]
+            s0, t0 = s_d[i1], t_d[j1]
+            rows.append(i1 * n_td + j1)
+            cols.append((i1 + a) % n_sd * n_td + j1 + b)
+            wts.append(_segment_lengths(patch, s0, t0, s0 + a * h_s,
+                                        t0 + b * h_t))
+    n = n_sd * n_td
+    return csr_matrix((np.concatenate(wts), (np.concatenate(rows),
+                                             np.concatenate(cols))), shape=(n, n))
+
+
+class TestBandGraph:
+    def test_symmetric(self, band):
+        csr = build_band_graph(band).csr
+        assert (csr != csr.T).nnz == 0
+        assert np.array_equal(np.sort(csr.data), np.sort(csr.T.tocsr().data))
+
+    @pytest.mark.parametrize("scale", [None, _phi_scale])
+    def test_edges_are_segment_quadratures(self, scale):
+        patch = _dyadic_band()
+        graph = build_band_graph(patch, scale=scale)
+        assert graph.t_d[1] - graph.t_d[0] == patch.length / graph.n_sd
+        coo, s0, t0, s1, t1 = _edge_ends(graph, graph.csr)
+        ref = _segment_lengths(patch, s0, t0, s1, t1, scale)
+        assert coo.nnz == graph.n_sd * (16 * graph.n_td - 18)
+        assert np.max(np.abs(coo.data - ref) / ref) <= 1e-15
+
+    def test_eight_neighbor_filter_matches_its_own_build(self):
+        patch = _dyadic_band()
+        dist_grid = default_dist_grid(patch, n_sd=128)
+        got = _eight_neighbor(build_band_graph(patch, dist_grid))
+        ref = _eight_stencil_reference(patch, dist_grid)
+        got.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.max(np.abs(got.data - ref.data) / ref.data) <= 1e-15
+
+    def test_cached_graph_exposes_its_weights(self, band):
+        graph = build_band_graph(band)
+        assert np.size(graph.weights) == graph.csr.nnz
+        assert build_band_graph(band) is graph
+
+    @pytest.mark.parametrize("query", ["pairwise", "set_to_points"])
+    def test_appended_csr_matches_a_coo_build(self, band, monkeypatch, query):
+        graphs = _captured_graphs(monkeypatch)
+        c = np.linspace(0.0, band.length, 48, endpoint=False)
+        pts = np.stack([c + 0.003, 0.2 * np.cos(2 * c)], axis=1)
+        if query == "pairwise":
+            pairwise_point_distances(band, pts)
+        else:
+            set_to_points_distance(band, pts, pts + [0.01, -0.05])
+        (csr,) = graphs
+        coo = csr.tocoo()
+        ref = csr_matrix((coo.data, (coo.row, coo.col)), shape=csr.shape)
+        ids = csr.shape[0] - len(pts) + np.arange(6)
+        assert np.array_equal(dijkstra(csr, indices=ids),
+                              dijkstra(ref, indices=ids))
