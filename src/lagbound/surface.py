@@ -279,16 +279,18 @@ class SurfacePatch:
         w, u, v = state[:3]
         return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
-    def warp_on_columns(self, cols: np.ndarray,
-                        t_vals: np.ndarray) -> dict[str, np.ndarray]:
+    def warp_on_columns(self, cols: np.ndarray, t_vals: np.ndarray,
+                        _stride: int = 1) -> dict[str, np.ndarray]:
         """Warp data at (s[cols], t_i) from the marched grid, keyed as in
         `warp_on_curve`: quintic Hermite interpolation in t between the
-        bracketing rows, with the t-derivatives from the ODE."""
-        h, t = self.t[1] - self.t[0], np.asarray(t_vals, dtype=float)
-        j = np.clip(((t - self.t[0]) // h).astype(int), 0, self.n_t - 2)
+        bracketing rows (`_stride` rows apart), with the t-derivatives from
+        the ODE."""
+        h, t = _stride * (self.t[1] - self.t[0]), np.asarray(t_vals, dtype=float)
+        j = np.clip(((t - self.t[0]) // h).astype(int) * _stride, 0,
+                    self.n_t - 1 - _stride)
         s, x = self.s[cols], (t - self.t[j]) / h
         ends = []
-        for row in (j, j + 1):
+        for row in (j, j + _stride):
             tr = self.t[row]
             w, u, v, y = (f[cols, row] for f in (self.w, self.w_t, self.w_s, self.w_st))
             nk, nks = -_eval2(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)

@@ -108,6 +108,18 @@ class TestWarpData:
             rep = geodesic_curvature(Curve.constant(patch, c, n=patch.n_s))
             assert abs(rep.sup - exact(c)) <= rep.error, c
 
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic"])
+    def test_coarse_lookup_within_its_error(self, name):
+        # at 64x17 the grid lookup's interpolation error dominates |B|
+        patch = self.BANDS[name][0]((64, 17))
+        for amps in ({2: 0.4}, {3: 0.2}, {2: 0.2, 5: 0.05}, {4: 0.1}):
+            curve = trig_curve(patch, amps, n=64)
+            rep = geodesic_curvature(curve)
+            ref = Curve.from_callables(patch, *curve.fns, n=64)
+            ref._cache["warp"] = patch.warp_on_curve(ref.s, ref.xi, n_steps=2000)
+            exact = geodesic_curvature(ref, _with_error=False).sup
+            assert abs(rep.sup - exact) <= rep.error, amps
+
     def test_column_curves_read_the_grid(self, sphere, monkeypatch):
         calls = []
         original = surface._warp_rhs
