@@ -1,9 +1,12 @@
 """Shortest-path distances on a patch in the band metric w^2 ds^2 + dt^2.
 
 The band is discretized on a decimated uniform grid (wrapping in s) and turned
-into a weighted graph whose edges follow a wide stencil of lattice directions;
-edge weights are Simpson quadratures of the metric length of the straight
-coordinate segment.  Shortest paths are computed with scipy's Dijkstra.
+into a weighted graph whose edges follow the 16-neighbor stencil of lattice
+directions; edge weights are Simpson quadratures of the metric length of the
+straight coordinate segment.  The build evaluates w once at the nodes and once
+at each undirected edge's midpoint, and stores each edge in both directions,
+so the graph is exactly symmetric; it is kept as a CSR matrix, cached per grid
+on the patch.  Shortest paths are computed with scipy's Dijkstra.
 
 Two refinements keep point queries sharp:
 
@@ -11,6 +14,9 @@ Two refinements keep point queries sharp:
   grid nodes, which removes snapping error from curve-to-curve queries;
 * nearby injected points are additionally joined by direct quadrature edges,
   so short chords are measured by quadrature rather than by grid hops.
+
+A query graph is the cached CSR with the grid -> point links inserted at the
+ends of their rows and the point rows appended, so no query re-sorts the grid.
 
 `pairwise_point_distances` and `set_to_points_distance` are the one place that
 chooses between formula and graph: on a flat cylinder without a conformal
@@ -25,7 +31,8 @@ scans pass the cap 1, the only range in which a pair can set epsilon.
 
 The stencil overestimates oblique distances by at most its anisotropy ratio
 (about 2.8% for the 16-neighbor stencil); the comparison between the 8- and
-16-neighbor results provides the per-patch empirical error estimate.
+16-neighbor results provides the per-patch empirical error estimate, with the
+8-neighbor graph filtered from the 16-neighbor one on the same grid.
 """
 
 from __future__ import annotations
@@ -172,14 +179,6 @@ def _point_link_edges(graph: BandGraph, pts: np.ndarray, scale=None):
     return p, gi * graph.n_td + gj, seg
 
 
-def _direct_edges(patch, pts: np.ndarray, pairs: np.ndarray, scale=None):
-    """Direct quadrature lengths of the injected point pairs (short chords)."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    dsw = wrap_difference(pts[j, 0], pts[i, 0], patch.length)
-    return _segment_lengths(patch, pts[i, 0], pts[i, 1], pts[i, 0] + dsw,
-                            pts[j, 1], scale, weights=_SIMPSON5, nodes=_SIMPSON5_X)
-
-
 def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
     """Each unordered index pair {i, i+k mod n} with k <= k_max once, shifted
     by a block offset."""
@@ -202,7 +201,10 @@ def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
     graph = build_band_graph(patch, scale=scale)
     base, n, m = graph.csr, graph.n_nodes, len(pts)
     p, node, link = _point_link_edges(graph, pts, scale)
-    chord = _direct_edges(patch, pts, pairs, scale)
+    i, j = pairs[:, 0], pairs[:, 1]
+    s_j = pts[i, 0] + wrap_difference(pts[j, 0], pts[i, 0], patch.length)
+    chord = _segment_lengths(patch, pts[i, 0], pts[i, 1], s_j, pts[j, 1], scale,
+                             _SIMPSON5, _SIMPSON5_X)  # direct edges
     # grid -> point links go to the ends of their grid rows ...
     ends = base.indptr[node + 1]
     data = [np.insert(base.data, ends, link)]
@@ -210,7 +212,6 @@ def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
     indptr = [base.indptr + np.concatenate([[0], np.cumsum(np.bincount(
         node, minlength=n))])]
     # ... and the point rows (links to the grid, direct edges) follow them
-    i, j = pairs[:, 0], pairs[:, 1]
     rows = np.concatenate([p, i, j])
     order = np.argsort(rows, kind="stable")
     data.append(np.concatenate([link, chord, chord])[order])
