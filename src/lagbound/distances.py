@@ -134,7 +134,7 @@ def build_band_graph(patch, dist_grid=None, scale=None) -> BandGraph:
     sc = 1.0 if scale is None else scale(ss, tt)
     node = np.arange(n_sd * n_td).reshape(n_sd, n_td)
     # slot k holds the edge along _HALF_STENCIL[k], slot 8 + k its reverse
-    cols = np.full((n_sd, n_td, 16), -1)
+    cols = np.full((n_sd, n_td, 16), -1, dtype=np.int32)
     wts = np.empty((n_sd, n_td, 16))
     for k, (a, b) in enumerate(_HALF_STENCIL):
         ds, dt = a * h_s, b * h_t
@@ -190,36 +190,38 @@ def _ring_pairs(n: int, k_max: int, offset: int = 0) -> np.ndarray:
     return np.concatenate(pairs) + offset if pairs else np.empty((0, 2), dtype=int)
 
 
-def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
-                        n_sources: int, scale=None, min_only: bool = False,
-                        limit: float = np.inf) -> np.ndarray:
-    """Shortest paths from the first `n_sources` of `pts` to every point of
-    `pts`, all injected into the band graph; each index pair in `pairs` is
-    also joined by a direct quadrature edge.  With `min_only` the result is
-    the distance from the nearest source.  Distances above `limit` are
-    `inf`."""
+def _query_graph(patch, pts: np.ndarray, pairs: np.ndarray, scale=None):
+    """The band graph with `pts` appended as nodes n_nodes + k, each linked to
+    the grid around it; each index pair in `pairs` is also joined by a direct
+    quadrature edge.  New entries go to the ends of their rows."""
     graph = build_band_graph(patch, scale=scale)
     base, n, m = graph.csr, graph.n_nodes, len(pts)
     p, node, link = _point_link_edges(graph, pts, scale)
     i, j = pairs[:, 0], pairs[:, 1]
     s_j = pts[i, 0] + wrap_difference(pts[j, 0], pts[i, 0], patch.length)
     chord = _segment_lengths(patch, pts[i, 0], pts[i, 1], s_j, pts[j, 1], scale,
-                             _SIMPSON5, _SIMPSON5_X)  # direct edges
-    # grid -> point links go to the ends of their grid rows ...
-    ends = base.indptr[node + 1]
-    data = [np.insert(base.data, ends, link)]
-    indices = [np.insert(base.indices, ends, n + p)]
-    indptr = [base.indptr + np.concatenate([[0], np.cumsum(np.bincount(
-        node, minlength=n))])]
-    # ... and the point rows (links to the grid, direct edges) follow them
-    rows = np.concatenate([p, i, j])
+                             _SIMPSON5, _SIMPSON5_X)
+    rows = np.concatenate([node, n + p, n + i, n + j])
     order = np.argsort(rows, kind="stable")
-    data.append(np.concatenate([link, chord, chord])[order])
-    indices.append(np.concatenate([node, n + j, n + i])[order])
-    indptr.append(indptr[0][-1] + np.cumsum(np.bincount(rows, minlength=m)))
-    csr = csr_matrix((np.concatenate(data), np.concatenate(indices),
-                      np.concatenate(indptr)), shape=(n + m, n + m))
-    ids = n + np.arange(m)
+    cols = np.concatenate([n + p, node, n + j, n + i])[order]
+    wts = np.concatenate([link, link, chord, chord])[order]
+    ends = np.concatenate([base.indptr, np.full(m, base.nnz)])
+    at = ends[rows[order] + 1]
+    counts = np.bincount(rows, minlength=n + m)
+    indptr = ends + np.concatenate([[0], np.cumsum(counts)])
+    return csr_matrix((np.insert(base.data, at, wts),
+                       np.insert(base.indices, at, cols), indptr),
+                      shape=(n + m, n + m))
+
+
+def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
+                        n_sources: int, scale=None, min_only: bool = False,
+                        limit: float = np.inf) -> np.ndarray:
+    """Shortest paths from the first `n_sources` of `pts` to every point of
+    `pts` on `_query_graph`.  With `min_only` the result is the distance
+    from the nearest source.  Distances above `limit` are `inf`."""
+    csr = _query_graph(patch, pts, pairs, scale)
+    ids = csr.shape[0] - len(pts) + np.arange(len(pts))
     dist = dijkstra(csr, directed=True, indices=ids[:n_sources],
                     min_only=min_only, limit=limit)
     return dist[..., ids]
