@@ -248,7 +248,8 @@ def _dispatch(args) -> int:
         path = write_csv(os.path.join(config.out_dir, f"sasaki_{args.base}.csv"),
                          ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
                          rows, {"base": args.base, "seed": config.seed,
-                                "step": args.step})
+                                "step": args.step,
+                                "halving_error": traj.halving_error})
         print(path)
         print(f"max parabola residual {np.max(fit.max_residual):.3e}, "
               f"max leading gap "

@@ -21,7 +21,9 @@ Implements:
 
       X~ = X^h + (cov_X xi)^v,        Z~ = Z^v - ((cov xi)* Z)^h,
 
-  via exact symbolic covariant derivatives of closed-form H;
+  from exact symbolic jets of closed-form H (its derivatives up to third
+  order, with the conformal factor's up to second), contracted with the
+  Christoffel symbols in numpy;
 
 * the length sandwich d_base <= d_graph <= sqrt(1 + |cov xi|^2) d_base
   checked by quadrature along lifted base geodesics.
@@ -29,6 +31,7 @@ Implements:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,19 +389,6 @@ def random_sasaki_states(base, n: int,
 # gradient graphs and their second fundamental form
 # ---------------------------------------------------------------------------
 
-def _lambdify_stack(exprs: list, shape: tuple) -> callable:
-    fn = sp.lambdify((_U1, _U2), exprs, modules="numpy")
-
-    def wrapped(u: np.ndarray) -> np.ndarray:
-        vals = fn(u[..., 0], u[..., 1])
-        out = np.empty(u.shape[:-1] + (len(exprs),))
-        for j, v in enumerate(vals):
-            out[..., j] = v
-        return out.reshape(u.shape[:-1] + shape)
-
-    return wrapped
-
-
 def _op_norms(t_mat: np.ndarray) -> np.ndarray:
     """Operator norms of the symmetric 2x2 frame matrices T (..., 2, 2)."""
     mean = 0.5 * (t_mat[..., 0, 0] + t_mat[..., 1, 1])
@@ -407,53 +397,72 @@ def _op_norms(t_mat: np.ndarray) -> np.ndarray:
     return np.abs(mean) + rad
 
 
-def _chart_tensor_functions(h_expr, phi_expr):
-    """Exact frame tensors of xi = grad(H) on a conformal chart.
+# A jet keeps the r + 1 distinct derivatives of order r, by how many of the
+# indices are u2, so tensor entry [i, j, ...] is entry i + j + ... of its order.
+_IDX2 = np.add.outer(np.arange(2), np.arange(2))
+_IDX3 = np.add.outer(_IDX2, np.arange(2))
 
-    Returns callables for (in the orthonormal frame): the field xi, its
-    covariant derivative T (symmetric), and the covariant derivative of T.
-    """
+
+def _chart_jet(h_expr, phi_expr):
+    """Exact derivatives on one conformal chart, compiled into one function
+    of the points u (..., 2): phi and its first and second derivatives, then
+    the first, second and third derivatives of H, stacked as (15, ...)."""
     u = (_U1, _U2)
-    lam2 = sp.exp(2 * phi_expr)
-    lam = sp.exp(phi_expr)
-    dphi = [sp.diff(phi_expr, ui) for ui in u]
-    dh = [sp.diff(h_expr, ui) for ui in u]
-    xi = [dh[i] / lam2 for i in range(2)]
+    exprs = []
+    for f, orders in ((phi_expr, range(3)), (h_expr, range(1, 4))):
+        level = [f]  # the distinct derivatives of order r
+        for r in range(orders[-1] + 1):
+            if r:
+                level = ([sp.diff(level[0], u[0])]
+                         + [sp.diff(d, u[1]) for d in level])
+            if r in orders:
+                exprs.extend(level)
+    fn = sp.lambdify(u, exprs, modules="numpy", cse=True)
+    # constant derivatives come back as scalars: broadcast them to the points
+    return lambda pts: np.array(np.broadcast_arrays(
+        pts[..., 0], *fn(pts[..., 0], pts[..., 1]))[1:])
 
-    def gamma(i, j, k):
-        out = sp.Integer(0)
-        if i == j:
-            out += dphi[k]
-        if i == k:
-            out += dphi[j]
-        if j == k:
-            out -= dphi[i]
-        return out
 
-    t_mat = [[sp.diff(xi[i], u[k]) + sum(gamma(i, k, m) * xi[m] for m in range(2))
-              for k in range(2)] for i in range(2)]
-    grad_t = [[[sp.diff(t_mat[i][k], u[j])
-                + sum(gamma(i, j, l) * t_mat[l][k] for l in range(2))
-                - sum(gamma(l, j, k) * t_mat[i][l] for l in range(2))
-                for k in range(2)] for j in range(2)] for i in range(2)]
+def _christoffel(v: np.ndarray) -> np.ndarray:
+    """[i, j, k] = d_ij v_k + d_ik v_j - d_jk v_i for v (2, ...): the
+    Christoffel symbols G^i_jk of g = e^{2 phi} delta when v = grad phi."""
+    eye = np.eye(2).reshape((2, 2) + (1,) * (v.ndim - 1))
+    return (eye[:, :, None] * v[None, None] + eye[:, None] * v[None, :, None]
+            - eye[None] * v[:, None, None])
 
-    xi_frame = [lam * xi[i] for i in range(2)]
-    a_frame = [[[grad_t[i][j][k] / lam for k in range(2)] for j in range(2)]
-               for i in range(2)]
-    flat_t = [t_mat[i][k] for i in range(2) for k in range(2)]
-    flat_a = [a_frame[i][j][k] for i in range(2) for j in range(2)
-              for k in range(2)]
-    return (_lambdify_stack(xi_frame, (2,)),
-            _lambdify_stack(flat_t, (2, 2)),
-            _lambdify_stack(flat_a, (2, 2, 2)))
+
+def _frame_tensors(jet: np.ndarray):
+    """xi = grad H, T = cov xi and A = cov T in the orthonormal frame, from a
+    chart jet (15, n), each with the point axis first.
+
+    The covariant Hessian S_ik = H_ik - G^m_ik H_m is symmetric bit for bit,
+    since G^m_ik is.  T = e^{-2 phi} S is a (1,1) tensor, so its frame and
+    coordinate components agree; (cov_j T)^i_k = e^{-2 phi} (cov_j S)_ik is
+    a (1,2) tensor, stored at A[i, j, k] with the frame factor e^{-phi}, and
+    the frame xi is e^{-phi} dH.
+    """
+    phi, dphi, ddphi = jet[0], jet[1:3], jet[3:6][_IDX2]
+    dh, ddh, dddh = jet[6:8], jet[8:11][_IDX2], jet[11:15][_IDX3]
+    gam = _christoffel(dphi)
+    hess = ddh - np.einsum("mikn,mn->ikn", gam, dh)
+    # [i, k, j] = d_j S_ik, then cov_j S_ik
+    d_hess = (dddh - np.einsum("mikjn,mn->ikjn", _christoffel(ddphi), dh)
+              - np.einsum("mikn,mjn->ikjn", gam, ddh))
+    cov = (d_hess - np.einsum("mjin,mkn->ikjn", gam, hess)
+           - np.einsum("mjkn,imn->ikjn", gam, hess))
+    e = np.exp(-phi)
+    return (np.moveaxis(e * dh, -1, 0), np.moveaxis(e * e * hess, -1, 0),
+            np.moveaxis(e ** 3 * cov.swapaxes(1, 2), -1, 0))
 
 
 class GradientGraph:
     """Graph of amplitude * grad(H) in the tangent bundle of a base manifold.
 
-    H is given as one sympy expression per chart in the symbols (u1, u2); all
-    covariant derivatives are generated symbolically, so the tiny monotonicity
-    margins are not polluted by numerical differentiation.
+    H is given as one sympy expression per chart in the symbols (u1, u2).
+    The derivatives of H and of the conformal factor are exact symbolic jets
+    (`_chart_jet`), and only their contraction with the Christoffel symbols
+    into xi, T and A runs in numpy (`_frame_tensors`), so the tiny
+    monotonicity margins are not polluted by numerical differentiation.
     """
 
     def __init__(self, base, h_exprs, amplitude: float = 1.0, name: str = "graph"):
@@ -463,17 +472,14 @@ class GradientGraph:
         self.name = name
         if len(self.h_exprs) != len(base.phi_exprs):
             raise ValueError("one H expression per chart is required")
-        self._fns = [_chart_tensor_functions(h, p)
-                     for h, p in zip(self.h_exprs, base.phi_exprs)]
+        self._jets = [_chart_jet(h, p)
+                      for h, p in zip(self.h_exprs, base.phi_exprs)]
         self._samples = None
         self._unit_t = []  # unit T on the default samples, for grad_bound
 
     def with_amplitude(self, amplitude: float) -> "GradientGraph":
-        g = GradientGraph.__new__(GradientGraph)
-        g.base, g.h_exprs, g.name = self.base, self.h_exprs, self.name
-        g.amplitude = float(amplitude)
-        g._fns, g._unit_t = self._fns, self._unit_t
-        g._samples = None
+        g = copy.copy(self)  # shares the compiled jets and the unit T
+        g.amplitude, g._samples = float(amplitude), None
         return g
 
     def default_samples(self, n: int = 1600):
@@ -481,44 +487,37 @@ class GradientGraph:
             self._samples = self.base.sample_points(n)
         return self._samples
 
-    def _unit_tensor(self, j: int, coords: np.ndarray,
-                     charts: np.ndarray) -> np.ndarray:
-        """Tensor j (0: xi, 1: T, 2: A) of the unit-amplitude graph."""
-        out = np.empty(coords.shape[:-1] + ((2,), (2, 2), (2, 2, 2))[j])
-        for cid, fns in enumerate(self._fns):
+    def frame_data(self, coords: np.ndarray, charts: np.ndarray) -> dict:
+        """Frame tensors at the given points: xi (.,2), T (.,2,2), A (.,2,2,2);
+        each chart's jet is evaluated once."""
+        out = [np.empty(coords.shape[:-1] + (2,) * r) for r in (1, 2, 3)]
+        for cid, jet in enumerate(self._jets):
             mask = charts == cid
             if np.any(mask):
-                out[mask] = fns[j](coords[mask])
-        return out
-
-    def frame_data(self, coords: np.ndarray, charts: np.ndarray) -> dict:
-        """Frame tensors at the given points: xi (.,2), T (.,2,2), A (.,2,2,2)."""
-        return {key: self.amplitude * self._unit_tensor(j, coords, charts)
-                for j, key in enumerate(("xi", "T", "A"))}
+                for arr, val in zip(out, _frame_tensors(jet(coords[mask]))):
+                    arr[mask] = val
+        return {key: self.amplitude * arr
+                for key, arr in zip(("xi", "T", "A"), out)}
 
     def grad_bound(self) -> float:
         """max |grad xi| over the default samples.  T is linear in the
         amplitude, so the unit T there is evaluated once per symbolic build."""
         if not self._unit_t:
-            self._unit_t.append(self._unit_tensor(1, *self.default_samples()))
+            unit = self.with_amplitude(1.0)
+            self._unit_t.append(unit.frame_data(*self.default_samples())["T"])
         return float(np.max(_op_norms(self.amplitude * self._unit_t[0])))
-
-    def hessian_symmetry_gap(self) -> float:
-        coords, charts = self.default_samples()
-        t_mat = self.frame_data(coords, charts)["T"]
-        return float(np.max(np.abs(t_mat[..., 0, 1] - t_mat[..., 1, 0])))
 
 
 def torus_gradient_graph(eps: float, mode: int = 1) -> GradientGraph:
-    return GradientGraph(FlatTorus(), (eps * sp.cos(mode * _U1),),
+    return GradientGraph(FlatTorus(), (sp.cos(mode * _U1),), amplitude=eps,
                          name=f"torus_cos{mode}_{eps:g}")
 
 
 def sphere_harmonic_graph(eps: float) -> GradientGraph:
     r2 = _U1 ** 2 + _U2 ** 2
-    north = eps * (r2 - 1) / (r2 + 1)
-    south = eps * (1 - r2) / (r2 + 1)
-    return GradientGraph(RoundSphere(), (north, south),
+    north = (r2 - 1) / (r2 + 1)
+    south = (1 - r2) / (r2 + 1)
+    return GradientGraph(RoundSphere(), (north, south), amplitude=eps,
                          name=f"sphere_harmonic_{eps:g}")
 
 

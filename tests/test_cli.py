@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lagbound import sasaki as sas
 from lagbound.cli import main
 from lagbound.config import (DEFAULT_TOLERANCES, build_patch_from_spec,
                              load_config, parse_curve_spec)
 from lagbound.curves import Curve, geodesic_curvature
 from lagbound.errors import ConfigError
 from lagbound.exactness import build_contraction, contraction_bounds_check
+from lagbound.report import format_float
 from lagbound.surface import flat_cylinder, sphere_band
 
 GRID = "--grid", "256x65"
@@ -124,6 +126,18 @@ class TestOtherCommands:
     def test_sasaki_command(self, tmp_path):
         assert run("sasaki", "--base", "flat_torus", "--states", "2",
                    "--horizon", "2", "--out", str(tmp_path)) == 0
+
+    def test_sasaki_csv_records_the_halving_error(self, tmp_path):
+        assert run("sasaki", "--base", "round_sphere", "--states", "2",
+                   "--horizon", "0.5", "--seed", "5", "--out",
+                   str(tmp_path)) == 0
+        lines = (tmp_path / "sasaki_round_sphere.csv").read_text().splitlines()
+        meta = dict(item.split("=") for item in lines[0].split(",")[1:])
+        assert lines[1] == "state,t,x1,x2,y1,y2,y_norm2"
+        base = sas.base_manifold("round_sphere")
+        states = sas.random_sasaki_states(base, 2, np.random.default_rng(5))
+        traj = sas.sasaki_geodesic(base, states, horizon=0.5)
+        assert meta["halving_error"] == format_float(traj.halving_error)
 
     def test_sasaki_sphere_sweep_export(self, tmp_path):
         assert run("sasaki", "--base", "round_sphere", "--sweep", "0.01",

@@ -50,6 +50,21 @@ class TestGeodesics:
         y_expect = ((0.2 + 0.05 * t) ** 2 + (-0.1 + 0.3 * t) ** 2)
         assert np.max(np.abs(traj.y_norm2[:, 0] - y_expect)) < 1e-12
 
+    def test_flat_torus_batch_closed_form(self):
+        # the bundle metric over the flat torus is flat: straight base lines,
+        # affine fibers, constant v and Z
+        base = base_manifold("flat_torus")
+        states = random_sasaki_states(base, 25, np.random.default_rng(3))
+        traj = sasaki_geodesic(base, states, horizon=10.0, step=1e-2)
+        t = traj.times[:, None, None]
+        x0, v0, y0, z0 = (np.array([getattr(s, f) for s in states])
+                          for f in ("x", "v", "y", "z"))
+        assert np.max(np.abs(traj.x - (x0 + t * v0))) <= 1e-11
+        assert np.max(np.abs(traj.y - (y0 + t * z0))) <= 1e-11
+        assert np.max(np.abs(traj.v - v0)) <= 1e-11
+        assert np.max(np.abs(traj.z - z0)) <= 1e-11
+        assert traj.halving_error <= 1e-11
+
     def test_zero_fiber_velocity_constant_norm(self):
         base = base_manifold("round_sphere")
         st = SasakiState(x=np.array([0.2, -0.3]), v=np.array([0.5, 0.4]),
@@ -99,6 +114,21 @@ class TestGeodesics:
             sasaki_geodesic(base, st, horizon=8.0, step=0.5)
 
 
+def _count_jet_calls(graph):
+    """Wrap the graph's per-chart jets; the returned list records the chart
+    of every jet evaluation."""
+    calls = []
+
+    def counted(cid, jet):
+        def run(u):
+            calls.append(cid)
+            return jet(u)
+        return run
+
+    graph._jets[:] = [counted(cid, jet) for cid, jet in enumerate(graph._jets)]
+    return calls
+
+
 def _reference_sweep(graph, t_grid, n_theta, samples):
     """The frame form evaluated scale by scale on the normalized frame
     x~ = x^ / nu: the per-scale formula the block sweep must reproduce."""
@@ -136,7 +166,98 @@ def _sphere_xz_graph(eps):
                          name=f"sphere_xz_{eps:g}")
 
 
+def _mixed_torus_graph():
+    """A torus H with every third derivative nonzero, so each H_ijk term is
+    exercised.  On the torus A = H_ijk is fully symmetric; the sphere graphs
+    exercise A's index order."""
+    u1, u2 = sp.symbols("u1 u2", real=True)
+    return GradientGraph(base_manifold("flat_torus"),
+                         (sp.cos(u1) * sp.sin(2 * u2) + 0.3 * sp.sin(u1 + u2),),
+                         name="torus_mixed")
+
+
+def _reference_chart_tensors(h_expr, phi_expr):
+    """xi, T and A in the orthonormal frame, each differentiated and
+    contracted symbolically and then lambdified: the fully symbolic route
+    the jet assembly must reproduce."""
+    u = sp.symbols("u1 u2", real=True)
+    lam2 = sp.exp(2 * phi_expr)
+    lam = sp.exp(phi_expr)
+    dphi = [sp.diff(phi_expr, ui) for ui in u]
+    xi = [sp.diff(h_expr, ui) / lam2 for ui in u]
+
+    def gamma(i, j, k):
+        return ((dphi[k] if i == j else 0) + (dphi[j] if i == k else 0)
+                - (dphi[i] if j == k else 0))
+
+    t_mat = [[sp.diff(xi[i], u[k]) + sum(gamma(i, k, m) * xi[m] for m in range(2))
+              for k in range(2)] for i in range(2)]
+    grad_t = [[[sp.diff(t_mat[i][k], u[j])
+                + sum(gamma(i, j, l) * t_mat[l][k] for l in range(2))
+                - sum(gamma(l, j, k) * t_mat[i][l] for l in range(2))
+                for k in range(2)] for j in range(2)] for i in range(2)]
+    tensors = ([lam * xi[i] for i in range(2)],
+               [t_mat[i][k] for i in range(2) for k in range(2)],
+               [grad_t[i][j][k] / lam for i in range(2) for j in range(2)
+                for k in range(2)])
+    fns = [sp.lambdify(u, exprs, modules="numpy") for exprs in tensors]
+
+    def evaluate(pts):
+        return [np.stack(np.broadcast_arrays(*fn(pts[:, 0], pts[:, 1])), -1)
+                for fn in fns]
+    return evaluate
+
+
+def _reference_frame_data(graph, coords, charts):
+    out = {key: np.empty(coords.shape[:-1] + shape) for key, shape in
+           (("xi", (2,)), ("T", (2, 2)), ("A", (2, 2, 2)))}
+    for cid, (h, phi) in enumerate(zip(graph.h_exprs, graph.base.phi_exprs)):
+        mask = charts == cid
+        vals = _reference_chart_tensors(h, phi)(coords[mask])
+        for key, val in zip(out, vals):
+            out[key][mask] = graph.amplitude * val.reshape(
+                val.shape[:1] + out[key].shape[1:])
+    return out
+
+
+GRAPHS = {"torus_cos1": lambda: torus_gradient_graph(0.01),
+          "torus_cos2": lambda: torus_gradient_graph(0.02, mode=2),
+          "torus_mixed": _mixed_torus_graph,
+          "sphere_harmonic": lambda: sphere_harmonic_graph(0.01),
+          "sphere_xz": lambda: _sphere_xz_graph(0.1)}
+
+
 class TestGradientGraphs:
+    @pytest.mark.parametrize("graph_id", list(GRAPHS))
+    def test_jets_match_the_symbolic_reference(self, graph_id):
+        graph = GRAPHS[graph_id]()
+        coords, charts = graph.default_samples(1600)
+        data = graph.frame_data(coords, charts)
+        ref = _reference_frame_data(graph, coords, charts)
+        for key in ("xi", "T", "A"):
+            scale = np.max(np.abs(ref[key]))
+            assert scale > 0.0
+            assert np.max(np.abs(data[key] - ref[key])) <= 1e-13 * scale
+
+    def test_graphs_are_built_at_unit_amplitude(self):
+        gg = sphere_harmonic_graph(0.01)
+        unit = sphere_harmonic_graph(1.0)
+        assert gg.name == "sphere_harmonic_0.01"
+        assert gg.h_exprs == unit.h_exprs
+        coords, charts = gg.default_samples()
+        data, unit_data = (g.frame_data(coords, charts) for g in (gg, unit))
+        for key in ("xi", "T", "A"):
+            assert np.array_equal(data[key], 0.01 * unit_data[key])
+        assert torus_gradient_graph(0.02, mode=2).name == "torus_cos2_0.02"
+
+    def test_frame_data_evaluates_each_jet_once(self):
+        gg = sphere_harmonic_graph(0.01)
+        calls = _count_jet_calls(gg)
+        coords, charts = gg.default_samples(400)
+        assert set(charts) == {0, 1}
+        gg.frame_data(coords, charts)
+        assert calls == [0, 1]
+
     @pytest.mark.parametrize("make_graph", [
         lambda: torus_gradient_graph(0.01),
         lambda: torus_gradient_graph(0.02, mode=2),
@@ -192,8 +313,10 @@ class TestGradientGraphs:
                             samples=100)
 
     def test_hessian_symmetry(self):
-        for gg in (torus_gradient_graph(0.1), sphere_harmonic_graph(0.1)):
-            assert gg.hessian_symmetry_gap() < 1e-12
+        for gg in (torus_gradient_graph(0.1), sphere_harmonic_graph(0.1),
+                   _sphere_xz_graph(0.1)):
+            t_mat = gg.frame_data(*gg.default_samples())["T"]
+            assert np.array_equal(t_mat, t_mat.swapaxes(-1, -2))
 
     def test_adjoint_identity(self, rng):
         # |(grad xi)^T Z| = |grad_Z xi| holds by self-adjointness
@@ -259,19 +382,10 @@ class TestSandwich:
     def test_grad_bound_evaluates_the_unit_t_once(self):
         # T is linear in the amplitude: amplitude copies share the unit T
         gg = sphere_harmonic_graph(1.0)
-        calls = []
-
-        def counted(j, f):
-            def run(u):
-                calls.append(j)
-                return f(u)
-            return run
-
-        gg._fns[:] = [tuple(counted(j, f) for j, f in enumerate(fns))
-                      for fns in gg._fns]
+        calls = _count_jet_calls(gg)
         amps = (0.4, 0.2, 0.1, 0.05, 0.025)
         bounds = [gg.with_amplitude(a).grad_bound() for a in amps]
-        assert calls == [1, 1]  # T, once on each chart
+        assert calls == [0, 1]  # once on each chart
         for a, gb in zip(amps, bounds):
             g = gg.with_amplitude(a)
             t_mat = g.frame_data(*g.default_samples())["T"]
