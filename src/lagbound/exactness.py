@@ -45,19 +45,12 @@ def _xi_on_patch_grid(patch: SurfacePatch, curve: Curve) -> np.ndarray:
     return eval_fourier_series(curve.xi, patch.length, patch.s)
 
 
-def _area_of_samples(patch: SurfacePatch, xi_grid: np.ndarray) -> float:
-    h = patch.t[1] - patch.t[0]
-    inner = interp_uniform_rows(patch.cum_w, patch.t[0], h,
-                                np.arange(patch.n_s), xi_grid)
-    return float(np.mean(inner) * patch.length)
-
-
 def area_functional(patch: SurfacePatch, curve: Curve) -> float:
     """Signed area between the graph and the base curve, weighted by the warp."""
     xi_grid = _xi_on_patch_grid(patch, curve)
     if np.max(np.abs(xi_grid)) >= patch.halfwidth:
         raise ValueError("graph leaves the band")
-    return _area_of_samples(patch, xi_grid)
+    return float(_area_batch(patch, xi_grid[None])[0])
 
 
 def _area_batch(patch: SurfacePatch, xi_block: np.ndarray) -> np.ndarray:

@@ -77,7 +77,10 @@ def hausdorff_distance(a: Curve, b: Curve,
 @dataclass
 class RadialCheck:
     rows: list
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(residual <= tol for *_, residual, tol in self.rows)
 
 
 def radial_path_check(section: Curve, scale_pairs,
@@ -92,32 +95,31 @@ def radial_path_check(section: Curve, scale_pairs,
     sup = section.sup_norm()
     patch.require_inside(section.xi)
     rows = []
-    ok = True
     for tv, sv in scale_pairs:
         ca, cb = scaled_curve(section, tv), scaled_curve(section, sv)
         res = hausdorff_distance(ca, cb)
         expected = abs(tv - sv) * sup
-        residual = abs(res.value - expected)
-        tol = tol_factor * res.error
-        ok = ok and residual <= tol
-        rows.append((float(tv), float(sv), res.value, expected, residual, tol))
-    return RadialCheck(rows=rows, ok=ok)
+        rows.append((float(tv), float(sv), res.value, expected,
+                     abs(res.value - expected), tol_factor * res.error))
+    return RadialCheck(rows=rows)
 
 
 def contraction_path_bound_check(path) -> tuple[bool, list]:
     """Check the Lipschitz bound delta_H(graph_a, graph_a') <= 2 |a - a'| max|xi|
     along a contraction path (duck-typed: needs .alphas, .curves, .xi), each
     pair with its measured error as slack.
+
+    Rows carry (a, a', delta_H, bound, delta_H - bound, pass), where pass is
+    delta_H <= bound + error; the check holds when every row passes.
     """
     sup = path.xi.sup_norm()
     rows = []
-    ok = True
     m = len(path.alphas)
     for i in range(m):
         for j in range(i + 1, m):
             res = hausdorff_distance(path.curves[i], path.curves[j])
             bound = 2.0 * abs(path.alphas[i] - path.alphas[j]) * sup
-            ok = ok and res.value <= bound + res.error
             rows.append((float(path.alphas[i]), float(path.alphas[j]),
-                         res.value, bound, res.value - bound))
-    return ok, rows
+                         res.value, bound, res.value - bound,
+                         res.value <= bound + res.error))
+    return all(row[-1] for row in rows), rows

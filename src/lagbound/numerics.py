@@ -7,6 +7,8 @@ All routines operate on plain numpy arrays and are deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -132,34 +134,33 @@ def periodic_bilinear(table: np.ndarray, period: float, t_axis: np.ndarray,
 # uniform-grid barycentric interpolation
 # ---------------------------------------------------------------------------
 
-def _bary_weights(order: int) -> np.ndarray:
-    from math import comb
-
-    return np.array([(-1.0) ** j * comb(order - 1, j) for j in range(order)])
+# the interpolation stencil's node count and barycentric weights (-1)^j C(7, j)
+_ORDER = 8
+_BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(_ORDER - 1, j)
+                          for j in range(_ORDER)])
 
 
 def interp_uniform_rows(table: np.ndarray, x0: float, h: float,
-                        rows: np.ndarray, xq: np.ndarray, order: int = 8) -> np.ndarray:
+                        rows: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """Interpolate table[rows[i], :] at abscissa xq[i], columns on the uniform
-    grid x0 + j*h.  Barycentric Lagrange on a sliding stencil of `order` nodes.
+    grid x0 + j*h.  Barycentric Lagrange on a sliding stencil of 8 nodes.
     """
     table = np.asarray(table, dtype=float)
     xq = np.asarray(xq, dtype=float)
     rows = np.asarray(rows)
     n = table.shape[1]
-    wts = _bary_weights(order)
 
     pos = (xq - x0) / h
-    base = np.floor(pos).astype(int) - (order // 2 - 1)
-    base = np.clip(base, 0, n - order)
-    offs = np.arange(order)
+    base = np.floor(pos).astype(int) - (_ORDER // 2 - 1)
+    base = np.clip(base, 0, n - _ORDER)
+    offs = np.arange(_ORDER)
     idx = base[:, None] + offs[None, :]
     ynode = table[rows[:, None], idx]
     diff = pos[:, None] - idx
     exact = np.isclose(diff, 0.0, atol=1e-14)
     any_exact = exact.any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = wts[None, :] / diff
+        terms = _BARY_WEIGHTS[None, :] / diff
         num = (terms * ynode).sum(axis=1)
         den = terms.sum(axis=1)
         out = num / den

@@ -2,9 +2,10 @@
 classification command.
 
 Each suite check writes one CSV (pass/fail per row with margins and witness
-data) into the output directory; the suite result carries the overall status
-for the process exit code.  All randomness flows from the config seed, so a
-fixed seed reproduces the CSV bundle byte for byte.
+data) into the output directory.  A check passes when every row's `pass` is
+true, and the suite fails, for the process exit code, when any check does.
+All randomness flows from the config seed, so a fixed seed reproduces the CSV
+bundle byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .classify import FamilySpec, generate_family, min_level
 from . import sasaki as sas
 from .config import ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
-from .errors import ParamOutOfRange
 from .exactness import (BoundsCheck, ContractionPath, area_functional,
                         build_contraction, contraction_bounds_check,
                         isotopy_invariant, solve_c_grid)
@@ -34,19 +34,27 @@ __all__ = ["run_lemma_suite", "run_figure", "family_table",
 
 @dataclass
 class CheckResult:
+    """One check's CSV: rows end with their pass flag."""
+
     name: str
-    passed: bool
     columns: list
     rows: list
     meta: dict
     csv_path: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        return all(row[-1] for row in self.rows)
+
 
 @dataclass
 class SuiteResult:
     results: list
-    any_failed: bool
     out_dir: str
+
+    @property
+    def any_failed(self) -> bool:
+        return any(not r.passed for r in self.results)
 
 
 def _suite_params(config: ExperimentConfig) -> dict:
@@ -97,18 +105,16 @@ def _random_trig(patch, rng, sup_target, name="xi"):
 
 def _check_warp_taylor(config, params, patches, rng):
     rows = []
-    ok = True
     tol = config.tolerances["taylor_order"]
     for name, patch in patches.items():
         for s in (0.0, 1.234, 3.7):
             fit = warp_taylor_check(patch, s)
             coeff_gap = float(np.max(np.abs(np.subtract(fit.coefficients,
                                                         fit.expected))))
-            row_ok = fit.remainder_order >= tol and coeff_gap <= 1e-6
-            ok = ok and row_ok
             rows.append((name, s, *fit.coefficients, *fit.expected,
-                         fit.remainder_order, coeff_gap, row_ok))
-    return CheckResult("warp_taylor", ok,
+                         fit.remainder_order, coeff_gap,
+                         fit.remainder_order >= tol and coeff_gap <= 1e-6))
+    return CheckResult("warp_taylor",
                        ["patch", "s", "c0", "c1", "c2", "e0", "e1", "e2",
                         "remainder_order", "coeff_gap", "pass"],
                        rows, {"tol_order": tol})
@@ -116,7 +122,6 @@ def _check_warp_taylor(config, params, patches, rng):
 
 def _check_exact_shift(config, params, patches, rng):
     rows = []
-    ok = True
     tol_area = config.tolerances["area_residual"]
     slack = config.tolerances["lipschitz_slack"]
     alphas = np.linspace(0.0, 1.0, params["n_alpha"])
@@ -141,12 +146,11 @@ def _check_exact_shift(config, params, patches, rng):
             dc = np.abs(c_vals[:, None] - c_vals[None, :])
             da = np.abs(alphas[:, None] - alphas[None, :])
             lip_gap = float(np.max(dc - sup * da))
-            row_ok = (np.max(np.abs(resid)) <= tol_area
-                      and bracket_gap <= 1e-12 and lip_gap <= slack)
-            ok = ok and row_ok
-            rows.append((pname, xi.name, float(np.max(np.abs(resid))),
-                         bracket_gap, lip_gap, row_ok))
-    return CheckResult("exact_shift", ok,
+            max_resid = float(np.max(np.abs(resid)))
+            rows.append((pname, xi.name, max_resid, bracket_gap, lip_gap,
+                         max_resid <= tol_area and bracket_gap <= 1e-12
+                         and lip_gap <= slack))
+    return CheckResult("exact_shift",
                        ["patch", "xi", "max_area_residual", "bracket_gap",
                         "lipschitz_gap", "pass"],
                        rows, {"tol_area": tol_area, "lipschitz_slack": slack})
@@ -163,7 +167,6 @@ def _contraction_suite(config, params, patches, rng):
     tol_b = config.tolerances["contraction_curvature"]
     tol_e = config.tolerances["contraction_tameness"]
     curv_rows, tame_rows = [], []
-    curv_ok = tame_ok = True
     for pname in ("flat_cylinder", "plane_circle", "sphere_equator"):
         patch = patches[pname]
         k_base = _base_curvature(patch)
@@ -173,8 +176,6 @@ def _contraction_suite(config, params, patches, rng):
             path = build_contraction(patch, xi, n_alpha=params["alpha_steps"])
             chk = contraction_bounds_check(path, k=k_base, k_prime=k_base + 0.1,
                                            tol_curv=tol_b, tol_eps=tol_e)
-            curv_ok = curv_ok and chk.curvature_ok
-            tame_ok = tame_ok and chk.tameness_ok
             curv_rows.append((pname, xi.name, chk.max_curvature,
                               chk.curvature_bound,
                               chk.curvature_bound + tol_b - chk.max_curvature,
@@ -185,15 +186,14 @@ def _contraction_suite(config, params, patches, rng):
                               chk.tameness_ok))
     cols_c = ["patch", "xi", "max_curvature", "bound", "margin", "pass"]
     cols_t = ["patch", "xi", "min_tameness", "bound", "margin", "pass"]
-    return (CheckResult("contraction_curvature", curv_ok, cols_c, curv_rows,
+    return (CheckResult("contraction_curvature", cols_c, curv_rows,
                         {"tol": tol_b}),
-            CheckResult("contraction_tameness", tame_ok, cols_t, tame_rows,
+            CheckResult("contraction_tameness", cols_t, tame_rows,
                         {"tol": tol_e}))
 
 
 def _check_graph_sandwich(config, params, patches, rng):
     rows = []
-    ok = True
     graphs = {"flat_torus": sas.torus_gradient_graph(1.0),
               "round_sphere": sas.sphere_harmonic_graph(1.0)}
     amps = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -206,11 +206,9 @@ def _check_graph_sandwich(config, params, patches, rng):
                                             seed=config.seed + 11)
             monotone = rep.eps_lower >= eps_prev - 1e-12
             eps_prev = rep.eps_lower
-            row_ok = rep.ok and monotone
-            ok = ok and row_ok
             rows.append((bname, amp, rep.eps_lower, rep.max_lower_violation,
-                         rep.max_upper_violation, monotone, row_ok))
-    return CheckResult("graph_sandwich", ok,
+                         rep.max_upper_violation, monotone, rep.ok and monotone))
+    return CheckResult("graph_sandwich",
                        ["base", "amplitude", "eps_lower", "lower_violation",
                         "upper_violation", "monotone", "pass"],
                        rows, {})
@@ -219,7 +217,6 @@ def _check_graph_sandwich(config, params, patches, rng):
 def _check_monotone(config, params, patches, rng):
     tol = config.tolerances["monotonicity"]
     rows = []
-    ok = True
     suite = [("flat_torus", sas.torus_gradient_graph(0.01)),
              ("flat_torus", sas.torus_gradient_graph(0.02, mode=2)),
              ("round_sphere", sas.sphere_harmonic_graph(0.01))]
@@ -229,10 +226,8 @@ def _check_monotone(config, params, patches, rng):
                                    n_theta=params["n_theta"],
                                    samples=params["samples"])
         worst = float(np.min(np.diff(vals)))
-        row_ok = worst >= -tol
-        ok = ok and row_ok
-        rows.append((bname, gg.name, vals[0], vals[-1], worst, row_ok))
-    return CheckResult("graph_curvature_monotone", ok,
+        rows.append((bname, gg.name, vals[0], vals[-1], worst, worst >= -tol))
+    return CheckResult("graph_curvature_monotone",
                        ["base", "graph", "norm_at_0", "norm_at_1",
                         "min_step_increment", "pass"],
                        rows, {"tol": tol})
@@ -241,7 +236,6 @@ def _check_monotone(config, params, patches, rng):
 def _check_parabola(config, params, patches, rng):
     tol = config.tolerances["parabola_residual"]
     rows = []
-    ok = True
     for bname in ("flat_torus", "round_sphere"):
         base = sas.base_manifold(bname)
         states = sas.random_sasaki_states(base, params["states"], rng)
@@ -251,11 +245,10 @@ def _check_parabola(config, params, patches, rng):
         z_const = float(np.max(np.abs(traj.z_norm2 - traj.z_norm2[:1])))
         for b in range(len(states)):
             lead_err = abs(fit.leading[b] - fit.expected_leading[b])
-            row_ok = fit.max_residual[b] <= tol and lead_err <= tol
-            ok = ok and row_ok
             rows.append((bname, b, fit.max_residual[b], fit.leading[b],
-                         fit.expected_leading[b], lead_err, z_const, row_ok))
-    return CheckResult("fiber_norm_parabola", ok,
+                         fit.expected_leading[b], lead_err, z_const,
+                         fit.max_residual[b] <= tol and lead_err <= tol))
+    return CheckResult("fiber_norm_parabola",
                        ["base", "state", "fit_residual", "leading",
                         "expected_leading", "leading_gap", "z_norm_drift",
                         "pass"],
@@ -274,14 +267,12 @@ def _check_conformal(config, params, patches, rng):
         ("scaling", lambda s, t: 0.0 * s + np.log(1.2), 1.44),
     ]
     rows = []
-    ok = True
     for name, phi, c_dist in cases:
         chk = tameness_comparison_check(curve, phi, c_dist, tol=tol,
                                         n_scan=params["n_scan_flat"] // 2)
-        ok = ok and chk.ok
         rows.append((name, c_dist, chk.epsilon, chk.epsilon_prime,
                      chk.lower_bound, chk.ok))
-    return CheckResult("conformal_tameness", ok,
+    return CheckResult("conformal_tameness",
                        ["case", "C", "epsilon", "epsilon_prime", "bound",
                         "pass"],
                        rows, {"tol": tol})
@@ -290,7 +281,6 @@ def _check_conformal(config, params, patches, rng):
 def _check_radial(config, params, patches, rng):
     factor = config.tolerances["radial_factor"]
     rows = []
-    ok = True
     sections = {
         "flat_cylinder": trig_curve(patches["flat_cylinder"], {1: 0.45},
                                     name="sec_cyl"),
@@ -300,11 +290,9 @@ def _check_radial(config, params, patches, rng):
     for pname, sec in sections.items():
         pairs = [(float(t), float(s))
                  for t, s in rng.uniform(0.0, 1.0, size=(params["pairs"], 2))]
-        chk = radial_path_check(sec, pairs, tol_factor=factor)
-        ok = ok and chk.ok
-        for row in chk.rows:
-            rows.append((pname, *row, row[4] <= row[5]))
-    return CheckResult("radial_hausdorff", ok,
+        rows += [(pname, *row, row[4] <= row[5])
+                 for row in radial_path_check(sec, pairs, tol_factor=factor).rows]
+    return CheckResult("radial_hausdorff",
                        ["patch", "t", "s", "measured", "expected", "residual",
                         "tolerance", "pass"],
                        rows, {"tol_factor": factor})
@@ -314,10 +302,8 @@ def _check_contraction_hausdorff(config, params, patches, rng):
     patch = patches["flat_cylinder"]
     xi = _random_trig(patch, rng, sup_target=0.3, name="xi_h")
     path = build_contraction(patch, xi, n_alpha=params["alpha_steps"])
-    ok, pair_rows = contraction_path_bound_check(path)
-    rows = [(a, b, d, bound, gap, d <= bound + 1e-9 or gap <= 0)
-            for a, b, d, bound, gap in pair_rows]
-    return CheckResult("contraction_hausdorff", ok,
+    _, rows = contraction_path_bound_check(path)
+    return CheckResult("contraction_hausdorff",
                        ["alpha", "alpha_prime", "delta_h", "bound", "gap",
                         "pass"],
                        rows, {})
@@ -339,31 +325,20 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
     """Run every enabled check and write one CSV per check."""
     params = _suite_params(config)
     patches = _suite_patches(params)
-    results = []
-    contraction_done = False
-    for idx, name in enumerate(sorted(_CHECK_FUNCS) + ["contraction_curvature",
-                                                       "contraction_tameness"]):
-        if not config.checks.get(name, False):
-            continue
-        rng = np.random.default_rng([config.seed, idx])
-        if name in ("contraction_curvature", "contraction_tameness"):
-            if not contraction_done:
-                rng = np.random.default_rng([config.seed, 99])
-                pair = _contraction_suite(config, params, patches, rng)
-                wanted = [r for r in pair if config.checks.get(r.name, False)]
-                results.extend(wanted)
-                contraction_done = True
-            continue
-        results.append(_CHECK_FUNCS[name](config, params, patches, rng))
+    wanted = [name for name, on in config.checks.items() if on]
+    results = [_CHECK_FUNCS[name](config, params, patches,
+                                  np.random.default_rng([config.seed, idx]))
+               for idx, name in enumerate(sorted(_CHECK_FUNCS)) if name in wanted]
+    if "contraction_curvature" in wanted or "contraction_tameness" in wanted:
+        pair = _contraction_suite(config, params, patches,
+                                  np.random.default_rng([config.seed, 99]))
+        results += [res for res in pair if res.name in wanted]
 
     for res in results:
-        res.meta = dict(res.meta)
-        res.meta["seed"] = config.seed
+        res.meta = {**res.meta, "seed": config.seed}
         res.csv_path = write_csv(os.path.join(config.out_dir, f"{res.name}.csv"),
                                  res.columns, res.rows, res.meta)
-    return SuiteResult(results=results, any_failed=any(not r.passed
-                                                       for r in results),
-                       out_dir=config.out_dir)
+    return SuiteResult(results=results, out_dir=config.out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -417,66 +392,47 @@ def run_figure(family_id: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     svg_path = os.path.join(out_dir, f"{family_id}.svg")
     csv_path = os.path.join(out_dir, f"{family_id}.csv")
-
     if family_id == "escape_cos":
         curves, csv_path = family_table(family_id, out_dir, config.seed)
-        patch = curves[0].patch
-        base = Curve.constant(patch, 0.0)
-        panels = []
-        for m in (2, 10):
-            cv = curves[m - 1]
-            panels.append([("base", base.s[::8], base.xi[::8]),
-                           (cv.name, cv.s[::4], cv.xi[::4])])
-        write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
-                         title="escape family in band coordinates")
-        return svg_path, csv_path
-
-    if family_id in ("hs_family", "hs_variant_alpha"):
+    else:
         curves = generate_family(FamilySpec(family_id))
-        patch = curves[0].patch
-        base = Curve.constant(patch, 0.0, n=curves[0].n)
-        rows = []
-        for cv, s_val in zip(curves, [2.0 ** (-j) for j in range(7, 15)]):
-            rows.append((cv.name, s_val, geodesic_curvature(cv).sup,
-                         hausdorff_distance(cv, base).value,
-                         cv.sup_norm(), float(np.max(np.abs(cv.dxi)))))
+    patch = curves[0].patch
+    base = Curve.constant(patch, 0.0, n=curves[0].n)
+
+    if family_id == "escape_cos":
+        title = "escape family in band coordinates"
+        panels = [[("base", base.s[::8], base.xi[::8]),
+                   (cv.name, cv.s[::4], cv.xi[::4])]
+                  for cv in (curves[1], curves[9])]
+    elif family_id in ("hs_family", "hs_variant_alpha"):
+        title = f"{family_id}: oscillation ladder"
+        rows = [(cv.name, s_val, geodesic_curvature(cv).sup,
+                 hausdorff_distance(cv, base).value,
+                 cv.sup_norm(), float(np.max(np.abs(cv.dxi))))
+                for cv, s_val in zip(curves, [2.0 ** (-j) for j in range(7, 15)])]
         panels = [[(cv.name, cv.s[::max(1, cv.n // 1024)],
                     cv.xi[::max(1, cv.n // 1024)])] for cv in curves[:3]]
-        write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
-                         title=f"{family_id}: oscillation ladder")
         slope = loglog_slope([r[1] for r in rows], [r[2] for r in rows])
         write_csv(csv_path, ["member", "s", "sup_curvature", "delta_h_to_base",
                              "sup_xi", "sup_dxi"], rows,
                   {"family": family_id, "curvature_slope": slope})
-        return svg_path, csv_path
-
-    if family_id == "parallels":
-        curves = generate_family(FamilySpec("parallels"))
-        patch = curves[0].patch
-        base = Curve.constant(patch, 0.0)
+    elif family_id == "parallels":
+        title = "parallels"
         rows = [(cv.name, isotopy_invariant(cv, "cylinder").value,
                  geodesic_curvature(cv).sup,
                  hausdorff_distance(cv, base).value) for cv in curves]
         panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
-        write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
-                         title="parallels")
         write_csv(csv_path, ["member", "action_class", "sup_curvature",
                              "delta_h_to_base"], rows, {"family": family_id})
-        return svg_path, csv_path
-
-    if family_id == "plane_circles":
-        curves = generate_family(FamilySpec("plane_circles"))
-        patch = curves[0].patch
-        rows = []
-        for cv in curves:
-            inv = isotopy_invariant(cv, "plane")
-            rows.append((cv.name, inv.value, inv.monotonicity_constant))
+    else:  # plane_circles
+        title = "circles in the plane (band coordinates)"
+        invs = [isotopy_invariant(cv, "plane") for cv in curves]
+        rows = [(cv.name, inv.value, inv.monotonicity_constant)
+                for cv, inv in zip(curves, invs)]
         panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
-        write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
-                         title="circles in the plane (band coordinates)")
         write_csv(csv_path, ["member", "enclosed_area",
                              "monotonicity_constant"], rows,
                   {"family": family_id})
-        return svg_path, csv_path
-
-    raise ParamOutOfRange(f"unknown family {family_id!r}")
+    write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
+                     title=title)
+    return svg_path, csv_path

@@ -62,6 +62,8 @@ __all__ = [
 _U1, _U2 = sp.symbols("u1 u2", real=True)
 _THETA_BLOCK = 180  # frame directions evaluated per vectorized block
 _N_QUAD = 33        # Simpson nodes (odd) along each pair geodesic
+_HALVING_TOL = 1e-6  # largest step-halving estimate a bundle geodesic accepts
+_RECORD_EVERY = 10   # fine-run steps between recorded trajectory samples
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +308,13 @@ def _integrate(base, state, charts, n_steps, h, record_every):
     return rec_t, rec
 
 
-def sasaki_geodesic(base, initial, horizon: float = 10.0, step: float = 1e-3,
-                    tol: float = 1e-6, record_every: int = 10) -> Trajectory:
+def sasaki_geodesic(base, initial, horizon: float = 10.0,
+                    step: float = 1e-3) -> Trajectory:
     """Integrate bundle geodesics with fixed-step RK4.
 
     `initial` is a SasakiState or a list of them (batched).  A coarse run at
     twice the step provides the step-halving error estimate; StepTooLarge is
-    raised when the Richardson estimate exceeds `tol`.  The fine run takes
+    raised when the Richardson estimate exceeds 1e-6.  The fine run takes
     2 * ceil(horizon / (2 step)) steps, so both runs end at the same time.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
@@ -321,7 +323,8 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0, step: float = 1e-3,
     charts = np.array([s.chart for s in states], dtype=int)
 
     n_coarse = int(np.ceil(horizon / (2 * step)))
-    rec_t, rec = _integrate(base, state, charts, 2 * n_coarse, step, record_every)
+    rec_t, rec = _integrate(base, state, charts, 2 * n_coarse, step,
+                            _RECORD_EVERY)
     _, rec2 = _integrate(base, state, charts, n_coarse, 2 * step,
                          record_every=max(1, n_coarse))
     (x_f, _, y_f, _), _ = rec[-1]
@@ -329,9 +332,9 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0, step: float = 1e-3,
     y2_f = base.lam2(x_f) * (y_f ** 2).sum(-1)
     y2_c = base.lam2(x_c) * (y_c ** 2).sum(-1)
     halving = float(np.max(np.abs(y2_f - y2_c))) / 15.0
-    if halving > tol:
+    if halving > _HALVING_TOL:
         raise StepTooLarge(f"step-halving estimate {halving:.2e} exceeds "
-                           f"tolerance {tol:.2e}; reduce the step")
+                           f"tolerance {_HALVING_TOL:.2e}; reduce the step")
 
     times = np.array(rec_t)
     xs, vs, ys, zs = np.stack([r[0] for r in rec], axis=1)

@@ -336,6 +336,31 @@ class TestOtherCommands:
         assert run("lemmas", "--config", str(cfg2),
                    "--out", str(tmp_path / "off_out")) == 0
 
+    # the second config fails every radial and parabola row, and the
+    # warp_taylor rows of the curved patches only
+    @pytest.mark.parametrize("tolerances", [
+        None, {"radial_factor": 0, "parabola_residual": 0, "taylor_order": 10}])
+    def test_lemma_verdicts_are_their_pass_columns(self, tmp_path, capsys,
+                                                   tolerances):
+        argv = ["lemmas", "--quick", *GRID, "--out", str(tmp_path / "out")]
+        if tolerances:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tolerances": tolerances}))
+            argv += ["--config", str(cfg)]
+        code = run(*argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        verdicts = []
+        for line in lines:
+            verdict, name, *_, path = line.split()
+            rows = Path(path).read_text().splitlines()[2:]
+            flags = [row.split(",")[-1] for row in rows]
+            assert set(flags) <= {"true", "false"}, name
+            assert (verdict == "PASS") == all(f == "true" for f in flags), name
+            verdicts.append(verdict)
+        assert code == (1 if "FAIL" in verdicts else 0)
+        assert ("FAIL" in verdicts) == bool(tolerances)
+
 
 class TestConfig:
     def test_defaults(self):

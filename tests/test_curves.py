@@ -120,6 +120,19 @@ class TestWarpData:
             exact = geodesic_curvature(ref, _with_error=False).sup
             assert abs(rep.sup - exact) <= rep.error, amps
 
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic"])
+    def test_off_column_curves_within_their_error(self, name):
+        # n = 512 does not divide n_s = 128: the warp comes from 96 RK4
+        # steps, whose error reaches a few 1e-12 here
+        patch = self.BANDS[name][0]((128, 33))
+        for amps in ({1: 0.4}, {2: 0.4}, {3: 0.4}, {1: 0.5}, {2: 0.5}):
+            curve = trig_curve(patch, amps, n=512)
+            rep = geodesic_curvature(curve)
+            ref = Curve.from_callables(patch, *curve.fns, n=512)
+            ref._cache["warp"] = patch.warp_on_curve(ref.s, ref.xi, n_steps=2000)
+            exact = geodesic_curvature(ref, _with_error=False).sup
+            assert abs(rep.sup - exact) <= rep.error, amps
+
     def test_column_curves_read_the_grid(self, sphere, monkeypatch):
         calls = []
         original = surface._warp_rhs

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lagbound import hausdorff
 from lagbound.curves import Curve, trig_curve
 from lagbound.errors import PatchMismatch
 from lagbound.exactness import build_contraction
@@ -108,13 +109,38 @@ class TestContractionBound:
         path = build_contraction(cyl, xi, n_alpha=9)
         ok, rows = contraction_path_bound_check(path)
         assert ok
+        assert all(row[-1] for row in rows)
         # mean-zero: shifts vanish, the distance equals |da| * max|xi|
-        for a, b, d, bound, gap in rows:
+        for a, b, d, bound, gap, passed in rows:
             assert d == pytest.approx(abs(a - b) * 0.2, abs=1e-9)
             assert gap <= 0 + 1e-12
+            assert passed
 
     def test_nonzero_mean_path(self, cyl):
         xi = trig_curve(cyl, {1: 0.25}, offset=0.1, n=512)
         path = build_contraction(cyl, xi, n_alpha=9)
         ok, rows = contraction_path_bound_check(path)
         assert ok
+
+    @pytest.mark.parametrize("excess", [(0.5, 0.5, 0.5), (0.5, 2.0, 0.5)])
+    def test_row_flags_are_the_verdict(self, cyl, monkeypatch, excess):
+        # each pair measured at bound + excess * error: above its bound,
+        # and inside its error bar exactly when excess <= 1
+        path = build_contraction(cyl, trig_curve(cyl, {3: 0.2}, n=512),
+                                 n_alpha=3)
+        alpha = {id(cv): a for cv, a in zip(path.curves, path.alphas)}
+        sup, real, calls = path.xi.sup_norm(), hausdorff.hausdorff_distance, []
+
+        def measured(a, b):
+            res = real(a, b)
+            bound = 2.0 * abs(alpha[id(a)] - alpha[id(b)]) * sup
+            res.value = bound + excess[len(calls)] * res.error
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(hausdorff, "hausdorff_distance", measured)
+        ok, rows = contraction_path_bound_check(path)
+        assert len(rows) == len(calls) == 3
+        assert [row[-1] for row in rows] == [e <= 1 for e in excess]
+        assert all(gap > 0 for *_, gap, _ in rows)
+        assert ok == all(row[-1] for row in rows) == (max(excess) <= 1)
