@@ -19,8 +19,8 @@ import numpy as np
 
 from .classify import classify as classify_curve, separation_scan
 from . import sasaki as sas
-from .config import (ExperimentConfig, build_patch_from_spec, load_config,
-                     parse_curve_spec, parse_grid)
+from .config import (DEFAULT_GRID, ExperimentConfig, build_patch_from_spec,
+                     load_config, parse_curve_spec, parse_grid)
 from .curves import geodesic_curvature, tameness
 from .errors import ConfigError, LagboundError
 from .exactness import build_contraction, solve_c
@@ -41,8 +41,8 @@ _PATCHES = {
 }
 
 
-def _resolve_patch(name, config: ExperimentConfig, grid=None):
-    grid = grid or config.grid
+def _resolve_patch(name, config: ExperimentConfig):
+    grid = config.grid or DEFAULT_GRID
     if name in config.patches:
         spec = dict(config.patches[name])
         spec.setdefault("name", name)
@@ -54,13 +54,15 @@ def _resolve_patch(name, config: ExperimentConfig, grid=None):
                       f"{sorted(_PATCHES) + sorted(config.patches)}")
 
 
-def _add_common(p, patch_default="cylinder"):
+def _add_common(p, band: bool = True):
+    """The shared flags; --grid and --patch only for commands with a band."""
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory (default: out_dir)")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
-    p.add_argument("--patch", default=patch_default,
-                   help=f"patch name (default {patch_default})")
+    if band:
+        p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
+        p.add_argument("--patch", default="cylinder",
+                       help="patch name (default cylinder)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +107,7 @@ def build_parser():
     p.add_argument("--n-alpha", type=int, default=11)
 
     p = sub.add_parser("sasaki", help="integrate bundle geodesics and export")
-    _add_common(p)
+    _add_common(p, band=False)
     p.add_argument("--base", default="flat_torus",
                    choices=["flat_torus", "round_sphere"])
     p.add_argument("--states", type=int, default=4)

@@ -22,7 +22,10 @@ from .errors import ConfigError
 from .surface import BaseCurve, SurfacePatch, check_grid, solve_warp
 
 __all__ = ["ExperimentConfig", "load_config", "build_patch_from_spec",
-           "parse_grid", "parse_curve_spec", "DEFAULT_TOLERANCES"]
+           "parse_grid", "parse_curve_spec", "DEFAULT_GRID",
+           "DEFAULT_TOLERANCES"]
+
+DEFAULT_GRID = (2048, 513)
 
 DEFAULT_TOLERANCES = {
     "taylor_order": 2.9,
@@ -89,7 +92,7 @@ def _expr_callable(spec, variables):
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
-    grid: tuple = (2048, 513)
+    grid: tuple | None = None  # None: DEFAULT_GRID, or the quick suite's own
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     checks: dict = field(default_factory=lambda: {c: True for c in ALL_CHECKS})
     patches: dict = field(default_factory=dict)

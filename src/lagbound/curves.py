@@ -280,6 +280,11 @@ class TamenessReport:
     infimum over the pairs within the cap, or `inf` (and `pair` is the first
     sample twice) if there are none.
 
+    Off the flat cylinder the distances come from the patch's one band graph,
+    with a direct chord for every sampled pair whose coordinate arc is at
+    most 1 / min(w), so for every pair within distance 1.  `error` is twice
+    the sample spacing plus the stencil term, measured on that same graph.
+
     `curvature` is the |B| report that the short-range bound is built on.
     """
 

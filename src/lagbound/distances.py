@@ -5,15 +5,19 @@ into a weighted graph whose edges follow the 16-neighbor stencil of lattice
 directions; edge weights are Simpson quadratures of the metric length of the
 straight coordinate segment.  The build evaluates w once at the nodes and once
 at each undirected edge's midpoint, and stores each edge in both directions,
-so the graph is exactly symmetric; it is kept as a CSR matrix, cached per grid
-on the patch.  Shortest paths are computed with scipy's Dijkstra.
+so the graph is exactly symmetric; it is kept as a CSR matrix, and a patch
+caches one such graph, on `default_dist_grid`, for all its queries and its
+error estimate.  Shortest paths are computed with scipy's Dijkstra.
 
 Two refinements keep point queries sharp:
 
 * arbitrary points are injected as extra graph nodes linked to the surrounding
   grid nodes, which removes snapping error from curve-to-curve queries;
 * nearby injected points are additionally joined by direct quadrature edges,
-  so short chords are measured by quadrature rather than by grid hops.
+  so short chords are measured by quadrature rather than by grid hops.  A
+  pairwise query joins every pair whose coordinate arc is at most 1 / min(w),
+  which covers every pair within ambient distance 1; a straight coordinate
+  chord is an in-band path, so it can only lower a distance toward the truth.
 
 A query graph is the cached CSR with the grid -> point links inserted at the
 ends of their rows and the point rows appended, so no query re-sorts the grid.
@@ -32,7 +36,7 @@ scans pass the cap 1, the only range in which a pair can set epsilon.
 The stencil overestimates oblique distances by at most its anisotropy ratio
 (about 2.8% for the 16-neighbor stencil); the comparison between the 8- and
 16-neighbor results provides the per-patch empirical error estimate, with the
-8-neighbor graph filtered from the 16-neighbor one on the same grid.
+8-neighbor graph filtered from the graph the queries use.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from scipy.sparse.csgraph import dijkstra
 from .numerics import wrap_difference
 from .surface import cylinder_distance
 
-DEFAULT_DIST_GRID = (256, 129)
-_DIRECT_REACH = 0.4  # coordinate arc joined by direct quadrature edges
+DEFAULT_DIST_GRID = (128, 129)
+_DIRECT_REACH = 0.4  # least coordinate arc joined by direct quadrature edges
 
 _SIMPSON3 = np.array([1.0, 4.0, 1.0]) / 6.0
 _SIMPSON3_X = np.array([0.0, 0.5, 1.0])
@@ -99,33 +103,27 @@ class BandGraph:
         return self.csr.data
 
 
-def default_dist_grid(patch, n_sd: int | None = None) -> tuple[int, int]:
+def default_dist_grid(patch) -> tuple[int, int]:
     """Decimated grid with roughly metric-square cells (h_t close to h_s)."""
-    n_sd = min(n_sd or DEFAULT_DIST_GRID[0], patch.n_s)
+    n_sd = min(DEFAULT_DIST_GRID[0], patch.n_s)
     h_s = patch.length / n_sd
     n_td = int(round(2.0 * patch.halfwidth / h_s)) + 1
     if n_td % 2 == 0:
         n_td += 1
-    n_td = max(17, min(n_td, DEFAULT_DIST_GRID[1], patch.n_t))
-    return n_sd, n_td
+    return n_sd, min(max(17, min(n_td, DEFAULT_DIST_GRID[1])), patch.n_t)
 
 
-def build_band_graph(patch, dist_grid=None, scale=None) -> BandGraph:
-    """16-neighbor stencil graph of the band on `dist_grid` (default:
-    `default_dist_grid`).
+def build_band_graph(patch, scale=None) -> BandGraph:
+    """16-neighbor stencil graph of the band on `default_dist_grid`.
 
     w and `scale` are evaluated once at the nodes and once at the midpoint of
     each undirected edge, whose Simpson length is stored in both directions.
-    Graphs of the unscaled metric are cached on the patch; a conformal `scale`
-    factor builds a fresh graph each call.
+    The graph of the unscaled metric is cached on the patch; a conformal
+    `scale` factor builds a fresh graph each call.
     """
-    if dist_grid is None:
-        dist_grid = default_dist_grid(patch)
-    n_sd = min(dist_grid[0], patch.n_s)
-    n_td = min(dist_grid[1], patch.n_t)
-    if scale is None and (n_sd, n_td) in patch._dist_graphs:
-        return patch._dist_graphs[n_sd, n_td]
-
+    if scale is None and patch._dist_graph is not None:
+        return patch._dist_graph
+    n_sd, n_td = default_dist_grid(patch)
     s_d = np.arange(n_sd) * (patch.length / n_sd)
     t_d = np.linspace(patch.t[0], patch.t[-1], n_td)
     h_s, h_t = patch.length / n_sd, t_d[1] - t_d[0]
@@ -156,7 +154,7 @@ def build_band_graph(patch, dist_grid=None, scale=None) -> BandGraph:
                       csr_matrix((wts[ok], cols[ok], indptr),
                                  shape=(n_sd * n_td,) * 2))
     if scale is None:
-        patch._dist_graphs[n_sd, n_td] = graph
+        patch._dist_graph = graph
     return graph
 
 
@@ -232,10 +230,11 @@ def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
     """All-pairs distance matrix between band points (one ring of points).
 
     Flat cylinders without a conformal `scale` use the exact unrolled formula.
-    Otherwise points are injected into the band graph, and consecutive points
-    within `_DIRECT_REACH` (coordinate arc) are also joined by direct
-    quadrature edges.  Entries above `limit` are `inf`; the others are the
-    uncapped values bit for bit.
+    Otherwise points are injected into the band graph, and ring pairs whose
+    coordinate arc is at most 1 / min(w) (over min(scale) too, at least
+    `_DIRECT_REACH`) are also joined by direct quadrature edges: every pair
+    within ambient distance 1 has such an arc, as d >= min(w) |ds|.  Entries
+    above `limit` are `inf`; the others are the uncapped values bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     patch.require_inside(pts[:, 1], margin=0.0)
@@ -243,8 +242,12 @@ def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
         d = cylinder_distance(patch.length, pts[:, None], pts[None])
         return np.where(d > limit, np.inf, d)
     n = pts.shape[0]
-    spacing = patch.length / n
-    k_max = max(1, int(np.ceil(_DIRECT_REACH / spacing)))
+    w_min = float(np.min(patch.w))
+    if scale is not None:
+        w_min *= float(np.min(scale(*np.meshgrid(patch.s, patch.t,
+                                                 indexing="ij"))))
+    reach = max(_DIRECT_REACH, 1.0 / w_min)
+    k_max = max(1, int(np.ceil(reach / (patch.length / n))))
     return _injected_distances(patch, pts, _ring_pairs(n, k_max), n, scale,
                                limit=limit)
 
@@ -295,7 +298,7 @@ def estimate_stencil_error(patch) -> float:
     from a central source.  Both overestimate; the gap bounds the anisotropy
     improvement still available and serves as the documented error estimate.
     """
-    graph = build_band_graph(patch, default_dist_grid(patch, n_sd=128))
+    graph = build_band_graph(patch)
     node = (graph.n_td - 1) // 2
     d8, d16 = (dijkstra(g, directed=True, indices=node)
                for g in (_eight_neighbor(graph), graph.csr))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import FamilySpec, generate_family, min_level
 from . import sasaki as sas
-from .config import ExperimentConfig
+from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
 from .exactness import (BoundsCheck, ContractionPath, area_functional,
                         build_contraction, contraction_bounds_check,
@@ -59,12 +59,12 @@ class SuiteResult:
 
 def _suite_params(config: ExperimentConfig) -> dict:
     if config.quick:
-        return dict(grid=(512, 129), n_xi=3, n_alpha=21, members=1,
-                    alpha_steps=7, states=4, horizon=4.0, step=2e-3,
+        return dict(grid=config.grid or (512, 129), n_xi=3, n_alpha=21,
+                    members=1, alpha_steps=7, states=4, horizon=4.0, step=2e-3,
                     n_theta=240, t_steps=6, pairs=4, n_scan_flat=384,
                     samples=700)
-    return dict(grid=config.grid, n_xi=10, n_alpha=101, members=3,
-                alpha_steps=11, states=25, horizon=10.0, step=1e-3,
+    return dict(grid=config.grid or DEFAULT_GRID, n_xi=10, n_alpha=101,
+                members=3, alpha_steps=11, states=25, horizon=10.0, step=1e-3,
                 n_theta=720, t_steps=11, pairs=10, n_scan_flat=512,
                 samples=1600)
 

@@ -192,7 +192,7 @@ class SurfacePatch:
             raise ChartDegenerate(
                 f"warp field reaches {np.min(self.w):.3e} inside the band; "
                 f"halfwidth {halfwidth} exceeds the focal radius of {base.name}")
-        self._dist_graphs: dict = {}
+        self._dist_graph = None  # distances.build_band_graph fills it
         self._stencil_error: float | None = None
 
     def _march(self):

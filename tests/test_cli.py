@@ -6,13 +6,14 @@ import pytest
 
 from lagbound import sasaki as sas
 from lagbound.cli import main
-from lagbound.config import (DEFAULT_TOLERANCES, build_patch_from_spec,
-                             load_config, parse_curve_spec)
+from lagbound.config import (ALL_CHECKS, DEFAULT_GRID, DEFAULT_TOLERANCES,
+                             build_patch_from_spec, load_config,
+                             parse_curve_spec)
 from lagbound.curves import Curve, geodesic_curvature
 from lagbound.errors import ConfigError
 from lagbound.exactness import build_contraction, contraction_bounds_check
 from lagbound.report import format_float
-from lagbound.surface import flat_cylinder, sphere_band
+from lagbound.surface import flat_cylinder, plane_annulus
 
 GRID = "--grid", "256x65"
 BAND = {"length": 2 * np.pi, "halfwidth": 0.5, "grid": [64, 17]}
@@ -70,13 +71,15 @@ class TestOtherCommands:
                    "expr:0.1*cos(2*s)", "--n-alpha", "5", *GRID,
                    "--out", str(tmp_path)) == 0
 
-    # with a zero tameness tolerance this path fails: its tameness dips
-    # 1.3e-4 below the endpoint minimum
+    # with a zero tameness tolerance this path fails: on the plane band its
+    # exact epsilon (plane chords at the scanned pairs) dips 1.7e-5 below the
+    # endpoint minimum at a = 0.5; the graph reads a 4.0e-3 dip, as it
+    # measures the base circle's pairs along the circle (1.0 against 0.990)
     @pytest.mark.parametrize("tol_eps, code", [(None, 0), (0.0, 1)])
     def test_contract_prints_the_bounds_verdict(self, tmp_path, capsys,
                                                 tol_eps, code):
-        spec = "expr:0.1*cos(2*s)"
-        argv = ["contract", "--patch", "sphere_equator", "--curve", spec,
+        spec = "expr:0.1*cos(s)"
+        argv = ["contract", "--patch", "plane_circle", "--curve", spec,
                 "--n-alpha", "7", *GRID, "--out", str(tmp_path)]
         tol_b = DEFAULT_TOLERANCES["contraction_curvature"]
         tol_e = DEFAULT_TOLERANCES["contraction_tameness"]
@@ -89,7 +92,7 @@ class TestOtherCommands:
         assert run(*argv) == code
         printed = capsys.readouterr().out.splitlines()[1:]
 
-        patch = sphere_band(grid=(256, 65))
+        patch = plane_annulus(grid=(256, 65))
         path = build_contraction(patch, parse_curve_spec(spec, patch),
                                  n_alpha=7)
         k = geodesic_curvature(Curve.constant(patch, 0.0, n=512),
@@ -252,6 +255,8 @@ class TestOtherCommands:
         ["bogus"],
         ["curvature", "--curve", "parallel:0", "--tol", "1"],
         ["classify", "--curve", "cos:1,2", "--k", "five"],
+        ["sasaki", "--patch", "nonsense"],  # sasaki builds no band
+        ["sasaki", *GRID],
     ])
     def test_usage_error_is_config_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -361,11 +366,32 @@ class TestOtherCommands:
         assert code == (1 if "FAIL" in verdicts else 0)
         assert ("FAIL" in verdicts) == bool(tolerances)
 
+    def test_quick_suite_honours_the_grid(self, tmp_path):
+        """An explicit --grid or config grid takes effect under --quick, and
+        512x129 is the quick suite's grid when none is given."""
+        radial = {name: name == "radial_hausdorff" for name in ALL_CHECKS}
+        plain, gridded = tmp_path / "plain.json", tmp_path / "gridded.json"
+        plain.write_text(json.dumps({"checks": radial}))
+        gridded.write_text(json.dumps({"checks": radial, "grid": [256, 65]}))
+
+        def radial_csv(name, *argv):
+            out = tmp_path / name
+            assert run("lemmas", "--quick", *argv, "--out", str(out)) == 0
+            return (out / "radial_hausdorff.csv").read_text()
+
+        default = radial_csv("default", "--config", str(plain))
+        assert radial_csv("512", "--config", str(plain), "--grid",
+                          "512x129") == default
+        flag = radial_csv("flag", "--config", str(plain), *GRID)
+        assert flag != default
+        assert radial_csv("key", "--config", str(gridded)) == flag
+
 
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.seed == 0 and cfg.grid == (2048, 513)
+        assert cfg.seed == 0 and cfg.grid is None
+        assert DEFAULT_GRID == (2048, 513)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

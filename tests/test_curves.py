@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lagbound import surface
-from lagbound.curves import (Curve, geodesic_curvature, intrinsic_distance,
-                             tameness, tameness_comparison_check, trig_curve)
-from lagbound.distances import pairwise_point_distances
+from lagbound import distances, surface
+from lagbound.curves import (Curve, _ratio_scan, geodesic_curvature,
+                             intrinsic_distance, tameness,
+                             tameness_comparison_check, trig_curve)
+from lagbound.distances import BandGraph, pairwise_point_distances
 from lagbound.errors import DistortionExceeded
+from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import fourier_primitive_grid, wrap_difference
-from lagbound.surface import hyperbolic_band, plane_annulus, sphere_band
+from lagbound.surface import (hyperbolic_band, plane_annulus, plane_embed,
+                              sphere_band, sphere_embed)
 
 
 def euclidean_graph_curvature(dxi, d2xi):
@@ -242,6 +245,66 @@ class TestTameness:
         assert rep.long_range_min == long_min
         assert rep.pair == pair
         assert rep.epsilon == min(long_min, rep.short_range_bound)
+
+
+def _closed_form_distances(band: str, pts: np.ndarray) -> np.ndarray:
+    """Exact pairwise distances on the model bands, for pairs within 1."""
+    s, t = pts[:, 0], pts[:, 1]
+    if band == "sphere":  # great-circle arcs stay inside the band
+        p = sphere_embed(s, t)
+        return np.arccos(np.clip(p @ p.T, -1.0, 1.0))
+    if band == "plane":  # straight chords stay inside the annulus
+        p = plane_embed(2.0, s, t)
+        return np.linalg.norm(p[:, None] - p[None], axis=-1)
+    # hyperbolic Fermi coordinates about the closed geodesic
+    ds = wrap_difference(s[:, None], s[None], 2 * np.pi)
+    cosh_d = (np.cosh(t[:, None]) * np.cosh(t[None]) * np.cosh(ds)
+              - np.sinh(t[:, None]) * np.sinh(t[None]))
+    return np.arccosh(np.maximum(cosh_d, 1.0))
+
+
+def _seeded_trig(patch, seed: int):
+    """Two random modes from 1..4 with sup |xi| <= 0.2."""
+    rng = np.random.default_rng(seed)
+    modes = rng.choice(np.arange(1, 5), size=2, replace=False)
+    cos_amps = {int(m): rng.normal() for m in modes}
+    sin_amps = {int(m): rng.normal() for m in modes}
+    k = 0.2 / sum(abs(a) for a in (*cos_amps.values(), *sin_amps.values()))
+    return trig_curve(patch, {m: a * k for m, a in cos_amps.items()},
+                      {m: a * k for m, a in sin_amps.items()}, n=512)
+
+
+class TestTamenessCalibration:
+    """epsilon against the exact value on the same sampled pairs, with the
+    same delta_min and short-range bound and exact distances capped at 1."""
+
+    @pytest.mark.parametrize("band, make, worst", [
+        ("sphere", lambda: sphere_band(0.6, (512, 129)), 1e-3),
+        ("hyperbolic", lambda: hyperbolic_band(0.6, (512, 129)), 1e-3),
+        ("plane", lambda: plane_annulus(2.0, 0.8, (512, 129)), 1.5e-2),
+    ], ids=["sphere", "hyperbolic", "plane"])
+    def test_epsilon_against_closed_forms(self, band, make, worst,
+                                          monkeypatch):
+        builds = []
+        monkeypatch.setattr(distances, "BandGraph", lambda *args: (
+            builds.append(args) or BandGraph(*args)))
+        patch = make()
+        gaps = []
+        for seed in range(8):
+            curve = _seeded_trig(patch, seed)
+            rep = tameness(curve)
+            idx = np.linspace(0, curve.n, rep.n_scan, endpoint=False).astype(int)
+            d = _closed_form_distances(band, curve.points(idx))
+            ratio = _ratio_scan(curve.cum_length(), curve.total_length(), idx,
+                                np.where(d > 1.0, np.inf, d), rep.delta_min)
+            exact = min(float(np.min(ratio)), rep.short_range_bound)
+            gaps.append(abs(rep.epsilon - exact))
+            assert gaps[-1] <= rep.error, seed
+        assert max(gaps) <= worst
+        # the queries and the stencil term share the patch's one graph
+        hausdorff_distance(curve, Curve.constant(patch, 0.0, n=curve.n))
+        patch.stencil_error_ratio()
+        assert len(builds) == 1
 
 
 class TestComparison:

@@ -142,9 +142,8 @@ class TestBandGraph:
 
     def test_eight_neighbor_filter_matches_its_own_build(self):
         patch = _dyadic_band()
-        dist_grid = default_dist_grid(patch, n_sd=128)
-        got = _eight_neighbor(build_band_graph(patch, dist_grid))
-        ref = _eight_stencil_reference(patch, dist_grid)
+        got = _eight_neighbor(build_band_graph(patch))
+        ref = _eight_stencil_reference(patch, default_dist_grid(patch))
         got.sort_indices()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
