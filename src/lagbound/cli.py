@@ -123,7 +123,7 @@ def build_parser():
     p.add_argument("--k", type=float, required=True)
 
     p = sub.add_parser("family", help="generate a named family and report")
-    _add_common(p)
+    _add_common(p, band=False)  # each family builds its own patch
     p.add_argument("family_id")
     p.add_argument("--pairwise", action="store_true",
                    help="also export the pairwise Hausdorff distance matrix")
@@ -137,7 +137,7 @@ def build_parser():
                    help="reduced suite (fast, same CSV schema)")
 
     p = sub.add_parser("figure", help="draw a family and its companion CSV")
-    _add_common(p)
+    _add_common(p, band=False)
     p.add_argument("family_id")
     return ap
 

@@ -21,9 +21,10 @@ Implements:
 
       X~ = X^h + (cov_X xi)^v,        Z~ = Z^v - ((cov xi)* Z)^h,
 
-  from exact symbolic jets of closed-form H (its derivatives up to third
-  order, with the conformal factor's up to second), contracted with the
-  Christoffel symbols in numpy;
+  from exact Taylor jets of closed-form H (its derivatives up to third
+  order, with the conformal factor's up to second, by truncated Taylor
+  arithmetic in numpy, `lagbound.jets`), contracted with the Christoffel
+  symbols;
 
 * the length sandwich d_base <= d_graph <= sqrt(1 + |cov xi|^2) d_base
   checked by quadrature along lifted base geodesics.
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import sympy as sp
 
+from . import jets
 from .errors import FrameDegenerate, StepTooLarge
 from .numerics import rk4_step
 
@@ -59,7 +61,6 @@ __all__ = [
     "SandwichReport",
 ]
 
-_U1, _U2 = sp.symbols("u1 u2", real=True)
 _THETA_BLOCK = 180  # frame directions evaluated per vectorized block
 _N_QUAD = 33        # Simpson nodes (odd) along each pair geodesic
 _HALVING_TOL = 1e-6  # largest step-halving estimate a bundle geodesic accepts
@@ -70,11 +71,17 @@ _RECORD_EVERY = 10   # fine-run steps between recorded trajectory samples
 # base manifolds
 # ---------------------------------------------------------------------------
 
+def _sphere_phi(u1, u2):
+    """The conformal factor of a stereographic chart, as a jet."""
+    return jets.log(2.0 / (1.0 + u1 * u1 + u2 * u2))
+
+
 class _ConformalBase:
-    """Shared machinery for conformally flat 2D bases, g = e^{2 phi} delta."""
+    """Shared machinery for conformally flat 2D bases, g = e^{2 phi} delta;
+    `phis` holds phi per chart as a function of the coordinate jets, or None
+    where phi = 0."""
 
     gauss_curvature: float = 0.0
-    n_charts: int = 1
 
     def phi_grad(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -112,7 +119,7 @@ class FlatTorus(_ConformalBase):
     name = "flat_torus"
     gauss_curvature = 0.0
     period = 2.0 * np.pi
-    phi_exprs = (sp.Integer(0),)
+    phis = (None,)  # flat: no conformal factor
 
     def phi_grad(self, u):
         return np.zeros_like(u)
@@ -151,7 +158,7 @@ class RoundSphere(_ConformalBase):
     name = "round_sphere"
     gauss_curvature = 1.0
     rechart_radius = 1.4
-    phi_exprs = (sp.log(2 / (1 + _U1 ** 2 + _U2 ** 2)),) * 2
+    phis = (_sphere_phi,) * 2
 
     def phi_grad(self, u):
         return -2.0 * u / (1.0 + (u * u).sum(-1, keepdims=True))
@@ -406,24 +413,16 @@ _IDX2 = np.add.outer(np.arange(2), np.arange(2))
 _IDX3 = np.add.outer(_IDX2, np.arange(2))
 
 
-def _chart_jet(h_expr, phi_expr):
-    """Exact derivatives on one conformal chart, compiled into one function
-    of the points u (..., 2): phi and its first and second derivatives, then
-    the first, second and third derivatives of H, stacked as (15, ...)."""
-    u = (_U1, _U2)
-    exprs = []
-    for f, orders in ((phi_expr, range(3)), (h_expr, range(1, 4))):
-        level = [f]  # the distinct derivatives of order r
-        for r in range(orders[-1] + 1):
-            if r:
-                level = ([sp.diff(level[0], u[0])]
-                         + [sp.diff(d, u[1]) for d in level])
-            if r in orders:
-                exprs.extend(level)
-    fn = sp.lambdify(u, exprs, modules="numpy", cse=True)
-    # constant derivatives come back as scalars: broadcast them to the points
-    return lambda pts: np.array(np.broadcast_arrays(
-        pts[..., 0], *fn(pts[..., 0], pts[..., 1]))[1:])
+def _chart_jet(h, phi, pts: np.ndarray) -> np.ndarray:
+    """Exact derivatives on one conformal chart at the points pts (n, 2):
+    phi and its first and second derivatives, then the first, second and
+    third derivatives of H, stacked as (15, n).  h and phi are functions of
+    the coordinate jets; phi None is a flat chart."""
+    u = jets.variables(pts)
+    dh = h(*u).derivatives(1, 3)
+    dphi = (np.zeros((6,) + dh.shape[1:]) if phi is None
+            else phi(*u).derivatives(0, 2))
+    return np.concatenate([dphi, dh])
 
 
 def _christoffel(v: np.ndarray) -> np.ndarray:
@@ -461,27 +460,27 @@ def _frame_tensors(jet: np.ndarray):
 class GradientGraph:
     """Graph of amplitude * grad(H) in the tangent bundle of a base manifold.
 
-    H is given as one sympy expression per chart in the symbols (u1, u2).
-    The derivatives of H and of the conformal factor are exact symbolic jets
-    (`_chart_jet`), and only their contraction with the Christoffel symbols
-    into xi, T and A runs in numpy (`_frame_tensors`), so the tiny
-    monotonicity margins are not polluted by numerical differentiation.
+    H is given per chart as a function h(u1, u2) of the coordinate jets
+    (`lagbound.jets`).  The derivatives of H and of the conformal factor are
+    exact Taylor jets (`_chart_jet`), contracted with the Christoffel
+    symbols into xi, T and A (`_frame_tensors`), so the tiny monotonicity
+    margins are not polluted by numerical differentiation.
     """
 
-    def __init__(self, base, h_exprs, amplitude: float = 1.0, name: str = "graph"):
+    def __init__(self, base, h_funcs, amplitude: float = 1.0, name: str = "graph"):
         self.base = base
-        self.h_exprs = tuple(h_exprs)
+        self.h_funcs = tuple(h_funcs)
         self.amplitude = float(amplitude)
         self.name = name
-        if len(self.h_exprs) != len(base.phi_exprs):
-            raise ValueError("one H expression per chart is required")
-        self._jets = [_chart_jet(h, p)
-                      for h, p in zip(self.h_exprs, base.phi_exprs)]
+        if len(self.h_funcs) != len(base.phis):
+            raise ValueError("one H function per chart is required")
+        self._jets = [partial(_chart_jet, h, p)
+                      for h, p in zip(self.h_funcs, base.phis)]
         self._samples = None
         self._unit_t = []  # unit T on the default samples, for grad_bound
 
     def with_amplitude(self, amplitude: float) -> "GradientGraph":
-        g = copy.copy(self)  # shares the compiled jets and the unit T
+        g = copy.copy(self)  # shares the jets and the unit T
         g.amplitude, g._samples = float(amplitude), None
         return g
 
@@ -504,24 +503,37 @@ class GradientGraph:
 
     def grad_bound(self) -> float:
         """max |grad xi| over the default samples.  T is linear in the
-        amplitude, so the unit T there is evaluated once per symbolic build."""
+        amplitude, so the unit T there is evaluated once per graph and shared
+        by its amplitude copies."""
         if not self._unit_t:
             unit = self.with_amplitude(1.0)
             self._unit_t.append(unit.frame_data(*self.default_samples())["T"])
         return float(np.max(_op_norms(self.amplitude * self._unit_t[0])))
 
 
+def _torus_cos(u1, u2, mode):
+    return jets.cos(mode * u1)
+
+
+def _sphere_harmonic_north(u1, u2):
+    """The height z = (|u|^2 - 1) / (|u|^2 + 1) of the unit sphere in the
+    north-pole chart; it flips sign in the other."""
+    return 1.0 - 2.0 / (1.0 + u1 * u1 + u2 * u2)
+
+
+def _sphere_harmonic_south(u1, u2):
+    return -_sphere_harmonic_north(u1, u2)
+
+
 def torus_gradient_graph(eps: float, mode: int = 1) -> GradientGraph:
-    return GradientGraph(FlatTorus(), (sp.cos(mode * _U1),), amplitude=eps,
-                         name=f"torus_cos{mode}_{eps:g}")
+    return GradientGraph(FlatTorus(), (partial(_torus_cos, mode=mode),),
+                         amplitude=eps, name=f"torus_cos{mode}_{eps:g}")
 
 
 def sphere_harmonic_graph(eps: float) -> GradientGraph:
-    r2 = _U1 ** 2 + _U2 ** 2
-    north = (r2 - 1) / (r2 + 1)
-    south = (1 - r2) / (r2 + 1)
-    return GradientGraph(RoundSphere(), (north, south), amplitude=eps,
-                         name=f"sphere_harmonic_{eps:g}")
+    return GradientGraph(RoundSphere(),
+                         (_sphere_harmonic_north, _sphere_harmonic_south),
+                         amplitude=eps, name=f"sphere_harmonic_{eps:g}")
 
 
 def _direction_block(data: dict, k_curv: float, theta: np.ndarray):

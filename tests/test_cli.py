@@ -121,8 +121,8 @@ class TestOtherCommands:
         assert run("sasaki", "--horizon", horizon, "--out", str(tmp_path)) == 0
 
     def test_family_and_figure(self, tmp_path):
-        assert run("family", "parallels", *GRID, "--out", str(tmp_path)) == 0
-        assert run("figure", "parallels", *GRID, "--out", str(tmp_path)) == 0
+        assert run("family", "parallels", "--out", str(tmp_path)) == 0
+        assert run("figure", "parallels", "--out", str(tmp_path)) == 0
         svg = (tmp_path / "parallels.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
@@ -162,13 +162,13 @@ class TestOtherCommands:
 
     def test_family_scan_and_pairwise(self, tmp_path):
         assert run("family", "parallels", "--scan", "liouville_class",
-                   "--pairwise", *GRID, "--out", str(tmp_path)) == 0
+                   "--pairwise", "--out", str(tmp_path)) == 0
         scan_head = (tmp_path / "parallels_scan.csv").read_text().splitlines()[0]
         assert "a_emp=0.2" in scan_head
         pair_rows = (tmp_path / "parallels_pairwise.csv").read_text().splitlines()
         assert len(pair_rows) == 2 + 10  # C(5,2) pairs
         # without the scan, the pairwise table is measured on its own
-        assert run("family", "parallels", "--pairwise", *GRID,
+        assert run("family", "parallels", "--pairwise",
                    "--out", str(tmp_path / "plain")) == 0
         plain = (tmp_path / "plain" / "parallels_pairwise.csv").read_text()
         assert plain.splitlines() == pair_rows
@@ -257,6 +257,8 @@ class TestOtherCommands:
         ["classify", "--curve", "cos:1,2", "--k", "five"],
         ["sasaki", "--patch", "nonsense"],  # sasaki builds no band
         ["sasaki", *GRID],
+        ["family", "parallels", *GRID],  # each family builds its own patch
+        ["figure", "parallels", "--patch", "nonsense"],
     ])
     def test_usage_error_is_config_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -304,7 +306,7 @@ class TestOtherCommands:
                    "--out", str(tmp_path)) == 4
 
     def test_unknown_figure_is_runtime_error(self, tmp_path):
-        assert run("figure", "nope", *GRID, "--out", str(tmp_path)) == 3
+        assert run("figure", "nope", "--out", str(tmp_path)) == 3
 
     # the default cylinder has r = 2: the shift solve needs max|xi| < r/2,
     # the contraction path max|xi| < r/3

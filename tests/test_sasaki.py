@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from lagbound import sasaki
+from lagbound import jets, sasaki
 from lagbound.errors import FrameDegenerate, StepTooLarge
 from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
                              curvature_sweep, graph_second_fundamental_form,
@@ -156,23 +156,34 @@ def _reference_sweep(graph, t_grid, n_theta, samples):
     return np.array(out)
 
 
+U1, U2 = sp.symbols("u1 u2", real=True)
+R2 = U1 ** 2 + U2 ** 2
+# sympy twins of the bases' conformal factors, per chart
+PHI_EXPRS = {"flat_torus": (sp.Integer(0),),
+             "round_sphere": (sp.log(2 / (1 + R2)),) * 2}
+XZ_EXPR = 2 * U1 * (R2 - 1) / (R2 + 1) ** 2   # x z; z flips sign in chart 1
+
+
+def _sphere_xz(u1, u2):
+    r2 = u1 * u1 + u2 * u2
+    return 2.0 * u1 * (r2 - 1.0) / ((r2 + 1.0) * (r2 + 1.0))
+
+
 def _sphere_xz_graph(eps):
     """H = eps x z on the round sphere.  Unlike the harmonic graph, whose sup
     sits where xi = 0, its sup moves with the curvature term K T R(x^)."""
-    u1, u2 = sp.symbols("u1 u2", real=True)
-    r2 = u1 ** 2 + u2 ** 2
-    xz = eps * 2 * u1 * (r2 - 1) / (r2 + 1) ** 2   # z flips sign in chart 1
-    return GradientGraph(base_manifold("round_sphere"), (xz, -xz),
-                         name=f"sphere_xz_{eps:g}")
+    return GradientGraph(base_manifold("round_sphere"),
+                         (_sphere_xz, lambda u1, u2: -_sphere_xz(u1, u2)),
+                         amplitude=eps, name=f"sphere_xz_{eps:g}")
 
 
 def _mixed_torus_graph():
     """A torus H with every third derivative nonzero, so each H_ijk term is
     exercised.  On the torus A = H_ijk is fully symmetric; the sphere graphs
     exercise A's index order."""
-    u1, u2 = sp.symbols("u1 u2", real=True)
     return GradientGraph(base_manifold("flat_torus"),
-                         (sp.cos(u1) * sp.sin(2 * u2) + 0.3 * sp.sin(u1 + u2),),
+                         (lambda u1, u2: (jets.cos(u1) * jets.sin(2.0 * u2)
+                                          + 0.3 * jets.sin(u1 + u2)),),
                          name="torus_mixed")
 
 
@@ -180,7 +191,7 @@ def _reference_chart_tensors(h_expr, phi_expr):
     """xi, T and A in the orthonormal frame, each differentiated and
     contracted symbolically and then lambdified: the fully symbolic route
     the jet assembly must reproduce."""
-    u = sp.symbols("u1 u2", real=True)
+    u = (U1, U2)
     lam2 = sp.exp(2 * phi_expr)
     lam = sp.exp(phi_expr)
     dphi = [sp.diff(phi_expr, ui) for ui in u]
@@ -208,10 +219,11 @@ def _reference_chart_tensors(h_expr, phi_expr):
     return evaluate
 
 
-def _reference_frame_data(graph, coords, charts):
+def _reference_frame_data(graph, h_exprs, coords, charts):
+    """The frame tensors of `graph` from the sympy twins h_exprs of its H."""
     out = {key: np.empty(coords.shape[:-1] + shape) for key, shape in
            (("xi", (2,)), ("T", (2, 2)), ("A", (2, 2, 2)))}
-    for cid, (h, phi) in enumerate(zip(graph.h_exprs, graph.base.phi_exprs)):
+    for cid, (h, phi) in enumerate(zip(h_exprs, PHI_EXPRS[graph.base.name])):
         mask = charts == cid
         vals = _reference_chart_tensors(h, phi)(coords[mask])
         for key, val in zip(out, vals):
@@ -220,20 +232,25 @@ def _reference_frame_data(graph, coords, charts):
     return out
 
 
-GRAPHS = {"torus_cos1": lambda: torus_gradient_graph(0.01),
-          "torus_cos2": lambda: torus_gradient_graph(0.02, mode=2),
-          "torus_mixed": _mixed_torus_graph,
-          "sphere_harmonic": lambda: sphere_harmonic_graph(0.01),
-          "sphere_xz": lambda: _sphere_xz_graph(0.1)}
+# each graph with the sympy twin of its unit-amplitude H, per chart
+GRAPHS = {"torus_cos1": (lambda: torus_gradient_graph(0.01), (sp.cos(U1),)),
+          "torus_cos2": (lambda: torus_gradient_graph(0.02, mode=2),
+                         (sp.cos(2 * U1),)),
+          "torus_mixed": (_mixed_torus_graph,
+                          (sp.cos(U1) * sp.sin(2 * U2) + 0.3 * sp.sin(U1 + U2),)),
+          "sphere_harmonic": (lambda: sphere_harmonic_graph(0.01),
+                              ((R2 - 1) / (R2 + 1), (1 - R2) / (R2 + 1))),
+          "sphere_xz": (lambda: _sphere_xz_graph(0.1), (XZ_EXPR, -XZ_EXPR))}
 
 
 class TestGradientGraphs:
     @pytest.mark.parametrize("graph_id", list(GRAPHS))
     def test_jets_match_the_symbolic_reference(self, graph_id):
-        graph = GRAPHS[graph_id]()
+        make_graph, h_exprs = GRAPHS[graph_id]
+        graph = make_graph()
         coords, charts = graph.default_samples(1600)
         data = graph.frame_data(coords, charts)
-        ref = _reference_frame_data(graph, coords, charts)
+        ref = _reference_frame_data(graph, h_exprs, coords, charts)
         for key in ("xi", "T", "A"):
             scale = np.max(np.abs(ref[key]))
             assert scale > 0.0
@@ -243,7 +260,7 @@ class TestGradientGraphs:
         gg = sphere_harmonic_graph(0.01)
         unit = sphere_harmonic_graph(1.0)
         assert gg.name == "sphere_harmonic_0.01"
-        assert gg.h_exprs == unit.h_exprs
+        assert gg.h_funcs == unit.h_funcs
         coords, charts = gg.default_samples()
         data, unit_data = (g.frame_data(coords, charts) for g in (gg, unit))
         for key in ("xi", "T", "A"):
