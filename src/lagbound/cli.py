@@ -184,6 +184,10 @@ def _dispatch(args) -> int:
         if args.sweep is not None and not np.isfinite(args.sweep):
             raise ConfigError(f"--sweep must be a finite amplitude, "
                               f"got {args.sweep}")
+    if args.command == "contract" and args.n_alpha < 2:
+        raise ConfigError(f"--n-alpha must be at least 2, got {args.n_alpha}")
+    if args.command == "exactify" and not np.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
     os.makedirs(config.out_dir, exist_ok=True)
     cmd = args.command
 

@@ -15,8 +15,10 @@ intrinsic lengths, the area functional, shortest-path distances) is driven by
 this field and its first partials.
 
 A patch marches (w, w_t, w_s, w_st, int_0^t w) over its rows within `_MARCH_TOL`,
-measured by step doubling.  Curves sampled on its columns read their warp data by
-quintic Hermite interpolation in t; other points integrate from the base row.
+measured by step doubling.  Every point reads its warp data from that grid
+(`SurfacePatch.warp_at`): the marched fields at the two bracketing rows come
+from the point's column, or from an 8-node barycentric interpolant in s between
+columns, and a quintic Hermite in t joins the rows.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartDegenerate, OutOfPatch
-from .numerics import (loglog_slope, periodic_bilinear, rk4_step,
-                       wrap_difference)
+from .numerics import (_BARY_WEIGHTS, loglog_slope, periodic_bilinear,
+                       rk4_step, wrap_difference)
 
 __all__ = [
     "BaseCurve",
@@ -127,11 +129,6 @@ def _warp_deriv(nk, nks, state: np.ndarray) -> np.ndarray:
     """Time derivative of (w, w_t, w_s, w_st, int_0^t w) given -K and -K_s."""
     w, u, v, y, _ = state
     return np.array([u, nk * w, y, nk * v + nks * w, w])
-
-
-def _warp_rhs(base: BaseCurve, s: np.ndarray, t, state: np.ndarray) -> np.ndarray:
-    """The normal ODE system at (s, t), with K and K_s evaluated there."""
-    return _warp_deriv(-_eval2(base.gauss, s, t), -base.gauss_ds(s, t), state)
 
 
 def check_grid(n_s: int, n_t: int):
@@ -261,44 +258,49 @@ class SurfacePatch:
                 f"points reach |t|={np.max(np.abs(t_values)):.4f}, "
                 f"margin requires |t| < {self.halfwidth - margin:.4f}")
 
-    # -- warp evaluation off the grid ----------------------------------------
+    # -- warp lookup ---------------------------------------------------------
 
-    def warp_on_curve(self, s_vals: np.ndarray, t_vals: np.ndarray,
-                      n_steps: int = 96) -> dict[str, np.ndarray]:
-        """Warp data along arbitrary points (s_i, t_i), by n_steps fixed RK4
-        steps of the normal ODE system from the base row.  Returns w and the
-        partials of w^2.
+    def warp_at(self, s: np.ndarray, t: np.ndarray,
+                _stride: int = 1) -> dict[str, np.ndarray]:
+        """Warp data (w and the partials of w^2) at points (s_i, t_i): the
+        marched fields at the bracketing rows, `_stride` rows apart, read at
+        the point's column (to 1e-9 of a cell) or by a periodic 8-node
+        barycentric interpolant in s, then a quintic Hermite in t with the ODE's
+        t-derivatives.  `_stride` 2 also halves the columns, unless n_s is odd.
         """
-        s = np.asarray(s_vals, dtype=float)
-        t = np.broadcast_to(np.asarray(t_vals, dtype=float), s.shape)
-        state, h, tt = _warp_initial(self.base, s), t / n_steps, np.zeros_like(s)
-        for _ in range(n_steps):
-            state = rk4_step(lambda ti, y: _warp_rhs(self.base, s, ti, y),
-                             tt, state, h)
-            tt = tt + h
-        w, u, v = state[:3]
-        return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
-
-    def warp_on_columns(self, cols: np.ndarray, t_vals: np.ndarray,
-                        _stride: int = 1) -> dict[str, np.ndarray]:
-        """Warp data at (s[cols], t_i) from the marched grid, keyed as in
-        `warp_on_curve`: quintic Hermite interpolation in t between the
-        bracketing rows (`_stride` rows apart), with the t-derivatives from
-        the ODE."""
-        h, t = _stride * (self.t[1] - self.t[0]), np.asarray(t_vals, dtype=float)
+        s = np.asarray(s, dtype=float)
+        t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
+        cs = _stride if self.n_s % _stride == 0 else 1
+        n_cols = self.n_s // cs
+        pos = s * (n_cols / self.length)
+        col = np.rint(pos)
+        off = np.flatnonzero(np.abs(pos - col) >= 1e-9)
+        col = (col.astype(int) % n_cols) * cs
+        s_at = self.s[col]  # K at a column point's own column s, bit for bit
+        s_at[off] = s[off]
+        nodes = np.floor(pos[off]).astype(int)[:, None] + np.arange(-3, 5)
+        bary = _BARY_WEIGHTS / (pos[off, None] - nodes)
+        den = bary.sum(axis=1)
+        h = _stride * (self.t[1] - self.t[0])
         j = np.clip(((t - self.t[0]) // h).astype(int) * _stride, 0,
                     self.n_t - 1 - _stride)
-        s, x = self.s[cols], (t - self.t[j]) / h
-        ends = []
-        for row in (j, j + _stride):
-            tr = self.t[row]
-            w, u, v, y = (f[cols, row] for f in (self.w, self.w_t, self.w_s, self.w_st))
-            nk, nks = -_eval2(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)
-            nkt = -_five_point(lambda d: _eval2(self.base.gauss, s, tr + d), 1e-4)
-            # (f, f_t, f_tt) of w, w_t and w_s, from w_tt = -K w
-            ends.append(np.array([[w, u, v], [u, nk * w, y],
-                                  [nk * w, nkt * w + nk * u, nk * v + nks * w]]))
-        w, u, v = _hermite5(*ends, x, h)
+        rows = np.stack([j, j + _stride])
+        # flat indices of each point's column and of its stencil, at both rows
+        at_col = col * self.n_t + rows
+        at_nodes = (nodes % n_cols) * (cs * self.n_t) + rows[:, off, None]
+        w, u, v, y = fields = np.empty((4,) + rows.shape)
+        for f, out in zip((self.w, self.w_t, self.w_s, self.w_st), fields):
+            out[:] = f.take(at_col)
+            if off.size:
+                out[:, off] = np.einsum("rik,ik->ri", f.take(at_nodes),
+                                        bary) / den
+        s, tr = np.broadcast_to(s_at, rows.shape), self.t[rows]
+        nk, nks = -_eval2(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)
+        nkt = -_five_point(lambda d: _eval2(self.base.gauss, s, tr + d), 1e-4)
+        # (f, f_t, f_tt) of w, w_t and w_s at both rows, from w_tt = -K w
+        ends = np.array([[w, u, v], [u, nk * w, y],
+                         [nk * w, nkt * w + nk * u, nk * v + nks * w]])
+        w, u, v = _hermite5(ends[:, :, 0], ends[:, :, 1], (t - self.t[j]) / h, h)
         return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
     def grid_w(self, s_query: np.ndarray, t_query: np.ndarray) -> np.ndarray:
@@ -368,11 +370,11 @@ def warp_taylor_check(patch: SurfacePatch, s: float,
 
     # Degree-4 fit so the quartic tail does not contaminate the quadratic jet.
     t_fit = np.linspace(-min(0.01, t_hi), min(0.01, t_hi), 17)
-    w2 = patch.warp_on_curve(np.full(t_fit.shape, s), t_fit)["w"] ** 2
+    w2 = patch.warp_at(np.full(t_fit.shape, s), t_fit)["w"] ** 2
     coeffs = tuple(np.polyfit(t_fit, w2, 4)[::-1][:3])
 
     t_rem = np.geomspace(t_lo, t_hi, num)
-    w2r = patch.warp_on_curve(np.full(t_rem.shape, s), t_rem)["w"] ** 2
+    w2r = patch.warp_at(np.full(t_rem.shape, s), t_rem)["w"] ** 2
     model = expected[0] + expected[1] * t_rem + expected[2] * t_rem ** 2
     rem = w2r - model
     max_rem = float(np.max(np.abs(rem)))

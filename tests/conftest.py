@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
+from lagbound import surface
+from lagbound.numerics import rk4_step
 from lagbound.surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                               sphere_band, unit_cylinder)
 
 # Moderate grids keep the unit tests fast; the acceptance module builds its
 # own full-resolution patches where a criterion demands them.
 GRID = (512, 129)
+
+
+def _reference_warp(patch, s, t, n_steps=2000):
+    """Warp data at points (s_i, t_i) by n_steps fixed RK4 steps of the normal
+    ODE system from the base row, keyed as `SurfacePatch.warp_at`."""
+    base, s = patch.base, np.asarray(s, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
+
+    def rhs(ti, y):
+        return surface._warp_deriv(-surface._eval2(base.gauss, s, ti),
+                                   -base.gauss_ds(s, ti), y)
+
+    state, h = surface._warp_initial(base, s), t / n_steps
+    for k in range(n_steps):
+        state = rk4_step(rhs, k * h, state, h)
+    w, u, v = state[:3]
+    return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
 
 @pytest.fixture(scope="session")

@@ -251,6 +251,15 @@ class TestOtherCommands:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
+        ["contract", "--n-alpha=0"], ["contract", "--n-alpha=-3"],
+        ["contract", "--n-alpha=1"], ["exactify", "--alpha=nan"],
+        ["exactify", "--alpha=inf"], ["exactify", "--alpha=-inf"]])
+    def test_bad_path_input_is_config_error(self, tmp_path, argv):
+        assert run(*argv, "--curve", "cos:0.1,2", *GRID,
+                   "--out", str(tmp_path)) == 4
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["classify", "--curve", "cos:1,2"],
         ["bogus"],
         ["curvature", "--curve", "parallel:0", "--tol", "1"],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lagbound import distances, surface
+from lagbound.config import build_patch_from_spec, parse_curve_spec
 from lagbound.curves import (Curve, _ratio_scan, geodesic_curvature,
                              intrinsic_distance, tameness,
                              tameness_comparison_check, trig_curve)
@@ -14,6 +15,8 @@ from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import fourier_primitive_grid, wrap_difference
 from lagbound.surface import (hyperbolic_band, plane_annulus, plane_embed,
                               sphere_band, sphere_embed)
+
+from conftest import _reference_warp
 
 
 def euclidean_graph_curvature(dxi, d2xi):
@@ -94,11 +97,45 @@ class TestGeodesicCurvature:
         assert abs(r2.sup - r1.sup) <= r1.error
 
 
+_BUILDERS = {
+    "sphere": lambda g: sphere_band(0.6, g),
+    "hyperbolic": lambda g: hyperbolic_band(0.6, g),
+    "spec": lambda g: build_patch_from_spec({
+        "length": 2 * np.pi, "halfwidth": 0.5, "grid": list(g),
+        "kappa": "0.2*cos(s)", "gauss": "0.5*cos(s) + 0.2*t"}),
+}
+
+
+def _reference_sup(curve):
+    """sup |B| of the curve's samples, with the warp data from 2000 RK4 steps."""
+    ref = Curve(curve.patch, curve.xi, curve.dxi, curve.d2xi)
+    ref._cache["warp"] = _reference_warp(curve.patch, ref.s, ref.xi)
+    return geodesic_curvature(ref, _with_error=False).sup
+
+
+def _column_lookup(patch, cols, t):
+    """The grid read at columns `cols` with no interpolation in s: the marched
+    fields at the bracketing rows, joined by the quintic Hermite in t."""
+    h, gauss = patch.t[1] - patch.t[0], patch.base.gauss
+    j = np.clip(((t - patch.t[0]) // h).astype(int), 0, patch.n_t - 2)
+    s, ends = patch.s[cols], []
+    for row in (j, j + 1):
+        tr = patch.t[row]
+        w, u, v, y = (f[cols, row]
+                      for f in (patch.w, patch.w_t, patch.w_s, patch.w_st))
+        nk, nks = -surface._eval2(gauss, s, tr), -patch.base.gauss_ds(s, tr)
+        nkt = -surface._five_point(
+            lambda d: surface._eval2(gauss, s, tr + d), 1e-4)
+        ends.append(np.array([[w, u, v], [u, nk * w, y],
+                              [nk * w, nkt * w + nk * u, nk * v + nks * w]]))
+    w, u, v = surface._hermite5(*ends, (t - patch.t[j]) / h, h)
+    return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
+
+
 class TestWarpData:
     BANDS = {  # band builder, exact |B| of the parallel t = c
-        "sphere": (lambda g: sphere_band(0.6, g), lambda c: abs(np.tan(c))),
-        "hyperbolic": (lambda g: hyperbolic_band(0.6, g),
-                       lambda c: abs(np.tanh(c))),
+        "sphere": (_BUILDERS["sphere"], lambda c: abs(np.tan(c))),
+        "hyperbolic": (_BUILDERS["hyperbolic"], lambda c: abs(np.tanh(c))),
         "plane": (lambda g: plane_annulus(2.0, 1.0, g), lambda c: 1 / (2 - c)),
     }
 
@@ -118,37 +155,42 @@ class TestWarpData:
         for amps in ({2: 0.4}, {3: 0.2}, {2: 0.2, 5: 0.05}, {4: 0.1}):
             curve = trig_curve(patch, amps, n=64)
             rep = geodesic_curvature(curve)
-            ref = Curve.from_callables(patch, *curve.fns, n=64)
-            ref._cache["warp"] = patch.warp_on_curve(ref.s, ref.xi, n_steps=2000)
-            exact = geodesic_curvature(ref, _with_error=False).sup
-            assert abs(rep.sup - exact) <= rep.error, amps
+            assert abs(rep.sup - _reference_sup(curve)) <= rep.error, amps
 
     @pytest.mark.parametrize("name", ["sphere", "hyperbolic"])
     def test_off_column_curves_within_their_error(self, name):
-        # n = 512 does not divide n_s = 128: the warp comes from 96 RK4
-        # steps, whose error reaches a few 1e-12 here
+        # n = 512 on n_s = 128: three points in four lie between columns
         patch = self.BANDS[name][0]((128, 33))
         for amps in ({1: 0.4}, {2: 0.4}, {3: 0.4}, {1: 0.5}, {2: 0.5}):
             curve = trig_curve(patch, amps, n=512)
             rep = geodesic_curvature(curve)
-            ref = Curve.from_callables(patch, *curve.fns, n=512)
-            ref._cache["warp"] = patch.warp_on_curve(ref.s, ref.xi, n_steps=2000)
-            exact = geodesic_curvature(ref, _with_error=False).sup
-            assert abs(rep.sup - exact) <= rep.error, amps
+            assert abs(rep.sup - _reference_sup(curve)) <= rep.error, amps
 
-    def test_column_curves_read_the_grid(self, sphere, monkeypatch):
-        calls = []
-        original = surface._warp_rhs
-        monkeypatch.setattr(surface, "_warp_rhs",
-                            lambda *a: calls.append(1) or original(*a))
-        for n in (sphere.n_s, sphere.n_s // 2, 64):
-            trig_curve(sphere, {3: 0.2}, n=n).warp_data()
-        assert calls == []
-        off = trig_curve(sphere, {3: 0.2}, n=2048)
-        got = off.warp_data()
-        assert calls
-        ref = sphere.warp_on_curve(off.s, off.xi)
-        assert all(np.array_equal(got[k], ref[k]) for k in ref)
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic", "spec"])
+    def test_non_dividing_curves_within_their_error(self, name, tmp_path):
+        # neither n = 100 nor n = 300 divides n_s or is a multiple of it; the
+        # coarse lookup of the odd n_s = 127 halves the rows only
+        s = np.arange(300) * (2 * np.pi / 300)
+        path = tmp_path / "curve.csv"
+        np.savetxt(path, np.column_stack(
+            [s, 0.2 * np.cos(3 * s) + 0.1 * np.sin(s)]), delimiter=",")
+        for grid in ((128, 33), (127, 33)):
+            patch = _BUILDERS[name](grid)
+            for curve in (trig_curve(patch, {2: 0.3}, {5: 0.02}, n=100),
+                          parse_curve_spec(f"csv:{path}", patch)):
+                rep = geodesic_curvature(curve)
+                assert abs(rep.sup - _reference_sup(curve)) <= rep.error, \
+                    (grid, curve.n)
+
+    def test_column_curves_read_the_grid(self, sphere):
+        for patch in (sphere, _BUILDERS["spec"]((512, 129))):
+            for n in (patch.n_s, patch.n_s // 2, 64):
+                curve = trig_curve(patch, {3: 0.2}, {1: 0.1}, n=n)
+                got = curve.warp_data()
+                ref = _column_lookup(
+                    patch, np.arange(0, patch.n_s, patch.n_s // n), curve.xi)
+                assert set(got) == set(ref)
+                assert all(np.array_equal(got[k], ref[k]) for k in ref), n
 
 
 class TestIntrinsicDistance:

@@ -13,6 +13,8 @@ from lagbound.surface import (BaseCurve, ambient_distance, area_form,
                               solve_warp, sphere_band, sphere_embed,
                               warp_taylor_check)
 
+from conftest import _reference_warp
+
 
 def _fd_second_derivative(col, h):
     # fourth-order central stencil for the t-residual check
@@ -103,7 +105,7 @@ class TestWarpMarch:
         build, w, w_t = CLOSED_FORMS[name]
         patch = build((512, 129))
         t = np.linspace(-0.99, 0.99, 1001) * patch.halfwidth
-        got = patch.warp_on_columns(np.arange(t.size) % patch.n_s, t)
+        got = patch.warp_at(patch.s[np.arange(t.size) % patch.n_s], t)
         assert np.max(np.abs(got["w"] - w(t))) <= 2e-13
         assert np.max(np.abs(got["w2_t"] / (2 * got["w"]) - w_t(t))) <= 2e-13
         assert np.max(np.abs(got["w2_s"])) == 0.0
@@ -112,12 +114,29 @@ class TestWarpMarch:
         patch = build_patch_from_spec({
             "length": 2 * np.pi, "halfwidth": 0.5, "grid": [512, 129],
             "kappa": "0.2*cos(s)", "gauss": "0.5*cos(s) + 0.2*t"})
-        t = np.random.default_rng(0).uniform(-0.45, 0.45, patch.n_s)
-        got = patch.warp_on_columns(np.arange(patch.n_s), t)
-        ref = patch.warp_on_curve(patch.s, t, n_steps=2000)
-        assert set(got) == set(ref) == {"w", "w2_t", "w2_s"}
-        for key in got:
-            assert np.max(np.abs(got[key] - ref[key])) <= 1e-13
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-0.45, 0.45, patch.n_s)
+        # on the columns, then between them
+        for s in (patch.s, rng.uniform(0, patch.length, patch.n_s)):
+            got = patch.warp_at(s, t)
+            ref = _reference_warp(patch, s, t)
+            assert set(got) == set(ref) == {"w", "w2_t", "w2_s"}
+            for key in got:
+                assert np.max(np.abs(got[key] - ref[key])) <= 1e-13
+
+    @pytest.mark.parametrize("n_s", [128, 127])
+    def test_coarse_lookup_matches_fine_integration(self, n_s):
+        # every other row and column; an odd n_s halves the rows only
+        patch = build_patch_from_spec({
+            "length": 2 * np.pi, "halfwidth": 0.5, "grid": [n_s, 33],
+            "kappa": "0.2*cos(s)", "gauss": "0.5*cos(s) + 0.2*t"})
+        rng = np.random.default_rng(1)
+        s, t = rng.uniform(0, patch.length, 300), rng.uniform(-0.4, 0.4, 300)
+        ref = _reference_warp(patch, s, t)
+        for stride, tol in ((1, 1e-12), (2, 1e-9)):
+            got = patch.warp_at(s, t, _stride=stride)
+            for key in got:
+                assert np.max(np.abs(got[key] - ref[key])) <= tol, (stride, key)
 
 
 class TestWarpTaylor:
