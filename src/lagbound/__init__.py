@@ -11,11 +11,11 @@ from .exactness import (ContractionPath, IsotopyInvariant, area_functional,
                         build_contraction, contraction_bounds_check,
                         isotopy_invariant, solve_c, solve_c_grid)
 from .hausdorff import (HausdorffResult, contraction_path_bound_check,
-                        hausdorff_distance, radial_path_check, scaled_curve)
+                        hausdorff_distance, radial_path_check)
 from .sasaki import (GradientGraph, SasakiState, base_manifold,
-                     curvature_sweep, graph_second_fundamental_form,
-                     graph_tameness_bounds, parabola_check, sasaki_geodesic,
-                     sphere_harmonic_graph, torus_gradient_graph)
+                     curvature_sweep, graph_tameness_bounds, parabola_check,
+                     sasaki_geodesic, sphere_harmonic_graph,
+                     torus_gradient_graph)
 from .surface import (BaseCurve, SurfacePatch, ambient_distance, area_form,
                       flat_cylinder, hyperbolic_band, plane_annulus,
                       solve_warp, sphere_band, unit_cylinder,

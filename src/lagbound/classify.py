@@ -107,7 +107,7 @@ def classify(curve: Curve, k: float) -> MembershipVerdict:
         raise ValueError("level k must be positive")
     trep = tameness(curve)
     (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, trep)
-    a_val = area_functional(curve.patch, curve)
+    a_val = area_functional(curve)
     return MembershipVerdict(
         k=float(k), curvature_ok=c_curv, tame_ok=c_tame, containment_ok=c_cont,
         verdict=verdict, margins=margins,

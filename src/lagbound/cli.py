@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -31,25 +32,26 @@ from .report import write_csv
 from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                       sphere_band, unit_cylinder)
 
+# each builder's default grid is DEFAULT_GRID, but unit_cylinder's is 2048x257
 _PATCHES = {
-    "cylinder": lambda grid: flat_cylinder(halfwidth=2.0, grid=grid),
-    "flat_cylinder": lambda grid: flat_cylinder(halfwidth=1.5, grid=grid),
-    "plane_circle": lambda grid: plane_annulus(grid=grid),
-    "sphere_equator": lambda grid: sphere_band(grid=grid),
-    "hyperbolic_band": lambda grid: hyperbolic_band(grid=grid),
-    "unit_cylinder": lambda grid: unit_cylinder(grid=(grid[0], 257)),
+    "cylinder": partial(flat_cylinder, halfwidth=2.0),
+    "flat_cylinder": partial(flat_cylinder, halfwidth=1.5),
+    "plane_circle": plane_annulus,
+    "sphere_equator": sphere_band,
+    "hyperbolic_band": hyperbolic_band,
+    "unit_cylinder": unit_cylinder,
 }
 
 
 def _resolve_patch(name, config: ExperimentConfig):
-    grid = config.grid or DEFAULT_GRID
     if name in config.patches:
         spec = dict(config.patches[name])
         spec.setdefault("name", name)
-        spec.setdefault("grid", grid)
+        spec.setdefault("grid", config.grid or DEFAULT_GRID)
         return build_patch_from_spec(spec)
     if name in _PATCHES:
-        return _PATCHES[name](grid)
+        build = _PATCHES[name]
+        return build(grid=config.grid) if config.grid else build()
     raise ConfigError(f"unknown patch {name!r}; choices: "
                       f"{sorted(_PATCHES) + sorted(config.patches)}")
 
@@ -145,6 +147,8 @@ def build_parser():
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config.seed = args.seed
     if getattr(args, "grid", None):
         config.grid = parse_grid(args.grid.lower().split("x"))
@@ -306,7 +310,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "exactify":
-        c = solve_c(patch, curve, args.alpha)
+        c = solve_c(curve, args.alpha)
         print(f"c({args.alpha:g}) = {c:.15g}")
         write_csv(os.path.join(config.out_dir, "exactify.csv"),
                   ["curve", "alpha", "c"], [(curve.name, args.alpha, c)],
@@ -315,7 +319,7 @@ def _dispatch(args) -> int:
 
     if cmd == "contract":
         rows, chk = contraction_table(
-            build_contraction(patch, curve, n_alpha=args.n_alpha), config)
+            build_contraction(curve, n_alpha=args.n_alpha), config)
         path = write_csv(os.path.join(config.out_dir, "contract.csv"),
                          ["alpha", "c", "sup_curvature", "epsilon",
                           "delta_h_to_base"], rows, {"patch": args.patch,

@@ -107,8 +107,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.seed = data.get("seed", cfg.seed)
-        if type(cfg.seed) is not int:  # int(1.5) is 1, and True is an int
-            raise ConfigError("seed must be an integer")
+        # int(1.5) is 1, and True is an int
+        if type(cfg.seed) is not int or cfg.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         cfg.out_dir = str(data.get("out_dir", cfg.out_dir))
         cfg.quick = data.get("quick", cfg.quick)
         if "grid" in data:

@@ -8,6 +8,8 @@ A graph xi is exact when its signed band area
 vanishes.  For every scale a in [0, 1] there is a unique shift c(a) making
 a*xi + c(a) exact, because c -> A(a*xi + c) is strictly increasing (w > 0);
 c is found by bisection inside the guaranteed bracket |c| <= a * max|xi|.
+The inner integral W = int_0^t w is read at the patch columns by
+`SurfacePatch.cum_w_at`; every function takes its band from `curve.patch`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, tameness
-from .errors import NoBracket, ParamOutOfRange, SelfIntersection
-from .numerics import eval_fourier_series, interp_uniform_rows
+from .errors import NoBracket, OutOfPatch, ParamOutOfRange, SelfIntersection
+from .numerics import eval_fourier_series
 from .surface import SurfacePatch, plane_embed
 
 __all__ = [
@@ -37,7 +39,8 @@ _C_TOL = 1e-13     # |A| at which a bisection shift counts as exact
 _LIP_SLACK = 1e-11  # float slack; equality is attained for constant graphs
 
 
-def _xi_on_patch_grid(patch: SurfacePatch, curve: Curve) -> np.ndarray:
+def _xi_on_patch_grid(curve: Curve) -> np.ndarray:
+    patch = curve.patch
     if curve.n == patch.n_s:
         return curve.xi
     if curve.fns is not None and curve.fns[0] is not None:
@@ -45,26 +48,22 @@ def _xi_on_patch_grid(patch: SurfacePatch, curve: Curve) -> np.ndarray:
     return eval_fourier_series(curve.xi, patch.length, patch.s)
 
 
-def area_functional(patch: SurfacePatch, curve: Curve) -> float:
+def area_functional(curve: Curve) -> float:
     """Signed area between the graph and the base curve, weighted by the warp."""
-    xi_grid = _xi_on_patch_grid(patch, curve)
-    if np.max(np.abs(xi_grid)) >= patch.halfwidth:
-        raise ValueError("graph leaves the band")
-    return float(_area_batch(patch, xi_grid[None])[0])
+    xi_grid, r = _xi_on_patch_grid(curve), curve.patch.halfwidth
+    top = np.max(np.abs(xi_grid))
+    if top >= r:
+        raise OutOfPatch(f"graph reaches |xi| = {top:.6g} >= r = {r:.6g} on "
+                         "the patch columns")
+    return float(_area_batch(curve.patch, xi_grid))
 
 
 def _area_batch(patch: SurfacePatch, xi_block: np.ndarray) -> np.ndarray:
-    """A for a block of graphs sampled on the patch grid, shape (m, n_s)."""
-    m, n_s = xi_block.shape
-    h = patch.t[1] - patch.t[0]
-    rows = np.tile(np.arange(n_s), m)
-    inner = interp_uniform_rows(patch.cum_w, patch.t[0], h, rows,
-                                xi_block.ravel())
-    return inner.reshape(m, n_s).mean(axis=1) * patch.length
+    """A for graphs sampled on the patch columns, shape (..., n_s)."""
+    return patch.cum_w_at(xi_block).mean(axis=-1) * patch.length
 
 
-def solve_c_grid(patch: SurfacePatch, curve: Curve,
-                 alphas: np.ndarray) -> np.ndarray:
+def solve_c_grid(curve: Curve, alphas: np.ndarray) -> np.ndarray:
     """Vertical shifts c(a) with A(a*xi + c(a)) = 0 for a whole grid of scales.
 
     Bisection inside the guaranteed bracket |c| <= a*max|xi| (the area is
@@ -73,13 +72,13 @@ def solve_c_grid(patch: SurfacePatch, curve: Curve,
     scalar bisection would.
     """
     alphas = np.asarray(alphas, dtype=float)
-    sup = curve.sup_norm()
+    patch, sup = curve.patch, curve.sup_norm()
     if sup >= patch.halfwidth / 2:
         raise ParamOutOfRange(f"shift solve requires max|xi| < r/2 = "
                               f"{patch.halfwidth / 2:.4g}, got {sup:.4g}")
     if sup == 0.0:
         return np.zeros_like(alphas)
-    xi_grid = _xi_on_patch_grid(patch, curve)
+    xi_grid = _xi_on_patch_grid(curve)
     xi_block = alphas[:, None] * xi_grid[None, :]
     lo = -alphas * sup
     hi = alphas * sup
@@ -110,9 +109,9 @@ def solve_c_grid(patch: SurfacePatch, curve: Curve,
     return out
 
 
-def solve_c(patch: SurfacePatch, curve: Curve, alpha: float) -> float:
+def solve_c(curve: Curve, alpha: float) -> float:
     """Unique vertical shift c with A(alpha*xi + c) = 0, |c| <= alpha*max|xi|."""
-    return float(solve_c_grid(patch, curve, np.array([float(alpha)]))[0])
+    return float(solve_c_grid(curve, np.array([float(alpha)]))[0])
 
 
 def shifted_curve(curve: Curve, shift: float, scale: float = 1.0,
@@ -142,25 +141,25 @@ class ContractionPath:
     curves: list
 
 
-def build_contraction(patch: SurfacePatch, curve: Curve,
-                      n_alpha: int = 101) -> ContractionPath:
+def build_contraction(curve: Curve, n_alpha: int = 101) -> ContractionPath:
     """Contraction path of a graph through exact graphs.
 
     Verifies the shift contract on the whole grid: vanishing endpoints, the
     bracket bound |c(a)| <= a*max|xi|, the Lipschitz bound
     |c(a)-c(a')| <= max|xi| |a-a'|, and containment in the band.
     """
+    patch = curve.patch
     if curve.sup_norm() >= patch.halfwidth / 3:
         raise ParamOutOfRange(
             f"build_contraction requires max|xi| < r/3 = "
             f"{patch.halfwidth / 3:.4g}, got {curve.sup_norm():.4g}")
-    c_fix = solve_c(patch, curve, 1.0)
+    c_fix = solve_c(curve, 1.0)
     xi_hat = shifted_curve(curve, c_fix, name=f"{curve.name}_exact") \
         if abs(c_fix) > 0 else curve
     sup = xi_hat.sup_norm()
 
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    c = solve_c_grid(patch, xi_hat, alphas)
+    c = solve_c_grid(xi_hat, alphas)
     curves = [shifted_curve(xi_hat, c[k], scale=a,
                             name=f"{curve.name}_a{a:.3f}")
               for k, a in enumerate(alphas)]
@@ -297,7 +296,7 @@ def isotopy_invariant(obj, ambient: str,
         if not isinstance(obj, Curve):
             raise TypeError("cylinder invariant needs a graph curve")
         return IsotopyInvariant(kind="liouville_class",
-                                value=area_functional(obj.patch, obj))
+                                value=area_functional(obj))
     if ambient != "plane":
         raise ValueError(f"unknown ambient {ambient!r}")
 

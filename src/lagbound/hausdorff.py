@@ -15,6 +15,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import PatchMismatch
+from .exactness import shifted_curve
 
 __all__ = [
     "HausdorffResult",
@@ -22,7 +23,6 @@ __all__ = [
     "hausdorff_distance",
     "radial_path_check",
     "contraction_path_bound_check",
-    "scaled_curve",
 ]
 
 
@@ -34,12 +34,6 @@ class HausdorffResult:
     witness_ab: tuple[tuple[float, float], float]
     witness_ba: tuple[tuple[float, float], float]
     error: float
-
-
-def scaled_curve(curve: Curve, factor: float) -> Curve:
-    """The vertical scaling t -> factor * t of a graph (normal radial flow)."""
-    return Curve(curve.patch, factor * curve.xi, factor * curve.dxi,
-                 factor * curve.d2xi, name=f"{curve.name}*{factor:g}")
 
 
 def _spacing(curve: Curve, n_scan: int) -> float:
@@ -96,7 +90,7 @@ def radial_path_check(section: Curve, scale_pairs,
     patch.require_inside(section.xi)
     rows = []
     for tv, sv in scale_pairs:
-        ca, cb = scaled_curve(section, tv), scaled_curve(section, sv)
+        ca, cb = (shifted_curve(section, 0.0, f) for f in (tv, sv))
         res = hausdorff_distance(ca, cb)
         expected = abs(tv - sv) * sup
         rows.append((float(tv), float(sv), res.value, expected,

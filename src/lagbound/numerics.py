@@ -1,13 +1,11 @@
 """Shared numerical helpers: periodic spectral calculus, the RK4 step, periodic
-bilinear and uniform-grid interpolation, log-log slope fits, and the smoothstep
-bump used by the oscillating families.
+bilinear interpolation, log-log slope fits, and the smoothstep bump used by the
+oscillating families.
 
 All routines operate on plain numpy arrays and are deterministic.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -128,46 +126,6 @@ def periodic_bilinear(table: np.ndarray, period: float, t_axis: np.ndarray,
     i1 = (i + 1) % n_s
     return ((1 - fx) * (1 - fy) * table[i, j] + fx * (1 - fy) * table[i1, j]
             + (1 - fx) * fy * table[i, j + 1] + fx * fy * table[i1, j + 1])
-
-
-# ---------------------------------------------------------------------------
-# uniform-grid barycentric interpolation
-# ---------------------------------------------------------------------------
-
-# the interpolation stencil's node count and barycentric weights (-1)^j C(7, j)
-_ORDER = 8
-_BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(_ORDER - 1, j)
-                          for j in range(_ORDER)])
-
-
-def interp_uniform_rows(table: np.ndarray, x0: float, h: float,
-                        rows: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Interpolate table[rows[i], :] at abscissa xq[i], columns on the uniform
-    grid x0 + j*h.  Barycentric Lagrange on a sliding stencil of 8 nodes.
-    """
-    table = np.asarray(table, dtype=float)
-    xq = np.asarray(xq, dtype=float)
-    rows = np.asarray(rows)
-    n = table.shape[1]
-
-    pos = (xq - x0) / h
-    base = np.floor(pos).astype(int) - (_ORDER // 2 - 1)
-    base = np.clip(base, 0, n - _ORDER)
-    offs = np.arange(_ORDER)
-    idx = base[:, None] + offs[None, :]
-    ynode = table[rows[:, None], idx]
-    diff = pos[:, None] - idx
-    exact = np.isclose(diff, 0.0, atol=1e-14)
-    any_exact = exact.any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = _BARY_WEIGHTS[None, :] / diff
-        num = (terms * ynode).sum(axis=1)
-        den = terms.sum(axis=1)
-        out = num / den
-    if any_exact.any():
-        hit_rows, hit_cols = np.nonzero(exact)
-        out[hit_rows] = ynode[hit_rows, hit_cols]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
 from .exactness import (BoundsCheck, ContractionPath, area_functional,
                         build_contraction, contraction_bounds_check,
-                        isotopy_invariant, solve_c_grid)
+                        isotopy_invariant, shifted_curve, solve_c_grid)
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
 from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
@@ -131,17 +131,14 @@ def _check_exact_shift(config, params, patches, rng):
             sup_target = (patch.halfwidth / 3.0) * rng.uniform(0.3, 0.95)
             offset = rng.uniform(-0.2, 0.2) * sup_target
             xi = _random_trig(patch, rng, sup_target, name=f"xi{i}")
-            xi = Curve(patch, xi.xi + offset, xi.dxi, xi.d2xi, name=f"xi{i}")
+            xi = shifted_curve(xi, offset, name=f"xi{i}")
             sup = xi.sup_norm()
             if sup >= patch.halfwidth / 3:
-                xi = Curve(patch, xi.xi * 0.9, xi.dxi * 0.9, xi.d2xi * 0.9,
-                           name=xi.name)
+                xi = shifted_curve(xi, 0.0, scale=0.9, name=xi.name)
                 sup = xi.sup_norm()
-            c_vals = solve_c_grid(patch, xi, alphas)
-            resid = np.array([
-                area_functional(patch, Curve(patch, a * xi.xi + c, a * xi.dxi,
-                                             a * xi.d2xi))
-                for a, c in zip(alphas, c_vals)])
+            c_vals = solve_c_grid(xi, alphas)
+            resid = np.array([area_functional(shifted_curve(xi, c, scale=a))
+                              for a, c in zip(alphas, c_vals)])
             bracket_gap = float(np.max(np.abs(c_vals) - alphas * sup))
             dc = np.abs(c_vals[:, None] - c_vals[None, :])
             da = np.abs(alphas[:, None] - alphas[None, :])
@@ -173,7 +170,7 @@ def _contraction_suite(config, params, patches, rng):
         for i in range(params["members"]):
             xi = _random_trig(patch, rng, sup_target=0.05 * rng.uniform(0.5, 1.0),
                               name=f"{pname}_xi{i}")
-            path = build_contraction(patch, xi, n_alpha=params["alpha_steps"])
+            path = build_contraction(xi, n_alpha=params["alpha_steps"])
             chk = contraction_bounds_check(path, k=k_base, k_prime=k_base + 0.1,
                                            tol_curv=tol_b, tol_eps=tol_e)
             curv_rows.append((pname, xi.name, chk.max_curvature,
@@ -301,7 +298,7 @@ def _check_radial(config, params, patches, rng):
 def _check_contraction_hausdorff(config, params, patches, rng):
     patch = patches["flat_cylinder"]
     xi = _random_trig(patch, rng, sup_target=0.3, name="xi_h")
-    path = build_contraction(patch, xi, n_alpha=params["alpha_steps"])
+    path = build_contraction(xi, n_alpha=params["alpha_steps"])
     _, rows = contraction_path_bound_check(path)
     return CheckResult("contraction_hausdorff",
                        ["alpha", "alpha_prime", "delta_h", "bound", "gap",
@@ -354,7 +351,7 @@ def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
     rows = [(cv.name, trep.curvature.sup, trep.epsilon,
-             hausdorff_distance(cv, base).value, area_functional(patch, cv),
+             hausdorff_distance(cv, base).value, area_functional(cv),
              min_level(cv, trep))
             for cv, trep in zip(curves, map(tameness, curves))]
     path = write_csv(os.path.join(out_dir, f"{family_id}.csv"),

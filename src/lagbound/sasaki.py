@@ -55,7 +55,6 @@ __all__ = [
     "random_sasaki_states",
     "sasaki_geodesic",
     "parabola_check",
-    "graph_second_fundamental_form",
     "curvature_sweep",
     "graph_tameness_bounds",
     "SandwichReport",
@@ -577,26 +576,23 @@ def _block_maxima(data: dict, k_curv: float, theta: np.ndarray,
     return out
 
 
-@dataclass
-class SupReport:
-    value: float
-    t: float
-    n_theta: int
-    grad_bound: float
+def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
+                    n_theta: int = 720, samples: int = 1600) -> np.ndarray:
+    """Sup norms over a shared frame grid for every scale in t_grid.
 
-
-def _sweep(base, graph: GradientGraph, t_grid, n_theta: int,
-           samples: int) -> tuple[np.ndarray, float]:
-    """sup over base samples and unit tangent frames of the normalized
-    trilinear form at every scale t in t_grid, with the normal frame maximized
-    in closed form, and the grad bound; the frame tensors are evaluated once.
+    At each scale t this is the sup over base samples and unit tangent frames
+    of the normalized trilinear form, with the normal frame maximized in
+    closed form.  The sample and direction grids are fixed across scales, so
+    each indexed frame value inherits the pointwise monotonicity of the
+    rescaling law and the returned sups are directly comparable.
 
     The frame x~ = x^ / nu, nu^2 = 1 + t^2 |T x^|^2, gives the vector
     v(t) = (A(x^, x^) - t^2 K T R(x^)) / nu^2, whose squared normal-frame
     norm is the quadratic form of (I + t^2 T^2)^{-1}.  Only nu, v and that
-    form depend on t, so each block of directions computes the rest once and
-    then runs through the scales elementwise, keeping one running max per
-    scale.
+    form depend on t, so the frame tensors are evaluated once and each block
+    of _THETA_BLOCK directions computes the rest once, then runs through the
+    scales elementwise, keeping one running max per scale; the per-block
+    arrays, not all n_theta directions at once, bound the memory.
 
     Raises FrameDegenerate when the frame tensors or a sup are not finite, or
     when |grad xi| reaches 1 and the frame normalization is undefined.
@@ -629,29 +625,7 @@ def _sweep(base, graph: GradientGraph, t_grid, n_theta: int,
     if not np.all(np.isfinite(sups)):
         raise FrameDegenerate(f"sup norm of {graph.name} is not finite at "
                               f"t = {t_grid[~np.isfinite(sups)]}")
-    return sups, gb
-
-
-def graph_second_fundamental_form(base, graph: GradientGraph, t_scale: float,
-                                  n_theta: int = 720,
-                                  samples: int = 1600) -> SupReport:
-    """Sup norm of the second fundamental form of the graph of t*grad(H)."""
-    sups, gb = _sweep(base, graph, [t_scale], n_theta, samples)
-    return SupReport(value=float(sups[0]), t=t_scale, n_theta=n_theta,
-                     grad_bound=gb)
-
-
-def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
-                    n_theta: int = 720, samples: int = 1600) -> np.ndarray:
-    """Sup norms over a shared frame grid for every scale in t_grid.
-
-    The sample and direction grids are fixed across scales, so each indexed
-    frame value inherits the pointwise monotonicity of the rescaling law and
-    the returned sups are directly comparable.  See `_sweep` for what is
-    computed once; directions go in blocks of _THETA_BLOCK so that the
-    per-block arrays, not all n_theta directions at once, bound the memory.
-    """
-    return _sweep(base, graph, t_grid, n_theta, samples)[0]
+    return sups
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,21 @@ A patch marches (w, w_t, w_s, w_st, int_0^t w) over its rows within `_MARCH_TOL`
 measured by step doubling.  Every point reads its warp data from that grid
 (`SurfacePatch.warp_at`): the marched fields at the two bracketing rows come
 from the point's column, or from an 8-node barycentric interpolant in s between
-columns, and a quintic Hermite in t joins the rows.
+columns, and a quintic Hermite in t joins the rows.  The same Hermite reads
+int_0^t w at the columns (`SurfacePatch.cum_w_at`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ChartDegenerate, OutOfPatch
-from .numerics import (_BARY_WEIGHTS, loglog_slope, periodic_bilinear,
-                       rk4_step, wrap_difference)
+from .numerics import (loglog_slope, periodic_bilinear, rk4_step,
+                       wrap_difference)
 
 __all__ = [
     "BaseCurve",
@@ -53,6 +55,10 @@ __all__ = [
 _PERIOD_TOL = 1e-12
 _MARCH_TOL = 5e-13  # bound on 2x the measured march error, below the 1e-12 |B| floor
 _MAX_SUBSTEPS = 256  # ends the doubling where the estimate cannot converge
+# the s-interpolant's node count and barycentric weights (-1)^j C(7, j)
+_ORDER = 8
+_BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(_ORDER - 1, j)
+                          for j in range(_ORDER)])
 
 
 def _eval2(f: Callable, s: np.ndarray, t) -> np.ndarray:
@@ -302,6 +308,18 @@ class SurfacePatch:
                          [nk * w, nkt * w + nk * u, nk * v + nks * w]])
         w, u, v = _hermite5(ends[:, :, 0], ends[:, :, 1], (t - self.t[j]) / h, h)
         return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
+
+    def cum_w_at(self, t: np.ndarray) -> np.ndarray:
+        """W = int_0^t w dt at column i for t[..., i]: the quintic Hermite of
+        `warp_at` on the marched (W, W_t = w, W_tt = w_t) at the bracketing
+        rows, so no K is evaluated."""
+        t = np.asarray(t, dtype=float)
+        h = self.t[1] - self.t[0]
+        j = np.clip(((t - self.t[0]) // h).astype(int), 0, self.n_t - 2)
+        at = np.arange(self.n_s) * self.n_t + np.stack([j, j + 1])
+        lo, hi = np.stack([f.take(at) for f in (self.cum_w, self.w, self.w_t)],
+                          axis=1)
+        return _hermite5(lo, hi, (t - self.t[j]) / h, h)
 
     def grid_w(self, s_query: np.ndarray, t_query: np.ndarray) -> np.ndarray:
         """Bilinear warp lookup on the stored grid (wraps in s)."""

@@ -136,9 +136,9 @@ def test_criterion_04_exactness_shift_contract(cyl, sphere):
                 sup_target = (patch.halfwidth / 3.0) * rng.uniform(0.3, 0.95)
                 xi = _random_small_graph(patch, rng, sup_target, max_mode=6)
                 sup = xi.sup_norm()
-                c_vals = solve_c_grid(patch, xi, alphas)
+                c_vals = solve_c_grid(xi, alphas)
                 resid = max(abs(area_functional(
-                    patch, Curve(patch, a * xi.xi + c, a * xi.dxi, a * xi.d2xi)))
+                    Curve(patch, a * xi.xi + c, a * xi.dxi, a * xi.d2xi)))
                     for a, c in zip(alphas, c_vals))
                 assert resid <= 1e-12
                 bracket = float(np.max(np.abs(c_vals) - alphas * sup))
@@ -165,7 +165,7 @@ def test_criterion_05_contraction_bounds(cyl, plane, sphere):
             for _ in range(3):
                 xi = _random_small_graph(patch, rng,
                                          sup_target=0.05 * rng.uniform(0.5, 1.0))
-                path = build_contraction(patch, xi, n_alpha=11)
+                path = build_contraction(xi, n_alpha=11)
                 chk = contraction_bounds_check(path, k=k_base,
                                                k_prime=k_base + 0.1,
                                                tol_curv=1e-6, tol_eps=5e-3)

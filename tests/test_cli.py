@@ -13,7 +13,7 @@ from lagbound.curves import Curve, geodesic_curvature
 from lagbound.errors import ConfigError
 from lagbound.exactness import build_contraction, contraction_bounds_check
 from lagbound.report import format_float
-from lagbound.surface import flat_cylinder, plane_annulus
+from lagbound.surface import flat_cylinder, plane_annulus, unit_cylinder
 
 GRID = "--grid", "256x65"
 BAND = {"length": 2 * np.pi, "halfwidth": 0.5, "grid": [64, 17]}
@@ -43,6 +43,15 @@ class TestClassifyCommand:
         assert text.startswith("# schema=1")
         assert text.endswith("\n") and "\r" not in text
 
+    def test_graph_reaching_the_edge_on_the_columns_is_runtime_error(
+            self, tmp_path, capsys):
+        # the 2048 curve samples stay below r = 2; the 1000 columns reach it
+        assert run("classify", "--curve", "expr:2.0*cos(s-2*pi/1000)",
+                   "--k", "5", "--grid", "1000x129",
+                   "--out", str(tmp_path)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "classify.csv").exists()
+
 
 class TestOtherCommands:
     def test_patch_export(self, tmp_path):
@@ -50,6 +59,23 @@ class TestOtherCommands:
                    "--out", str(tmp_path)) == 0
         head = (tmp_path / "warp_sphere_equator.csv").read_text().splitlines()[0]
         assert "n_s=256" in head
+
+    def test_unit_cylinder_honours_the_grid(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": [64, 17]}))
+        for out, flags in (("flag", ["--grid", "64x17"]),
+                           ("cfg", ["--config", str(cfg)])):
+            assert run("patch", "--patch", "unit_cylinder", *flags,
+                       "--out", str(tmp_path / out)) == 0
+            head = (tmp_path / out / "warp_unit_cylinder.csv").read_text()
+            assert head.splitlines()[0].endswith("n_s=64,n_t=17")
+
+    def test_unit_cylinder_default_grid(self, tmp_path):
+        assert run("patch", "--patch", "unit_cylinder",
+                   "--out", str(tmp_path)) == 0
+        unit_cylinder(grid=(2048, 257)).export_warp_csv(tmp_path / "ref.csv")
+        assert ((tmp_path / "warp_unit_cylinder.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_curvature_and_tameness(self, tmp_path):
         assert run("curvature", "--curve", "cos:0.5,3", *GRID,
@@ -93,7 +119,7 @@ class TestOtherCommands:
         printed = capsys.readouterr().out.splitlines()[1:]
 
         patch = plane_annulus(grid=(256, 65))
-        path = build_contraction(patch, parse_curve_spec(spec, patch),
+        path = build_contraction(parse_curve_spec(spec, patch),
                                  n_alpha=7)
         k = geodesic_curvature(Curve.constant(patch, 0.0, n=512),
                                _with_error=False).sup
@@ -190,6 +216,7 @@ class TestOtherCommands:
         ({"patches": {"p": dict(BAND, gauss="1/0")}}, "parallel:0", 4),
         ({"seed": 1.5}, "parallel:0", 4),
         ({"seed": True}, "parallel:0", 4),
+        ({"seed": -1}, "parallel:0", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):
@@ -245,10 +272,25 @@ class TestOtherCommands:
     @pytest.mark.parametrize("flag", [
         "--step=0", "--step=nan", "--step=-1e-3", "--horizon=nan",
         "--horizon=inf", "--horizon=-1", "--horizon=0", "--states=0",
-        "--states=-2", "--sweep=nan", "--sweep=inf", "--sweep=-inf"])
+        "--states=-2", "--sweep=nan", "--sweep=inf", "--sweep=-inf",
+        "--seed=-1"])
     def test_bad_sasaki_input_is_config_error(self, tmp_path, flag):
         assert run("sasaki", flag, "--out", str(tmp_path)) == 4
         assert not list(tmp_path.iterdir())
+
+    # sasaki's --seed=-1 is among the sasaki inputs above
+    @pytest.mark.parametrize("argv, config", [
+        (["lemmas", "--quick", "--seed", "-1"], None),
+        (["lemmas", "--quick"], {"seed": -1}),
+    ], ids=["flag", "config"])
+    def test_negative_seed_is_config_error(self, tmp_path, argv, config):
+        if config is not None:
+            (tmp_path / "seed.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "seed.json")]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(*argv, "--out", str(out)) == 4
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["contract", "--n-alpha=0"], ["contract", "--n-alpha=-3"],

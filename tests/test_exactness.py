@@ -14,16 +14,16 @@ from lagbound.exactness import (area_functional, build_contraction,
 class TestAreaFunctional:
     def test_mean_zero_flat(self, cyl):
         for m in (1, 2, 5):
-            assert abs(area_functional(cyl, trig_curve(cyl, {m: 0.4}, n=512))) < 1e-12
+            assert abs(area_functional(trig_curve(cyl, {m: 0.4}, n=512))) < 1e-12
 
     def test_constant_flat(self, cyl):
         c = Curve.constant(cyl, 0.37, n=512)
-        assert area_functional(cyl, c) == pytest.approx(2 * np.pi * 0.37,
-                                                        abs=1e-11)
+        assert area_functional(c) == pytest.approx(2 * np.pi * 0.37,
+                                                   abs=1e-11)
 
     def test_constant_sphere_closed_form(self, sphere):
         c = Curve.constant(sphere, 0.3, n=512)
-        assert area_functional(sphere, c) == pytest.approx(
+        assert area_functional(c) == pytest.approx(
             2 * np.pi * np.sin(0.3), abs=1e-10)
 
     def test_against_nested_quadrature_oracle(self, sphere):
@@ -31,71 +31,71 @@ class TestAreaFunctional:
         oracle, err = dblquad(lambda t, s: np.cos(t), 0, 2 * np.pi,
                               0, lambda s: 0.15 * np.cos(s) + 0.1,
                               epsabs=1e-11)
-        assert area_functional(sphere, curve) == pytest.approx(oracle,
-                                                               abs=1e-9)
+        assert area_functional(curve) == pytest.approx(oracle,
+                                                       abs=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(c=st.floats(-0.5, 0.5), a=st.floats(-0.3, 0.3))
     def test_flat_linearity(self, cyl, c, a):
         curve = trig_curve(cyl, {2: a}, offset=c, n=256)
-        assert area_functional(cyl, curve) == pytest.approx(2 * np.pi * c,
-                                                            abs=1e-10)
+        assert area_functional(curve) == pytest.approx(2 * np.pi * c,
+                                                       abs=1e-10)
 
 
 class TestSolveC:
     def test_mean_zero_gives_zero(self, cyl):
         xi = trig_curve(cyl, {3: 0.3}, n=512)
         for a in (0.0, 0.3, 1.0):
-            assert solve_c(cyl, xi, a) == pytest.approx(0.0, abs=1e-12)
+            assert solve_c(xi, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_restoration_flat(self, cyl_wide):
         xi = trig_curve(cyl_wide, {1: 1.0}, offset=0.3, n=512)
         for a in (0.25, 0.5, 1.0):
-            assert solve_c(cyl_wide, xi, a) == pytest.approx(-0.3 * a,
-                                                             abs=1e-12)
+            assert solve_c(xi, a) == pytest.approx(-0.3 * a,
+                                                   abs=1e-12)
 
     def test_odd_symmetry_on_sphere(self, sphere):
         xi = trig_curve(sphere, {1: 0.2}, n=512)
-        assert solve_c(sphere, xi, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert solve_c(xi, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_bracket_bound(self, sphere, rng):
         xi = trig_curve(sphere, {1: 0.08, 2: 0.06}, offset=0.03, n=512)
         sup = xi.sup_norm()
         for a in rng.uniform(0.05, 1.0, size=8):
-            c = solve_c(sphere, xi, float(a))
+            c = solve_c(xi, float(a))
             assert abs(c) <= a * sup
             shifted = Curve(sphere, a * xi.xi + c, a * xi.dxi, a * xi.d2xi)
-            assert abs(area_functional(sphere, shifted)) <= 1e-12
+            assert abs(area_functional(shifted)) <= 1e-12
 
     def test_precondition(self, cyl):
         xi = trig_curve(cyl, {1: 1.0}, n=256)
         with pytest.raises(ParamOutOfRange):
-            solve_c(cyl, xi, 1.0)
+            solve_c(xi, 1.0)
 
 
 class TestContractionPath:
     def test_zero_graph(self, cyl):
-        path = build_contraction(cyl, Curve.constant(cyl, 0.0, n=256),
+        path = build_contraction(Curve.constant(cyl, 0.0, n=256),
                                  n_alpha=5)
         assert np.max(np.abs(path.c)) == 0.0
         assert all(cv.sup_norm() == 0.0 for cv in path.curves)
 
     def test_mean_zero_flat(self, cyl):
-        path = build_contraction(cyl, trig_curve(cyl, {3: 0.2}, n=512),
+        path = build_contraction(trig_curve(cyl, {3: 0.2}, n=512),
                                  n_alpha=11)
         assert np.max(np.abs(path.c)) < 1e-12
 
     def test_nontrivial_on_sphere(self, sphere):
         xi = trig_curve(sphere, {1: 0.08, 2: 0.06}, offset=0.04, n=512)
-        path = build_contraction(sphere, xi, n_alpha=11)
+        path = build_contraction(xi, n_alpha=11)
         assert abs(path.c[0]) < 1e-10 and abs(path.c[-1]) < 1e-10
         assert np.max(np.abs(path.c[1:-1])) > 1e-8  # interior shifts nonzero
         for cv in path.curves:
-            assert abs(area_functional(sphere, cv)) <= 1e-12
+            assert abs(area_functional(cv)) <= 1e-12
 
     def test_lipschitz_and_bracket(self, sphere):
         xi = trig_curve(sphere, {1: 0.07, 3: 0.05}, offset=0.02, n=512)
-        path = build_contraction(sphere, xi, n_alpha=21)
+        path = build_contraction(xi, n_alpha=21)
         sup = path.xi.sup_norm()
         da = np.abs(path.alphas[:, None] - path.alphas[None, :])
         dc = np.abs(path.c[:, None] - path.c[None, :])
@@ -104,18 +104,18 @@ class TestContractionPath:
 
     def test_precondition_third(self, cyl):
         with pytest.raises(ParamOutOfRange):
-            build_contraction(cyl, trig_curve(cyl, {1: 0.6}, n=256))
+            build_contraction(trig_curve(cyl, {1: 0.6}, n=256))
 
 
 class TestContractionBounds:
     def test_zero_graph_trivial(self, cyl):
-        path = build_contraction(cyl, Curve.constant(cyl, 0.0, n=256),
+        path = build_contraction(Curve.constant(cyl, 0.0, n=256),
                                  n_alpha=5)
         chk = contraction_bounds_check(path, k=0.0, k_prime=0.1, n_scan=128)
         assert chk.ok
 
     def test_flat_small_graph(self, cyl):
-        path = build_contraction(cyl, trig_curve(cyl, {4: 0.05}, n=512),
+        path = build_contraction(trig_curve(cyl, {4: 0.05}, n=512),
                                  n_alpha=11)
         chk = contraction_bounds_check(path, k=0.0, k_prime=0.1)
         assert chk.ok
@@ -124,7 +124,7 @@ class TestContractionBounds:
         assert chk.curvatures[-1] == pytest.approx(0.8, rel=2e-2)
 
     def test_plane_small_graph(self, plane):
-        path = build_contraction(plane, trig_curve(plane, {5: 0.02}, n=512),
+        path = build_contraction(trig_curve(plane, {5: 0.02}, n=512),
                                  n_alpha=11)
         chk = contraction_bounds_check(path, k=0.5, k_prime=0.6, n_scan=96)
         assert chk.ok

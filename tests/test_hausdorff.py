@@ -4,10 +4,9 @@ import pytest
 from lagbound import hausdorff
 from lagbound.curves import Curve, trig_curve
 from lagbound.errors import PatchMismatch
-from lagbound.exactness import build_contraction
+from lagbound.exactness import build_contraction, shifted_curve
 from lagbound.hausdorff import (contraction_path_bound_check,
-                                hausdorff_distance, radial_path_check,
-                                scaled_curve)
+                                hausdorff_distance, radial_path_check)
 from lagbound.numerics import wrap_difference
 
 
@@ -99,14 +98,14 @@ class TestRadialPaths:
 
     def test_scaled_curve_helper(self, cyl):
         sec = trig_curve(cyl, {2: 0.4}, n=256)
-        half = scaled_curve(sec, 0.5)
+        half = shifted_curve(sec, 0.0, scale=0.5)
         assert np.max(np.abs(half.xi - 0.5 * sec.xi)) == 0.0
 
 
 class TestContractionBound:
     def test_mean_zero_path(self, cyl):
         xi = trig_curve(cyl, {3: 0.2}, n=512)
-        path = build_contraction(cyl, xi, n_alpha=9)
+        path = build_contraction(xi, n_alpha=9)
         ok, rows = contraction_path_bound_check(path)
         assert ok
         assert all(row[-1] for row in rows)
@@ -118,7 +117,7 @@ class TestContractionBound:
 
     def test_nonzero_mean_path(self, cyl):
         xi = trig_curve(cyl, {1: 0.25}, offset=0.1, n=512)
-        path = build_contraction(cyl, xi, n_alpha=9)
+        path = build_contraction(xi, n_alpha=9)
         ok, rows = contraction_path_bound_check(path)
         assert ok
 
@@ -126,7 +125,7 @@ class TestContractionBound:
     def test_row_flags_are_the_verdict(self, cyl, monkeypatch, excess):
         # each pair measured at bound + excess * error: above its bound,
         # and inside its error bar exactly when excess <= 1
-        path = build_contraction(cyl, trig_curve(cyl, {3: 0.2}, n=512),
+        path = build_contraction(trig_curve(cyl, {3: 0.2}, n=512),
                                  n_alpha=3)
         alpha = {id(cv): a for cv, a in zip(path.curves, path.alphas)}
         sup, real, calls = path.xi.sup_norm(), hausdorff.hausdorff_distance, []

@@ -102,7 +102,7 @@ class TestFigures:
 
 class TestContractionTable:
     def test_verdict_is_contraction_bounds_check(self, sphere):
-        path = build_contraction(sphere, trig_curve(sphere, {2: 0.1}, n=512),
+        path = build_contraction(trig_curve(sphere, {2: 0.1}, n=512),
                                  n_alpha=5)
         tol = ExperimentConfig().tolerances
         rows, chk = contraction_table(path, ExperimentConfig())
@@ -135,7 +135,7 @@ class TestCurvatureMeasuredOnce:
         assert len(curvature_passes) == 2
 
     def test_contraction_bounds_check(self, sphere, curvature_passes):
-        path = build_contraction(sphere, trig_curve(sphere, {2: 0.1}, n=512),
+        path = build_contraction(trig_curve(sphere, {2: 0.1}, n=512),
                                  n_alpha=5)
         contraction_bounds_check(path, 0.0, 0.1)
         assert len(curvature_passes) == 2 * 5

@@ -5,10 +5,10 @@ import sympy as sp
 from lagbound import jets, sasaki
 from lagbound.errors import FrameDegenerate, StepTooLarge
 from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
-                             curvature_sweep, graph_second_fundamental_form,
-                             graph_tameness_bounds, parabola_check,
-                             random_sasaki_states, sasaki_geodesic,
-                             sphere_harmonic_graph, torus_gradient_graph)
+                             curvature_sweep, graph_tameness_bounds,
+                             parabola_check, random_sasaki_states,
+                             sasaki_geodesic, sphere_harmonic_graph,
+                             torus_gradient_graph)
 
 
 class TestBases:
@@ -305,23 +305,13 @@ class TestGradientGraphs:
         curvature_sweep(gg.base, gg, [0.0, 0.5, 1.0], n_theta=250, samples=100)
         assert sum(seen) == 3 * 250 * 100
 
-    def test_single_scale_is_the_sweep_entry(self):
-        gg = sphere_harmonic_graph(0.02)
-        sweep = curvature_sweep(gg.base, gg, [0.3, 1.0], n_theta=250,
-                                samples=400)
-        singles = [graph_second_fundamental_form(gg.base, gg, t, n_theta=250,
-                                                 samples=400).value
-                   for t in (0.3, 1.0)]
-        assert list(sweep) == singles
-
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
     def test_non_finite_graph_is_frame_degenerate(self, amplitude):
         gg = torus_gradient_graph(0.01).with_amplitude(amplitude)
         with pytest.raises(FrameDegenerate):
             curvature_sweep(gg.base, gg, [0.5, 1.0], n_theta=90, samples=100)
         with pytest.raises(FrameDegenerate):
-            graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=90,
-                                          samples=100)
+            curvature_sweep(gg.base, gg, [1.0], n_theta=90, samples=100)
 
     def test_non_finite_scale_is_frame_degenerate(self):
         gg = sphere_harmonic_graph(0.01)
@@ -355,9 +345,9 @@ class TestGradientGraphs:
 
     def test_zero_graph(self):
         gg = torus_gradient_graph(0.0)
-        rep = graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=90,
-                                            samples=100)
-        assert rep.value == 0.0
+        value = curvature_sweep(gg.base, gg, [1.0], n_theta=90,
+                                samples=100)[0]
+        assert value == 0.0
 
     def test_sphere_monotone(self):
         gg = sphere_harmonic_graph(0.01)
@@ -368,13 +358,12 @@ class TestGradientGraphs:
     def test_frame_degenerate(self):
         gg = torus_gradient_graph(1.5)
         with pytest.raises(FrameDegenerate):
-            graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=90,
-                                          samples=100)
+            curvature_sweep(gg.base, gg, [1.0], n_theta=90, samples=100)
 
     def test_richardson_direction_grid(self):
         gg = sphere_harmonic_graph(0.02)
-        v1 = graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=360).value
-        v2 = graph_second_fundamental_form(gg.base, gg, 1.0, n_theta=720).value
+        v1 = curvature_sweep(gg.base, gg, [1.0], n_theta=360)[0]
+        v2 = curvature_sweep(gg.base, gg, [1.0], n_theta=720)[0]
         assert abs(v2 - v1) < 1e-6
 
 

@@ -177,6 +177,17 @@ class TestAreaForm:
         patch = plane_annulus(circle_radius=2.0, halfwidth=1.0, grid=(256, 65))
         assert patch.band_area() == pytest.approx(8 * np.pi, abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [(128, 33), (512, 129)])
+    @pytest.mark.parametrize("build, cum_w", [
+        (sphere_band, np.sin), (hyperbolic_band, np.sinh),
+        (plane_annulus, lambda t: t - t * t / 4),  # R = 2: w = 1 - t/2
+    ], ids=["sphere", "hyperbolic", "plane"])
+    def test_cum_w_matches_the_closed_form(self, build, cum_w, grid):
+        patch = build(grid=grid)
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-0.95, 0.95, (8, patch.n_s)) * patch.halfwidth
+        assert np.max(np.abs(patch.cum_w_at(t) - cum_w(t))) <= patch.warp_error
+
     def test_density_callable(self, sphere):
         w = area_form(sphere)
         assert w(np.array([0.3]), np.array([0.25]))[0] == pytest.approx(
