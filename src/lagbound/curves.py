@@ -277,6 +277,7 @@ class TamenessReport:
     with a direct chord for every sampled pair whose coordinate arc is at
     most 1 / min(w), so for every pair within distance 1.  `error` is twice
     the sample spacing plus the stencil term, measured on that same graph.
+    `n_scan` is the number of scan points, at most one per curve sample.
 
     `curvature` is the |B| report that the short-range bound is built on.
     """
@@ -333,7 +334,8 @@ def tameness(curve: Curve, n_scan: int | None = None) -> TamenessReport:
 
     flat = curve.patch.is_flat_cylinder
     if n_scan is None:
-        n_scan = min(512, curve.n) if flat else min(128, curve.n)
+        n_scan = 512 if flat else 128
+    n_scan = min(n_scan, curve.n)  # a repeated scan point adds no data
     idx = np.linspace(0, curve.n, n_scan, endpoint=False).astype(int)
 
     # imported on first use, so that `import lagbound` does not load scipy's csgraph

@@ -22,10 +22,18 @@ Two refinements keep point queries sharp:
 A query graph is the cached CSR with the grid -> point links inserted at the
 ends of their rows and the point rows appended, so no query re-sorts the grid.
 
-`pairwise_point_distances` and `set_to_points_distance` are the one place that
-chooses between formula and graph: on a flat cylinder without a conformal
-scale they use the exact unrolled formula `surface.cylinder_distance`, and
-every other query runs on the graph.
+`pairwise_point_distances`, `set_to_points_distance` and
+`set_to_set_distances` are the one place that chooses between formula and
+graph: on a flat cylinder without a conformal scale they use the exact
+unrolled formula `surface.cylinder_distance`, and every other query runs on
+the graph.  A flat set query reads the formula only on a window of sources
+around each target: a target's neighbours in s bound its distance by U, and
+no source farther than U in s can be nearest, so the window returns the
+dense minima bit for bit.
+
+`set_to_set_distances` answers both directions of a Hausdorff query: on the
+graph it builds one query graph over both sets, with the edges of either
+one-way query, and runs one nearest-source search from each set.
 
 A pairwise query may carry a distance cap `limit`: entries <= limit are
 exactly the uncapped values and every other entry is `inf`, on both paths.
@@ -66,18 +74,26 @@ _LINK_STEPS = np.array([-1, 0, 1, 2])  # grid steps from a point's cell corner
 
 
 def _segment_lengths(patch, s0, t0, s1, t1, scale=None, weights=_SIMPSON3,
-                     nodes=_SIMPSON3_X):
-    """Quadrature of the metric length of straight (s, t) segments."""
+                     nodes=_SIMPSON3_X, at_start=None):
+    """Quadrature of the metric length of straight (s, t) segments.
+
+    `at_start` may hold w and the scale (or None) already read at (s0, t0),
+    which the first node then reuses: s0 + 0 * ds is s0.
+    """
     ds = np.asarray(s1 - s0, dtype=float)
     dt = np.asarray(t1 - t0, dtype=float)
     total = 0.0
     for wq, xq in zip(weights, nodes):
         sq = s0 + xq * ds
         tq = t0 + xq * dt
-        wv = patch.grid_w(sq, tq)
+        if xq == 0.0 and at_start is not None:
+            wv, sc = at_start
+        else:
+            wv = patch.grid_w(sq, tq)
+            sc = None if scale is None else scale(sq, tq)
         sp = np.sqrt((wv * ds) ** 2 + dt ** 2)
         if scale is not None:
-            sp = sp * scale(sq, tq)
+            sp = sp * sc
         total = total + wq * sp
     return total
 
@@ -171,9 +187,13 @@ def _point_link_edges(graph: BandGraph, pts: np.ndarray, scale=None):
     ok = (gj >= 0) & (gj < graph.n_td)
     p = np.nonzero(ok)[0]
     gi, gj, s0 = gi[ok], gj[ok], pts[p, 0]
+    # w (and scale) at each point once, for all its links
+    w_pt = patch.grid_w(pts[:, 0], pts[:, 1])
+    sc_pt = None if scale is None else np.broadcast_to(
+        scale(pts[:, 0], pts[:, 1]), pts[:, 0].shape)[p]
     seg = _segment_lengths(patch, s0, pts[p, 1],
                            s0 + wrap_difference(graph.s_d[gi], s0, patch.length),
-                           graph.t_d[gj], scale)
+                           graph.t_d[gj], scale, at_start=(w_pt[p], sc_pt))
     return p, gi * graph.n_td + gj, seg
 
 
@@ -213,16 +233,17 @@ def _query_graph(patch, pts: np.ndarray, pairs: np.ndarray, scale=None):
 
 
 def _injected_distances(patch, pts: np.ndarray, pairs: np.ndarray,
-                        n_sources: int, scale=None, min_only: bool = False,
-                        limit: float = np.inf) -> np.ndarray:
-    """Shortest paths from the first `n_sources` of `pts` to every point of
-    `pts` on `_query_graph`.  With `min_only` the result is the distance
-    from the nearest source.  Distances above `limit` are `inf`."""
+                        source_sets, scale=None, min_only: bool = False,
+                        limit: float = np.inf) -> list:
+    """Shortest paths on one `_query_graph` from each index range in
+    `source_sets` of `pts` to every point of `pts`, one array per range.
+    With `min_only` a range's result is the distance from its nearest point.
+    Distances above `limit` are `inf`."""
     csr = _query_graph(patch, pts, pairs, scale)
     ids = csr.shape[0] - len(pts) + np.arange(len(pts))
-    dist = dijkstra(csr, directed=True, indices=ids[:n_sources],
-                    min_only=min_only, limit=limit)
-    return dist[..., ids]
+    return [dijkstra(csr, directed=True, indices=ids[sources],
+                     min_only=min_only, limit=limit)[..., ids]
+            for sources in source_sets]
 
 
 def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
@@ -248,27 +269,58 @@ def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
                                                  indexing="ij"))))
     reach = max(_DIRECT_REACH, 1.0 / w_min)
     k_max = max(1, int(np.ceil(reach / (patch.length / n))))
-    return _injected_distances(patch, pts, _ring_pairs(n, k_max), n, scale,
-                               limit=limit)
+    return _injected_distances(patch, pts, _ring_pairs(n, k_max),
+                               [slice(0, n)], scale, limit=limit)[0]
 
 
-def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
-                           scale=None) -> np.ndarray:
-    """min over the source set of the distance to each target point.
+def _nearest_on_cylinder(length: float, sources: np.ndarray,
+                         targets: np.ndarray) -> np.ndarray:
+    """`cylinder_distance(length, targets[:, None], sources[None]).min(axis=1)`
+    from the sources in a window around each target.
 
-    Flat cylinders without a conformal `scale` use the exact unrolled formula.
-    Otherwise both sets are injected; aligned and nearby cross pairs get
-    direct edges (so e.g. vertical chords between two graphs over the same
-    base are exact).
+    With the sources sorted by s mod length, the distance U to a target's
+    neighbour in s bounds its distance, and no source farther than U in s can
+    be nearest.  The cyclic index window |ds| <= U, padded by a relative
+    1e-12 for the rounding of s mod length, holds the dense argmin under the
+    dense formula and argument order, so the minima are the same bits.
     """
+    ns, nt = len(sources), len(targets)
+    u = sources[:, 0] % length
+    order = np.argsort(u, kind="stable")
+    u, sources = u[order], sources[order]
+    u_t = targets[:, 0] % length
+    k = np.searchsorted(u, u_t)
+    near = sources[np.stack([(k - 1) % ns, k % ns], axis=1)]
+    upper = cylinder_distance(length, targets[:, None], near).min(axis=1)
+    half = upper * (1.0 + 1e-12) + 1e-12 * (
+        length + np.abs(sources[:, 0]).max() + np.abs(targets[:, 0]).max(initial=0.0))
+    ring = np.concatenate([u - length, u, u + length])
+    lo = np.searchsorted(ring, u_t - half, side="left")
+    count = np.searchsorted(ring, u_t + half, side="right") - lo
+    count = np.where(half >= length / 2, ns, np.minimum(count, ns))
+    if np.all(count == ns):  # every window is every source
+        return cylinder_distance(length, targets[:, None], sources[None]).min(axis=1)
+    starts = np.cumsum(count) - count
+    idx = (np.arange(starts[-1] + count[-1]) + np.repeat(lo - starts, count)) % ns
+    d = cylinder_distance(length, targets[np.repeat(np.arange(nt), count)],
+                          sources[idx])
+    return np.minimum.reduceat(d, starts)
+
+
+def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
+               both: bool) -> list:
+    """The distance from each target to the source set and, with `both`, from
+    each source to the target set.  On the graph both sets are injected, the
+    near ring pairs of each set and (when the sets are equal in size) the
+    aligned and nearby cross pairs get direct edges, and both fields come
+    from that one query graph, one nearest-source search from each set."""
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
     if scale is None and patch.is_flat_cylinder:
-        # one row per target, as wrap_difference is not antisymmetric in floats
-        return cylinder_distance(patch.length, targets[:, None],
-                                 sources[None]).min(axis=1)
-    ns, nt = sources.shape[0], targets.shape[0]
+        return [_nearest_on_cylinder(patch.length, sources, targets)] + (
+            [_nearest_on_cylinder(patch.length, targets, sources)] if both else [])
+    ns, nt = len(sources), len(targets)
     pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns)]
     if ns == nt:
         # each offset once: csr_matrix would sum a repeated edge
@@ -276,10 +328,37 @@ def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
         i = np.arange(ns)
         for k in np.unique(np.arange(-k_cross, k_cross + 1) % nt):
             pairs.append(np.stack([i, ns + (i + k) % nt], axis=1))
-    pts = np.concatenate([sources, targets])
-    field = _injected_distances(patch, pts, np.concatenate(pairs), ns, scale,
-                                min_only=True)
-    return field[ns:]
+    fields = _injected_distances(patch, np.concatenate([sources, targets]),
+                                 np.concatenate(pairs),
+                                 [slice(0, ns), slice(ns, None)][:1 + both],
+                                 scale, min_only=True)
+    return [fields[0][ns:]] + [field[:ns] for field in fields[1:]]
+
+
+def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
+                           scale=None) -> np.ndarray:
+    """min over the source set of the distance to each target point.
+
+    Flat cylinders without a conformal `scale` use the exact unrolled formula
+    on a window of sources around each target (`_nearest_on_cylinder`).
+    Otherwise both sets are injected; aligned and nearby cross pairs get
+    direct edges (so e.g. vertical chords between two graphs over the same
+    base are exact).
+    """
+    return _set_query(patch, sources, targets, scale, both=False)[0]
+
+
+def set_to_set_distances(patch, a: np.ndarray, b: np.ndarray,
+                         scale=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both one-way fields between two point sets: the distance from each
+    point of `a` to the set `b`, and from each point of `b` to the set `a`.
+
+    They are `set_to_points_distance(patch, b, a)` and
+    `set_to_points_distance(patch, a, b)`.  Off the flat cylinder both come
+    from the query graph of the first, which holds the edges of either, with
+    one nearest-source search from each set.
+    """
+    return tuple(_set_query(patch, b, a, scale, both=True))
 
 
 def _eight_neighbor(graph: BandGraph) -> csr_matrix:

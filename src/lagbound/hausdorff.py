@@ -2,9 +2,11 @@
 distance identities satisfied by vertical scalings of a graph.
 
 The distance between closed sets is the max of the two directed sup-min scans
-over point samples; since the ambient distance is 1-Lipschitz in each argument
-the sampling error is bounded by the largest metric point spacing, plus the
-shortest-path field error on curved patches.
+over point samples, at most one scan point per curve sample; both scans come
+from one `distances.set_to_set_distances` query.  Since the ambient distance
+is 1-Lipschitz in each argument the sampling error is bounded by the largest
+metric spacing of the scan points, plus the shortest-path field error on
+curved patches.
 """
 
 from __future__ import annotations
@@ -36,8 +38,12 @@ class HausdorffResult:
     error: float
 
 
-def _spacing(curve: Curve, n_scan: int) -> float:
-    return curve.patch.length / n_scan * float(np.max(curve.speed()))
+def _scan(curve: Curve, n_scan: int) -> tuple[np.ndarray, float]:
+    """The curve's scan points, at most one per sample, and their largest
+    metric spacing."""
+    n = min(n_scan, curve.n)
+    idx = np.linspace(0, curve.n, n, endpoint=False).astype(int)
+    return curve.points(idx), curve.patch.length / n * float(np.max(curve.speed()))
 
 
 def hausdorff_distance(a: Curve, b: Curve,
@@ -49,20 +55,17 @@ def hausdorff_distance(a: Curve, b: Curve,
     flat = patch.is_flat_cylinder
     if n_scan is None:
         n_scan = min(1024, a.n, b.n) if flat else 256
-    idx_a = np.linspace(0, a.n, n_scan, endpoint=False).astype(int)
-    idx_b = np.linspace(0, b.n, n_scan, endpoint=False).astype(int)
-    pts_a, pts_b = a.points(idx_a), b.points(idx_b)
+    (pts_a, gap_a), (pts_b, gap_b) = _scan(a, n_scan), _scan(b, n_scan)
 
-    from .distances import set_to_points_distance
+    from .distances import set_to_set_distances
 
-    to_a = set_to_points_distance(patch, pts_b, pts_a)
-    to_b = set_to_points_distance(patch, pts_a, pts_b)
+    to_a, to_b = set_to_set_distances(patch, pts_a, pts_b)
     ia, ib = int(np.argmax(to_a)), int(np.argmax(to_b))
     d_ab, wit_ab = float(to_a[ia]), (tuple(pts_a[ia]), float(to_a[ia]))
     d_ba, wit_ba = float(to_b[ib]), (tuple(pts_b[ib]), float(to_b[ib]))
     field_err = 0.0 if flat else patch.stencil_error_ratio() * max(d_ab, d_ba)
 
-    err = max(_spacing(a, n_scan), _spacing(b, n_scan)) + field_err
+    err = max(gap_a, gap_b) + field_err
     return HausdorffResult(value=max(d_ab, d_ba), directed_ab=d_ab,
                            directed_ba=d_ba, witness_ab=wit_ab,
                            witness_ba=wit_ba, error=float(err))

@@ -258,6 +258,16 @@ class TestTameness:
         assert 0 < rep.delta_min <= 0.05
         assert rep.error > 0
 
+    @pytest.mark.parametrize("name", ["cyl", "sphere"])
+    def test_scan_beyond_the_samples_reads_them_once(self, name, request):
+        patch = request.getfixturevalue(name)
+        s = np.arange(64) * (patch.length / 64)
+        curve = Curve.from_samples(patch, 0.3 * np.cos(3 * s + 0.3))
+        rep, ref = tameness(curve, n_scan=128), tameness(curve, n_scan=64)
+        assert rep.n_scan == 64
+        assert (rep.epsilon, rep.pair, rep.error) == (ref.epsilon, ref.pair,
+                                                      ref.error)
+
     def test_carries_its_curvature_report(self, sphere):
         curve = trig_curve(sphere, {3: 0.1}, n=512)
         rep, ref = tameness(curve).curvature, geodesic_curvature(curve)

@@ -3,12 +3,15 @@ import pytest
 
 from lagbound import distances
 from lagbound.config import build_patch_from_spec
+from lagbound.curves import trig_curve
 from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _eight_neighbor,
                                 _segment_lengths, build_band_graph,
                                 default_dist_grid, pairwise_point_distances,
-                                set_to_points_distance)
+                                set_to_points_distance, set_to_set_distances)
+from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import wrap_difference
-from lagbound.surface import hyperbolic_band, plane_annulus, sphere_band
+from lagbound.surface import (cylinder_distance, flat_cylinder,
+                              hyperbolic_band, plane_annulus, sphere_band)
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -169,3 +172,95 @@ class TestBandGraph:
         ids = csr.shape[0] - len(pts) + np.arange(6)
         assert np.array_equal(dijkstra(csr, indices=ids),
                               dijkstra(ref, indices=ids))
+
+
+def _captured_shapes(monkeypatch):
+    """The shape of every `cylinder_distance` result while the test runs."""
+    shapes = []
+    original = distances.cylinder_distance
+
+    def spy(*args):
+        out = original(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(distances, "cylinder_distance", spy)
+    return shapes
+
+
+class TestFlatNearest:
+    """The windowed flat search returns the dense minima bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        return flat_cylinder(length=1.0, halfwidth=1.25, grid=(64, 33))
+
+    @staticmethod
+    def _dense(patch, sources, targets):
+        return cylinder_distance(patch.length, targets[:, None],
+                                 sources[None]).min(axis=1)
+
+    @staticmethod
+    def _draw(rng, kind, n, length, halfwidth):
+        if kind == "wide_s":  # s on both sides of [0, length)
+            s = rng.uniform(-2.0 * length, 3.0 * length, n)
+        elif kind == "grid":
+            s = (np.arange(n) + rng.integers(-n, n)) * (length / n)
+        else:  # repeated s
+            s = rng.choice(rng.uniform(0.0, length, max(1, n // 4)), n)
+        return np.stack([s, rng.uniform(-halfwidth, halfwidth, n)], axis=1)
+
+    @pytest.mark.parametrize("kind", ["wide_s", "grid", "repeated"])
+    def test_random_sets(self, unit, monkeypatch, kind):
+        rng = np.random.default_rng(["wide_s", "grid", "repeated"].index(kind))
+        shapes = _captured_shapes(monkeypatch)
+        for _ in range(200):
+            ns, nt = rng.integers(1, 80, 2)
+            hw = rng.choice([0.01, 0.1, 1.2])
+            sources = self._draw(rng, kind, ns, unit.length, hw)
+            targets = self._draw(rng, kind, nt, unit.length, hw)
+            assert np.array_equal(set_to_points_distance(unit, sources, targets),
+                                  self._dense(unit, sources, targets))
+        assert any(len(shape) == 1 for shape in shapes)  # windows ran
+
+    def test_one_source(self, unit, rng):
+        targets = self._draw(rng, "wide_s", 50, unit.length, 1.2)
+        for source in targets[:10]:
+            sources = source[None] + [0.3, 0.0]
+            assert np.array_equal(set_to_points_distance(unit, sources, targets),
+                                  self._dense(unit, sources, targets))
+
+    def test_far_sets_take_the_dense_call(self, unit, monkeypatch, rng):
+        shapes = _captured_shapes(monkeypatch)
+        sources = self._draw(rng, "wide_s", 40, unit.length, 0.05) + [0.0, 1.15]
+        targets = self._draw(rng, "wide_s", 30, unit.length, 0.05) - [0.0, 1.15]
+        got = set_to_points_distance(unit, sources, targets)
+        assert shapes[-1] == (30, 40)
+        assert np.array_equal(got, self._dense(unit, sources, targets))
+
+
+class TestSetToSet:
+    """One query graph answers both one-way fields."""
+
+    @pytest.mark.parametrize("n_a, n_b", [(96, 96), (80, 112)])
+    def test_fields_are_the_one_way_queries(self, band, n_a, n_b):
+        a = trig_curve(band, {2: 0.2}, n=n_a).points()
+        b = trig_curve(band, {1: -0.1, 3: 0.05}, n=n_b).points()
+        to_a, to_b = set_to_set_distances(band, a, b)
+        assert np.max(np.abs(to_a - set_to_points_distance(band, b, a))) <= 1e-15
+        assert np.max(np.abs(to_b - set_to_points_distance(band, a, b))) <= 1e-15
+
+    def test_flat_fields_are_the_one_way_queries(self, rng):
+        patch = flat_cylinder(grid=(64, 33))
+        a = np.stack([rng.uniform(-1.0, 7.0, 70), rng.uniform(-1, 1, 70)], axis=1)
+        b = np.stack([rng.uniform(0.0, 6.0, 50), rng.uniform(-1, 1, 50)], axis=1)
+        to_a, to_b = set_to_set_distances(patch, a, b)
+        assert np.array_equal(to_a, set_to_points_distance(patch, b, a))
+        assert np.array_equal(to_b, set_to_points_distance(patch, a, b))
+
+    def test_hausdorff_builds_one_query_graph(self, band, monkeypatch):
+        band.stencil_error_ratio()  # its own search, once per patch
+        graphs = _captured_graphs(monkeypatch)
+        hausdorff_distance(trig_curve(band, {2: 0.2}, n=512),
+                           trig_curve(band, {1: 0.1}, n=512))
+        assert len(graphs) == 2 and graphs[0] is graphs[1]

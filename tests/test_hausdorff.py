@@ -64,6 +64,18 @@ class TestHausdorffDistance:
                 for k in range(3):
                     assert d[i, j] <= d[i, k] + d[k, j] + 3 * err
 
+    @pytest.mark.parametrize("name", ["cyl", "sphere"])
+    def test_scan_beyond_the_samples_reads_them_once(self, name, request):
+        # 256 scan points of a 64-sample curve repeat its samples: they add
+        # no data, so the spacing term keeps the 64-sample bar
+        patch = request.getfixturevalue(name)
+        s = np.arange(64) * (patch.length / 64)
+        curve = Curve.from_samples(patch, 0.3 * np.cos(3 * s + 0.3))
+        base = Curve.constant(patch, 0.0, n=64)
+        res = hausdorff_distance(curve, base, n_scan=256)
+        assert res == hausdorff_distance(curve, base, n_scan=64)
+        assert res.error >= patch.length / 64 * np.max(curve.speed())
+
     def test_witnesses_reported(self, cyl):
         a = Curve.constant(cyl, 0.0, n=512)
         b = trig_curve(cyl, {1: 0.8}, n=512)

@@ -1,0 +1,91 @@
+"""The quick suite's CSV bundle against a committed reference, cell by cell.
+
+`data/lemmas_quick_seed0_512x129` holds the output of
+
+    lagbound lemmas --quick --seed 0 --grid 512x129
+
+A change that moves any cell must regenerate that directory with the same
+command and declare the regeneration with the cells it moved.  The last
+digits of some cells depend on numpy's floating-point kernels, so a
+different numpy build can move them too; the failure lists each moved
+column with its largest difference.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from lagbound.cli import main
+
+REFERENCE = Path(__file__).parent / "data" / "lemmas_quick_seed0_512x129"
+ARGV = ["lemmas", "--quick", "--seed", "0", "--grid", "512x129"]
+
+
+def _as_float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _column_changes(name: str, columns: list, ref_rows: list,
+                    got_rows: list) -> list:
+    """One line per changed column: its changed-cell count and, when every
+    changed cell is numeric, the largest absolute and relative difference."""
+    lines = []
+    for k, col in enumerate(columns):
+        pairs = [(r[k], g[k]) for r, g in zip(ref_rows, got_rows) if r[k] != g[k]]
+        if not pairs:
+            continue
+        nums = [(_as_float(r), _as_float(g)) for r, g in pairs]
+        if all(r is not None and g is not None for r, g in nums):
+            ref, got = np.array(nums).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = np.abs(got - ref)
+                rel = np.where(ref != 0, diff / np.abs(ref), np.inf)
+            lines.append(f"{name}:{col}: {len(pairs)} cells, largest absolute "
+                         f"difference {np.max(diff):.3g}, largest relative "
+                         f"difference {np.max(rel):.3g}")
+        else:
+            lines.append(f"{name}:{col}: {len(pairs)} cells, e.g. "
+                         f"{pairs[0][0]!r} -> {pairs[0][1]!r}")
+    return lines
+
+
+def _bundle_changes(ref_dir: Path, got_dir: Path) -> list:
+    ref_files = sorted(p.name for p in ref_dir.iterdir())
+    got_files = sorted(p.name for p in got_dir.iterdir())
+    if ref_files != got_files:
+        return [f"files: {ref_files} -> {got_files}"]
+    changes = []
+    for name in ref_files:
+        ref = (ref_dir / name).read_bytes()
+        got = (got_dir / name).read_bytes()
+        if ref == got:
+            continue
+        ref_lines = ref.decode("utf-8").splitlines()
+        got_lines = got.decode("utf-8").splitlines()
+        if ref_lines[:2] != got_lines[:2] or len(ref_lines) != len(got_lines):
+            changes.append(f"{name}: meta, header or row count "
+                           f"{ref_lines[:2]} ({len(ref_lines)} lines) -> "
+                           f"{got_lines[:2]} ({len(got_lines)} lines)")
+            continue
+        ref_rows = [line.split(",") for line in ref_lines[2:]]
+        got_rows = [line.split(",") for line in got_lines[2:]]
+        if [len(r) for r in ref_rows] != [len(g) for g in got_rows]:
+            changes.append(f"{name}: a row's cell count changed")
+            continue
+        changes += (_column_changes(name, ref_lines[1].split(","), ref_rows,
+                                    got_rows)
+                    or [f"{name}: same cells, different bytes"])
+    return changes
+
+
+def test_quick_bundle_matches_the_reference(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([*ARGV, "--out", str(out)])
+    capsys.readouterr()
+    changes = _bundle_changes(REFERENCE, out)
+    print("\n".join(changes))
+    assert not changes, "\n".join(changes)
+    assert code == 0
