@@ -114,7 +114,9 @@ def build_parser():
                    choices=["flat_torus", "round_sphere"])
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=None,
+                   help="fixed RK4 step (default: the coarsest dyadic step "
+                        "whose halving error meets the tolerance)")
     p.add_argument("--sweep", type=float, default=None, metavar="EPS",
                    help="instead export the graph-norm sweep (t, sup|B|) for "
                         "the gradient graph of amplitude EPS")
@@ -181,7 +183,8 @@ def _dispatch(args) -> int:
     if args.command == "classify":
         _require_positive("--k", args.k)
     if args.command == "sasaki":
-        _require_positive("--step", args.step)
+        if args.step is not None:
+            _require_positive("--step", args.step)
         _require_positive("--horizon", args.horizon)
         if args.states < 1:
             raise ConfigError(f"--states must be at least 1, got {args.states}")
@@ -247,8 +250,9 @@ def _dispatch(args) -> int:
             return 0
         rng = np.random.default_rng(config.seed)
         states = sas.random_sasaki_states(base, args.states, rng)
-        traj = sas.sasaki_geodesic(base, states, horizon=args.horizon,
-                                   step=args.step)
+        traj = sas.sasaki_geodesic(
+            base, states, horizon=args.horizon,
+            step=np.inf if args.step is None else args.step)
         fit = sas.parabola_check(traj)
         rows = []
         for b in range(len(states)):
@@ -258,7 +262,7 @@ def _dispatch(args) -> int:
         path = write_csv(os.path.join(config.out_dir, f"sasaki_{args.base}.csv"),
                          ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
                          rows, {"base": args.base, "seed": config.seed,
-                                "step": args.step,
+                                "step": traj.step,
                                 "halving_error": traj.halving_error})
         print(path)
         print(f"max parabola residual {np.max(fit.max_residual):.3e}, "

@@ -310,10 +310,11 @@ def _nearest_on_cylinder(length: float, sources: np.ndarray,
 def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
                both: bool) -> list:
     """The distance from each target to the source set and, with `both`, from
-    each source to the target set.  On the graph both sets are injected, the
-    near ring pairs of each set and (when the sets are equal in size) the
-    aligned and nearby cross pairs get direct edges, and both fields come
-    from that one query graph, one nearest-source search from each set."""
+    each source to the target set.  On the graph both sets are injected, and
+    the near ring pairs of each set and the cross pairs near in s get direct
+    edges: the aligned and nearby index pairs when the sets are equal in
+    size, else every pair near in s.  Both fields come from that one query
+    graph, one nearest-source search from each set."""
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
@@ -322,12 +323,28 @@ def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
             [_nearest_on_cylinder(patch.length, targets, sources)] if both else [])
     ns, nt = len(sources), len(targets)
     pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns)]
+    i = np.arange(ns)
     if ns == nt:
         # each offset once: csr_matrix would sum a repeated edge
         k_cross = max(1, int(np.ceil(_DIRECT_REACH * ns / patch.length)))
-        i = np.arange(ns)
         for k in np.unique(np.arange(-k_cross, k_cross + 1) % nt):
             pairs.append(np.stack([i, ns + (i + k) % nt], axis=1))
+    else:
+        # every pair at most `reach` apart in s, which holds each point's
+        # neighbours in s on the other set: a cyclic window of the targets
+        # sorted by s around each source
+        length = patch.length
+        reach = max(_DIRECT_REACH, length / min(ns, nt))
+        u = targets[:, 0] % length
+        order = np.argsort(u, kind="stable")
+        ring = np.concatenate([u[order] - length, u[order], u[order] + length])
+        u_s = sources[:, 0] % length
+        lo = np.searchsorted(ring, u_s - reach, side="left")
+        count = np.minimum(np.searchsorted(ring, u_s + reach, side="right") - lo,
+                           nt)
+        starts = np.cumsum(count) - count
+        idx = (np.arange(count.sum()) + np.repeat(lo - starts, count)) % nt
+        pairs.append(np.stack([np.repeat(i, count), ns + order[idx]], axis=1))
     fields = _injected_distances(patch, np.concatenate([sources, targets]),
                                  np.concatenate(pairs),
                                  [slice(0, ns), slice(ns, None)][:1 + both],
@@ -341,9 +358,9 @@ def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
 
     Flat cylinders without a conformal `scale` use the exact unrolled formula
     on a window of sources around each target (`_nearest_on_cylinder`).
-    Otherwise both sets are injected; aligned and nearby cross pairs get
-    direct edges (so e.g. vertical chords between two graphs over the same
-    base are exact).
+    Otherwise both sets are injected; cross pairs near in s get direct edges
+    (so e.g. vertical chords between two graphs over the same base are
+    exact).
     """
     return _set_query(patch, sources, targets, scale, both=False)[0]
 

@@ -60,11 +60,11 @@ class SuiteResult:
 def _suite_params(config: ExperimentConfig) -> dict:
     if config.quick:
         return dict(grid=config.grid or (512, 129), n_xi=3, n_alpha=21,
-                    members=1, alpha_steps=7, states=4, horizon=4.0, step=2e-3,
+                    members=1, alpha_steps=7, states=4, horizon=4.0,
                     n_theta=240, t_steps=6, pairs=4, n_scan_flat=384,
                     samples=700)
     return dict(grid=config.grid or DEFAULT_GRID, n_xi=10, n_alpha=101,
-                members=3, alpha_steps=11, states=25, horizon=10.0, step=1e-3,
+                members=3, alpha_steps=11, states=25, horizon=10.0,
                 n_theta=720, t_steps=11, pairs=10, n_scan_flat=512,
                 samples=1600)
 
@@ -236,19 +236,19 @@ def _check_parabola(config, params, patches, rng):
     for bname in ("flat_torus", "round_sphere"):
         base = sas.base_manifold(bname)
         states = sas.random_sasaki_states(base, params["states"], rng)
-        traj = sas.sasaki_geodesic(base, states, horizon=params["horizon"],
-                                   step=params["step"])
+        traj = sas.sasaki_geodesic(base, states, horizon=params["horizon"])
         fit = sas.parabola_check(traj)
         z_const = float(np.max(np.abs(traj.z_norm2 - traj.z_norm2[:1])))
         for b in range(len(states)):
             lead_err = abs(fit.leading[b] - fit.expected_leading[b])
             rows.append((bname, b, fit.max_residual[b], fit.leading[b],
-                         fit.expected_leading[b], lead_err, z_const,
+                         fit.expected_leading[b], lead_err, z_const, traj.step,
+                         traj.halving_error,
                          fit.max_residual[b] <= tol and lead_err <= tol))
     return CheckResult("fiber_norm_parabola",
                        ["base", "state", "fit_residual", "leading",
                         "expected_leading", "leading_gap", "z_norm_drift",
-                        "pass"],
+                        "step", "halving_error", "pass"],
                        rows, {"tol": tol})
 
 

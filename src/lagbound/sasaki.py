@@ -11,7 +11,9 @@ Implements:
 
       cov_acc(x) + R(Y, cov_Y') x' = 0,      cov^2 Y = 0,
 
-  for the state (x, x', Y, cov_{x'} Y), with chart hand-off on the sphere;
+  for the state (x, x', Y, cov_{x'} Y), with chart hand-off on the sphere,
+  by RK4 at a fixed step or at the coarsest dyadic step whose halving error
+  (Richardson against twice the step, plus rounding) meets a tolerance;
 
 * the squared fiber norm law along such geodesics: |Y(t)|^2 is constant or a
   strictly convex parabola with leading coefficient |cov_{x'} Y(0)|^2;
@@ -62,7 +64,10 @@ __all__ = [
 
 _THETA_BLOCK = 180  # frame directions evaluated per vectorized block
 _N_QUAD = 33        # Simpson nodes (odd) along each pair geodesic
-_HALVING_TOL = 1e-6  # largest step-halving estimate a bundle geodesic accepts
+_HALVING_TOL = 1e-6  # largest halving error a bundle geodesic accepts
+_HALVING_SAFETY = 2.0  # widens the Richardson part of the halving error
+_LADDER_START = 2.0 ** -5   # the largest step the step controller tries
+_LADDER_FLOOR = 2.0 ** -14  # the smallest step the step controller tries
 _RECORD_EVERY = 10   # fine-run steps between recorded trajectory samples
 
 
@@ -275,8 +280,8 @@ class Trajectory:
     charts: np.ndarray   # (n_rec, B)
     y_norm2: np.ndarray  # (n_rec, B)
     z_norm2: np.ndarray
-    step: float
-    halving_error: float
+    step: float          # the RK4 step of the run
+    halving_error: float  # bounds the |Y|^2 error at every recorded time
 
 
 def _rhs(base, x, vyz):
@@ -294,62 +299,121 @@ def _rhs(base, x, vyz):
     return v, dv, dy, dz
 
 
-def _integrate(base, state, charts, n_steps, h, record_every):
+def _integrate(base, state, charts, n_steps, h,
+               record_every=_RECORD_EVERY // 2):
     """n_steps fixed RK4 steps of size h on the stacked state (x, v, Y, Z) of
-    shape (4, B, 2), re-charting after every step; records every
-    `record_every` steps and the last."""
+    shape (4, B, 2), re-charting after every step.
+
+    Records every `record_every` steps and the last; by default those of a
+    run at 2h fall on the _RECORD_EVERY-th steps of a run at h over the same
+    time.  Returns the recorded step indices, states (k, 4, B, 2) and charts
+    (k, B).
+    """
     def rhs(_t, st):
         return np.array(_rhs(base, st[0], st[1:]))
 
-    rec_t, rec = [], []
+    rec_i, rec, rec_c = [], [], []
     for step_i in range(n_steps + 1):
         if step_i % record_every == 0 or step_i == n_steps:
-            rec_t.append(step_i * h)
-            rec.append((state.copy(), charts.copy()))
+            rec_i.append(step_i)
+            rec.append(state.copy())
+            rec_c.append(charts.copy())
         if step_i == n_steps:
             break
         state = rk4_step(rhs, step_i * h, state, h)
         x, charts, *vecs = base.rechart(state[0], charts, *state[1:])
         state = np.array([x, *vecs])
-    return rec_t, rec
+    return np.array(rec_i), np.stack(rec), np.stack(rec_c)
+
+
+def _fiber_norm2(base, xs, vecs):
+    """|vec|^2 in the metric at the chart points xs (..., 2)."""
+    lam2 = base.lam2(xs.reshape(-1, 2)).reshape(xs.shape[:-1])
+    return lam2 * (vecs ** 2).sum(-1)
+
+
+def _output_records(steps):
+    """The records of a run that a Trajectory keeps: every _RECORD_EVERY-th
+    step and the last."""
+    return (steps % _RECORD_EVERY == 0) | (steps == steps[-1])
+
+
+def _halving_error(base, fine, coarse):
+    """Error bar on |Y|^2 of the run `fine` at its output records, from the
+    run `coarse` at twice its step over the same time.
+
+    RK4's error falls 16-fold per halving, so |fine - coarse| / 15 at their
+    shared times estimates the fine run's truncation error (Richardson);
+    _HALVING_SAFETY widens it.  Rounding adds about eps |Y|^2 per step,
+    which both runs share and Richardson cannot see, so the bar adds
+    steps * eps * max |Y|^2 over the fine run.
+    """
+    steps, states, _ = fine
+    out = _output_records(steps)
+    y2_f = _fiber_norm2(base, states[:, 0], states[:, 2])
+    y2_c = _fiber_norm2(base, coarse[1][:, 0], coarse[1][:, 2])
+    richardson = float(np.max(np.abs(y2_f[out] - y2_c))) / 15.0
+    roundoff = steps[-1] * np.finfo(float).eps * float(np.max(y2_f))
+    return _HALVING_SAFETY * richardson + roundoff
 
 
 def sasaki_geodesic(base, initial, horizon: float = 10.0,
-                    step: float = 1e-3) -> Trajectory:
-    """Integrate bundle geodesics with fixed-step RK4.
+                    step: float = np.inf) -> Trajectory:
+    """Integrate bundle geodesics with RK4 and bound the error of |Y|^2.
 
-    `initial` is a SasakiState or a list of them (batched).  A coarse run at
-    twice the step provides the step-halving error estimate; StepTooLarge is
-    raised when the Richardson estimate exceeds 1e-6.  The fine run takes
-    2 * ceil(horizon / (2 step)) steps, so both runs end at the same time.
+    `initial` is a SasakiState or a list of them (batched).  Every run is
+    checked against a run at twice its step (`_halving_error`).
+
+    With a finite `step`, the fine run takes 2 * ceil(horizon / (2 step))
+    steps, so both runs end at the same time, and StepTooLarge is raised
+    when the halving error exceeds _HALVING_TOL.
+
+    By default (`step` inf) the step is chosen on the dyadic ladder
+    horizon / 2^j, from the first j >= 1 with a step of at most
+    _LADDER_START: the first step whose halving error is at most
+    _HALVING_TOL / 10 is taken, each rejected run serving as the coarse run
+    of the next, and the run ends at the horizon exactly.  StepTooLarge is
+    raised when the step would fall below _LADDER_FLOOR.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
     state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
                       for f in ("x", "v", "y", "z")])
     charts = np.array([s.chart for s in states], dtype=int)
 
-    n_coarse = int(np.ceil(horizon / (2 * step)))
-    rec_t, rec = _integrate(base, state, charts, 2 * n_coarse, step,
-                            _RECORD_EVERY)
-    _, rec2 = _integrate(base, state, charts, n_coarse, 2 * step,
-                         record_every=max(1, n_coarse))
-    (x_f, _, y_f, _), _ = rec[-1]
-    (x_c, _, y_c, _), _ = rec2[-1]
-    y2_f = base.lam2(x_f) * (y_f ** 2).sum(-1)
-    y2_c = base.lam2(x_c) * (y_c ** 2).sum(-1)
-    halving = float(np.max(np.abs(y2_f - y2_c))) / 15.0
-    if halving > _HALVING_TOL:
-        raise StepTooLarge(f"step-halving estimate {halving:.2e} exceeds "
-                           f"tolerance {_HALVING_TOL:.2e}; reduce the step")
+    if np.isfinite(step):
+        n_coarse = int(np.ceil(horizon / (2 * step)))
+        coarse = _integrate(base, state, charts, n_coarse, 2 * step)
+        fine = _integrate(base, state, charts, 2 * n_coarse, step,
+                          _RECORD_EVERY)
+        halving = _halving_error(base, fine, coarse)
+        if halving > _HALVING_TOL:
+            raise StepTooLarge(f"step-halving error {halving:.2e} exceeds "
+                               f"tolerance {_HALVING_TOL:.2e}; reduce the step")
+    else:
+        n = 2  # steps of the fine run; a power of two, so n * step = horizon
+        while horizon / n > _LADDER_START:
+            n *= 2
+        coarse = _integrate(base, state, charts, n // 2, horizon / (n // 2))
+        while True:
+            step = horizon / n
+            fine = _integrate(base, state, charts, n, step)
+            halving = _halving_error(base, fine, coarse)
+            if halving <= _HALVING_TOL / 10:
+                break
+            if step / 2 < _LADDER_FLOOR:
+                raise StepTooLarge(
+                    f"step-halving error {halving:.2e} at step {step:.3g} "
+                    f"exceeds tolerance {_HALVING_TOL / 10:.2e}, and the "
+                    f"step may not fall below {_LADDER_FLOOR:.3g}")
+            coarse, n = fine, 2 * n
 
-    times = np.array(rec_t)
-    xs, vs, ys, zs = np.stack([r[0] for r in rec], axis=1)
-    ch = np.stack([r[1] for r in rec])
-    lam2 = base.lam2(xs.reshape(-1, 2)).reshape(xs.shape[:2])
-    y_norm2 = lam2 * (ys ** 2).sum(-1)
-    z_norm2 = lam2 * (zs ** 2).sum(-1)
-    return Trajectory(base=base, times=times, x=xs, v=vs, y=ys, z=zs, charts=ch,
-                      y_norm2=y_norm2, z_norm2=z_norm2, step=step,
+    steps, recs, ch = fine
+    out = _output_records(steps)
+    times = np.array([i * step for i in steps[out]])
+    xs, vs, ys, zs = np.moveaxis(recs[out], 1, 0)
+    return Trajectory(base=base, times=times, x=xs, v=vs, y=ys, z=zs,
+                      charts=ch[out], y_norm2=_fiber_norm2(base, xs, ys),
+                      z_norm2=_fiber_norm2(base, xs, zs), step=step,
                       halving_error=halving)
 
 

@@ -167,6 +167,21 @@ class TestOtherCommands:
         states = sas.random_sasaki_states(base, 2, np.random.default_rng(5))
         traj = sas.sasaki_geodesic(base, states, horizon=0.5)
         assert meta["halving_error"] == format_float(traj.halving_error)
+        assert meta["step"] == format_float(traj.step)
+
+    @pytest.mark.parametrize("base", ["flat_torus", "round_sphere"])
+    def test_sasaki_default_step_is_a_ladder_step(self, tmp_path, base):
+        assert run("sasaki", "--base", base, "--states", "3", "--horizon",
+                   "2", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / f"sasaki_{base}.csv").read_text().splitlines()
+        meta = dict(item.split("=") for item in lines[0].split(",")[1:])
+        level = np.log2(2.0 / float(meta["step"]))
+        assert level == int(level) and level >= 6  # 2 / 2^6 = 2^-5 first
+        assert float(lines[-1].split(",")[1]) == 2.0  # ends at the horizon
+
+    def test_sasaki_step_too_large_is_runtime_error(self, tmp_path):
+        assert run("sasaki", "--base", "round_sphere", "--step", "0.5",
+                   "--horizon", "8", "--out", str(tmp_path)) == 3
 
     def test_sasaki_sphere_sweep_export(self, tmp_path):
         assert run("sasaki", "--base", "round_sphere", "--sweep", "0.01",
@@ -270,7 +285,8 @@ class TestOtherCommands:
                    *GRID, "--out", str(tmp_path)) == 4
 
     @pytest.mark.parametrize("flag", [
-        "--step=0", "--step=nan", "--step=-1e-3", "--horizon=nan",
+        "--step=0", "--step=nan", "--step=-1e-3", "--step=inf",
+        "--step=-inf", "--horizon=nan",
         "--horizon=inf", "--horizon=-1", "--horizon=0", "--states=0",
         "--states=-2", "--sweep=nan", "--sweep=inf", "--sweep=-inf",
         "--seed=-1"])

@@ -3,7 +3,7 @@ import pytest
 
 from lagbound import distances
 from lagbound.config import build_patch_from_spec
-from lagbound.curves import trig_curve
+from lagbound.curves import Curve, trig_curve
 from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _eight_neighbor,
                                 _segment_lengths, build_band_graph,
                                 default_dist_grid, pairwise_point_distances,
@@ -257,6 +257,32 @@ class TestSetToSet:
         to_a, to_b = set_to_set_distances(patch, a, b)
         assert np.array_equal(to_a, set_to_points_distance(patch, b, a))
         assert np.array_equal(to_b, set_to_points_distance(patch, a, b))
+
+    def test_sets_of_different_sizes_keep_their_vertical_chords(self):
+        # 64 against 256 scan points: every fourth equator point sits under a
+        # curve sample, so the curve's directed distance is its sup |xi| and
+        # no equator point is farther than 0.3 from the curve
+        patch = sphere_band(0.6, (512, 129))
+        s = np.arange(64) * (patch.length / 64)
+        xi = 0.3 * np.cos(3 * s + 0.3)
+        res = hausdorff_distance(Curve.from_samples(patch, xi),
+                                 Curve.constant(patch, 0.0, n=2048))
+        assert res.directed_ab == pytest.approx(np.max(np.abs(xi)), abs=1e-12)
+        assert res.directed_ba <= 0.3
+
+    @pytest.mark.parametrize("n_a, n_b", [(64, 256), (256, 64)])
+    def test_sets_of_different_sizes_join_their_neighbours_in_s(
+            self, band, n_a, n_b):
+        # a graph against points on t = 0, both off the graph's columns:
+        # where a graph point sits over a base point, its distance to the
+        # base set is the vertical |xi|
+        s_a = 0.0123 + np.arange(n_a) * (band.length / n_a)
+        s_b = 0.0123 + np.arange(n_b) * (band.length / n_b)
+        xi = 0.2 * np.cos(2 * s_a) - 0.1 * np.sin(3 * s_a)
+        to_a, _ = set_to_set_distances(band, np.stack([s_a, xi], axis=1),
+                                       np.stack([s_b, 0 * s_b], axis=1))
+        over = slice(None, None, max(1, n_a // n_b))
+        assert np.max(np.abs(to_a[over] - np.abs(xi[over]))) <= 1e-12
 
     def test_hausdorff_builds_one_query_graph(self, band, monkeypatch):
         band.stencil_error_ratio()  # its own search, once per patch

@@ -46,6 +46,21 @@ class TestLemmaSuite:
         assert any(row[-1] is False or row[-1] == "false" or row[-1] == False
                    for row in res.rows)
 
+    def test_fiber_norm_parabola_takes_a_ladder_step(self, quick_cfg):
+        for name in list(quick_cfg.checks):
+            quick_cfg.checks[name] = False
+        quick_cfg.checks["fiber_norm_parabola"] = True
+        for seed in range(10):
+            quick_cfg.seed = seed
+            res = run_lemma_suite(quick_cfg).results[0]
+            for row in res.rows:
+                r = dict(zip(res.columns, row))
+                assert r["pass"], (seed, r)
+                assert max(r["fit_residual"], r["leading_gap"]) <= 1e-7
+                assert r["halving_error"] <= 1e-7
+                level = np.log2(4.0 / r["step"])  # the quick horizon is 4
+                assert level == int(level) and level >= 7
+
     def test_csv_written_with_schema(self, quick_cfg, tmp_path):
         for name in list(quick_cfg.checks):
             quick_cfg.checks[name] = False

@@ -4,6 +4,7 @@ import sympy as sp
 
 from lagbound import jets, sasaki
 from lagbound.errors import FrameDegenerate, StepTooLarge
+from lagbound.numerics import rk4_step
 from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
                              curvature_sweep, graph_tameness_bounds,
                              parabola_check, random_sasaki_states,
@@ -63,7 +64,11 @@ class TestGeodesics:
         assert np.max(np.abs(traj.y - (y0 + t * z0))) <= 1e-11
         assert np.max(np.abs(traj.v - v0)) <= 1e-11
         assert np.max(np.abs(traj.z - z0)) <= 1e-11
-        assert traj.halving_error <= 1e-11
+        # the bar adds the rounding of 1000 steps that Richardson cannot see
+        assert traj.halving_error <= 1e-10
+        y2_err = np.max(np.abs(traj.y_norm2 - _closed_form_y2(base, states,
+                                                              traj.times)))
+        assert y2_err <= traj.halving_error
 
     def test_zero_fiber_velocity_constant_norm(self):
         base = base_manifold("round_sphere")
@@ -112,6 +117,97 @@ class TestGeodesics:
                          y=np.array([0.5, 0.2]), z=np.array([0.4, -0.6]))
         with pytest.raises(StepTooLarge):
             sasaki_geodesic(base, st, horizon=8.0, step=0.5)
+
+    @pytest.mark.parametrize("base_name", ["flat_torus", "round_sphere"])
+    def test_explicit_step_is_the_plain_rk4_loop(self, base_name):
+        # 2 * ceil(3.7 / 0.02) = 370 steps of 1e-2, recorded every 10th
+        base = base_manifold(base_name)
+        states = random_sasaki_states(base, 3, np.random.default_rng(4))
+        traj = sasaki_geodesic(base, states, horizon=3.7, step=1e-2)
+        state = np.array([[getattr(s, f) for s in states]
+                          for f in ("x", "v", "y", "z")], dtype=float)
+        charts = np.array([s.chart for s in states])
+        rhs = lambda _t, st: np.array(sasaki._rhs(base, st[0], st[1:]))
+        recs = [state]
+        for i in range(370):
+            state = rk4_step(rhs, i * 1e-2, state, 1e-2)
+            x, charts, *vecs = base.rechart(state[0], charts, *state[1:])
+            state = np.array([x, *vecs])
+            if (i + 1) % 10 == 0:
+                recs.append(state)
+        assert traj.times.tolist() == [i * 1e-2 for i in range(0, 371, 10)]
+        assert np.stack(recs).tobytes() == np.stack(
+            [traj.x, traj.v, traj.y, traj.z], axis=1).tobytes()
+        assert traj.step == 1e-2
+
+
+def _closed_form_y2(base, states, t):
+    """|Y(t)|^2 = |Y0|^2 + 2 <Y0, Z0> t + |Z0|^2 t^2, exact on both bases
+    since cov Z = 0 and cov Y = Z, at the times t for each state."""
+    x0, y0, z0 = (np.array([getattr(s, f) for s in states])
+                  for f in ("x", "y", "z"))
+    lam2 = base.lam2(x0)
+    t = np.asarray(t)[:, None]
+    return lam2 * ((y0 * y0).sum(-1) + 2 * (y0 * z0).sum(-1) * t
+                   + (z0 * z0).sum(-1) * t * t)
+
+
+def _first_ladder_step(horizon):
+    n = 2
+    while horizon / n > 2.0 ** -5:
+        n *= 2
+    return horizon / n
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("base_name", ["flat_torus", "round_sphere"])
+    @pytest.mark.parametrize("step", [np.inf, 1e-3], ids=["auto", "1e-3"])
+    def test_halving_error_covers_the_closed_form(self, base_name, step):
+        base = base_manifold(base_name)
+        for seed in range(4):
+            states = random_sasaki_states(base, 8, np.random.default_rng(seed))
+            for horizon in (0.5, 4.0, 10.0):
+                traj = sasaki_geodesic(base, states, horizon=horizon,
+                                       step=step)
+                err = np.abs(traj.y_norm2
+                             - _closed_form_y2(base, states, traj.times))
+                assert np.max(err) <= traj.halving_error, (seed, horizon)
+
+    @pytest.mark.parametrize("horizon", [1e-3, 0.5, 4.0, 10.0])
+    def test_flat_torus_accepts_the_first_ladder_step(self, horizon):
+        base = base_manifold("flat_torus")
+        states = random_sasaki_states(base, 8, np.random.default_rng(0))
+        traj = sasaki_geodesic(base, states, horizon=horizon)
+        assert traj.step == _first_ladder_step(horizon)
+        assert traj.times[-1] == horizon
+
+    def test_sphere_halves_until_the_tolerance(self, monkeypatch):
+        base = base_manifold("round_sphere")
+        states = random_sasaki_states(base, 8, np.random.default_rng(1))
+        steps = []
+        integrate = sasaki._integrate
+
+        def counted(base, state, charts, n_steps, h):
+            steps.append(h)
+            return integrate(base, state, charts, n_steps, h)
+
+        monkeypatch.setattr(sasaki, "_integrate", counted)
+        traj = sasaki_geodesic(base, states, horizon=4.0)
+        # each rejected run is the next coarse run: one new run per level
+        first = _first_ladder_step(4.0)
+        assert steps == [2 * first * 0.5 ** k for k in range(len(steps))]
+        assert len(steps) >= 3 and traj.step == steps[-1]
+        assert traj.times[-1] == 4.0
+        assert traj.halving_error <= sasaki._HALVING_TOL / 10
+        fit = parabola_check(traj)
+        assert np.max(fit.max_residual) <= 1e-7
+
+    def test_no_step_above_the_floor_is_step_too_large(self, monkeypatch):
+        monkeypatch.setattr(sasaki, "_LADDER_FLOOR", 2.0 ** -5)
+        base = base_manifold("round_sphere")
+        states = random_sasaki_states(base, 8, np.random.default_rng(1))
+        with pytest.raises(StepTooLarge, match="may not fall below"):
+            sasaki_geodesic(base, states, horizon=4.0)
 
 
 def _count_jet_calls(graph):
