@@ -16,7 +16,7 @@ from .sasaki import (GradientGraph, SasakiState, base_manifold,
                      curvature_sweep, graph_tameness_bounds, parabola_check,
                      sasaki_geodesic, sphere_harmonic_graph,
                      torus_gradient_graph)
-from .surface import (BaseCurve, SurfacePatch, ambient_distance, area_form,
+from .surface import (BaseCurve, SurfacePatch, ambient_distance,
                       flat_cylinder, hyperbolic_band, plane_annulus,
                       solve_warp, sphere_band, unit_cylinder,
                       warp_taylor_check)

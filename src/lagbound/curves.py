@@ -137,6 +137,13 @@ class Curve:
     def total_length(self) -> float:
         return float(np.mean(self.speed()) * self.patch.length)
 
+    def scan(self, n_scan: int) -> tuple[np.ndarray, float]:
+        """Indices of `n_scan` evenly spread samples, at most one per sample
+        (a repeated one adds no data), and their largest metric spacing."""
+        n = min(n_scan, self.n)
+        idx = np.linspace(0, self.n, n, endpoint=False).astype(int)
+        return idx, self.patch.length / n * float(np.max(self.speed()))
+
     def points(self, idx=None) -> np.ndarray:
         if idx is None:
             return np.stack([self.s, self.xi], axis=1)
@@ -335,8 +342,8 @@ def tameness(curve: Curve, n_scan: int | None = None) -> TamenessReport:
     flat = curve.patch.is_flat_cylinder
     if n_scan is None:
         n_scan = 512 if flat else 128
-    n_scan = min(n_scan, curve.n)  # a repeated scan point adds no data
-    idx = np.linspace(0, curve.n, n_scan, endpoint=False).astype(int)
+    idx, spacing = curve.scan(n_scan)
+    n_scan = len(idx)
 
     # imported on first use, so that `import lagbound` does not load scipy's csgraph
     from .distances import pairwise_point_distances
@@ -353,7 +360,6 @@ def tameness(curve: Curve, n_scan: int | None = None) -> TamenessReport:
         - kmax * delta_min ** 2 / 8.0
 
     eps = min(long_min, short_bound)
-    spacing = curve.patch.length / n_scan * float(np.max(curve.speed()))
     err = 2.0 * spacing
     if not flat:
         err += curve.patch.stencil_error_ratio() * min(1.0, eps)
@@ -406,8 +412,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
 
     base_report = tameness(curve, n_scan=n_scan)
     delta_min = base_report.delta_min
-    n_pairs = base_report.n_scan
-    idx = np.linspace(0, curve.n, n_pairs, endpoint=False).astype(int)
+    idx, _ = curve.scan(base_report.n_scan)
 
     phi_on_curve = _eval2(conformal_phi, curve.s, curve.xi)
     speed_prime = np.exp(phi_on_curve) * curve.speed()

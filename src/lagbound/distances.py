@@ -16,8 +16,9 @@ Two refinements keep point queries sharp:
 * nearby injected points are additionally joined by direct quadrature edges,
   so short chords are measured by quadrature rather than by grid hops.  A
   pairwise query joins every pair whose coordinate arc is at most 1 / min(w),
-  which covers every pair within ambient distance 1; a straight coordinate
-  chord is an in-band path, so it can only lower a distance toward the truth.
+  which covers every pair within ambient distance 1; a set query joins every
+  cross pair near in s, in any point order.  A straight coordinate chord is
+  an in-band path, so it can only lower a distance toward the truth.
 
 A query graph is the cached CSR with the grid -> point links inserted at the
 ends of their rows and the point rows appended, so no query re-sorts the grid.
@@ -273,6 +274,19 @@ def pairwise_point_distances(patch, pts: np.ndarray, scale=None,
                                [slice(0, n)], scale, limit=limit)[0]
 
 
+def _s_window(u: np.ndarray, centers: np.ndarray, half,
+              length: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic window |ds| <= `half` around each center of the points at
+    `u` (s mod length, sorted): each window's size and the concatenated
+    windows' indices into `u`, each point at most once per window."""
+    n = len(u)
+    ring = np.concatenate([u - length, u, u + length])
+    lo = np.searchsorted(ring, centers - half, side="left")
+    count = np.minimum(np.searchsorted(ring, centers + half, side="right") - lo, n)
+    starts = np.cumsum(count) - count
+    return count, (np.arange(count.sum()) + np.repeat(lo - starts, count)) % n
+
+
 def _nearest_on_cylinder(length: float, sources: np.ndarray,
                          targets: np.ndarray) -> np.ndarray:
     """`cylinder_distance(length, targets[:, None], sources[None]).min(axis=1)`
@@ -284,7 +298,7 @@ def _nearest_on_cylinder(length: float, sources: np.ndarray,
     1e-12 for the rounding of s mod length, holds the dense argmin under the
     dense formula and argument order, so the minima are the same bits.
     """
-    ns, nt = len(sources), len(targets)
+    ns = len(sources)
     u = sources[:, 0] % length
     order = np.argsort(u, kind="stable")
     u, sources = u[order], sources[order]
@@ -294,27 +308,19 @@ def _nearest_on_cylinder(length: float, sources: np.ndarray,
     upper = cylinder_distance(length, targets[:, None], near).min(axis=1)
     half = upper * (1.0 + 1e-12) + 1e-12 * (
         length + np.abs(sources[:, 0]).max() + np.abs(targets[:, 0]).max(initial=0.0))
-    ring = np.concatenate([u - length, u, u + length])
-    lo = np.searchsorted(ring, u_t - half, side="left")
-    count = np.searchsorted(ring, u_t + half, side="right") - lo
-    count = np.where(half >= length / 2, ns, np.minimum(count, ns))
-    if np.all(count == ns):  # every window is every source
-        return cylinder_distance(length, targets[:, None], sources[None]).min(axis=1)
-    starts = np.cumsum(count) - count
-    idx = (np.arange(starts[-1] + count[-1]) + np.repeat(lo - starts, count)) % ns
-    d = cylinder_distance(length, targets[np.repeat(np.arange(nt), count)],
-                          sources[idx])
-    return np.minimum.reduceat(d, starts)
+    count, idx = _s_window(u, u_t, half, length)
+    d = cylinder_distance(length, np.repeat(targets, count, axis=0), sources[idx])
+    return np.minimum.reduceat(d, np.cumsum(count) - count)
 
 
 def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
                both: bool) -> list:
     """The distance from each target to the source set and, with `both`, from
     each source to the target set.  On the graph both sets are injected, and
-    the near ring pairs of each set and the cross pairs near in s get direct
-    edges: the aligned and nearby index pairs when the sets are equal in
-    size, else every pair near in s.  Both fields come from that one query
-    graph, one nearest-source search from each set."""
+    direct edges join index neighbours within a set (neighbours along the
+    curve) and, across the sets, where only s tells nearness, every pair at
+    most max(_DIRECT_REACH, length / min(ns, nt)) apart in s.  Both fields
+    come from that one query graph, one nearest-source search from each."""
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
@@ -322,29 +328,14 @@ def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
         return [_nearest_on_cylinder(patch.length, sources, targets)] + (
             [_nearest_on_cylinder(patch.length, targets, sources)] if both else [])
     ns, nt = len(sources), len(targets)
-    pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns)]
-    i = np.arange(ns)
-    if ns == nt:
-        # each offset once: csr_matrix would sum a repeated edge
-        k_cross = max(1, int(np.ceil(_DIRECT_REACH * ns / patch.length)))
-        for k in np.unique(np.arange(-k_cross, k_cross + 1) % nt):
-            pairs.append(np.stack([i, ns + (i + k) % nt], axis=1))
-    else:
-        # every pair at most `reach` apart in s, which holds each point's
-        # neighbours in s on the other set: a cyclic window of the targets
-        # sorted by s around each source
-        length = patch.length
-        reach = max(_DIRECT_REACH, length / min(ns, nt))
-        u = targets[:, 0] % length
-        order = np.argsort(u, kind="stable")
-        ring = np.concatenate([u[order] - length, u[order], u[order] + length])
-        u_s = sources[:, 0] % length
-        lo = np.searchsorted(ring, u_s - reach, side="left")
-        count = np.minimum(np.searchsorted(ring, u_s + reach, side="right") - lo,
-                           nt)
-        starts = np.cumsum(count) - count
-        idx = (np.arange(count.sum()) + np.repeat(lo - starts, count)) % nt
-        pairs.append(np.stack([np.repeat(i, count), ns + order[idx]], axis=1))
+    # `reach` holds each point's neighbours in s on the other set
+    reach = max(_DIRECT_REACH, patch.length / min(ns, nt))
+    u = targets[:, 0] % patch.length
+    order = np.argsort(u, kind="stable")
+    count, idx = _s_window(u[order], sources[:, 0] % patch.length, reach,
+                           patch.length)
+    pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns),
+             np.stack([np.repeat(np.arange(ns), count), ns + order[idx]], axis=1)]
     fields = _injected_distances(patch, np.concatenate([sources, targets]),
                                  np.concatenate(pairs),
                                  [slice(0, ns), slice(ns, None)][:1 + both],
@@ -358,9 +349,10 @@ def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
 
     Flat cylinders without a conformal `scale` use the exact unrolled formula
     on a window of sources around each target (`_nearest_on_cylinder`).
-    Otherwise both sets are injected; cross pairs near in s get direct edges
-    (so e.g. vertical chords between two graphs over the same base are
-    exact).
+    Otherwise both sets are injected; every cross pair at most
+    max(_DIRECT_REACH, length / min(len(sources), len(targets))) apart in s
+    gets a direct edge, in whatever order the points arrive (so e.g.
+    vertical chords between two graphs over the same base are exact).
     """
     return _set_query(patch, sources, targets, scale, both=False)[0]
 

@@ -38,14 +38,6 @@ class HausdorffResult:
     error: float
 
 
-def _scan(curve: Curve, n_scan: int) -> tuple[np.ndarray, float]:
-    """The curve's scan points, at most one per sample, and their largest
-    metric spacing."""
-    n = min(n_scan, curve.n)
-    idx = np.linspace(0, curve.n, n, endpoint=False).astype(int)
-    return curve.points(idx), curve.patch.length / n * float(np.max(curve.speed()))
-
-
 def hausdorff_distance(a: Curve, b: Curve,
                        n_scan: int | None = None) -> HausdorffResult:
     """Hausdorff distance between two sampled curves on the same patch."""
@@ -55,7 +47,8 @@ def hausdorff_distance(a: Curve, b: Curve,
     flat = patch.is_flat_cylinder
     if n_scan is None:
         n_scan = min(1024, a.n, b.n) if flat else 256
-    (pts_a, gap_a), (pts_b, gap_b) = _scan(a, n_scan), _scan(b, n_scan)
+    (idx_a, gap_a), (idx_b, gap_b) = a.scan(n_scan), b.scan(n_scan)
+    pts_a, pts_b = a.points(idx_a), b.points(idx_b)
 
     from .distances import set_to_set_distances
 

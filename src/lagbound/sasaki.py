@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from . import jets
-from .errors import FrameDegenerate, StepTooLarge
+from .errors import FrameDegenerate, ParamOutOfRange, StepTooLarge
 from .numerics import rk4_step
 
 __all__ = [
@@ -299,12 +299,11 @@ def _rhs(base, x, vyz):
     return v, dv, dy, dz
 
 
-def _integrate(base, state, charts, n_steps, h,
-               record_every=_RECORD_EVERY // 2):
+def _integrate(base, state, charts, n_steps, h):
     """n_steps fixed RK4 steps of size h on the stacked state (x, v, Y, Z) of
     shape (4, B, 2), re-charting after every step.
 
-    Records every `record_every` steps and the last; by default those of a
+    Records every _RECORD_EVERY // 2 steps and the last, so the records of a
     run at 2h fall on the _RECORD_EVERY-th steps of a run at h over the same
     time.  Returns the recorded step indices, states (k, 4, B, 2) and charts
     (k, B).
@@ -314,7 +313,7 @@ def _integrate(base, state, charts, n_steps, h,
 
     rec_i, rec, rec_c = [], [], []
     for step_i in range(n_steps + 1):
-        if step_i % record_every == 0 or step_i == n_steps:
+        if step_i % (_RECORD_EVERY // 2) == 0 or step_i == n_steps:
             rec_i.append(step_i)
             rec.append(state.copy())
             rec_c.append(charts.copy())
@@ -361,19 +360,16 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0,
                     step: float = np.inf) -> Trajectory:
     """Integrate bundle geodesics with RK4 and bound the error of |Y|^2.
 
-    `initial` is a SasakiState or a list of them (batched).  Every run is
-    checked against a run at twice its step (`_halving_error`).
+    `initial` is a SasakiState or a list of them (batched).  Each run is
+    checked against the run at twice its step (`_halving_error`); while that
+    error exceeds the tolerance the step halves, the rejected run serving as
+    the next coarse run, and StepTooLarge is raised below a floor step.
 
-    With a finite `step`, the fine run takes 2 * ceil(horizon / (2 step))
-    steps, so both runs end at the same time, and StepTooLarge is raised
-    when the halving error exceeds _HALVING_TOL.
-
-    By default (`step` inf) the step is chosen on the dyadic ladder
-    horizon / 2^j, from the first j >= 1 with a step of at most
-    _LADDER_START: the first step whose halving error is at most
-    _HALVING_TOL / 10 is taken, each rejected run serving as the coarse run
-    of the next, and the run ends at the horizon exactly.  StepTooLarge is
-    raised when the step would fall below _LADDER_FLOOR.
+    By default (`step` inf) the first step is horizon / 2^j for the first
+    j >= 1 that gives at most _LADDER_START, so the run ends at the horizon;
+    the tolerance is _HALVING_TOL / 10 and the floor _LADDER_FLOOR.  A finite
+    `step` is the only rung: 2 * ceil(horizon / (2 step)) steps, so both runs
+    end together, and the tolerance is _HALVING_TOL.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
     state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
@@ -381,31 +377,25 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0,
     charts = np.array([s.chart for s in states], dtype=int)
 
     if np.isfinite(step):
-        n_coarse = int(np.ceil(horizon / (2 * step)))
-        coarse = _integrate(base, state, charts, n_coarse, 2 * step)
-        fine = _integrate(base, state, charts, 2 * n_coarse, step,
-                          _RECORD_EVERY)
-        halving = _halving_error(base, fine, coarse)
-        if halving > _HALVING_TOL:
-            raise StepTooLarge(f"step-halving error {halving:.2e} exceeds "
-                               f"tolerance {_HALVING_TOL:.2e}; reduce the step")
+        n = 2 * int(np.ceil(horizon / (2 * step)))
+        tol, floor = _HALVING_TOL, step
     else:
         n = 2  # steps of the fine run; a power of two, so n * step = horizon
         while horizon / n > _LADDER_START:
             n *= 2
-        coarse = _integrate(base, state, charts, n // 2, horizon / (n // 2))
-        while True:
-            step = horizon / n
-            fine = _integrate(base, state, charts, n, step)
-            halving = _halving_error(base, fine, coarse)
-            if halving <= _HALVING_TOL / 10:
-                break
-            if step / 2 < _LADDER_FLOOR:
-                raise StepTooLarge(
-                    f"step-halving error {halving:.2e} at step {step:.3g} "
-                    f"exceeds tolerance {_HALVING_TOL / 10:.2e}, and the "
-                    f"step may not fall below {_LADDER_FLOOR:.3g}")
-            coarse, n = fine, 2 * n
+        step, tol, floor = horizon / n, _HALVING_TOL / 10, _LADDER_FLOOR
+    coarse = _integrate(base, state, charts, n // 2, 2 * step)
+    while True:
+        fine = _integrate(base, state, charts, n, step)
+        halving = _halving_error(base, fine, coarse)
+        if halving <= tol:
+            break
+        if step / 2 < floor:
+            raise StepTooLarge(
+                f"step-halving error {halving:.2e} at step {step:.3g} exceeds "
+                f"tolerance {tol:.2e}, and the step may not fall below "
+                f"{floor:.3g}")
+        coarse, n, step = fine, 2 * n, step / 2
 
     steps, recs, ch = fine
     out = _output_records(steps)
@@ -429,8 +419,13 @@ def parabola_check(traj: Trajectory) -> ParabolaFit:
     """Least-squares quadratic fit of |Y(t)|^2 along each trajectory.
 
     The law: the squared fiber norm is constant or a strictly convex parabola
-    whose leading coefficient equals |Z(0)|^2.
+    whose leading coefficient equals |Z(0)|^2.  ParamOutOfRange is raised
+    when the trajectory records fewer than 3 distinct times, too few to fit.
     """
+    n_times = len(np.unique(traj.times))
+    if n_times < 3:
+        raise ParamOutOfRange(f"{n_times} recorded times cannot fit a "
+                              f"parabola; lengthen the horizon")
     n_b = traj.y_norm2.shape[1]
     coeffs = np.empty((n_b, 3))
     resid = np.empty(n_b)

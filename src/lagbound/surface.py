@@ -40,7 +40,6 @@ __all__ = [
     "TaylorFit",
     "solve_warp",
     "warp_taylor_check",
-    "area_form",
     "ambient_distance",
     "flat_cylinder",
     "unit_cylinder",
@@ -399,11 +398,6 @@ def warp_taylor_check(patch: SurfacePatch, s: float,
     order = np.inf if max_rem < 5e-13 else loglog_slope(t_rem, rem)
     return TaylorFit(coefficients=coeffs, expected=expected,
                      remainder_order=order, max_remainder=max_rem)
-
-
-def area_form(patch: SurfacePatch) -> Callable:
-    """Area density of the band in (s, t) coordinates: (s, t) -> w(s, t)."""
-    return patch.grid_w
 
 
 def ambient_distance(patch: SurfacePatch, x: tuple[float, float],

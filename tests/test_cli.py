@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +143,17 @@ class TestOtherCommands:
 
     # ceil(horizon / step) is odd: the step-halving estimate is only small
     # when the fine and coarse runs end at the same time
-    @pytest.mark.parametrize("horizon", ["1e-3", "3e-3"])
+    @pytest.mark.parametrize("horizon", ["0.021", "0.041"])
     def test_sasaki_odd_step_count(self, tmp_path, horizon):
-        assert run("sasaki", "--horizon", horizon, "--out", str(tmp_path)) == 0
+        assert run("sasaki", "--horizon", horizon, "--step", "1e-3",
+                   "--out", str(tmp_path)) == 0
+
+    def test_sasaki_too_few_records_for_a_parabola(self, tmp_path):
+        # 2 steps record t = 0 and the end only: no parabola fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            assert run("sasaki", "--horizon", "1e-3", "--out",
+                       str(tmp_path)) == 3
 
     def test_family_and_figure(self, tmp_path):
         assert run("family", "parallels", "--out", str(tmp_path)) == 0

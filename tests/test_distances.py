@@ -230,12 +230,10 @@ class TestFlatNearest:
             assert np.array_equal(set_to_points_distance(unit, sources, targets),
                                   self._dense(unit, sources, targets))
 
-    def test_far_sets_take_the_dense_call(self, unit, monkeypatch, rng):
-        shapes = _captured_shapes(monkeypatch)
+    def test_far_sets_read_the_dense_minima(self, unit, rng):
         sources = self._draw(rng, "wide_s", 40, unit.length, 0.05) + [0.0, 1.15]
         targets = self._draw(rng, "wide_s", 30, unit.length, 0.05) - [0.0, 1.15]
         got = set_to_points_distance(unit, sources, targets)
-        assert shapes[-1] == (30, 40)
         assert np.array_equal(got, self._dense(unit, sources, targets))
 
 
@@ -283,6 +281,21 @@ class TestSetToSet:
                                        np.stack([s_b, 0 * s_b], axis=1))
         over = slice(None, None, max(1, n_a // n_b))
         assert np.max(np.abs(to_a[over] - np.abs(xi[over]))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("order", ["aligned", "reversed", "rolled"])
+    def test_equal_size_sets_join_their_neighbours_in_s_in_any_order(
+            self, band, n, order):
+        # a graph against equal-size points on t = 0, both off the graph's
+        # columns: each graph point sits over a base point, so its distance
+        # to the base set is the vertical |xi|, whatever order they arrive in
+        s = 0.0123 + np.arange(n) * (band.length / n)
+        xi = 0.2 * np.cos(2 * s) - 0.1 * np.sin(3 * s)
+        base = np.stack([s, 0 * s], axis=1)
+        base = {"aligned": base, "reversed": base[::-1],
+                "rolled": np.roll(base, n // 2, axis=0)}[order]
+        to_a, _ = set_to_set_distances(band, np.stack([s, xi], axis=1), base)
+        assert np.max(np.abs(to_a - np.abs(xi))) <= 1e-12
 
     def test_hausdorff_builds_one_query_graph(self, band, monkeypatch):
         band.stencil_error_ratio()  # its own search, once per patch

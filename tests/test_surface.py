@@ -7,11 +7,10 @@ from lagbound import surface
 from lagbound.config import build_patch_from_spec
 from lagbound.distances import pairwise_point_distances, set_to_points_distance
 from lagbound.errors import ChartDegenerate, OutOfPatch
-from lagbound.surface import (BaseCurve, ambient_distance, area_form,
-                              cylinder_distance, flat_cylinder,
-                              hyperbolic_band, plane_annulus, plane_embed,
-                              solve_warp, sphere_band, sphere_embed,
-                              warp_taylor_check)
+from lagbound.surface import (BaseCurve, ambient_distance, cylinder_distance,
+                              flat_cylinder, hyperbolic_band, plane_annulus,
+                              plane_embed, solve_warp, sphere_band,
+                              sphere_embed, warp_taylor_check)
 
 from conftest import _reference_warp
 
@@ -189,9 +188,8 @@ class TestAreaForm:
         assert np.max(np.abs(patch.cum_w_at(t) - cum_w(t))) <= patch.warp_error
 
     def test_density_callable(self, sphere):
-        w = area_form(sphere)
-        assert w(np.array([0.3]), np.array([0.25]))[0] == pytest.approx(
-            np.cos(0.25), abs=1e-5)
+        w = sphere.grid_w(np.array([0.3]), np.array([0.25]))
+        assert w[0] == pytest.approx(np.cos(0.25), abs=1e-5)
 
 
 class TestAmbientDistance:
