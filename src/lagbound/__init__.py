@@ -5,8 +5,8 @@ gradient graphs.
 
 from .classify import FamilySpec, MembershipVerdict, classify, generate_family, separation_scan
 from .curves import (Curve, CurvatureReport, TamenessReport,
-                     geodesic_curvature, intrinsic_distance, tameness,
-                     tameness_comparison_check, trig_curve)
+                     geodesic_curvature, tameness, tameness_comparison_check,
+                     trig_curve)
 from .exactness import (ContractionPath, IsotopyInvariant, area_functional,
                         build_contraction, contraction_bounds_check,
                         isotopy_invariant, solve_c, solve_c_grid)
@@ -16,9 +16,8 @@ from .sasaki import (GradientGraph, SasakiState, base_manifold,
                      curvature_sweep, graph_tameness_bounds, parabola_check,
                      sasaki_geodesic, sphere_harmonic_graph,
                      torus_gradient_graph)
-from .surface import (BaseCurve, SurfacePatch, ambient_distance,
-                      flat_cylinder, hyperbolic_band, plane_annulus,
-                      solve_warp, sphere_band, unit_cylinder,
-                      warp_taylor_check)
+from .surface import (BaseCurve, SurfacePatch, flat_cylinder,
+                      hyperbolic_band, plane_annulus, solve_warp, sphere_band,
+                      unit_cylinder, warp_taylor_check)
 
 __version__ = "0.1.0"

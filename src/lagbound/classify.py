@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import Curve, tameness, trig_curve
 from .errors import ParamOutOfRange
-from .exactness import area_functional, isotopy_invariant
+from .exactness import _circle_radius, area_functional, isotopy_invariant
 from .hausdorff import hausdorff_distance
 from .numerics import bump, bump_d1, bump_d2, bump_d3
 from .surface import SurfacePatch, flat_cylinder, plane_annulus, unit_cylinder
@@ -200,7 +200,7 @@ def generate_family(spec: FamilySpec, patch: SurfacePatch | None = None) -> list
 
     if fam == "plane_circles":
         patch = patch or default_plane()
-        rr = 1.0 / float(np.asarray(patch.base.kappa(np.array([0.0]))).ravel()[0])
+        rr = _circle_radius(patch)
         radii = [float(x) for x in p.pop("radii", (1.0, 1.1))]
         if p:
             raise ParamOutOfRange(f"unknown plane_circles params {sorted(p)}")

@@ -9,7 +9,8 @@ A curve is a periodic graph t = xi(s) inside a patch.  The module computes
 
   with every warp quantity evaluated at (s, xi(s)),
 
-* the intrinsic distance d_xi from the length element sqrt(w^2 + xi'^2) ds,
+* the arclength primitive from the length element sqrt(w^2 + xi'^2) ds, on
+  the curve's own grid (`Curve.cum_length`),
 
 * the tameness constant: the infimum over point pairs of
   d_ambient / min(1, d_intrinsic), split into a sampled long-range scan and an
@@ -24,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DistortionExceeded
-from .numerics import (eval_fourier_primitive, eval_fourier_series,
-                       fourier_derivative, fourier_primitive_grid)
+from .numerics import (fourier_derivative, fourier_primitive_grid,
+                       resample_periodic)
 from .surface import SurfacePatch, _eval1, _eval2
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "TamenessReport",
     "ComparisonCheck",
     "geodesic_curvature",
-    "intrinsic_distance",
     "tameness",
     "tameness_comparison_check",
     "trig_curve",
@@ -48,7 +48,8 @@ class Curve:
 
     Samples are stored on a uniform s-grid; analytic callables for xi and its
     first two derivatives are kept when available, otherwise the derivatives
-    come from spectral differentiation of the samples.
+    come from spectral differentiation of the samples, and `resampled` moves
+    the samples to another grid through their trigonometric interpolant.
     """
 
     def __init__(self, patch: SurfacePatch, xi: np.ndarray, dxi: np.ndarray,
@@ -113,9 +114,8 @@ class Curve:
     def resampled(self, n2: int) -> "Curve":
         if self.fns is not None and all(f is not None for f in self.fns):
             return Curve.from_callables(self.patch, *self.fns, n=n2, name=self.name)
-        s2 = np.arange(n2) * (self.patch.length / n2)
-        return Curve.from_samples(self.patch, eval_fourier_series(
-            self.xi, self.patch.length, s2), name=self.name)
+        return Curve.from_samples(self.patch, resample_periodic(self.xi, n2),
+                                  name=self.name)
 
     def warp_data(self) -> dict[str, np.ndarray]:
         if "warp" not in self._cache:
@@ -222,10 +222,13 @@ def _curvature_signed(curve: Curve) -> np.ndarray:
 def geodesic_curvature(curve: Curve, _with_error: bool = True) -> CurvatureReport:
     """Pointwise geodesic curvature of the graph in the band metric.
 
-    The error is the grid-doubling gap plus 1e-12, plus the error of the warp
-    lookup along the curve, |sup - sup_2| / 63 against a lookup from every
-    other row and column: Richardson for the quintic's h^6 error in t, and
-    conservative for the 8-node interpolant's h^8 error in s.
+    The error is the grid-doubling gap plus 1e-12, plus twice the rise p - sup
+    to the vertex p of the parabola through |B| at the argmax and its two
+    neighbours (the sup between samples, which the doubling gap misses when
+    the argmax has an even index), plus the error of the warp lookup along
+    the curve, |sup - sup_2| / 63 against a lookup from every other row and
+    column: Richardson for the quintic's h^6 error in t, and conservative for
+    the 8-node interpolant's h^8 error in s.
     """
     values = np.abs(_curvature_signed(curve))
     sup = float(np.max(values))
@@ -233,6 +236,11 @@ def geodesic_curvature(curve: Curve, _with_error: bool = True) -> CurvatureRepor
     k = int(np.argmax(values >= sup * (1 - 1e-14)))
     err = 1e-12
     if _with_error:
+        j = int(np.argmax(values))
+        a, c = values[j - 1], values[(j + 1) % curve.n]
+        bend = 2 * sup - a - c
+        if bend > 0:  # p - sup = (c - a)^2 / (8 bend) <= |c - a| / 8
+            err += float((c - a) ** 2 / (4 * bend))
         if curve.n >= 64:
             half = geodesic_curvature(curve.resampled(curve.n // 2),
                                       _with_error=False)
@@ -241,24 +249,6 @@ def geodesic_curvature(curve: Curve, _with_error: bool = True) -> CurvatureRepor
         err += abs(sup - np.max(np.abs(_curvature_of(curve, coarse)))) / 63
     return CurvatureReport(s=curve.s, values=values, sup=sup,
                            arg_s=float(curve.s[k]), error=err)
-
-
-# ---------------------------------------------------------------------------
-# intrinsic distance
-# ---------------------------------------------------------------------------
-
-def intrinsic_distance(curve: Curve, s0: float, s1: float) -> float:
-    """Length of the shorter of the two graph arcs between parameters s0, s1.
-
-    The arclength primitive is evaluated through the trigonometric interpolant
-    of the sampled length element, which is quadrature-exact for band-limited
-    speeds and spectrally accurate otherwise.
-    """
-    speed = curve.speed()
-    total = curve.total_length()
-    vals = eval_fourier_primitive(speed, curve.patch.length, np.array([s0, s1]))
-    arc = abs(vals[1] - vals[0]) % total
-    return float(min(arc, total - arc))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ ends of their rows and the point rows appended, so no query re-sorts the grid.
 
 `pairwise_point_distances`, `set_to_points_distance` and
 `set_to_set_distances` are the one place that chooses between formula and
-graph: on a flat cylinder without a conformal scale they use the exact
-unrolled formula `surface.cylinder_distance`, and every other query runs on
-the graph.  A flat set query reads the formula only on a window of sources
+graph: on a flat cylinder they use the exact unrolled formula
+`surface.cylinder_distance`, and every other query, like a pairwise query
+with a conformal `scale` (only pairwise queries take one), runs on the
+graph.  A flat set query reads the formula only on a window of sources
 around each target: a target's neighbours in s bound its distance by U, and
 no source farther than U in s can be nearest, so the window returns the
 dense minima bit for bit.
@@ -313,7 +314,7 @@ def _nearest_on_cylinder(length: float, sources: np.ndarray,
     return np.minimum.reduceat(d, np.cumsum(count) - count)
 
 
-def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
+def _set_query(patch, sources: np.ndarray, targets: np.ndarray,
                both: bool) -> list:
     """The distance from each target to the source set and, with `both`, from
     each source to the target set.  On the graph both sets are injected, and
@@ -324,7 +325,7 @@ def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
     sources = np.asarray(sources, dtype=float)
     targets = np.asarray(targets, dtype=float)
     patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
-    if scale is None and patch.is_flat_cylinder:
+    if patch.is_flat_cylinder:
         return [_nearest_on_cylinder(patch.length, sources, targets)] + (
             [_nearest_on_cylinder(patch.length, targets, sources)] if both else [])
     ns, nt = len(sources), len(targets)
@@ -339,26 +340,26 @@ def _set_query(patch, sources: np.ndarray, targets: np.ndarray, scale,
     fields = _injected_distances(patch, np.concatenate([sources, targets]),
                                  np.concatenate(pairs),
                                  [slice(0, ns), slice(ns, None)][:1 + both],
-                                 scale, min_only=True)
+                                 min_only=True)
     return [fields[0][ns:]] + [field[:ns] for field in fields[1:]]
 
 
-def set_to_points_distance(patch, sources: np.ndarray, targets: np.ndarray,
-                           scale=None) -> np.ndarray:
+def set_to_points_distance(patch, sources: np.ndarray,
+                           targets: np.ndarray) -> np.ndarray:
     """min over the source set of the distance to each target point.
 
-    Flat cylinders without a conformal `scale` use the exact unrolled formula
-    on a window of sources around each target (`_nearest_on_cylinder`).
+    Flat cylinders use the exact unrolled formula on a window of sources
+    around each target (`_nearest_on_cylinder`).
     Otherwise both sets are injected; every cross pair at most
     max(_DIRECT_REACH, length / min(len(sources), len(targets))) apart in s
     gets a direct edge, in whatever order the points arrive (so e.g.
     vertical chords between two graphs over the same base are exact).
     """
-    return _set_query(patch, sources, targets, scale, both=False)[0]
+    return _set_query(patch, sources, targets, both=False)[0]
 
 
-def set_to_set_distances(patch, a: np.ndarray, b: np.ndarray,
-                         scale=None) -> tuple[np.ndarray, np.ndarray]:
+def set_to_set_distances(patch, a: np.ndarray,
+                         b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both one-way fields between two point sets: the distance from each
     point of `a` to the set `b`, and from each point of `b` to the set `a`.
 
@@ -367,7 +368,7 @@ def set_to_set_distances(patch, a: np.ndarray, b: np.ndarray,
     from the query graph of the first, which holds the edges of either, with
     one nearest-source search from each set.
     """
-    return tuple(_set_query(patch, b, a, scale, both=True))
+    return tuple(_set_query(patch, b, a, both=True))
 
 
 def _eight_neighbor(graph: BandGraph) -> csr_matrix:

@@ -5,9 +5,10 @@ A graph xi is exact when its signed band area
 
     A(xi) = integral_0^l integral_0^{xi(s)} w(s, t) dt ds
 
-vanishes.  For every scale a in [0, 1] there is a unique shift c(a) making
-a*xi + c(a) exact, because c -> A(a*xi + c) is strictly increasing (w > 0);
-c is found by bisection inside the guaranteed bracket |c| <= a * max|xi|.
+vanishes.  For every scale a there is a unique shift c(a) making a*xi + c(a)
+exact, because c -> A(a*xi + c) is strictly increasing (w > 0); c is found
+by bisection inside the guaranteed bracket |c| <= |a| * max|xi|, which keeps
+the graphs inside the band while |a| * max|xi| < r/2.
 The inner integral W = int_0^t w is read at the patch columns by
 `SurfacePatch.cum_w_at`; every function takes its band from `curve.patch`.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 from .curves import Curve, tameness
 from .errors import NoBracket, OutOfPatch, ParamOutOfRange, SelfIntersection
-from .numerics import eval_fourier_series
-from .surface import SurfacePatch, plane_embed
+from .numerics import resample_periodic
+from .surface import SurfacePatch, _eval1, plane_embed
 
 __all__ = [
     "ContractionPath",
@@ -45,7 +46,7 @@ def _xi_on_patch_grid(curve: Curve) -> np.ndarray:
         return curve.xi
     if curve.fns is not None and curve.fns[0] is not None:
         return np.asarray(curve.fns[0](patch.s), dtype=float)
-    return eval_fourier_series(curve.xi, patch.length, patch.s)
+    return resample_periodic(curve.xi, patch.n_s)
 
 
 def area_functional(curve: Curve) -> float:
@@ -66,22 +67,24 @@ def _area_batch(patch: SurfacePatch, xi_block: np.ndarray) -> np.ndarray:
 def solve_c_grid(curve: Curve, alphas: np.ndarray) -> np.ndarray:
     """Vertical shifts c(a) with A(a*xi + c(a)) = 0 for a whole grid of scales.
 
-    Bisection inside the guaranteed bracket |c| <= a*max|xi| (the area is
+    Bisection inside the guaranteed bracket |c| <= |a|*max|xi| (the area is
     strictly increasing in the shift since the warp is positive), run on all
     scales simultaneously; each scale follows the same midpoint sequence as a
-    scalar bisection would.
+    scalar bisection would.  Raises ParamOutOfRange unless
+    max|a| * max|xi| < r/2, so that every bracketed graph lies in the band.
     """
     alphas = np.asarray(alphas, dtype=float)
     patch, sup = curve.patch, curve.sup_norm()
-    if sup >= patch.halfwidth / 2:
-        raise ParamOutOfRange(f"shift solve requires max|xi| < r/2 = "
-                              f"{patch.halfwidth / 2:.4g}, got {sup:.4g}")
+    reach = float(np.max(np.abs(alphas), initial=0.0)) * sup
+    if reach >= patch.halfwidth / 2:
+        raise ParamOutOfRange(f"shift solve requires max|a| max|xi| < r/2 = "
+                              f"{patch.halfwidth / 2:.4g}, got {reach:.4g}")
     if sup == 0.0:
         return np.zeros_like(alphas)
     xi_grid = _xi_on_patch_grid(curve)
     xi_block = alphas[:, None] * xi_grid[None, :]
-    lo = -alphas * sup
-    hi = alphas * sup
+    hi = np.abs(alphas) * sup
+    lo = -hi
     f_lo = _area_batch(patch, xi_block + lo[:, None])
     f_hi = _area_batch(patch, xi_block + hi[:, None])
     if np.any(f_lo > _C_TOL) or np.any(f_hi < -_C_TOL):
@@ -110,7 +113,7 @@ def solve_c_grid(curve: Curve, alphas: np.ndarray) -> np.ndarray:
 
 
 def solve_c(curve: Curve, alpha: float) -> float:
-    """Unique vertical shift c with A(alpha*xi + c) = 0, |c| <= alpha*max|xi|."""
+    """Unique vertical shift c with A(alpha*xi + c) = 0, |c| <= |alpha|*max|xi|."""
     return float(solve_c_grid(curve, np.array([float(alpha)]))[0])
 
 
@@ -284,6 +287,16 @@ def _green_area_curve(curve: Curve, circle_radius: float) -> float:
     return abs(float(np.mean(integrand) * curve.patch.length))
 
 
+def _circle_radius(patch: SurfacePatch) -> float:
+    """1/kappa of a band around a plane circle, whose kappa is one positive
+    constant on the patch columns; ParamOutOfRange for any other band."""
+    kap = _eval1(patch.base.kappa, patch.s)
+    if not (kap[0] > 0 and np.all(kap == kap[0])):
+        raise ParamOutOfRange(f"{patch.base.name} is not a band around a "
+                              "plane circle (kappa is not one positive value)")
+    return 1.0 / float(kap[0])
+
+
 def isotopy_invariant(obj, ambient: str,
                       circle_radius: float | None = None) -> IsotopyInvariant:
     """Isotopy invariant of a closed embedded curve.
@@ -301,9 +314,7 @@ def isotopy_invariant(obj, ambient: str,
         raise ValueError(f"unknown ambient {ambient!r}")
 
     if isinstance(obj, Curve):
-        rr = circle_radius
-        if rr is None:
-            rr = 1.0 / float(np.asarray(obj.patch.base.kappa(np.array([0.0]))).ravel()[0])
+        rr = _circle_radius(obj.patch) if circle_radius is None else circle_radius
         step = max(1, obj.n // 512)
         if _has_crossing(plane_embed(rr, obj.s[::step], obj.xi[::step])):
             raise SelfIntersection("embedded curve crosses itself")

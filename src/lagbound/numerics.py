@@ -1,5 +1,6 @@
-"""Shared numerical helpers: periodic spectral calculus, the RK4 step, periodic
-bilinear interpolation, log-log slope fits, and the smoothstep bump used by the
+"""Shared numerical helpers: periodic spectral calculus (derivative, primitive
+and FFT resampling onto another uniform grid), the RK4 step, periodic bilinear
+interpolation, log-log slope fits, and the smoothstep bump used by the
 oscillating families.
 
 All routines operate on plain numpy arrays and are deterministic.
@@ -28,18 +29,6 @@ def fourier_derivative(values: np.ndarray, period: float) -> np.ndarray:
     return np.fft.irfft(c, n)
 
 
-def _primitive_spectrum(c: np.ndarray, n: int, period: float):
-    """Mean and periodic-part spectrum of the primitive of data with rfft c."""
-    mean = c[..., 0].real / n
-    k = np.arange(c.shape[-1])
-    omega = 2j * np.pi * k / period
-    cp = np.zeros_like(c)
-    cp[..., 1:] = c[..., 1:] / omega[1:]
-    if n % 2 == 0:
-        cp[..., -1] = 0.0
-    return mean, cp
-
-
 def fourier_primitive_grid(values: np.ndarray, period: float) -> np.ndarray:
     """Primitive F with F(0)=0 of periodic data, evaluated on the sample grid.
 
@@ -47,44 +36,36 @@ def fourier_primitive_grid(values: np.ndarray, period: float) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    mean, cp = _primitive_spectrum(np.fft.rfft(values), n, period)
+    c = np.fft.rfft(values)
+    omega = 2j * np.pi * np.arange(c.shape[-1]) / period
+    cp = np.zeros_like(c)
+    cp[..., 1:] = c[..., 1:] / omega[1:]
+    if n % 2 == 0:
+        cp[..., -1] = 0.0
     periodic = np.fft.irfft(cp, n)
     s = np.arange(n) * (period / n)
-    return mean * s + (periodic - periodic[..., :1])
+    return c[..., 0].real / n * s + (periodic - periodic[..., :1])
 
 
-def _trig_sum(c: np.ndarray, n: int, period: float, s: np.ndarray):
-    """The real trigonometric sum with rfft coefficients c of n samples, at the
-    points s and at 0."""
-    k = np.arange(c.shape[-1])
-    scale = np.full(c.shape[-1], 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    weighted = scale * c
-    phase = np.exp(2j * np.pi / period * np.outer(s, k))
-    return (phase * weighted).real.sum(axis=-1) / n, weighted.real.sum() / n
+def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
+    """The trigonometric interpolant of n uniform periodic samples, on the
+    uniform grid of m points over the same period.
 
-
-def eval_fourier_series(values: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of sampled periodic data at points s."""
-    values = np.asarray(values, dtype=float)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return _trig_sum(np.fft.rfft(values), values.shape[-1], period, s)[0]
-
-
-def eval_fourier_primitive(values: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
-    """Evaluate the primitive F (F(0)=0) of sampled periodic data at arbitrary points.
-
-    The mean drives a linear term, every other mode is integrated analytically,
-    so the result is exact for trigonometric polynomials below the Nyquist mode.
+    Each coefficient k of the samples' spectrum goes into bin k mod m (an even
+    n's Nyquist coefficient split evenly between +n/2 and -n/2), and one
+    m-point inverse FFT sums the bins: O(n log n + m log m), with every phase
+    reduced mod m exactly.
     """
     values = np.asarray(values, dtype=float)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     n = values.shape[-1]
-    mean, cp = _primitive_spectrum(np.fft.rfft(values), n, period)
-    periodic, at_zero = _trig_sum(cp, n, period, s)
-    return mean * s + periodic - at_zero
+    c = np.fft.rfft(values)
+    if n % 2 == 0:
+        c[-1] *= 0.5
+    k = np.arange(len(c))
+    bins = np.zeros(m, dtype=complex)
+    np.add.at(bins, k % m, c)
+    np.add.at(bins, -k[1:] % m, c[1:].conj())
+    return np.fft.ifft(bins).real * (m / n)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "TaylorFit",
     "solve_warp",
     "warp_taylor_check",
-    "ambient_distance",
     "flat_cylinder",
     "unit_cylinder",
     "plane_annulus",
@@ -48,7 +47,6 @@ __all__ = [
     "hyperbolic_band",
     "cylinder_distance",
     "plane_embed",
-    "sphere_embed",
 ]
 
 _PERIOD_TOL = 1e-12
@@ -324,13 +322,6 @@ class SurfacePatch:
         """Bilinear warp lookup on the stored grid (wraps in s)."""
         return periodic_bilinear(self.w, self.length, self.t, s_query, t_query)
 
-    # -- area ----------------------------------------------------------------
-
-    def band_area(self) -> float:
-        """Total area of the band under the induced area density w ds dt."""
-        inner = self.cum_w[:, -1] - self.cum_w[:, 0]
-        return float(np.mean(inner) * self.length)
-
     # -- distances ------------------------------------------------------------
 
     def stencil_error_ratio(self) -> float:
@@ -400,22 +391,6 @@ def warp_taylor_check(patch: SurfacePatch, s: float,
                      remainder_order=order, max_remainder=max_rem)
 
 
-def ambient_distance(patch: SurfacePatch, x: tuple[float, float],
-                     y: tuple[float, float]) -> float:
-    """Shortest-path distance between two band points in the metric w^2 ds^2 + dt^2.
-
-    A one-point `distances.set_to_points_distance` query: the exact unrolled
-    formula on flat cylinders, the injected-point graph search otherwise.
-    Points must keep a one-cell margin from the band edge.
-    """
-    from .distances import set_to_points_distance
-
-    x = (float(x[0]), float(x[1]))
-    y = (float(y[0]), float(y[1]))
-    patch.require_inside(np.array([x[1], y[1]]))
-    return float(set_to_points_distance(patch, np.array([y]), np.array([x]))[0])
-
-
 # ---------------------------------------------------------------------------
 # closed-form distances / embeddings for the model bands
 # ---------------------------------------------------------------------------
@@ -436,14 +411,6 @@ def plane_embed(circle_radius: float, s, t):
     ang = np.asarray(s, dtype=float) / circle_radius
     rho = circle_radius - np.asarray(t, dtype=float)
     return np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=-1)
-
-
-def sphere_embed(s, t):
-    """Embedding of the equatorial band of the unit sphere."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), np.sin(t)],
-                    axis=-1)
 
 
 # ---------------------------------------------------------------------------

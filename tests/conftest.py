@@ -28,6 +28,14 @@ def _reference_warp(patch, s, t, n_steps=2000):
     return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
 
+def sphere_embed(s, t):
+    """Embedding of the equatorial band of the unit sphere."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), np.sin(t)],
+                    axis=-1)
+
+
 @pytest.fixture(scope="session")
 def cyl():
     return flat_cylinder(halfwidth=1.5, grid=GRID)

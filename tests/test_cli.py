@@ -384,14 +384,31 @@ class TestOtherCommands:
     def test_unknown_figure_is_runtime_error(self, tmp_path):
         assert run("figure", "nope", "--out", str(tmp_path)) == 3
 
-    # the default cylinder has r = 2: the shift solve needs max|xi| < r/2,
-    # the contraction path max|xi| < r/3
+    # the default cylinder has r = 2: the shift solve needs
+    # max|a| max|xi| < r/2, the contraction path max|xi| < r/3
     @pytest.mark.parametrize("argv", [
         ("exactify", "--curve", "expr:1.1*cos(s)"),
+        ("exactify", "--curve", "cos:0.5,1", "--alpha", "50"),
         ("contract", "--curve", "expr:0.8*cos(s)"),
     ])
     def test_shift_range_is_runtime_error(self, tmp_path, argv):
         assert run(*argv, *GRID, "--out", str(tmp_path)) == 3
+
+    def test_negative_scale_shift(self, tmp_path):
+        # on the flat cylinder A(a xi + c) = l (0.2 a + c), so c(-1) = 0.2
+        assert run("exactify", "--patch", "cylinder", "--curve",
+                   "expr:0.5*cos(s)+0.2", "--alpha", "-1", *GRID,
+                   "--out", str(tmp_path)) == 0
+        row = (tmp_path / "exactify.csv").read_text().splitlines()[-1]
+        assert float(row.split(",")[-1]) == pytest.approx(0.2, abs=1e-12)
+
+    # the enclosed area needs a band around a plane circle, kappa = 1/R > 0
+    @pytest.mark.parametrize("family", ["escape_cos", "parallels"])
+    def test_plane_invariant_off_a_circle_is_runtime_error(self, tmp_path,
+                                                           capsys, family):
+        assert run("family", family, "--scan", "enclosed_area",
+                   "--out", str(tmp_path)) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_lemmas_exit_codes(self, tmp_path):
         base = {"quick": True, "grid": [256, 65],

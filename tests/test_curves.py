@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,17 @@ from scipy.integrate import quad
 
 from lagbound import distances, surface
 from lagbound.config import build_patch_from_spec, parse_curve_spec
-from lagbound.curves import (Curve, _ratio_scan, geodesic_curvature,
-                             intrinsic_distance, tameness,
+from lagbound.curves import (Curve, _ratio_scan, geodesic_curvature, tameness,
                              tameness_comparison_check, trig_curve)
 from lagbound.distances import BandGraph, pairwise_point_distances
 from lagbound.errors import DistortionExceeded
+from lagbound.exactness import area_functional
 from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import fourier_primitive_grid, wrap_difference
 from lagbound.surface import (hyperbolic_band, plane_annulus, plane_embed,
-                              sphere_band, sphere_embed)
+                              sphere_band)
 
-from conftest import _reference_warp
+from conftest import _reference_warp, sphere_embed
 
 
 def euclidean_graph_curvature(dxi, d2xi):
@@ -95,6 +97,49 @@ class TestGeodesicCurvature:
         c2 = trig_curve(cyl, {3: 0.4}, n=2048)
         r1, r2 = geodesic_curvature(c1), geodesic_curvature(c2)
         assert abs(r2.sup - r1.sup) <= r1.error
+
+    def test_error_covers_the_sup_between_samples(self, sphere):
+        # the argmax sample has an even index, so the grid-doubling gap reads
+        # 0 there; the sup over 2^17 samples is 6.3e-6 higher
+        modes = ({3: 0.1, 1: 0.02}, {7: 0.05})
+        rep = geodesic_curvature(trig_curve(sphere, *modes, n=8192))
+        fine = geodesic_curvature(trig_curve(sphere, *modes, n=2 ** 17),
+                                  _with_error=False)
+        assert rep.sup < fine.sup <= rep.sup + rep.error
+
+    @pytest.mark.parametrize("name", ["cyl", "sphere", "plane", "hyperbolic"])
+    def test_error_covers_the_sup_of_random_curves(self, name, request):
+        patch = request.getfixturevalue(name)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = rng.choice(np.arange(1, 9), 3, replace=False).tolist()
+            a = rng.uniform(0.01, 0.1, 3) * patch.halfwidth / 0.6
+            modes = ({m[0]: a[0], m[1]: a[1]}, {m[2]: a[2]})
+            rep = geodesic_curvature(trig_curve(patch, *modes, n=512))
+            fine = geodesic_curvature(trig_curve(patch, *modes, n=2 ** 15),
+                                      _with_error=False)
+            assert abs(fine.sup - rep.sup) <= rep.error, seed
+
+    @pytest.mark.parametrize("n", [8192, 65536])
+    def test_long_sampled_curves_in_bounded_memory(self, n):
+        # resampling folds the spectrum, so no m x n phase matrix is built
+        patch = sphere_band(0.6, (512, 129))
+        s = np.arange(n) * (patch.length / n)
+        curve = Curve.from_samples(patch, 0.1 * np.cos(3 * s)
+                                   + 0.05 * np.sin(7 * s))
+        tracemalloc.start()
+        try:
+            rep, trep = geodesic_curvature(curve), tameness(curve)
+            area = area_functional(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+        exact = geodesic_curvature(trig_curve(patch, {3: 0.1}, {7: 0.05}, n=n),
+                                   _with_error=False)
+        assert abs(rep.sup - exact.sup) <= rep.error
+        assert 0 < trep.epsilon <= 1
+        assert abs(area) < 1e-12  # xi(s + pi) = -xi(s), so sin(xi) integrates to 0
 
 
 _BUILDERS = {
@@ -193,34 +238,40 @@ class TestWarpData:
                 assert all(np.array_equal(got[k], ref[k]) for k in ref), n
 
 
+def _arc(curve, i, j):
+    """Length of the shorter graph arc between samples i and j, read off the
+    arclength primitive `Curve.cum_length`."""
+    cum, total = curve.cum_length(), curve.total_length()
+    arc = abs(cum[j] - cum[i]) % total
+    return min(arc, total - arc)
+
+
 class TestIntrinsicDistance:
     def test_straight_arcs(self, cyl):
         c = Curve.constant(cyl, 0.0, n=512)
-        assert intrinsic_distance(c, 0.0, np.pi) == pytest.approx(np.pi)
-        assert intrinsic_distance(c, 0.0, 3 * np.pi / 2) == pytest.approx(np.pi / 2)
+        assert _arc(c, 0, 256) == pytest.approx(np.pi)  # s = pi
+        assert _arc(c, 0, 384) == pytest.approx(np.pi / 2)  # s = 3 pi / 2
 
     def test_against_adaptive_quadrature_oracle(self, cyl):
         curve = trig_curve(cyl, {1: 0.1})
         oracle, _ = quad(lambda s: np.sqrt(1 + 0.01 * np.sin(s) ** 2), 0, np.pi,
                          epsabs=1e-13)
-        assert intrinsic_distance(curve, 0.0, np.pi) == pytest.approx(oracle,
-                                                                      abs=1e-10)
+        assert _arc(curve, 0, curve.n // 2) == pytest.approx(oracle, abs=1e-10)
 
     def test_oracle_on_sphere_band(self, sphere):
         curve = Curve.constant(sphere, 0.25, n=512)
         # latitude circle: speed is cos(0.25)
-        oracle, _ = quad(lambda s: np.cos(0.25) + 0 * s, 0, 1.3, epsabs=1e-13)
-        assert intrinsic_distance(curve, 0.2, 1.5) == pytest.approx(oracle,
-                                                                    abs=1e-9)
+        oracle, _ = quad(lambda s: np.cos(0.25) + 0 * s, curve.s[16],
+                         curve.s[244], epsabs=1e-13)
+        assert _arc(curve, 16, 244) == pytest.approx(oracle, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
-    @given(s0=st.floats(0, 2 * np.pi), s1=st.floats(0, 2 * np.pi))
-    def test_symmetry_and_positivity(self, cyl, s0, s1):
+    @given(i=st.integers(0, 511), j=st.integers(0, 511))
+    def test_symmetry_and_positivity(self, cyl, i, j):
         curve = trig_curve(cyl, {2: 0.3}, n=512)
-        d01 = intrinsic_distance(curve, s0, s1)
-        d10 = intrinsic_distance(curve, s1, s0)
-        assert d01 == pytest.approx(d10, abs=1e-10)
-        assert d01 >= 0
+        d01 = _arc(curve, i, j)
+        assert d01 == pytest.approx(_arc(curve, j, i), abs=1e-10)
+        assert 0 <= d01 <= curve.total_length() / 2
 
     def test_sandwich_property(self, cyl):
         curve = trig_curve(cyl, {2: 0.35}, n=512)

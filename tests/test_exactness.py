@@ -8,7 +8,7 @@ from lagbound.curves import Curve, trig_curve
 from lagbound.errors import ParamOutOfRange, SelfIntersection
 from lagbound.exactness import (area_functional, build_contraction,
                                 contraction_bounds_check, isotopy_invariant,
-                                solve_c)
+                                solve_c, solve_c_grid)
 
 
 class TestAreaFunctional:
@@ -71,6 +71,14 @@ class TestSolveC:
         xi = trig_curve(cyl, {1: 1.0}, n=256)
         with pytest.raises(ParamOutOfRange):
             solve_c(xi, 1.0)
+
+    def test_scales_of_either_sign(self, cyl):
+        # flat: A(a xi + c) = l (0.2 a + c), so c(a) = -0.2 a
+        xi = trig_curve(cyl, {1: 0.5}, offset=0.2, n=512)
+        alphas = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.max(np.abs(solve_c_grid(xi, alphas) + 0.2 * alphas)) < 1e-12
+        with pytest.raises(ParamOutOfRange):  # 1.1 * 0.7 >= r/2 = 0.75
+            solve_c(xi, -1.1)
 
 
 class TestContractionPath:

@@ -1,6 +1,43 @@
 import numpy as np
+import pytest
 
-from lagbound.numerics import periodic_bilinear, rk4_step
+from lagbound.numerics import periodic_bilinear, resample_periodic, rk4_step
+
+
+def _direct_trig_sum(values, m):
+    """The trigonometric interpolant of `values` on the uniform m-grid as a
+    direct sum over the rfft modes, each phase k j reduced mod m in integers."""
+    n = len(values)
+    c = np.fft.rfft(values)
+    weight = np.full(len(c), 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0  # the Nyquist mode counts once
+    phase = np.outer(np.arange(m), np.arange(len(c))) % m * (2 * np.pi / m)
+    return (np.exp(1j * phase) * (weight * c)).real.sum(axis=1) / n
+
+
+class TestResamplePeriodic:
+    @pytest.mark.parametrize("n, m", [
+        (64, 63), (63, 64), (65, 130), (300, 512), (1000, 512), (512, 1000),
+        (512, 256), (1024, 1024), (1023, 1023), (4096, 512), (4095, 256)])
+    def test_matches_the_direct_sum(self, n, m):
+        values = np.random.default_rng(n * m).standard_normal(n)
+        got = resample_periodic(values, m)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - _direct_trig_sum(values, m))) \
+            <= 1e-13 * np.max(np.abs(values))
+
+    def test_band_limited_data_is_exact(self):
+        period = 2 * np.pi
+
+        def f(s):
+            return 0.3 + np.cos(3 * s) - 0.5 * np.sin(7 * s + 0.2)
+
+        for n, m in ((32, 17), (17, 32), (16, 1000)):
+            s_m = np.arange(m) * (period / m)
+            got = resample_periodic(f(np.arange(n) * (period / n)), m)
+            assert np.max(np.abs(got - f(s_m))) < 1e-13
 
 
 class TestRK4Step:

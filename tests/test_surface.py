@@ -6,13 +6,24 @@ from hypothesis import strategies as st
 from lagbound import surface
 from lagbound.config import build_patch_from_spec
 from lagbound.distances import pairwise_point_distances, set_to_points_distance
-from lagbound.errors import ChartDegenerate, OutOfPatch
-from lagbound.surface import (BaseCurve, ambient_distance, cylinder_distance,
-                              flat_cylinder, hyperbolic_band, plane_annulus,
-                              plane_embed, solve_warp, sphere_band,
-                              sphere_embed, warp_taylor_check)
+from lagbound.errors import ChartDegenerate
+from lagbound.surface import (BaseCurve, cylinder_distance, flat_cylinder,
+                              hyperbolic_band, plane_annulus, plane_embed,
+                              solve_warp, sphere_band, warp_taylor_check)
 
-from conftest import _reference_warp
+from conftest import _reference_warp, sphere_embed
+
+
+def _band_area(patch):
+    """Area of the whole band, w ds dt, from W = int_0^t w at both edges."""
+    edge = np.full(patch.n_s, patch.halfwidth)
+    return float(np.mean(patch.cum_w_at(edge) - patch.cum_w_at(-edge))
+                 * patch.length)
+
+
+def _distance(patch, x, y):
+    """The distance from y to x, as a one-point set-to-points query."""
+    return float(set_to_points_distance(patch, np.array([y]), np.array([x]))[0])
 
 
 def _fd_second_derivative(col, h):
@@ -165,16 +176,16 @@ class TestWarpTaylor:
 
 class TestAreaForm:
     def test_flat_band_area(self, cyl):
-        assert cyl.band_area() == pytest.approx(2 * np.pi * 2 * 1.5, abs=1e-10)
+        assert _band_area(cyl) == pytest.approx(2 * np.pi * 2 * 1.5, abs=1e-10)
 
     def test_sphere_band_area(self, sphere):
         # oracle: integral of cos t over the band in closed form
-        assert sphere.band_area() == pytest.approx(2 * np.pi * 2 * np.sin(0.6),
+        assert _band_area(sphere) == pytest.approx(2 * np.pi * 2 * np.sin(0.6),
                                                    abs=1e-9)
 
     def test_plane_band_area(self):
         patch = plane_annulus(circle_radius=2.0, halfwidth=1.0, grid=(256, 65))
-        assert patch.band_area() == pytest.approx(8 * np.pi, abs=1e-9)
+        assert _band_area(patch) == pytest.approx(8 * np.pi, abs=1e-9)
 
     @pytest.mark.parametrize("grid", [(128, 33), (512, 129)])
     @pytest.mark.parametrize("build, cum_w", [
@@ -194,27 +205,23 @@ class TestAreaForm:
 
 class TestAmbientDistance:
     def test_cylinder_half_turn(self, cyl):
-        assert ambient_distance(cyl, (0.0, 0.0), (np.pi, 0.0)) == pytest.approx(np.pi)
+        assert _distance(cyl, (0.0, 0.0), (np.pi, 0.0)) == pytest.approx(np.pi)
 
     def test_cylinder_wraparound(self, cyl):
-        d = ambient_distance(cyl, (0.0, 0.0), (3 * np.pi / 2, 0.0))
+        d = _distance(cyl, (0.0, 0.0), (3 * np.pi / 2, 0.0))
         assert d == pytest.approx(np.pi / 2)
 
     def test_sphere_along_equator(self, sphere):
         for ds in (0.2, 0.5):
-            d = ambient_distance(sphere, (0.0, 0.0), (ds, 0.0))
+            d = _distance(sphere, (0.0, 0.0), (ds, 0.0))
             assert d == pytest.approx(ds, abs=1e-9)
 
     def test_sphere_against_great_circle_oracle(self, sphere):
         x, y = (0.3, -0.2), (1.1, 0.3)
         truth = float(np.arccos(np.dot(sphere_embed(*x), sphere_embed(*y))))
-        d = ambient_distance(sphere, x, y)
+        d = _distance(sphere, x, y)
         rel = sphere.stencil_error_ratio()
         assert truth - 5e-3 <= d <= truth * (1 + rel) + 5e-3
-
-    def test_out_of_patch(self, cyl):
-        with pytest.raises(OutOfPatch):
-            ambient_distance(cyl, (0.0, 1.4999), (1.0, 0.0))
 
     @settings(max_examples=25, deadline=None)
     @given(q1=st.floats(0, 2 * np.pi), q2=st.floats(0, 2 * np.pi),
@@ -229,19 +236,19 @@ class TestAmbientDistance:
 
 
 class TestDistanceLayer:
-    """`ambient_distance` is a one-point `set_to_points_distance` query; the
-    flat formula and the injected-point graph both sit behind `distances`."""
+    """The flat formula and the injected-point graph both sit behind
+    `distances`."""
 
     def test_symmetry(self, sphere):
         x, y = (0.5, 0.1), (2.0, -0.3)
-        d_xy = ambient_distance(sphere, x, y)
-        assert d_xy > 0 and ambient_distance(sphere, x, x) == 0.0
-        assert ambient_distance(sphere, y, x) == pytest.approx(d_xy, rel=1e-12)
+        d_xy = _distance(sphere, x, y)
+        assert d_xy > 0 and _distance(sphere, x, x) == 0.0
+        assert _distance(sphere, y, x) == pytest.approx(d_xy, rel=1e-12)
 
     def test_triangle_inequality_sampled(self, sphere, rng):
         pts = [(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-0.4, 0.4)))
                for _ in range(3)]
-        d = {(i, j): ambient_distance(sphere, pts[i], pts[j])
+        d = {(i, j): _distance(sphere, pts[i], pts[j])
              for i in range(3) for j in range(3) if i != j}
         rel = sphere.stencil_error_ratio()
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -255,8 +262,8 @@ class TestDistanceLayer:
             return 1.0 + 0.0 * s
 
         targets = np.array([(1.0, 0.3), (np.pi, 0.0), (2.5, -0.8), (5.8, 0.4)])
-        graph = set_to_points_distance(cyl, np.array([[0.0, 0.0]]), targets,
-                                       scale=one)
+        pts = np.concatenate([[(0.0, 0.0)], targets])
+        graph = pairwise_point_distances(cyl, pts, scale=one)[0, 1:]
         exact = cylinder_distance(cyl.length, targets, (0.0, 0.0))
         rel = cyl.stencil_error_ratio()
         assert np.all(graph >= exact * (1 - 1e-12))
@@ -292,7 +299,7 @@ class TestDistanceLayer:
             y = (rng.uniform(0, 2 * np.pi), rng.uniform(-0.5, 0.5))
             truth = float(np.arccos(np.clip(
                 np.dot(sphere_embed(*x), sphere_embed(*y)), -1.0, 1.0)))
-            assert ambient_distance(sphere, x, y) >= truth * (1 - 1e-4)
+            assert _distance(sphere, x, y) >= truth * (1 - 1e-4)
 
     def test_plane_annulus_chords(self, plane):
         # chords that keep clear of the inner circle (radius 1) lie in the
@@ -309,5 +316,5 @@ class TestDistanceLayer:
                 continue
             checked += 1
             truth = float(np.linalg.norm(p - q))
-            d = ambient_distance(plane, x, y)
+            d = _distance(plane, x, y)
             assert truth * (1 - 1e-4) <= d <= truth * (1 + rel)
