@@ -171,12 +171,12 @@ def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float,
                                 name=f"osc_p{p_:g}_s{sp_:g}")
 
 
-def generate_family(spec: FamilySpec, patch: SurfacePatch | None = None) -> list[Curve]:
+def generate_family(spec: FamilySpec) -> list[Curve]:
     """Instantiate a named family as curves with closed-form derivatives."""
     fam, p = spec.family, dict(spec.params)
 
     if fam == "escape_cos":
-        patch = patch or default_cylinder()
+        patch = default_cylinder()
         a = float(p.pop("a", 1.0))
         modes = [int(m) for m in p.pop("modes", range(1, 11))]
         if p:
@@ -189,7 +189,7 @@ def generate_family(spec: FamilySpec, patch: SurfacePatch | None = None) -> list
                 for m in modes]
 
     if fam == "parallels":
-        patch = patch or default_cylinder()
+        patch = default_cylinder()
         levels = [float(c) for c in p.pop("levels",
                                           np.arange(-0.4, 0.41, 0.2).round(10))]
         if p:
@@ -199,7 +199,7 @@ def generate_family(spec: FamilySpec, patch: SurfacePatch | None = None) -> list
         return [Curve.constant(patch, c) for c in levels]
 
     if fam == "plane_circles":
-        patch = patch or default_plane()
+        patch = default_plane()
         rr = _circle_radius(patch)
         radii = [float(x) for x in p.pop("radii", (1.0, 1.1))]
         if p:
@@ -210,7 +210,7 @@ def generate_family(spec: FamilySpec, patch: SurfacePatch | None = None) -> list
                 for rad in radii]
 
     if fam in ("hs_family", "hs_variant_alpha"):
-        patch = patch or default_unit_cylinder()
+        patch = default_unit_cylinder()
         exponent = 1.5 if fam == "hs_family" else 2.0 + float(p.pop("alpha", 0.5))
         # The default ladder starts at 2^-7: for larger scales the bump-ramp
         # derivative terms dominate the curvature sup and mask the asymptotic

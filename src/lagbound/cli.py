@@ -18,7 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .classify import classify as classify_curve, separation_scan
+from .classify import (FamilySpec, classify as classify_curve,
+                       generate_family, separation_scan)
 from . import sasaki as sas
 from .config import (DEFAULT_GRID, ExperimentConfig, build_patch_from_spec,
                      load_config, parse_curve_spec, parse_grid)
@@ -112,14 +113,15 @@ def build_parser():
     _add_common(p, band=False)
     p.add_argument("--base", default="flat_torus",
                    choices=["flat_torus", "round_sphere"])
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--states", type=int, default=None, help="default 4")
+    p.add_argument("--horizon", type=float, default=None, help="default 10")
     p.add_argument("--step", type=float, default=None,
                    help="fixed RK4 step (default: the coarsest dyadic step "
                         "whose halving error meets the tolerance)")
     p.add_argument("--sweep", type=float, default=None, metavar="EPS",
                    help="instead export the graph-norm sweep (t, sup|B|) for "
-                        "the gradient graph of amplitude EPS")
+                        "the gradient graph of amplitude EPS; takes none of "
+                        "--states, --horizon and --step")
 
     p = sub.add_parser("classify", help="level-k membership verdict")
     _add_common(p)
@@ -182,15 +184,24 @@ def _dispatch(args) -> int:
     config = _load(args)
     if args.command == "classify":
         _require_positive("--k", args.k)
-    if args.command == "sasaki":
+    if args.command == "sasaki" and args.sweep is not None:
+        given = [flag for flag, value in (("--states", args.states),
+                                          ("--horizon", args.horizon),
+                                          ("--step", args.step))
+                 if value is not None]
+        if given:
+            raise ConfigError(f"--sweep takes no {', '.join(given)}")
+        if not np.isfinite(args.sweep):
+            raise ConfigError(f"--sweep must be a finite amplitude, "
+                              f"got {args.sweep}")
+    elif args.command == "sasaki":
+        args.states = 4 if args.states is None else args.states
+        args.horizon = 10.0 if args.horizon is None else args.horizon
         if args.step is not None:
             _require_positive("--step", args.step)
         _require_positive("--horizon", args.horizon)
         if args.states < 1:
             raise ConfigError(f"--states must be at least 1, got {args.states}")
-        if args.sweep is not None and not np.isfinite(args.sweep):
-            raise ConfigError(f"--sweep must be a finite amplitude, "
-                              f"got {args.sweep}")
     if args.command == "contract" and args.n_alpha < 2:
         raise ConfigError(f"--n-alpha must be at least 2, got {args.n_alpha}")
     if args.command == "exactify" and not np.isfinite(args.alpha):
@@ -212,11 +223,12 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "family":
-        curves, path = family_table(args.family_id, config.out_dir,
-                                    config.seed)
-        print(path)
-        # the scan rows start with the pairwise table, so it is measured once
+        curves = generate_family(FamilySpec(args.family_id))
+        # the scan runs first, so an invariant that does not fit the band
+        # writes nothing; its rows start with the pairwise table
         scan = separation_scan(curves, args.scan) if args.scan else None
+        print(family_table(args.family_id, curves, config.out_dir,
+                           config.seed))
         if args.pairwise:
             mat_rows = ([row[:3] for row in scan.rows] if scan else
                         [(a.name, b.name, hausdorff_distance(a, b).value)

@@ -25,10 +25,6 @@ class PatchMismatch(LagboundError):
     """Operation requires both curves to live on the same patch."""
 
 
-class SelfIntersection(LagboundError):
-    """Input curve is not embedded."""
-
-
 class ParamOutOfRange(LagboundError):
     """Family parameter outside its documented validity range."""
 

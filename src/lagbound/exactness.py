@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, tameness
-from .errors import NoBracket, OutOfPatch, ParamOutOfRange, SelfIntersection
+from .curves import Curve, _gauss_bound, tameness
+from .errors import NoBracket, OutOfPatch, ParamOutOfRange
 from .numerics import resample_periodic
-from .surface import SurfacePatch, _eval1, plane_embed
+from .surface import SurfacePatch, _eval1
 
 __all__ = [
     "ContractionPath",
@@ -197,8 +197,8 @@ class BoundsCheck:
 
 
 def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
-                             tol_curv: float = 1e-6, tol_eps: float = 5e-3,
-                             n_scan: int | None = None) -> BoundsCheck:
+                             tol_curv: float = 1e-6,
+                             tol_eps: float = 5e-3) -> BoundsCheck:
     """Along the contraction path, curvature stays below max(k', |B| at a=1)
     and tameness above min of the endpoint values, within tolerances.
 
@@ -208,7 +208,7 @@ def contraction_bounds_check(path: ContractionPath, k: float, k_prime: float,
     """
     if k_prime <= k:
         raise ValueError("k_prime must exceed k")
-    reports = [tameness(cv, n_scan=n_scan) for cv in path.curves]
+    reports = [tameness(cv) for cv in path.curves]
     curv = np.array([rep.curvature.sup for rep in reports])
     eps = np.array([rep.epsilon for rep in reports])
     curv_bound = max(k_prime, float(curv[-1]))
@@ -239,95 +239,46 @@ class IsotopyInvariant:
     monotonicity_constant: float | None = None
 
 
-def _has_crossing(poly: np.ndarray) -> bool:
-    """Segment crossing scan over a closed polygon (O(n^2), decimate first).
-
-    Also flags distinct non-adjacent vertices that coincide (a self-touch),
-    which a strict interior-crossing test would miss.
-    """
-    n = len(poly)
-    scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-30)
-    gap = np.linalg.norm(poly[:, None, :] - poly[None, :, :], axis=-1)
-    offs = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    adjacent = np.minimum(offs, n - offs) <= 1
-    if np.any(gap[~adjacent] < 1e-9 * scale):
-        return True
-    p = poly
-    q = np.roll(poly, -1, axis=0)
-    d = q - p
-    for i in range(n - 2):
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        r = p[i]
-        dr = d[i]
-        pj, dj = p[js], d[js]
-        denom = dr[0] * dj[:, 1] - dr[1] * dj[:, 0]
-        rel = pj - r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tt = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
-            uu = (rel[:, 0] * dr[1] - rel[:, 1] * dr[0]) / -denom
-        hit = (np.abs(denom) > 1e-15) & (tt > 1e-12) & (tt < 1 - 1e-12) \
-            & (uu > 1e-12) & (uu < 1 - 1e-12)
-        if hit.any():
-            return True
-    return False
-
-
-def _green_area_curve(curve: Curve, circle_radius: float) -> float:
-    """Spectrally accurate enclosed area of the planar embedding of a graph."""
-    s, xi, dxi = curve.s, curve.xi, curve.dxi
-    rho = circle_radius - xi
-    if np.min(rho) <= 0:
-        raise SelfIntersection("graph wraps through the circle center")
-    ang = s / circle_radius
-    x = rho * np.cos(ang)
-    y = rho * np.sin(ang)
-    dx = -dxi * np.cos(ang) - rho / circle_radius * np.sin(ang)
-    dy = -dxi * np.sin(ang) + rho / circle_radius * np.cos(ang)
-    integrand = 0.5 * (x * dy - y * dx)
-    return abs(float(np.mean(integrand) * curve.patch.length))
-
-
 def _circle_radius(patch: SurfacePatch) -> float:
-    """1/kappa of a band around a plane circle, whose kappa is one positive
-    constant on the patch columns; ParamOutOfRange for any other band."""
+    """Radius R = 1/kappa of a band around a whole plane circle: kappa one
+    positive value on the patch columns, K zero on the band (as sampled by
+    `_gauss_bound`) and length 2 pi R to 1e-12 relative.  ParamOutOfRange for
+    any other band."""
     kap = _eval1(patch.base.kappa, patch.s)
     if not (kap[0] > 0 and np.all(kap == kap[0])):
-        raise ParamOutOfRange(f"{patch.base.name} is not a band around a "
-                              "plane circle (kappa is not one positive value)")
-    return 1.0 / float(kap[0])
+        reason = "kappa is not one positive value"
+    elif _gauss_bound(patch) != 0:
+        reason = "K is not zero on the band"
+    elif abs(patch.length * kap[0] - 2 * np.pi) > 2e-12 * np.pi:
+        reason = "its length is not 2 pi / kappa"
+    else:
+        return 1.0 / float(kap[0])
+    raise ParamOutOfRange(f"{patch.base.name} is not a band around a plane "
+                          f"circle ({reason})")
 
 
-def isotopy_invariant(obj, ambient: str,
-                      circle_radius: float | None = None) -> IsotopyInvariant:
-    """Isotopy invariant of a closed embedded curve.
+def isotopy_invariant(curve: Curve, ambient: str) -> IsotopyInvariant:
+    """Isotopy invariant of a graph.
 
-    ambient="cylinder": the action integral of a graph (zero iff exact).
-    ambient="plane": enclosed area of the planar embedding; accepts either a
-    graph on a circle band or a raw closed polygon of shape (n, 2).
+    ambient="cylinder": the action integral (zero iff the graph is exact).
+    ambient="plane": the enclosed area of the planar embedding, by Green's
+    theorem, on a band around a whole plane circle (`_circle_radius`).  There
+    w = 1 - t/R > 0 on the band, so the graph embeds as the polar graph of
+    radius R - xi > 0 over one full turn, which never crosses itself.
     """
     if ambient == "cylinder":
-        if not isinstance(obj, Curve):
-            raise TypeError("cylinder invariant needs a graph curve")
         return IsotopyInvariant(kind="liouville_class",
-                                value=area_functional(obj))
+                                value=area_functional(curve))
     if ambient != "plane":
         raise ValueError(f"unknown ambient {ambient!r}")
-
-    if isinstance(obj, Curve):
-        rr = _circle_radius(obj.patch) if circle_radius is None else circle_radius
-        step = max(1, obj.n // 512)
-        if _has_crossing(plane_embed(rr, obj.s[::step], obj.xi[::step])):
-            raise SelfIntersection("embedded curve crosses itself")
-        area = _green_area_curve(obj, rr)
-    else:
-        poly = np.asarray(obj, dtype=float)
-        if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
-            raise TypeError("polygon input must have shape (n, 2), n >= 3")
-        step = max(1, len(poly) // 512)
-        if _has_crossing(poly[::step]):
-            raise SelfIntersection("polygon crosses itself")
-        x, y = poly[:, 0], poly[:, 1]
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        area = abs(float(0.5 * np.sum(x * y2 - x2 * y)))
+    rr = _circle_radius(curve.patch)
+    s, xi, dxi = curve.s, curve.xi, curve.dxi
+    rho = rr - xi
+    ang = s / rr
+    x = rho * np.cos(ang)
+    y = rho * np.sin(ang)
+    dx = -dxi * np.cos(ang) - rho / rr * np.sin(ang)
+    dy = -dxi * np.sin(ang) + rho / rr * np.cos(ang)
+    area = abs(float(np.mean(0.5 * (x * dy - y * dx)) * curve.patch.length))
     return IsotopyInvariant(kind="enclosed_area", value=area,
                             monotonicity_constant=area / 2.0)

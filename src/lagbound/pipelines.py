@@ -342,12 +342,11 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
 # figures and tables
 # ---------------------------------------------------------------------------
 
-def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
-    """Generate a named family and write `<family_id>.csv`: per member sup|B|,
+def family_table(family_id: str, curves: list, out_dir: str, seed: int) -> str:
+    """Write `<family_id>.csv` for the family's curves: per member sup|B|,
     epsilon, delta_H to the base curve, the action class and the smallest
-    admitting level (`classify.min_level`, empty when none).  Returns the
-    curves and the CSV path."""
-    curves = generate_family(FamilySpec(family_id))
+    admitting level (`classify.min_level`, empty when none).  Returns the CSV
+    path."""
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
     rows = [(cv.name, trep.curvature.sup, trep.epsilon,
@@ -358,7 +357,7 @@ def family_table(family_id: str, out_dir: str, seed: int) -> tuple[list, str]:
                      ["member", "sup_curvature", "epsilon", "delta_h_to_base",
                       "action_class", "min_level"], rows,
                      {"family": family_id, "seed": seed})
-    return curves, path
+    return path
 
 
 def contraction_table(path: ContractionPath,
@@ -389,14 +388,12 @@ def run_figure(family_id: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     svg_path = os.path.join(out_dir, f"{family_id}.svg")
     csv_path = os.path.join(out_dir, f"{family_id}.csv")
-    if family_id == "escape_cos":
-        curves, csv_path = family_table(family_id, out_dir, config.seed)
-    else:
-        curves = generate_family(FamilySpec(family_id))
+    curves = generate_family(FamilySpec(family_id))
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
 
     if family_id == "escape_cos":
+        family_table(family_id, curves, out_dir, config.seed)
         title = "escape family in band coordinates"
         panels = [[("base", base.s[::8], base.xi[::8]),
                    (cv.name, cv.s[::4], cv.xi[::4])]

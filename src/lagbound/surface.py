@@ -46,7 +46,6 @@ __all__ = [
     "sphere_band",
     "hyperbolic_band",
     "cylinder_distance",
-    "plane_embed",
 ]
 
 _PERIOD_TOL = 1e-12
@@ -363,15 +362,14 @@ def solve_warp(base: BaseCurve, halfwidth: float, grid=(2048, 513)) -> SurfacePa
     return SurfacePatch(base, halfwidth, n_s, n_t)
 
 
-def warp_taylor_check(patch: SurfacePatch, s: float,
-                      t_lo: float = 1e-3, t_hi: float = 1e-1,
-                      num: int = 24) -> TaylorFit:
+def warp_taylor_check(patch: SurfacePatch, s: float) -> TaylorFit:
     """Fit w(s,.)^2 near t=0 and measure the order of its cubic remainder.
 
     The quadratic coefficients must reproduce (1, -2 kappa, kappa^2 - K); the
-    remainder against that exact quadratic has order >= 3 in t.
+    remainder against that exact quadratic, at 24 points from t = 1e-3 to
+    min(0.1, 0.9 r), has order >= 3 in t.
     """
-    t_hi = min(t_hi, 0.9 * patch.halfwidth)
+    t_hi = min(0.1, 0.9 * patch.halfwidth)
     kap = float(_eval1(patch.base.kappa, np.array([s]))[0])
     kk0 = float(_eval2(patch.base.gauss, np.array([s]), 0.0)[0])
     expected = (1.0, -2.0 * kap, kap * kap - kk0)
@@ -381,7 +379,7 @@ def warp_taylor_check(patch: SurfacePatch, s: float,
     w2 = patch.warp_at(np.full(t_fit.shape, s), t_fit)["w"] ** 2
     coeffs = tuple(np.polyfit(t_fit, w2, 4)[::-1][:3])
 
-    t_rem = np.geomspace(t_lo, t_hi, num)
+    t_rem = np.geomspace(1e-3, t_hi, 24)
     w2r = patch.warp_at(np.full(t_rem.shape, s), t_rem)["w"] ** 2
     model = expected[0] + expected[1] * t_rem + expected[2] * t_rem ** 2
     rem = w2r - model
@@ -392,7 +390,7 @@ def warp_taylor_check(patch: SurfacePatch, s: float,
 
 
 # ---------------------------------------------------------------------------
-# closed-form distances / embeddings for the model bands
+# closed-form distances for the model bands
 # ---------------------------------------------------------------------------
 
 def cylinder_distance(length: float, x, y):
@@ -404,13 +402,6 @@ def cylinder_distance(length: float, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     dq = wrap_difference(x[..., 0], y[..., 0], length)
     return np.hypot(dq, x[..., 1] - y[..., 1])
-
-
-def plane_embed(circle_radius: float, s, t):
-    """Planar embedding of the band around a circle (normal pointing inward)."""
-    ang = np.asarray(s, dtype=float) / circle_radius
-    rho = circle_radius - np.asarray(t, dtype=float)
-    return np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ def _reference_warp(patch, s, t, n_steps=2000):
     return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
 
+def plane_embed(circle_radius, s, t):
+    """Planar embedding of the band around a circle (normal pointing inward)."""
+    ang = np.asarray(s, dtype=float) / circle_radius
+    rho = circle_radius - np.asarray(t, dtype=float)
+    return np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=-1)
+
+
 def sphere_embed(s, t):
     """Embedding of the equatorial band of the unit sphere."""
     s = np.asarray(s, dtype=float)

@@ -85,7 +85,7 @@ def test_criterion_01_jacobi_taylor():
         }
         orders = {}
         for name, patch in grids.items():
-            fit = warp_taylor_check(patch, 0.9, t_lo=1e-3, t_hi=1e-1)
+            fit = warp_taylor_check(patch, 0.9)
             assert np.allclose(fit.coefficients, fit.expected, atol=1e-8)
             assert fit.remainder_order >= 2.9
             orders[name] = fit.remainder_order

@@ -4,10 +4,8 @@ import pytest
 from lagbound.classify import (MAX_LEVEL, FamilySpec, classify,
                                default_cylinder, generate_family, min_level,
                                separation_scan)
-from lagbound.config import build_patch_from_spec
 from lagbound.curves import Curve, geodesic_curvature, tameness, trig_curve
 from lagbound.errors import ParamOutOfRange
-from lagbound.surface import flat_cylinder
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +85,6 @@ class TestFamilies:
     def test_plane_circles(self):
         fam = generate_family(FamilySpec("plane_circles", {"radii": [1.0, 1.1]}))
         assert [c.name for c in fam] == ["circle_r1", "circle_r1.1"]
-
-    @pytest.mark.parametrize("band", [
-        lambda: flat_cylinder(grid=(64, 17)),
-        lambda: build_patch_from_spec({"length": 2 * np.pi, "halfwidth": 0.5,
-                                       "grid": [64, 17], "kappa": "0.2*cos(s)",
-                                       "gauss": "0*s"})],
-        ids=["flat", "varying_kappa"])
-    def test_plane_circles_need_a_circle_band(self, band):
-        with pytest.raises(ParamOutOfRange, match="plane circle"):
-            generate_family(FamilySpec("plane_circles"), patch=band())
 
     def test_hs_family_curvature_slope(self):
         s_vals = [2.0 ** (-j) for j in range(7, 15)]

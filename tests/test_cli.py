@@ -298,9 +298,12 @@ class TestOtherCommands:
         "--step=-inf", "--horizon=nan",
         "--horizon=inf", "--horizon=-1", "--horizon=0", "--states=0",
         "--states=-2", "--sweep=nan", "--sweep=inf", "--sweep=-inf",
-        "--seed=-1"])
+        "--seed=-1",
+        # a sweep reads none of the bundle-geodesic flags
+        "--sweep=0.01 --states=7", "--sweep=0.01 --horizon=3",
+        "--sweep=0.01 --step=1e-3"])
     def test_bad_sasaki_input_is_config_error(self, tmp_path, flag):
-        assert run("sasaki", flag, "--out", str(tmp_path)) == 4
+        assert run("sasaki", *flag.split(), "--out", str(tmp_path)) == 4
         assert not list(tmp_path.iterdir())
 
     # sasaki's --seed=-1 is among the sasaki inputs above
@@ -409,6 +412,7 @@ class TestOtherCommands:
         assert run("family", family, "--scan", "enclosed_area",
                    "--out", str(tmp_path)) == 3
         assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_lemmas_exit_codes(self, tmp_path):
         base = {"quick": True, "grid": [256, 65],

@@ -15,10 +15,9 @@ from lagbound.errors import DistortionExceeded
 from lagbound.exactness import area_functional
 from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import fourier_primitive_grid, wrap_difference
-from lagbound.surface import (hyperbolic_band, plane_annulus, plane_embed,
-                              sphere_band)
+from lagbound.surface import hyperbolic_band, plane_annulus, sphere_band
 
-from conftest import _reference_warp, sphere_embed
+from conftest import _reference_warp, plane_embed, sphere_embed
 
 
 def euclidean_graph_curvature(dxi, d2xi):

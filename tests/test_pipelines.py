@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagbound import curves
-from lagbound.classify import classify
+from lagbound.classify import FamilySpec, classify, generate_family
 from lagbound.config import ExperimentConfig
 from lagbound.curves import Curve, geodesic_curvature, trig_curve
 from lagbound.errors import ParamOutOfRange
@@ -91,8 +91,9 @@ class TestFigures:
 
     def test_escape_figure_writes_the_family_table(self, tmp_path):
         _, csv = run_figure("escape_cos", str(tmp_path / "figure"))
-        _, path = family_table("escape_cos", str(tmp_path / "family"),
-                               ExperimentConfig().seed)
+        path = family_table("escape_cos",
+                            generate_family(FamilySpec("escape_cos")),
+                            str(tmp_path / "family"), ExperimentConfig().seed)
         assert open(csv).read() == open(path).read()
         assert open(path).read().splitlines()[1].endswith(",min_level")
 
@@ -156,5 +157,6 @@ class TestCurvatureMeasuredOnce:
         assert len(curvature_passes) == 2 * 5
 
     def test_family_table(self, tmp_path, curvature_passes):
-        members, _ = family_table("parallels", str(tmp_path), 0)
+        members = generate_family(FamilySpec("parallels"))
+        family_table("parallels", members, str(tmp_path), 0)
         assert len(curvature_passes) == 2 * len(members)

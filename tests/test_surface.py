@@ -8,10 +8,10 @@ from lagbound.config import build_patch_from_spec
 from lagbound.distances import pairwise_point_distances, set_to_points_distance
 from lagbound.errors import ChartDegenerate
 from lagbound.surface import (BaseCurve, cylinder_distance, flat_cylinder,
-                              hyperbolic_band, plane_annulus, plane_embed,
-                              solve_warp, sphere_band, warp_taylor_check)
+                              hyperbolic_band, plane_annulus, solve_warp,
+                              sphere_band, warp_taylor_check)
 
-from conftest import _reference_warp, sphere_embed
+from conftest import _reference_warp, plane_embed, sphere_embed
 
 
 def _band_area(patch):
@@ -102,6 +102,24 @@ class TestWarpMarch:
         actual = max(np.max(np.abs(patch.w - w(patch.t))),
                      np.max(np.abs(patch.w_t - w_t(patch.t))))
         assert actual <= patch.warp_error < 1e-12
+
+    # s-dependent bands: unlike the closed forms, w_s is not zero
+    @pytest.mark.parametrize("kappa, gauss, halfwidth, grid", [
+        ("0.2*cos(s)", "0.5*cos(s) + 0.2*t", 0.5, (512, 129)),
+        ("0.2*cos(s)", "0.5*cos(s) + 0.2*t", 0.5, (128, 33)),
+        ("0.1*sin(2*s)", "1 + 0.3*sin(s)*exp(-t*t)", 0.8, (256, 65)),
+    ])
+    def test_measured_error_covers_the_rows_of_spec_bands(self, kappa, gauss,
+                                                          halfwidth, grid):
+        patch = build_patch_from_spec({
+            "length": 2 * np.pi, "halfwidth": halfwidth, "grid": list(grid),
+            "kappa": kappa, "gauss": gauss})
+        s, t = np.meshgrid(patch.s[::8], patch.t, indexing="ij")
+        ref = _reference_warp(patch, s.ravel(), t.ravel())
+        w = ref["w"]
+        for got, want in ((patch.w, w), (patch.w_t, ref["w2_t"] / (2 * w)),
+                          (patch.w_s, ref["w2_s"] / (2 * w))):
+            assert np.max(np.abs(got[::8].ravel() - want)) <= patch.warp_error
 
     def test_fewest_substeps_that_meet_the_tolerance(self):
         patch = sphere_band(0.6, (64, 17))
