@@ -83,9 +83,14 @@ def _expr_callable(spec, variables):
     for name in code.co_names:
         if name not in _SAFE_NAMES and name not in variables:
             raise ConfigError(f"name {name!r} not allowed in expression {spec!r}")
-    return lambda s, t=None: np.asarray(
-        eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "s": s, "t": t}),
-        dtype=float) + 0.0 * np.asarray(s, dtype=float)
+
+    def fn(s, t=None):
+        # parse_curve_spec and the warp march refuse non-finite values
+        with np.errstate(all="ignore"):
+            return np.asarray(
+                eval(code, {"__builtins__": {}}, {**_SAFE_NAMES, "s": s, "t": t}),
+                dtype=float) + 0.0 * np.asarray(s, dtype=float)
+    return fn
 
 
 @dataclass

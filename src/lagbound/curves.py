@@ -289,19 +289,6 @@ class TamenessReport:
     curvature: CurvatureReport
 
 
-def _band_samples(patch: SurfacePatch, f: Callable) -> np.ndarray:
-    """f(s, t) on 9 rows across the band at every 16th grid s, shape (9, m)."""
-    tt = np.linspace(patch.t[0], patch.t[-1], 9)
-    return np.stack([_eval2(f, patch.s[::16], t) for t in tt])
-
-
-def _gauss_bound(patch: SurfacePatch) -> float:
-    if not hasattr(patch, "_gauss_bound"):
-        vals = _band_samples(patch, patch.base.gauss)
-        patch._gauss_bound = float(np.max(np.abs(vals)))
-    return patch._gauss_bound
-
-
 def _ratio_scan(cum: np.ndarray, total: float, idx: np.ndarray,
                 d_m: np.ndarray, delta_min: float) -> np.ndarray:
     """d_ambient / min(1, d_intrinsic) over the sampled pairs idx, with `inf`
@@ -345,9 +332,8 @@ def tameness(curve: Curve, n_scan: int | None = None) -> TamenessReport:
     i, j = divmod(k, n_scan)
     long_min = float(ratio[i, j])
 
-    kmax = _gauss_bound(curve.patch)
     short_bound = 1.0 - bnorm ** 2 * delta_min ** 2 / 24.0 \
-        - kmax * delta_min ** 2 / 8.0
+        - curve.patch.gauss_max * delta_min ** 2 / 8.0
 
     eps = min(long_min, short_bound)
     err = 2.0 * spacing
@@ -394,7 +380,8 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     the honest check.
     """
     patch = curve.patch
-    factors = np.exp(2 * _band_samples(patch, conformal_phi))
+    nodes = np.meshgrid(patch.s, patch.t, indexing="ij")
+    factors = np.exp(2 * _eval2(conformal_phi, *nodes))
     if factors.max() > C * (1 + 1e-12) or factors.min() < 1 / C * (1 - 1e-12):
         raise DistortionExceeded(
             f"e^(2 phi) spans [{factors.min():.4f}, {factors.max():.4f}], "

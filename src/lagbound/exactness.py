@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, _gauss_bound, tameness
+from .curves import Curve, tameness
 from .errors import NoBracket, OutOfPatch, ParamOutOfRange
 from .numerics import resample_periodic
 from .surface import SurfacePatch, _eval1
@@ -45,7 +45,7 @@ def _xi_on_patch_grid(curve: Curve) -> np.ndarray:
     if curve.n == patch.n_s:
         return curve.xi
     if curve.fns is not None and curve.fns[0] is not None:
-        return np.asarray(curve.fns[0](patch.s), dtype=float)
+        return _eval1(curve.fns[0], patch.s)
     return resample_periodic(curve.xi, patch.n_s)
 
 
@@ -241,13 +241,13 @@ class IsotopyInvariant:
 
 def _circle_radius(patch: SurfacePatch) -> float:
     """Radius R = 1/kappa of a band around a whole plane circle: kappa one
-    positive value on the patch columns, K zero on the band (as sampled by
-    `_gauss_bound`) and length 2 pi R to 1e-12 relative.  ParamOutOfRange for
-    any other band."""
-    kap = _eval1(patch.base.kappa, patch.s)
+    positive value on the patch columns, K zero on the band (`gauss_max`, read
+    by the warp march) and length 2 pi R to 1e-12 relative.  ParamOutOfRange
+    for any other band."""
+    kap = patch.kappa
     if not (kap[0] > 0 and np.all(kap == kap[0])):
         reason = "kappa is not one positive value"
-    elif _gauss_bound(patch) != 0:
+    elif patch.gauss_max != 0:
         reason = "K is not zero on the band"
     elif abs(patch.length * kap[0] - 2 * np.pi) > 2e-12 * np.pi:
         reason = "its length is not 2 pi / kappa"

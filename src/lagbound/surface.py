@@ -173,7 +173,9 @@ class SurfacePatch:
     """Band around a base curve carrying the sampled warp field.
 
     Grids are uniform: s over [0, l) with wraparound indexing, t over [-r, r]
-    with an odd point count so the base curve is the middle row.
+    with an odd point count so the base curve is the middle row.  `kappa` is
+    kappa on the columns, `gauss_max` max |K| over every column and RK4 stage
+    of the march, and `is_flat_cylinder` says both are below 1e-14.
     """
 
     def __init__(self, base: BaseCurve, halfwidth: float, n_s: int, n_t: int):
@@ -186,11 +188,16 @@ class SurfacePatch:
         self.n_t = int(n_t)
         self.s = np.arange(n_s) * (base.length / n_s)
         self.t = np.linspace(-halfwidth, halfwidth, n_t)
+        self.kappa = _eval1(base.kappa, self.s)
+        if not np.all(np.isfinite(self.kappa)):
+            raise ValueError(f"kappa of {base.name} is not finite on the columns")
         self._march()
         if np.min(self.w) <= 0.0:
             raise ChartDegenerate(
                 f"warp field reaches {np.min(self.w):.3e} inside the band; "
                 f"halfwidth {halfwidth} exceeds the focal radius of {base.name}")
+        self.is_flat_cylinder = bool(np.max(np.abs(self.kappa)) < 1e-14
+                                     and self.gauss_max < 1e-14)
         self._dist_graph = None  # distances.build_band_graph fills it
         self._stencil_error: float | None = None
 
@@ -198,23 +205,32 @@ class SurfacePatch:
         """Use the fewest power-of-two RK4 substeps per row (>= 4) that meet
         `_MARCH_TOL`; `warp_error` adds a unit roundoff per substep."""
         self.substeps, err = 2, np.inf
-        while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
-            self.substeps *= 2
-            fields, err = self._march_rows(self.substeps)
-        ulp = np.finfo(float).eps * max(fields.max(), -fields.min())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
+                self.substeps *= 2
+                fields, err, self.gauss_max = self._march_rows(self.substeps)
+        if not np.isfinite(self.gauss_max):
+            raise ValueError(f"K of {self.base.name} is not finite on the band")
+        top, bottom = fields.max(), -fields.min()
+        if not np.isfinite(err + top + bottom):  # a NaN or inf shows in max or min
+            raise ChartDegenerate(
+                f"warp field of {self.base.name} overflows inside the band "
+                f"(max |K| {self.gauss_max:.3e})")
+        ulp = np.finfo(float).eps * max(top, bottom)
         self.warp_error = err + float(self.substeps * (self.n_t // 2) * ulp)
         self.w, self.w_t, self.w_s, self.w_st, self.cum_w = fields
 
-    def _march_rows(self, substeps: int) -> tuple[np.ndarray, float]:
+    def _march_rows(self, substeps: int) -> tuple[np.ndarray, float, float]:
         """Both directions in one batch at `substeps` RK4 steps per row: the
-        fields (w, w_t, w_s, w_st, int_0^t w) and the step-doubling error."""
+        fields (w, w_t, w_s, w_st, int_0^t w), the step-doubling error and
+        max |K| over every column and stage (NaN if K is NaN anywhere)."""
         n_s, mid, h_row = self.n_s, (self.n_t - 1) // 2, self.t[1] - self.t[0]
         half = h_row / (2 * substeps)
         sign = np.repeat([1.0, -1.0], n_s)
         s = np.broadcast_to(np.tile(self.s, 2), (2 * substeps + 1, 2 * n_s))
         # the second half marches in tau = -t, on (w, -w_t, w_s, -w_st, -int w)
         flip = np.array([1.0, -1.0, 1.0, -1.0, -1.0])[:, None]
-        fields, err = np.empty((5, n_s, self.n_t)), 0.0
+        fields, err, kmax = np.empty((5, n_s, self.n_t)), 0.0, 0.0
         state = _warp_initial(self.base, s[0])
         state[:, n_s:] *= flip
         fields[:, :, mid] = state[:, :n_s]
@@ -222,6 +238,7 @@ class SurfacePatch:
             t0 = k * h_row
             t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
             nk, nks = -_eval2(self.base.gauss, s, t), -self.base.gauss_ds(s, t)
+            kmax = np.maximum(kmax, np.max(np.abs(nk)))  # keeps a NaN; max() not
             def rhs(tau, y):
                 m = round((tau - t0) / half)  # the row's stage m
                 return _warp_deriv(nk[m], nks[m], y)
@@ -232,25 +249,13 @@ class SurfacePatch:
             err += np.max(np.abs(state - big)) / (substeps ** 4 - 1)
             fields[:, :, mid + k + 1] = state[:, :n_s]
             fields[:, :, mid - k - 1] = state[:, n_s:] * flip
-        return fields, float(err)
+        return fields, float(err), float(kmax)
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def length(self) -> float:
         return self.base.length
-
-    @property
-    def is_flat_cylinder(self) -> bool:
-        """True when kappa and K vanish identically on the sampled band."""
-        if not hasattr(self, "_flat"):
-            kap = _eval1(self.base.kappa, self.s)
-            kk = _eval2(self.base.gauss, self.s, 0.3 * self.halfwidth)
-            kk0 = _eval2(self.base.gauss, self.s, 0.0)
-            self._flat = (np.max(np.abs(kap)) < 1e-14
-                          and np.max(np.abs(kk)) < 1e-14
-                          and np.max(np.abs(kk0)) < 1e-14)
-        return self._flat
 
     def require_inside(self, t_values, margin: float | None = None):
         if margin is None:

@@ -241,6 +241,14 @@ class TestOtherCommands:
         ({"seed": 1.5}, "parallel:0", 4),
         ({"seed": True}, "parallel:0", 4),
         ({"seed": -1}, "parallel:0", 4),
+        ({"tolerances": {"area_residual": -1e-3}}, "parallel:0", 4),
+        ({"checks": {"bogus": True}}, "parallel:0", 4),
+        ({}, "parallel:x", 4),
+        ({}, "cos:1", 4),
+        ({}, "cos:a,b", 4),
+        ({"patches": {"p": dict(BAND, gauss=[1])}}, "parallel:0", 4),
+        ({"patches": {"p": {k: v for k, v in BAND.items() if k != "length"}}},
+         "parallel:0", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):
@@ -248,6 +256,40 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"patches": {"p": BAND}, **config}))
         assert run("curvature", "--config", str(cfg), "--patch", "p",
                    "--curve", curve, "--out", str(tmp_path)) == code
+
+    @pytest.mark.parametrize("kind", ["missing_csv", "one_column_csv",
+                                      "missing_config", "invalid_json"])
+    def test_bad_input_file_is_config_error(self, tmp_path, kind):
+        path = tmp_path / "input"
+        if kind == "one_column_csv":
+            path.write_text("0.0\n1.0\n")
+        elif kind == "invalid_json":
+            path.write_text("{seed: 1")
+        flags = (["--config", str(path)] if kind.endswith(("config", "json"))
+                 else [])
+        curve = f"csv:{path}" if kind.endswith("csv") else "parallel:0"
+        out = tmp_path / "out"
+        assert run("curvature", "--curve", curve, *GRID, *flags,
+                   "--out", str(out)) == 4
+        assert not out.exists() or not list(out.iterdir())
+
+    # a K that is not finite on the band is a config error, a finite K that
+    # overflows the warp march a runtime error; neither writes a table
+    @pytest.mark.parametrize("gauss, code, message", [
+        ("log(t + 0.5)", 4, "K of p is not finite"),
+        (1e300, 3, "warp field of p overflows")])
+    @pytest.mark.parametrize("cmd", [["curvature"], ["tameness"],
+                                     ["classify", "--k", "5"]])
+    def test_band_with_non_finite_warp_is_refused(self, tmp_path, capsys,
+                                                  gauss, code, message, cmd):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patches": {"p": dict(
+            BAND, halfwidth=0.6, gauss=gauss, grid=[256, 65])}}))
+        out = tmp_path / "out"
+        assert run(*cmd, "--config", str(cfg), "--patch", "p", "--curve",
+                   "parallel:0", "--out", str(out)) == code
+        assert not list(out.iterdir())
+        assert message in capsys.readouterr().err
 
     def test_config_out_dir_is_the_default_output(self, tmp_path,
                                                   monkeypatch):
@@ -361,9 +403,14 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("spec", ["expr:log(cos(s)-2)", "parallel:nan",
                                       "cos:nan,2"])
-    def test_non_finite_curve_is_config_error(self, tmp_path, spec):
-        assert run("classify", "--curve", spec, "--k", "5", *GRID,
-                   "--out", str(tmp_path)) == 4
+    def test_non_finite_curve_is_config_error(self, tmp_path, capsys, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("classify", "--curve", spec, "--k", "5", *GRID,
+                       "--out", str(tmp_path)) == 4
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: curve {spec!r} has non-finite samples"]
 
     @pytest.mark.parametrize("spec", ["parallel:3", "cos:2.5,1", "parallel:inf"])
     def test_curve_leaving_band_is_config_error(self, tmp_path, spec):

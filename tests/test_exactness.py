@@ -10,7 +10,7 @@ from lagbound.errors import ParamOutOfRange
 from lagbound.exactness import (area_functional, build_contraction,
                                 contraction_bounds_check, isotopy_invariant,
                                 solve_c, solve_c_grid)
-from lagbound.surface import plane_annulus
+from lagbound.surface import plane_annulus, sphere_band
 
 
 class TestAreaFunctional:
@@ -22,6 +22,14 @@ class TestAreaFunctional:
         c = Curve.constant(cyl, 0.37, n=512)
         assert area_functional(c) == pytest.approx(2 * np.pi * 0.37,
                                                    abs=1e-11)
+
+    def test_scalar_callable_off_the_patch_columns(self):
+        # a callable that returns a scalar, on a curve grid that is not the
+        # patch's, is read on the columns as Curve.from_callables reads it
+        patch = sphere_band(0.6, (512, 65))
+        curve = Curve.from_callables(patch, lambda s: 0.1, n=1024)
+        assert area_functional(curve) == pytest.approx(
+            2 * np.pi * np.sin(0.1), abs=1e-10)
 
     def test_constant_sphere_closed_form(self, sphere):
         c = Curve.constant(sphere, 0.3, n=512)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from lagbound import surface
 from lagbound.config import build_patch_from_spec
+from lagbound.curves import Curve, tameness
 from lagbound.distances import pairwise_point_distances, set_to_points_distance
-from lagbound.errors import ChartDegenerate
+from lagbound.errors import ChartDegenerate, ConfigError
 from lagbound.surface import (BaseCurve, cylinder_distance, flat_cylinder,
                               hyperbolic_band, plane_annulus, solve_warp,
                               sphere_band, warp_taylor_check)
@@ -85,6 +86,64 @@ class TestSolveWarp:
         assert "n_s=512" in head and "n_t=129" in head
 
 
+def _spec_band(gauss, kappa=0.0, length=2 * np.pi, halfwidth=1.0,
+               grid=(512, 129)):
+    return build_patch_from_spec({"length": length, "halfwidth": halfwidth,
+                                  "kappa": kappa, "gauss": gauss,
+                                  "grid": list(grid)})
+
+
+class TestBandCurvature:
+    """kappa, max |K| and flatness, read once by the warp march."""
+
+    def test_curved_band_off_the_probe_rows_is_not_flat(self):
+        # K = t(t - 0.3) vanishes on the rows t = 0 and t = 0.3 only
+        patch = _spec_band("t*(t - 0.3)")
+        assert not patch.is_flat_cylinder
+        assert patch.gauss_max == pytest.approx(1.3)
+        pts = np.array([(0.0, -0.9), (np.pi, -0.9)])
+        graph = pairwise_point_distances(patch, pts,
+                                         scale=lambda s, t: 1.0 + 0.0 * s)
+        d = pairwise_point_distances(patch, pts)
+        assert np.array_equal(d, graph)
+        assert d[0, 1] < np.pi - 0.3
+        curve = Curve.constant(patch, 0.0, n=512)
+        rep = tameness(curve)
+        _, spacing = curve.scan(rep.n_scan)
+        assert rep.error > 2 * spacing
+
+    def test_gauss_max_reads_every_column(self):
+        # every 16th column of this band has K = 0
+        patch = _spec_band("0.5*sin(32*s)", kappa=0.5, length=4 * np.pi,
+                           halfwidth=0.5)
+        fine = np.arange(4 * patch.n_s) * (patch.length / (4 * patch.n_s))
+        assert patch.gauss_max == pytest.approx(0.5, rel=1e-15)
+        assert patch.gauss_max >= np.max(np.abs(0.5 * np.sin(32 * fine)))
+        assert np.array_equal(patch.kappa, np.full(patch.n_s, 0.5))
+
+    def test_flat_bands(self, cyl, plane, sphere):
+        assert cyl.is_flat_cylinder and cyl.gauss_max == 0.0
+        assert not plane.is_flat_cylinder and plane.gauss_max == 0.0
+        assert not sphere.is_flat_cylinder and sphere.gauss_max == 1.0
+
+    def test_non_finite_gauss_is_a_value_error(self):
+        base = BaseCurve(2 * np.pi, lambda s: 0.0 * s,
+                         lambda s, t: np.log(t + 0.5) + 0.0 * s)
+        with pytest.raises(ValueError, match="K of custom is not finite"):
+            solve_warp(base, 0.6, (256, 65))
+
+    @pytest.mark.parametrize("kappa, gauss", [
+        (0.0, "log(t + 0.5)"), (0.0, "1/t"), ("0.1/sin(2*s)", 0.0)],
+        ids=["log", "pole", "kappa_pole"])
+    def test_non_finite_spec_band_is_config_error(self, kappa, gauss):
+        with pytest.raises(ConfigError, match="not finite"):
+            _spec_band(gauss, kappa, halfwidth=0.6, grid=(256, 65))
+
+    def test_non_finite_warp_field_is_chart_degenerate(self):
+        with pytest.raises(ChartDegenerate, match="overflows"):
+            _spec_band(1e300, halfwidth=0.6, grid=(256, 65))
+
+
 CLOSED_FORMS = {  # band builder, w(t), w_t(t)
     "sphere": (lambda g: sphere_band(0.6, g), np.cos, lambda t: -np.sin(t)),
     "hyperbolic": (lambda g: hyperbolic_band(0.6, g), np.cosh, np.sinh),
@@ -124,7 +183,7 @@ class TestWarpMarch:
     def test_fewest_substeps_that_meet_the_tolerance(self):
         patch = sphere_band(0.6, (64, 17))
         assert patch.substeps > 4
-        _, coarser = patch._march_rows(patch.substeps // 2)
+        _, coarser, _ = patch._march_rows(patch.substeps // 2)
         assert 2 * coarser > surface._MARCH_TOL
         assert sphere_band(0.6, (512, 129)).substeps == 4
 
