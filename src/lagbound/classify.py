@@ -20,7 +20,7 @@ from .errors import ParamOutOfRange
 from .exactness import _circle_radius, area_functional, isotopy_invariant
 from .hausdorff import hausdorff_distance
 from .numerics import bump, bump_d1, bump_d2, bump_d3
-from .surface import SurfacePatch, flat_cylinder, plane_annulus, unit_cylinder
+from .surface import NAMED_BANDS, SurfacePatch, plane_annulus
 
 __all__ = [
     "MembershipVerdict",
@@ -38,7 +38,7 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def default_cylinder() -> SurfacePatch:
-    return flat_cylinder(length=2 * np.pi, halfwidth=2.0)
+    return NAMED_BANDS["cylinder"]()
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +48,7 @@ def default_plane() -> SurfacePatch:
 
 @lru_cache(maxsize=None)
 def default_unit_cylinder() -> SurfacePatch:
-    return unit_cylinder(halfwidth=1.25)
+    return NAMED_BANDS["unit_cylinder"]()
 
 
 # ---------------------------------------------------------------------------

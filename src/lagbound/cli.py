@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -30,18 +29,7 @@ from .hausdorff import hausdorff_distance
 from .pipelines import (contraction_table, family_table, run_figure,
                         run_lemma_suite)
 from .report import write_csv
-from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
-                      sphere_band, unit_cylinder)
-
-# each builder's default grid is DEFAULT_GRID, but unit_cylinder's is 2048x257
-_PATCHES = {
-    "cylinder": partial(flat_cylinder, halfwidth=2.0),
-    "flat_cylinder": partial(flat_cylinder, halfwidth=1.5),
-    "plane_circle": plane_annulus,
-    "sphere_equator": sphere_band,
-    "hyperbolic_band": hyperbolic_band,
-    "unit_cylinder": unit_cylinder,
-}
+from .surface import NAMED_BANDS
 
 
 def _resolve_patch(name, config: ExperimentConfig):
@@ -50,11 +38,11 @@ def _resolve_patch(name, config: ExperimentConfig):
         spec.setdefault("name", name)
         spec.setdefault("grid", config.grid or DEFAULT_GRID)
         return build_patch_from_spec(spec)
-    if name in _PATCHES:
-        build = _PATCHES[name]
+    if name in NAMED_BANDS:
+        build = NAMED_BANDS[name]
         return build(grid=config.grid) if config.grid else build()
     raise ConfigError(f"unknown patch {name!r}; choices: "
-                      f"{sorted(_PATCHES) + sorted(config.patches)}")
+                      f"{sorted(NAMED_BANDS) + sorted(config.patches)}")
 
 
 def _add_common(p, band: bool = True):

@@ -19,13 +19,12 @@ import numpy as np
 
 from .curves import Curve, trig_curve
 from .errors import ConfigError
-from .surface import BaseCurve, SurfacePatch, check_grid, solve_warp
+from .surface import (DEFAULT_GRID, BaseCurve, SurfacePatch, check_grid,
+                      solve_warp)
 
 __all__ = ["ExperimentConfig", "load_config", "build_patch_from_spec",
            "parse_grid", "parse_curve_spec", "DEFAULT_GRID",
            "DEFAULT_TOLERANCES"]
-
-DEFAULT_GRID = (2048, 513)
 
 DEFAULT_TOLERANCES = {
     "taylor_order": 2.9,
@@ -162,7 +161,7 @@ def build_patch_from_spec(spec: dict) -> SurfacePatch:
         halfwidth = float(spec["halfwidth"])
         kappa = _expr_callable(spec.get("kappa", 0.0), ("s",))
         gauss = _expr_callable(spec.get("gauss", 0.0), ("s", "t"))
-        grid = parse_grid(spec.get("grid", (2048, 513)))
+        grid = parse_grid(spec.get("grid", DEFAULT_GRID))
         base = BaseCurve(length, kappa, gauss,
                          name=str(spec.get("name", "config")))
         return solve_warp(base, halfwidth, grid)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DistortionExceeded
 from .numerics import (fourier_derivative, fourier_primitive_grid,
                        resample_periodic)
-from .surface import SurfacePatch, _eval1, _eval2
+from .surface import _PERIOD_TOL, SurfacePatch, _eval1, _eval2, _period_gap
 
 __all__ = [
     "Curve",
@@ -39,8 +39,6 @@ __all__ = [
     "tameness_comparison_check",
     "trig_curve",
 ]
-
-_PERIOD_TOL = 1e-10
 
 
 class Curve:
@@ -73,10 +71,10 @@ class Curve:
             for f in fns:
                 if f is None:
                     continue
-                gap = np.max(np.abs(_eval1(f, probe) - _eval1(f, probe + patch.length)))
+                gap = _period_gap(_eval1(f, probe), _eval1(f, probe + patch.length))
                 if gap > _PERIOD_TOL:
                     raise ValueError(f"curve {name!r}: callable not periodic "
-                                     f"(gap {gap:.2e})")
+                                     f"(relative gap {gap:.2e})")
         self._cache: dict = {}
 
     # -- constructors ---------------------------------------------------------

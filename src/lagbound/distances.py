@@ -23,19 +23,19 @@ Two refinements keep point queries sharp:
 A query graph is the cached CSR with the grid -> point links inserted at the
 ends of their rows and the point rows appended, so no query re-sorts the grid.
 
-`pairwise_point_distances`, `set_to_points_distance` and
-`set_to_set_distances` are the one place that chooses between formula and
-graph: on a flat cylinder they use the exact unrolled formula
-`surface.cylinder_distance`, and every other query, like a pairwise query
-with a conformal `scale` (only pairwise queries take one), runs on the
-graph.  A flat set query reads the formula only on a window of sources
+`pairwise_point_distances` and `set_to_set_distances` are the one place
+that chooses between formula and graph: on a flat cylinder they use the exact
+unrolled formula `surface.cylinder_distance`, and every other query, like a
+pairwise query with a conformal `scale` (only pairwise queries take one), runs
+on the graph.  A flat set query reads the formula only on a window of sources
 around each target: a target's neighbours in s bound its distance by U, and
 no source farther than U in s can be nearest, so the window returns the
 dense minima bit for bit.
 
-`set_to_set_distances` answers both directions of a Hausdorff query: on the
-graph it builds one query graph over both sets, with the edges of either
-one-way query, and runs one nearest-source search from each set.
+`set_to_set_distances` is the one set query, and it answers both directions
+of a Hausdorff query: on the flat cylinder the windowed formula runs once
+each way; on the graph it builds one query graph over both sets and runs one
+nearest-source search from each set.
 
 A pairwise query may carry a distance cap `limit`: entries <= limit are
 exactly the uncapped values and every other entry is `inf`, on both paths.
@@ -314,61 +314,41 @@ def _nearest_on_cylinder(length: float, sources: np.ndarray,
     return np.minimum.reduceat(d, np.cumsum(count) - count)
 
 
-def _set_query(patch, sources: np.ndarray, targets: np.ndarray,
-               both: bool) -> list:
-    """The distance from each target to the source set and, with `both`, from
-    each source to the target set.  On the graph both sets are injected, and
-    direct edges join index neighbours within a set (neighbours along the
-    curve) and, across the sets, where only s tells nearness, every pair at
-    most max(_DIRECT_REACH, length / min(ns, nt)) apart in s.  Both fields
-    come from that one query graph, one nearest-source search from each."""
-    sources = np.asarray(sources, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    patch.require_inside(np.concatenate([sources[:, 1], targets[:, 1]]), margin=0.0)
-    if patch.is_flat_cylinder:
-        return [_nearest_on_cylinder(patch.length, sources, targets)] + (
-            [_nearest_on_cylinder(patch.length, targets, sources)] if both else [])
-    ns, nt = len(sources), len(targets)
-    # `reach` holds each point's neighbours in s on the other set
-    reach = max(_DIRECT_REACH, patch.length / min(ns, nt))
-    u = targets[:, 0] % patch.length
-    order = np.argsort(u, kind="stable")
-    count, idx = _s_window(u[order], sources[:, 0] % patch.length, reach,
-                           patch.length)
-    pairs = [_ring_pairs(ns, 2), _ring_pairs(nt, 2, offset=ns),
-             np.stack([np.repeat(np.arange(ns), count), ns + order[idx]], axis=1)]
-    fields = _injected_distances(patch, np.concatenate([sources, targets]),
-                                 np.concatenate(pairs),
-                                 [slice(0, ns), slice(ns, None)][:1 + both],
-                                 min_only=True)
-    return [fields[0][ns:]] + [field[:ns] for field in fields[1:]]
-
-
-def set_to_points_distance(patch, sources: np.ndarray,
-                           targets: np.ndarray) -> np.ndarray:
-    """min over the source set of the distance to each target point.
-
-    Flat cylinders use the exact unrolled formula on a window of sources
-    around each target (`_nearest_on_cylinder`).
-    Otherwise both sets are injected; every cross pair at most
-    max(_DIRECT_REACH, length / min(len(sources), len(targets))) apart in s
-    gets a direct edge, in whatever order the points arrive (so e.g.
-    vertical chords between two graphs over the same base are exact).
-    """
-    return _set_query(patch, sources, targets, both=False)[0]
-
-
 def set_to_set_distances(patch, a: np.ndarray,
                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both one-way fields between two point sets: the distance from each
     point of `a` to the set `b`, and from each point of `b` to the set `a`.
 
-    They are `set_to_points_distance(patch, b, a)` and
-    `set_to_points_distance(patch, a, b)`.  Off the flat cylinder both come
-    from the query graph of the first, which holds the edges of either, with
-    one nearest-source search from each set.
+    Flat cylinders use the exact unrolled formula on a window of sources
+    around each target (`_nearest_on_cylinder`), once in each direction.
+    Otherwise both sets are injected into one query graph, and direct edges
+    join index neighbours within a set (neighbours along the curve) and,
+    across the sets, where only s tells nearness, every pair at most
+    max(_DIRECT_REACH, length / min(len(a), len(b))) apart in s, in whatever
+    order the points arrive (so e.g. vertical chords between two graphs over
+    the same base are exact).  Both fields come from that graph, one
+    nearest-source search from each set.
     """
-    return tuple(_set_query(patch, b, a, both=True))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    patch.require_inside(np.concatenate([b[:, 1], a[:, 1]]), margin=0.0)
+    if patch.is_flat_cylinder:
+        return (_nearest_on_cylinder(patch.length, b, a),
+                _nearest_on_cylinder(patch.length, a, b))
+    nb, na = len(b), len(a)
+    # `reach` holds each point's neighbours in s on the other set
+    reach = max(_DIRECT_REACH, patch.length / min(nb, na))
+    u = a[:, 0] % patch.length
+    order = np.argsort(u, kind="stable")
+    count, idx = _s_window(u[order], b[:, 0] % patch.length, reach,
+                           patch.length)
+    pairs = [_ring_pairs(nb, 2), _ring_pairs(na, 2, offset=nb),
+             np.stack([np.repeat(np.arange(nb), count), nb + order[idx]], axis=1)]
+    from_b, from_a = _injected_distances(patch, np.concatenate([b, a]),
+                                         np.concatenate(pairs),
+                                         [slice(0, nb), slice(nb, None)],
+                                         min_only=True)
+    return from_b[nb:], from_a[:nb]
 
 
 def _eight_neighbor(graph: BandGraph) -> csr_matrix:

@@ -3,7 +3,8 @@ distance identities satisfied by vertical scalings of a graph.
 
 The distance between closed sets is the max of the two directed sup-min scans
 over point samples, at most one scan point per curve sample; both scans come
-from one `distances.set_to_set_distances` query.  Since the ambient distance
+from one call of `distances.set_to_set_distances`, the one set query, which
+answers both directions at once.  Since the ambient distance
 is 1-Lipschitz in each argument the sampling error is bounded by the largest
 metric spacing of the scan points, plus the shortest-path field error on
 curved patches.

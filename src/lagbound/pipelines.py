@@ -25,8 +25,7 @@ from .exactness import (BoundsCheck, ContractionPath, area_functional,
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
 from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
-from .surface import (flat_cylinder, hyperbolic_band, plane_annulus,
-                      sphere_band, warp_taylor_check)
+from .surface import NAMED_BANDS, warp_taylor_check
 
 __all__ = ["run_lemma_suite", "run_figure", "family_table",
            "contraction_table", "SuiteResult", "CheckResult"]
@@ -70,13 +69,9 @@ def _suite_params(config: ExperimentConfig) -> dict:
 
 
 def _suite_patches(params) -> dict:
-    grid = params["grid"]
-    return {
-        "flat_cylinder": flat_cylinder(halfwidth=1.5, grid=grid),
-        "plane_circle": plane_annulus(circle_radius=2.0, halfwidth=1.0, grid=grid),
-        "sphere_equator": sphere_band(halfwidth=0.6, grid=grid),
-        "hyperbolic_band": hyperbolic_band(halfwidth=0.6, grid=grid),
-    }
+    return {name: NAMED_BANDS[name](grid=params["grid"])
+            for name in ("flat_cylinder", "plane_circle", "sphere_equator",
+                         "hyperbolic_band")}
 
 
 def _random_trig(patch, rng, sup_target, name="xi"):

@@ -549,7 +549,11 @@ class GradientGraph:
 
     def frame_data(self, coords: np.ndarray, charts: np.ndarray) -> dict:
         """Frame tensors at the given points: xi (.,2), T (.,2,2), A (.,2,2,2);
-        each chart's jet is evaluated once."""
+        each chart's jet is evaluated once.  A non-finite amplitude is
+        FrameDegenerate: times a zero tensor entry it would read NaN."""
+        if not np.isfinite(self.amplitude):
+            raise FrameDegenerate(f"amplitude of {self.name} is not finite: "
+                                  f"{self.amplitude}")
         out = [np.empty(coords.shape[:-1] + (2,) * r) for r in (1, 2, 3)]
         for cid, jet in enumerate(self._jets):
             mask = charts == cid

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,9 +47,12 @@ __all__ = [
     "sphere_band",
     "hyperbolic_band",
     "cylinder_distance",
+    "DEFAULT_GRID",
+    "NAMED_BANDS",
 ]
 
-_PERIOD_TOL = 1e-12
+DEFAULT_GRID = (2048, 513)
+_PERIOD_TOL = 1e-10  # relative to max(1, max |f|) on the probe
 _MARCH_TOL = 5e-13  # bound on 2x the measured march error, below the 1e-12 |B| floor
 _MAX_SUBSTEPS = 256  # ends the doubling where the estimate cannot converge
 # the s-interpolant's node count and barycentric weights (-1)^j C(7, j)
@@ -69,6 +73,13 @@ def _eval1(f: Callable, s: np.ndarray) -> np.ndarray:
     if out.shape != np.shape(s):
         out = np.broadcast_to(out, np.shape(s)).copy()
     return out
+
+
+def _period_gap(at_s: np.ndarray, at_s_plus_l: np.ndarray) -> float:
+    """max |f(s) - f(s + l)| over max(1, max |f(s)|): the rounding of s + l
+    leaves a periodic f of large amplitude an absolute gap of order eps |f'|."""
+    return float(np.max(np.abs(at_s - at_s_plus_l))
+                 / max(1.0, np.max(np.abs(at_s))))
 
 
 def _five_point(f: Callable, h: float) -> np.ndarray:
@@ -108,11 +119,11 @@ class BaseCurve:
         k1 = _eval2(lambda s, t: self.kappa(s), probe + self.length, 0.0)
         if not np.all(np.isfinite(k0)):
             raise ValueError("kappa must be bounded on [0, l)")
-        if np.max(np.abs(k0 - k1)) > _PERIOD_TOL:
+        if _period_gap(k0, k1) > _PERIOD_TOL:
             raise ValueError("kappa is not periodic with the declared period")
         g0 = _eval2(self.gauss, probe, 0.05)
         g1 = _eval2(self.gauss, probe + self.length, 0.05)
-        if np.max(np.abs(g0 - g1)) > _PERIOD_TOL:
+        if _period_gap(g0, g1) > _PERIOD_TOL:
             raise ValueError("gauss is not periodic in s with the declared period")
 
     def kappa_s(self, s: np.ndarray) -> np.ndarray:
@@ -357,7 +368,7 @@ class SurfacePatch:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def solve_warp(base: BaseCurve, halfwidth: float, grid=(2048, 513)) -> SurfacePatch:
+def solve_warp(base: BaseCurve, halfwidth: float, grid=DEFAULT_GRID) -> SurfacePatch:
     """Build a patch by integrating the normal ODE over the requested grid.
 
     Raises ChartDegenerate when the warp field loses positivity inside the
@@ -413,12 +424,19 @@ def cylinder_distance(length: float, x, y):
 # predefined patches
 # ---------------------------------------------------------------------------
 
-def flat_cylinder(length: float = 2 * np.pi, halfwidth: float = 1.5,
-                  grid=(2048, 513)) -> SurfacePatch:
-    base = BaseCurve(length, lambda s: 0.0 * s, lambda s, t: 0.0 * s,
+def _constant_base(length: float, kappa: float, gauss: float,
+                   name: str) -> BaseCurve:
+    """Base curve of constant kappa on a surface of constant K."""
+    return BaseCurve(length, lambda s: 0.0 * s + kappa,
+                     lambda s, t: 0.0 * s + gauss,
                      kappa_prime=lambda s: 0.0 * s, gauss_s=lambda s, t: 0.0 * s,
-                     name="flat_cylinder")
-    return solve_warp(base, halfwidth, grid)
+                     name=name)
+
+
+def flat_cylinder(length: float = 2 * np.pi, halfwidth: float = 1.5,
+                  grid=DEFAULT_GRID) -> SurfacePatch:
+    return solve_warp(_constant_base(length, 0.0, 0.0, "flat_cylinder"),
+                      halfwidth, grid)
 
 
 def unit_cylinder(halfwidth: float = 1.25, grid=(2048, 257)) -> SurfacePatch:
@@ -427,27 +445,33 @@ def unit_cylinder(halfwidth: float = 1.25, grid=(2048, 257)) -> SurfacePatch:
 
 
 def plane_annulus(circle_radius: float = 2.0, halfwidth: float = 1.0,
-                  grid=(2048, 513)) -> SurfacePatch:
+                  grid=DEFAULT_GRID) -> SurfacePatch:
     """Band in the flat plane around a circle; warp is 1 - t/R."""
     rr = float(circle_radius)
-    base = BaseCurve(2 * np.pi * rr, lambda s: 0.0 * s + 1.0 / rr,
-                     lambda s, t: 0.0 * s,
-                     kappa_prime=lambda s: 0.0 * s, gauss_s=lambda s, t: 0.0 * s,
-                     name=f"plane_circle_R{rr:g}")
-    return solve_warp(base, halfwidth, grid)
+    return solve_warp(_constant_base(2 * np.pi * rr, 1.0 / rr, 0.0,
+                                     f"plane_circle_R{rr:g}"), halfwidth, grid)
 
 
-def sphere_band(halfwidth: float = 0.6, grid=(2048, 513)) -> SurfacePatch:
+def sphere_band(halfwidth: float = 0.6, grid=DEFAULT_GRID) -> SurfacePatch:
     """Band around the equator of the unit sphere; warp is cos t."""
-    base = BaseCurve(2 * np.pi, lambda s: 0.0 * s, lambda s, t: 0.0 * s + 1.0,
-                     kappa_prime=lambda s: 0.0 * s, gauss_s=lambda s, t: 0.0 * s,
-                     name="sphere_equator")
-    return solve_warp(base, halfwidth, grid)
+    return solve_warp(_constant_base(2 * np.pi, 0.0, 1.0, "sphere_equator"),
+                      halfwidth, grid)
 
 
-def hyperbolic_band(halfwidth: float = 0.6, grid=(2048, 513)) -> SurfacePatch:
+def hyperbolic_band(halfwidth: float = 0.6, grid=DEFAULT_GRID) -> SurfacePatch:
     """Band around a closed geodesic in a hyperbolic surface; warp is cosh t."""
-    base = BaseCurve(2 * np.pi, lambda s: 0.0 * s, lambda s, t: 0.0 * s - 1.0,
-                     kappa_prime=lambda s: 0.0 * s, gauss_s=lambda s, t: 0.0 * s,
-                     name="hyperbolic_band")
-    return solve_warp(base, halfwidth, grid)
+    return solve_warp(_constant_base(2 * np.pi, 0.0, -1.0, "hyperbolic_band"),
+                      halfwidth, grid)
+
+
+# the named bands of `--patch`, the lemma suite and the cylinder families
+# (the plane-circle family keeps r = 1.5); each takes an optional `grid`,
+# by default DEFAULT_GRID (2048x257 for unit_cylinder)
+NAMED_BANDS = {
+    "cylinder": partial(flat_cylinder, halfwidth=2.0),
+    "flat_cylinder": flat_cylinder,
+    "plane_circle": plane_annulus,
+    "sphere_equator": sphere_band,
+    "hyperbolic_band": hyperbolic_band,
+    "unit_cylinder": unit_cylinder,
+}

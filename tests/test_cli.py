@@ -249,6 +249,14 @@ class TestOtherCommands:
         ({"patches": {"p": dict(BAND, gauss=[1])}}, "parallel:0", 4),
         ({"patches": {"p": {k: v for k, v in BAND.items() if k != "length"}}},
          "parallel:0", 4),
+        # periodicity is held to a gap relative to max(1, max |f|), so a
+        # periodic kappa, K or curve of large amplitude passes, s terms do not
+        ({"patches": {"p": dict(BAND, halfwidth=0.01, gauss="1e4*cos(s)")}},
+         "parallel:0", 0),
+        ({"patches": {"p": dict(BAND, halfwidth=1e-4, kappa="5e3*cos(s)")}},
+         "parallel:0", 0),
+        ({"patches": {"p": dict(BAND, halfwidth=1.0)}}, "cos:0.5,60", 0),
+        ({}, "expr:0.01*s", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):

@@ -7,7 +7,7 @@ from lagbound.curves import Curve, trig_curve
 from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _eight_neighbor,
                                 _segment_lengths, build_band_graph,
                                 default_dist_grid, pairwise_point_distances,
-                                set_to_points_distance, set_to_set_distances)
+                                set_to_set_distances)
 from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import wrap_difference
 from lagbound.surface import (cylinder_distance, flat_cylinder,
@@ -69,7 +69,7 @@ class TestQueryGraph:
                                       "gauss": 1.0, "grid": [64, 33]})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("query", ["pairwise", "set_to_points"])
+    @pytest.mark.parametrize("query", ["pairwise", "set_to_set"])
     def test_direct_edges_are_single(self, short, monkeypatch, n, query):
         graphs = _captured_graphs(monkeypatch)
         s = np.arange(n) * (short.length / n) + 0.01
@@ -78,8 +78,8 @@ class TestQueryGraph:
             pairwise_point_distances(short, pts)
         else:
             pts = np.concatenate([pts, pts + [0.02, -0.15]])
-            set_to_points_distance(short, pts[:n], pts[n:])
-        (csr,) = graphs
+            set_to_set_distances(short, pts[n:], pts[:n])
+        csr = graphs[0]  # a set query searches it once from each set
         coo = csr.tocoo()
         keys = coo.row.astype(np.int64) * csr.shape[1] + coo.col
         assert np.unique(keys).size == keys.size
@@ -157,7 +157,7 @@ class TestBandGraph:
         assert np.size(graph.weights) == graph.csr.nnz
         assert build_band_graph(band) is graph
 
-    @pytest.mark.parametrize("query", ["pairwise", "set_to_points"])
+    @pytest.mark.parametrize("query", ["pairwise", "set_to_set"])
     def test_appended_csr_matches_a_coo_build(self, band, monkeypatch, query):
         graphs = _captured_graphs(monkeypatch)
         c = np.linspace(0.0, band.length, 48, endpoint=False)
@@ -165,8 +165,8 @@ class TestBandGraph:
         if query == "pairwise":
             pairwise_point_distances(band, pts)
         else:
-            set_to_points_distance(band, pts, pts + [0.01, -0.05])
-        (csr,) = graphs
+            set_to_set_distances(band, pts + [0.01, -0.05], pts)
+        csr = graphs[0]
         coo = csr.tocoo()
         ref = csr_matrix((coo.data, (coo.row, coo.col)), shape=csr.shape)
         ids = csr.shape[0] - len(pts) + np.arange(6)
@@ -200,6 +200,13 @@ class TestFlatNearest:
         return cylinder_distance(patch.length, targets[:, None],
                                  sources[None]).min(axis=1)
 
+    @classmethod
+    def _both_ways_dense(cls, patch, sources, targets) -> bool:
+        to_targets, to_sources = set_to_set_distances(patch, targets, sources)
+        return (np.array_equal(to_targets, cls._dense(patch, sources, targets))
+                and np.array_equal(to_sources,
+                                   cls._dense(patch, targets, sources)))
+
     @staticmethod
     def _draw(rng, kind, n, length, halfwidth):
         if kind == "wide_s":  # s on both sides of [0, length)
@@ -219,42 +226,50 @@ class TestFlatNearest:
             hw = rng.choice([0.01, 0.1, 1.2])
             sources = self._draw(rng, kind, ns, unit.length, hw)
             targets = self._draw(rng, kind, nt, unit.length, hw)
-            assert np.array_equal(set_to_points_distance(unit, sources, targets),
-                                  self._dense(unit, sources, targets))
+            assert self._both_ways_dense(unit, sources, targets)
         assert any(len(shape) == 1 for shape in shapes)  # windows ran
 
     def test_one_source(self, unit, rng):
         targets = self._draw(rng, "wide_s", 50, unit.length, 1.2)
         for source in targets[:10]:
             sources = source[None] + [0.3, 0.0]
-            assert np.array_equal(set_to_points_distance(unit, sources, targets),
-                                  self._dense(unit, sources, targets))
+            assert self._both_ways_dense(unit, sources, targets)
 
     def test_far_sets_read_the_dense_minima(self, unit, rng):
         sources = self._draw(rng, "wide_s", 40, unit.length, 0.05) + [0.0, 1.15]
         targets = self._draw(rng, "wide_s", 30, unit.length, 0.05) - [0.0, 1.15]
-        got = set_to_points_distance(unit, sources, targets)
-        assert np.array_equal(got, self._dense(unit, sources, targets))
+        assert self._both_ways_dense(unit, sources, targets)
 
 
 class TestSetToSet:
     """One query graph answers both one-way fields."""
 
     @pytest.mark.parametrize("n_a, n_b", [(96, 96), (80, 112)])
-    def test_fields_are_the_one_way_queries(self, band, n_a, n_b):
+    def test_fields_are_the_one_way_queries(self, band, monkeypatch, n_a, n_b):
+        # each field is the least full Dijkstra distance from the other set
+        # on the one query graph, whose points are b, then a
+        graphs = _captured_graphs(monkeypatch)
         a = trig_curve(band, {2: 0.2}, n=n_a).points()
         b = trig_curve(band, {1: -0.1, 3: 0.05}, n=n_b).points()
         to_a, to_b = set_to_set_distances(band, a, b)
-        assert np.max(np.abs(to_a - set_to_points_distance(band, b, a))) <= 1e-15
-        assert np.max(np.abs(to_b - set_to_points_distance(band, a, b))) <= 1e-15
+        csr = graphs[0]
+        ids_b = csr.shape[0] - n_a - n_b + np.arange(n_b)
+        ids_a = csr.shape[0] - n_a + np.arange(n_a)
+        from_b = dijkstra(csr, directed=True, indices=ids_b)[:, ids_a]
+        from_a = dijkstra(csr, directed=True, indices=ids_a)[:, ids_b]
+        assert np.max(np.abs(to_a - from_b.min(axis=0))) <= 1e-15
+        assert np.max(np.abs(to_b - from_a.min(axis=0))) <= 1e-15
 
     def test_flat_fields_are_the_one_way_queries(self, rng):
         patch = flat_cylinder(grid=(64, 33))
         a = np.stack([rng.uniform(-1.0, 7.0, 70), rng.uniform(-1, 1, 70)], axis=1)
         b = np.stack([rng.uniform(0.0, 6.0, 50), rng.uniform(-1, 1, 50)], axis=1)
         to_a, to_b = set_to_set_distances(patch, a, b)
-        assert np.array_equal(to_a, set_to_points_distance(patch, b, a))
-        assert np.array_equal(to_b, set_to_points_distance(patch, a, b))
+        # the dense minima, each with the target first
+        assert np.array_equal(to_a, cylinder_distance(
+            patch.length, a[:, None], b[None]).min(axis=1))
+        assert np.array_equal(to_b, cylinder_distance(
+            patch.length, b[:, None], a[None]).min(axis=1))
 
     def test_sets_of_different_sizes_keep_their_vertical_chords(self):
         # 64 against 256 scan points: every fourth equator point sits under a

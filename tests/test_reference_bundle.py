@@ -1,11 +1,15 @@
-"""The quick suite's CSV bundle against a committed reference, cell by cell.
+"""The quick suite's CSV bundle, and the README's extra A/B outputs that the
+suite does not reach, against committed references, cell by cell.
 
 `data/lemmas_quick_seed0_512x129` holds the output of
 
     lagbound lemmas --quick --seed 0 --grid 512x129
 
-A change that moves any cell must regenerate that directory with the same
-command and declare the regeneration with the cells it moved.  The last
+and each directory named in `EXTRA` the output of its command: the two-way
+graph query (`hausdorff`), the flat two-way query (`family --pairwise
+--scan`), the capped tameness scan and the membership verdict with its exit
+code.  A change that moves any cell must regenerate the directory with the
+same command and declare the regeneration with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
 column with its largest difference.
@@ -14,11 +18,27 @@ column with its largest difference.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lagbound.cli import main
 
-REFERENCE = Path(__file__).parent / "data" / "lemmas_quick_seed0_512x129"
+DATA = Path(__file__).parent / "data"
+REFERENCE = DATA / "lemmas_quick_seed0_512x129"
 ARGV = ["lemmas", "--quick", "--seed", "0", "--grid", "512x129"]
+# reference directory -> (command, exit code)
+EXTRA = {
+    "hausdorff_hyperbolic_band_512x129": (
+        ["hausdorff", "--patch", "hyperbolic_band", "--grid", "512x129",
+         "--curve", "parallel:0", "--curve2", "cos:0.2,2"], 0),
+    "family_parallels_pairwise_liouville_class": (
+        ["family", "parallels", "--pairwise", "--scan", "liouville_class"], 0),
+    "tameness_sphere_equator_512x129": (
+        ["tameness", "--patch", "sphere_equator", "--grid", "512x129",
+         "--curve", "cos:0.1,3"], 0),
+    "classify_sphere_equator_512x129": (
+        ["classify", "--patch", "sphere_equator", "--grid", "512x129",
+         "--curve", "cos:0.1,3", "--k", "5"], 0),
+}
 
 
 def _as_float(cell: str):
@@ -89,3 +109,14 @@ def test_quick_bundle_matches_the_reference(tmp_path, capsys):
     print("\n".join(changes))
     assert not changes, "\n".join(changes)
     assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA))
+def test_extra_output_matches_the_reference(tmp_path, capsys, name):
+    argv, expected = EXTRA[name]
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    capsys.readouterr()
+    changes = _bundle_changes(DATA / name, out)
+    assert not changes, "\n".join(changes)
+    assert code == expected

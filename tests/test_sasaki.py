@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -404,10 +406,13 @@ class TestGradientGraphs:
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
     def test_non_finite_graph_is_frame_degenerate(self, amplitude):
         gg = torus_gradient_graph(0.01).with_amplitude(amplitude)
-        with pytest.raises(FrameDegenerate):
-            curvature_sweep(gg.base, gg, [0.5, 1.0], n_theta=90, samples=100)
-        with pytest.raises(FrameDegenerate):
-            curvature_sweep(gg.base, gg, [1.0], n_theta=90, samples=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic
+            with pytest.raises(FrameDegenerate):
+                curvature_sweep(gg.base, gg, [0.5, 1.0], n_theta=90,
+                                samples=100)
+            with pytest.raises(FrameDegenerate):
+                curvature_sweep(gg.base, gg, [1.0], n_theta=90, samples=100)
 
     def test_non_finite_scale_is_frame_degenerate(self):
         gg = sphere_harmonic_graph(0.01)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lagbound import surface
 from lagbound.config import build_patch_from_spec
 from lagbound.curves import Curve, tameness
-from lagbound.distances import pairwise_point_distances, set_to_points_distance
+from lagbound.distances import pairwise_point_distances, set_to_set_distances
 from lagbound.errors import ChartDegenerate, ConfigError
 from lagbound.surface import (BaseCurve, cylinder_distance, flat_cylinder,
                               hyperbolic_band, plane_annulus, solve_warp,
@@ -23,8 +23,8 @@ def _band_area(patch):
 
 
 def _distance(patch, x, y):
-    """The distance from y to x, as a one-point set-to-points query."""
-    return float(set_to_points_distance(patch, np.array([y]), np.array([x]))[0])
+    """The distance from x to y, as a query between one-point sets."""
+    return float(set_to_set_distances(patch, np.array([x]), np.array([y]))[0][0])
 
 
 def _fd_second_derivative(col, h):
@@ -352,8 +352,9 @@ class TestDistanceLayer:
         exact = np.array([[cylinder_distance(cyl.length, p, q) for q in pts]
                           for p in pts])
         assert np.array_equal(pairwise_point_distances(cyl, pts), exact)
-        assert np.array_equal(set_to_points_distance(cyl, pts[:5], pts[5:]),
-                              exact[5:, :5].min(axis=1))
+        to_a, to_b = set_to_set_distances(cyl, pts[5:], pts[:5])
+        assert np.array_equal(to_a, exact[5:, :5].min(axis=1))
+        assert np.array_equal(to_b, exact[:5, 5:].min(axis=1))
 
     @pytest.mark.parametrize("name", ["sphere", "plane", "hyperbolic", "cyl"])
     def test_limit_caps_exactly(self, name, request):
