@@ -103,9 +103,10 @@ def _segment_lengths(patch, s0, t0, s1, t1, scale=None, weights=_SIMPSON3,
 @dataclass
 class BandGraph:
     """16-neighbor stencil graph over a decimated band grid (node i * n_td + j
-    sits at (s_d[i], t_d[j])), as a CSR matrix."""
+    sits at (s_d[i], t_d[j])), as a CSR matrix.  It keeps the band's length,
+    not the band, which caches its graph."""
 
-    patch: object
+    length: float
     n_sd: int
     n_td: int
     s_d: np.ndarray
@@ -168,7 +169,7 @@ def build_band_graph(patch, scale=None) -> BandGraph:
         wts[:, lo + b:hi + b, 8 + k] = np.roll(edge, a, axis=0)
     ok = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(ok.sum(axis=2).ravel())])
-    graph = BandGraph(patch, n_sd, n_td, s_d, t_d,
+    graph = BandGraph(patch.length, n_sd, n_td, s_d, t_d,
                       csr_matrix((wts[ok], cols[ok], indptr),
                                  shape=(n_sd * n_td,) * 2))
     if scale is None:
@@ -176,10 +177,9 @@ def build_band_graph(patch, scale=None) -> BandGraph:
     return graph
 
 
-def _point_link_edges(graph: BandGraph, pts: np.ndarray, scale=None):
+def _point_link_edges(patch, graph: BandGraph, pts: np.ndarray, scale=None):
     """Edges (point index, grid node, length) from each injected point to the
-    4x4 grid nodes around it."""
-    patch = graph.patch
+    4x4 nodes of `patch`'s graph around it."""
     h_s, h_t = patch.length / graph.n_sd, graph.t_d[1] - graph.t_d[0]
     i0 = np.floor(pts[:, 0] / h_s).astype(int)
     j0 = np.clip(np.floor((pts[:, 1] - graph.t_d[0]) / h_t).astype(int),
@@ -216,7 +216,7 @@ def _query_graph(patch, pts: np.ndarray, pairs: np.ndarray, scale=None):
     quadrature edge.  New entries go to the ends of their rows."""
     graph = build_band_graph(patch, scale=scale)
     base, n, m = graph.csr, graph.n_nodes, len(pts)
-    p, node, link = _point_link_edges(graph, pts, scale)
+    p, node, link = _point_link_edges(patch, graph, pts, scale)
     i, j = pairs[:, 0], pairs[:, 1]
     s_j = pts[i, 0] + wrap_difference(pts[j, 0], pts[i, 0], patch.length)
     chord = _segment_lengths(patch, pts[i, 0], pts[i, 1], s_j, pts[j, 1], scale,

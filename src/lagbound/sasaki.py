@@ -87,7 +87,13 @@ class _ConformalBase:
 
     gauss_curvature: float = 0.0
 
-    def phi_grad(self, u: np.ndarray) -> np.ndarray:
+    @property
+    def flat(self) -> bool:
+        """phi = 0 and K = 0: the Christoffel symbols and R vanish."""
+        return self.phis == (None,) and self.gauss_curvature == 0.0
+
+    def phi_grad_lam2(self, u: np.ndarray):
+        """grad phi (..., 2) and lam^2 = e^{2 phi} (..., 1) from one |u|^2."""
         raise NotImplementedError
 
     def lam2(self, u: np.ndarray) -> np.ndarray:
@@ -95,23 +101,6 @@ class _ConformalBase:
 
     def lam(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(self.lam2(u))
-
-    def gamma_vw(self, u, v, w):
-        """Gamma(v, w)^i contracted form used by the integrator."""
-        dphi = self.phi_grad(u)
-        return ((dphi * w).sum(-1, keepdims=True) * v
-                + (dphi * v).sum(-1, keepdims=True) * w
-                - (v * w).sum(-1, keepdims=True) * dphi)
-
-    def riemann(self, u, x_vec, y_vec, z_vec):
-        """R(X, Y)Z for constant curvature: K (<Y,Z> X - <X,Z> Y)."""
-        k = self.gauss_curvature
-        if k == 0.0:
-            return np.zeros_like(x_vec)
-        lam2 = self.lam2(u)[..., None]
-        yz = (y_vec * z_vec).sum(-1, keepdims=True)
-        xz = (x_vec * z_vec).sum(-1, keepdims=True)
-        return k * lam2 * (yz * x_vec - xz * y_vec)
 
     def rechart(self, u, charts, *vectors):
         return (u, charts) + tuple(vectors)
@@ -124,9 +113,6 @@ class FlatTorus(_ConformalBase):
     gauss_curvature = 0.0
     period = 2.0 * np.pi
     phis = (None,)  # flat: no conformal factor
-
-    def phi_grad(self, u):
-        return np.zeros_like(u)
 
     def lam2(self, u):
         return np.ones(u.shape[:-1])
@@ -164,8 +150,9 @@ class RoundSphere(_ConformalBase):
     rechart_radius = 1.4
     phis = (_sphere_phi,) * 2
 
-    def phi_grad(self, u):
-        return -2.0 * u / (1.0 + (u * u).sum(-1, keepdims=True))
+    def phi_grad_lam2(self, u):
+        q = 1.0 + (u * u).sum(-1, keepdims=True)
+        return -2.0 * u / q, (2.0 / q) ** 2
 
     def lam2(self, u):
         return (2.0 / (1.0 + (u * u).sum(-1))) ** 2
@@ -288,41 +275,60 @@ def _rhs(base, x, vyz):
     """Bundle geodesic equations: x' = v, cov_v v = -R(Y, Z) v, cov_v Y = Z,
     cov_v Z = 0, written with the chart Christoffel symbols.
 
-    `vyz` stacks (v, Y, Z) with shape (3, B, 2), so one Gamma call gives
-    Gamma(v, v), Gamma(v, Y) and Gamma(v, Z).
+    `vyz` stacks (v, Y, Z) with shape (3, B, 2), so Gamma(v, .) of all three
+    takes the two dot products dphi . (v, Y, Z) and v . (v, Y, Z), and
+    R(Y, Z) v = K lam^2 (<Z, v> Y - <Y, v> Z) reads the last two entries of
+    the second.  On a flat base v and Z are constant.
     """
     v, y, z = vyz
-    gam = base.gamma_vw(x, v, vyz)
-    dv = -gam[0] - base.riemann(x, y, z, v)
-    dy = z - gam[1]
-    dz = -gam[2]
-    return v, dv, dy, dz
+    if base.flat:
+        zero = np.zeros(v.shape)
+        return v, zero, z, zero
+    dphi, lam2 = base.phi_grad_lam2(x)
+    d_vyz = (dphi * vyz).sum(-1, keepdims=True)
+    v_vyz = (v * vyz).sum(-1, keepdims=True)
+    gam = d_vyz * v + d_vyz[0] * vyz - v_vyz * dphi
+    riem = base.gauss_curvature * lam2 * (v_vyz[2] * y - v_vyz[1] * z)
+    return v, -gam[0] - riem, z - gam[1], -gam[2]
 
 
-def _integrate(base, state, charts, n_steps, h):
-    """n_steps fixed RK4 steps of size h on the stacked state (x, v, Y, Z) of
-    shape (4, B, 2), re-charting after every step.
+def _integrate(base, state, charts, runs):
+    """RK4 runs `runs` = [(n_steps, h), ...], longest first, from the stacked
+    state (x, v, Y, Z) of shape (4, B, 2).  The runs advance as one batch
+    with a step h per member, re-charting after every step, and each run
+    leaves the batch when it finishes; _rhs does not read t.
 
-    Records every _RECORD_EVERY // 2 steps and the last, so the records of a
-    run at 2h fall on the _RECORD_EVERY-th steps of a run at h over the same
-    time.  Returns the recorded step indices, states (k, 4, B, 2) and charts
-    (k, B).
+    Each run records every _RECORD_EVERY // 2 steps and its last, so the
+    records of a run at 2h fall on the _RECORD_EVERY-th steps of a run at h
+    over the same time.  Returns per run the recorded step indices, states
+    (k, 4, B, 2) and charts (k, B).
     """
     def rhs(_t, st):
         return np.array(_rhs(base, st[0], st[1:]))
 
-    rec_i, rec, rec_c = [], [], []
-    for step_i in range(n_steps + 1):
-        if step_i % (_RECORD_EVERY // 2) == 0 or step_i == n_steps:
-            rec_i.append(step_i)
-            rec.append(state.copy())
-            rec_c.append(charts.copy())
-        if step_i == n_steps:
+    n_b, n_steps = len(charts), [n for n, _ in runs]
+    # the step of each member in the state's full shape, for the first k
+    # runs: an array of that shape multiplies as fast as a scalar
+    h = np.repeat([step for _, step in runs], 2 * n_b).reshape(-1, 2)
+    hs = [np.array([h[:k * n_b]] * 4) for k in range(1, len(runs) + 1)]
+    state = np.concatenate([state] * len(runs), axis=1)
+    charts = np.tile(charts, len(runs))
+    recs = [([], [], []) for _ in runs]
+    for step_i in range(n_steps[0] + 1):
+        for k, n in enumerate(n_steps):
+            if step_i % (_RECORD_EVERY // 2) == 0 or step_i == n:
+                recs[k][0].append(step_i)
+                recs[k][1].append(state[:, k * n_b:(k + 1) * n_b].copy())
+                recs[k][2].append(charts[k * n_b:(k + 1) * n_b].copy())
+        while n_steps and n_steps[-1] == step_i:
+            n_steps.pop()
+        if not n_steps:
             break
-        state = rk4_step(rhs, step_i * h, state, h)
-        x, charts, *vecs = base.rechart(state[0], charts, *state[1:])
+        m = len(n_steps) * n_b
+        state = rk4_step(rhs, 0.0, state[:, :m], hs[len(n_steps) - 1])
+        x, charts, *vecs = base.rechart(state[0], charts[:m], *state[1:])
         state = np.array([x, *vecs])
-    return np.array(rec_i), np.stack(rec), np.stack(rec_c)
+    return [(np.array(i), np.stack(r), np.stack(c)) for i, r, c in recs]
 
 
 def _fiber_norm2(base, xs, vecs):
@@ -384,18 +390,16 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0,
         while horizon / n > _LADDER_START:
             n *= 2
         step, tol, floor = horizon / n, _HALVING_TOL / 10, _LADDER_FLOOR
-    coarse = _integrate(base, state, charts, n // 2, 2 * step)
-    while True:
-        fine = _integrate(base, state, charts, n, step)
-        halving = _halving_error(base, fine, coarse)
-        if halving <= tol:
-            break
+    fine, coarse = _integrate(base, state, charts,
+                              [(n, step), (n // 2, 2 * step)])
+    while (halving := _halving_error(base, fine, coarse)) > tol:
         if step / 2 < floor:
             raise StepTooLarge(
                 f"step-halving error {halving:.2e} at step {step:.3g} exceeds "
                 f"tolerance {tol:.2e}, and the step may not fall below "
                 f"{floor:.3g}")
-        coarse, n, step = fine, 2 * n, step / 2
+        n, step = 2 * n, step / 2
+        coarse, (fine,) = fine, _integrate(base, state, charts, [(n, step)])
 
     steps, recs, ch = fine
     out = _output_records(steps)

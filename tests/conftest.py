@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lagbound import surface
+from lagbound import sasaki, surface
+from lagbound.errors import StepTooLarge
 from lagbound.numerics import rk4_step
 from lagbound.surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                               sphere_band, unit_cylinder)
@@ -41,6 +42,97 @@ def sphere_embed(s, t):
     t = np.asarray(t, dtype=float)
     return np.stack([np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), np.sin(t)],
                     axis=-1)
+
+
+def gamma_vw(base, u, v, w):
+    """Gamma(v, w)^i of the conformal chart metric, one reduction per dot
+    product, as the bundle geodesic equations first took it."""
+    if base.phis == (None,):
+        dphi = np.zeros_like(u)
+    else:
+        dphi = -2.0 * u / (1.0 + (u * u).sum(-1, keepdims=True))
+    return ((dphi * w).sum(-1, keepdims=True) * v
+            + (dphi * v).sum(-1, keepdims=True) * w
+            - (v * w).sum(-1, keepdims=True) * dphi)
+
+
+def riemann(base, u, x_vec, y_vec, z_vec):
+    """R(X, Y)Z for constant curvature: K (<Y,Z> X - <X,Z> Y)."""
+    k = base.gauss_curvature
+    if k == 0.0:
+        return np.zeros_like(x_vec)
+    lam2 = base.lam2(u)[..., None]
+    yz = (y_vec * z_vec).sum(-1, keepdims=True)
+    xz = (x_vec * z_vec).sum(-1, keepdims=True)
+    return k * lam2 * (yz * x_vec - xz * y_vec)
+
+
+def _reference_rhs(base, x, vyz):
+    """The bundle geodesic equations in the gamma_vw + riemann form."""
+    v, y, z = vyz
+    gam = gamma_vw(base, x, v, vyz)
+    dv = -gam[0] - riemann(base, x, y, z, v)
+    dy = z - gam[1]
+    dz = -gam[2]
+    return v, dv, dy, dz
+
+
+def _reference_integrate(base, state, charts, n_steps, h):
+    """One plain RK4 run of n_steps steps of h, recorded as
+    `sasaki._integrate` records a run."""
+    def rhs(_t, st):
+        return np.array(_reference_rhs(base, st[0], st[1:]))
+
+    rec_i, rec, rec_c = [], [], []
+    for step_i in range(n_steps + 1):
+        if step_i % (sasaki._RECORD_EVERY // 2) == 0 or step_i == n_steps:
+            rec_i.append(step_i)
+            rec.append(state.copy())
+            rec_c.append(charts.copy())
+        if step_i == n_steps:
+            break
+        state = rk4_step(rhs, step_i * h, state, h)
+        x, charts, *vecs = base.rechart(state[0], charts, *state[1:])
+        state = np.array([x, *vecs])
+    return np.array(rec_i), np.stack(rec), np.stack(rec_c)
+
+
+def reference_sasaki_geodesic(base, states, horizon, step=np.inf):
+    """`sasaki.sasaki_geodesic` with the fine and the coarse run integrated
+    one after the other by `_reference_integrate`."""
+    state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
+                      for f in ("x", "v", "y", "z")])
+    charts = np.array([s.chart for s in states], dtype=int)
+    if np.isfinite(step):
+        n = 2 * int(np.ceil(horizon / (2 * step)))
+        tol, floor = sasaki._HALVING_TOL, step
+    else:
+        n = 2
+        while horizon / n > sasaki._LADDER_START:
+            n *= 2
+        step, tol = horizon / n, sasaki._HALVING_TOL / 10
+        floor = sasaki._LADDER_FLOOR
+    coarse = _reference_integrate(base, state, charts, n // 2, 2 * step)
+    while True:
+        fine = _reference_integrate(base, state, charts, n, step)
+        halving = sasaki._halving_error(base, fine, coarse)
+        if halving <= tol:
+            break
+        if step / 2 < floor:
+            raise StepTooLarge(
+                f"step-halving error {halving:.2e} at step {step:.3g} exceeds "
+                f"tolerance {tol:.2e}, and the step may not fall below "
+                f"{floor:.3g}")
+        coarse, n, step = fine, 2 * n, step / 2
+    steps, recs, ch = fine
+    out = sasaki._output_records(steps)
+    times = np.array([i * step for i in steps[out]])
+    xs, vs, ys, zs = np.moveaxis(recs[out], 1, 0)
+    return sasaki.Trajectory(
+        base=base, times=times, x=xs, v=vs, y=ys, z=zs, charts=ch[out],
+        y_norm2=sasaki._fiber_norm2(base, xs, ys),
+        z_norm2=sasaki._fiber_norm2(base, xs, zs), step=step,
+        halving_error=halving)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,7 +101,7 @@ def _edge_ends(graph, csr):
     i, j = np.divmod(coo.row, graph.n_td)
     i2, j2 = np.divmod(coo.col, graph.n_td)
     di = (i2 - i + 2) % graph.n_sd - 2
-    h_s, h_t = graph.patch.length / graph.n_sd, graph.t_d[1] - graph.t_d[0]
+    h_s, h_t = graph.length / graph.n_sd, graph.t_d[1] - graph.t_d[0]
     s0, t0 = graph.s_d[i], graph.t_d[j]
     return coo, s0, t0, s0 + di * h_s, t0 + (j2 - j) * h_t
 
@@ -156,6 +159,21 @@ class TestBandGraph:
         graph = build_band_graph(band)
         assert np.size(graph.weights) == graph.csr.nnz
         assert build_band_graph(band) is graph
+
+    def test_a_queried_patch_dies_with_its_last_reference(self):
+        # the patch caches its graph, so the graph must not point back at it
+        gc.disable()
+        try:
+            patch = _dyadic_band()
+            c = np.linspace(0.0, patch.length, 8, endpoint=False)
+            pts = np.stack([c, 0.2 * np.cos(c)], axis=1)
+            pairwise_point_distances(patch, pts)
+            assert patch._dist_graph is not None
+            ref = weakref.ref(patch)
+            del patch
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("query", ["pairwise", "set_to_set"])
     def test_appended_csr_matches_a_coo_build(self, band, monkeypatch, query):

@@ -1,8 +1,10 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import gamma_vw, reference_sasaki_geodesic, riemann
 
 from lagbound import jets, sasaki
 from lagbound.errors import FrameDegenerate, StepTooLarge
@@ -20,16 +22,16 @@ class TestBases:
         base = base_manifold(name)
         pts, _ = base.random_points(25, rng)
         v, y, z = (rng.normal(size=(25, 2)) for _ in range(3))
-        stacked = base.gamma_vw(pts, v, np.stack([v, y, z]))
-        separate = np.stack([base.gamma_vw(pts, v, w) for w in (v, y, z)])
+        stacked = gamma_vw(base, pts, v, np.stack([v, y, z]))
+        separate = np.stack([gamma_vw(base, pts, v, w) for w in (v, y, z)])
         assert stacked.tobytes() == separate.tobytes()
 
     def test_first_bianchi(self, rng):
         base = base_manifold("round_sphere")
         pts, _ = base.random_points(40, rng)
         x, y, z = (rng.normal(size=(40, 2)) for _ in range(3))
-        total = (base.riemann(pts, x, y, z) + base.riemann(pts, y, z, x)
-                 + base.riemann(pts, z, x, y))
+        total = (riemann(base, pts, x, y, z) + riemann(base, pts, y, z, x)
+                 + riemann(base, pts, z, x, y))
         assert np.max(np.abs(total)) < 1e-10
 
     def test_sphere_chart_round_trip(self, rng):
@@ -142,6 +144,64 @@ class TestGeodesics:
             [traj.x, traj.v, traj.y, traj.z], axis=1).tobytes()
         assert traj.step == 1e-2
 
+    def test_flat_base_keeps_v_and_z(self, monkeypatch):
+        torus = base_manifold("flat_torus")
+        states = random_sasaki_states(torus, 5, np.random.default_rng(6))
+        traj = sasaki_geodesic(torus, states, horizon=3.0, step=1e-2)
+        for field in ("v", "z"):
+            start = np.array([getattr(s, field) for s in states])
+            recorded = getattr(traj, field)
+            assert recorded.tobytes() == np.broadcast_to(
+                start, recorded.shape).tobytes()
+        assert not traj.charts.any()
+        # the sphere takes the Christoffel and curvature terms
+        sphere = base_manifold("round_sphere")
+        assert torus.flat and not sphere.flat
+        batches = []
+        conformal = sphere.phi_grad_lam2
+        monkeypatch.setattr(sphere, "phi_grad_lam2", lambda u: (
+            batches.append(len(u)) or conformal(u)))
+        states = random_sasaki_states(sphere, 5, np.random.default_rng(6))
+        sasaki_geodesic(sphere, states, horizon=0.1, step=1e-2)
+        # fine and coarse run together, then the fine run alone
+        assert set(batches) == {5, 10}
+
+
+class TestParentLoop:
+    """`sasaki_geodesic` against the plain loop in conftest, which integrates
+    the fine and the coarse run one after the other with the gamma_vw +
+    riemann form of the equations: every field is the same bit for bit."""
+
+    @pytest.mark.parametrize("base_name", ["flat_torus", "round_sphere"])
+    @pytest.mark.parametrize("step", [1e-2, 0.05, np.inf],
+                             ids=["1e-2", "0.05", "auto"])
+    def test_bit_identical_to_the_plain_loop(self, base_name, step):
+        base = base_manifold(base_name)
+        too_large = []
+        for seed in range(3):
+            states = random_sasaki_states(base, 3, np.random.default_rng(seed))
+            for horizon in (1e-3, 3e-3, 0.021, 0.041, 0.5, 2.0):
+                run = partial(sasaki_geodesic, base, states, horizon, step)
+                try:
+                    want = reference_sasaki_geodesic(base, states, horizon,
+                                                     step)
+                except StepTooLarge as err:
+                    with pytest.raises(StepTooLarge) as got:
+                        run()
+                    assert str(got.value) == str(err)
+                    too_large.append((seed, horizon))
+                    continue
+                got = run()
+                for field in ("times", "x", "v", "y", "z", "charts",
+                              "y_norm2", "z_norm2"):
+                    assert getattr(got, field).tobytes() == getattr(
+                        want, field).tobytes(), (seed, horizon, field)
+                assert got.step == want.step
+                assert got.halving_error == want.halving_error
+        # only the sphere at step 0.05 is refused, on the longer horizons
+        refused = base_name == "round_sphere" and step == 0.05
+        assert bool(too_large) == refused
+
 
 def _closed_form_y2(base, states, t):
     """|Y(t)|^2 = |Y0|^2 + 2 <Y0, Z0> t + |Z0|^2 t^2, exact on both bases
@@ -186,19 +246,22 @@ class TestStepControl:
     def test_sphere_halves_until_the_tolerance(self, monkeypatch):
         base = base_manifold("round_sphere")
         states = random_sasaki_states(base, 8, np.random.default_rng(1))
-        steps = []
+        levels = []
         integrate = sasaki._integrate
 
-        def counted(base, state, charts, n_steps, h):
-            steps.append(h)
-            return integrate(base, state, charts, n_steps, h)
+        def counted(base, state, charts, runs):
+            levels.append([h for _, h in runs])
+            return integrate(base, state, charts, runs)
 
         monkeypatch.setattr(sasaki, "_integrate", counted)
         traj = sasaki_geodesic(base, states, horizon=4.0)
-        # each rejected run is the next coarse run: one new run per level
+        # the first level runs fine and coarse together; each rejected run
+        # is the next coarse run, so every later level adds one new run
         first = _first_ladder_step(4.0)
-        assert steps == [2 * first * 0.5 ** k for k in range(len(steps))]
-        assert len(steps) >= 3 and traj.step == steps[-1]
+        assert levels[0] == [first, 2 * first]
+        assert levels[1:] == [[first * 0.5 ** k]
+                              for k in range(1, len(levels))]
+        assert len(levels) >= 2 and traj.step == levels[-1][0]
         assert traj.times[-1] == 4.0
         assert traj.halving_error <= sasaki._HALVING_TOL / 10
         fit = parabola_check(traj)
