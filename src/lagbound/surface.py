@@ -15,11 +15,14 @@ intrinsic lengths, the area functional, shortest-path distances) is driven by
 this field and its first partials.
 
 A patch marches (w, w_t, w_s, w_st, int_0^t w) over its rows within `_MARCH_TOL`,
-measured by step doubling.  Every point reads its warp data from that grid
-(`SurfacePatch.warp_at`): the marched fields at the two bracketing rows come
-from the point's column, or from an 8-node barycentric interpolant in s between
-columns, and a quintic Hermite in t joins the rows.  The same Hermite reads
-int_0^t w at the columns (`SurfacePatch.cum_w_at`).
+measured by step doubling.  While kappa, K and K_s read the same bits on every
+column (as on every named band), one column per direction is stepped and stands
+for all; a run whose error passes the tolerance stops at that row.  Every point
+reads its warp data from that grid (`SurfacePatch.warp_at`): the marched fields
+at the two bracketing rows come from the point's column, or from an 8-node
+barycentric interpolant in s between columns, and a quintic Hermite in t joins
+the rows.  The same Hermite reads int_0^t w at the columns
+(`SurfacePatch.cum_w_at`).
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ def _period_gap(at_s: np.ndarray, at_s_plus_l: np.ndarray) -> float:
 
 
 def _five_point(f: Callable, h: float) -> np.ndarray:
-    """Fourth-order central difference of d -> f(d) at d = 0."""
-    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+    """Fourth-order central difference of d -> f(d) at d = 0, grouped so that
+    a constant f has derivative exactly 0."""
+    return ((f(-2 * h) - f(2 * h)) + 8 * (f(h) - f(-h))) / (12 * h)
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,14 @@ def _warp_deriv(nk, nks, state: np.ndarray) -> np.ndarray:
     """Time derivative of (w, w_t, w_s, w_st, int_0^t w) given -K and -K_s."""
     w, u, v, y, _ = state
     return np.array([u, nk * w, y, nk * v + nks * w, w])
+
+
+def _same_per_direction(a: np.ndarray) -> bool:
+    """Whether each half of the last axis (one march direction) holds the same
+    bits in every column: -0.0 and +0.0 differ, as do NaNs of other payloads."""
+    bits = a.view(np.int64)
+    bits = bits.reshape(bits.shape[:-1] + (2, -1))
+    return bool(np.all(bits == bits[..., :1]))
 
 
 def check_grid(n_s: int, n_t: int):
@@ -214,7 +226,10 @@ class SurfacePatch:
 
     def _march(self):
         """Use the fewest power-of-two RK4 substeps per row (>= 4) that meet
-        `_MARCH_TOL`; `warp_error` adds a unit roundoff per substep."""
+        `_MARCH_TOL`; `warp_error` adds a unit roundoff per substep.  Each run
+        steps one column per direction until a row's K or K_s differs between
+        columns, and a rejected run stops at the row where it fails, so only
+        the accepted run (or the one at `_MAX_SUBSTEPS`) marches every row."""
         self.substeps, err = 2, np.inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
@@ -234,7 +249,16 @@ class SurfacePatch:
     def _march_rows(self, substeps: int) -> tuple[np.ndarray, float, float]:
         """Both directions in one batch at `substeps` RK4 steps per row: the
         fields (w, w_t, w_s, w_st, int_0^t w), the step-doubling error and
-        max |K| over every column and stage (NaN if K is NaN anywhere)."""
+        max |K| over every column and stage (NaN if K is NaN anywhere).
+
+        While the start state and each row's -K and -K_s hold the same bits on
+        every column of a direction, one column per direction is stepped: RK4
+        is elementwise, so every column would repeat it bit for bit.  The first
+        row where they differ widens the state to all columns.  Below
+        `_MAX_SUBSTEPS` a run returns at the row where 2x its error, which only
+        grows, passes `_MARCH_TOL`; such a run is rejected and its fields are
+        never read.
+        """
         n_s, mid, h_row = self.n_s, (self.n_t - 1) // 2, self.t[1] - self.t[0]
         half = h_row / (2 * substeps)
         sign = np.repeat([1.0, -1.0], n_s)
@@ -245,11 +269,18 @@ class SurfacePatch:
         state = _warp_initial(self.base, s[0])
         state[:, n_s:] *= flip
         fields[:, :, mid] = state[:, :n_s]
+        if _same_per_direction(state):
+            state = state[:, ::n_s]
         for k in range(mid):
             t0 = k * h_row
             t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
             nk, nks = -_eval2(self.base.gauss, s, t), -self.base.gauss_ds(s, t)
             kmax = np.maximum(kmax, np.max(np.abs(nk)))  # keeps a NaN; max() not
+            if state.shape[1] < 2 * n_s:
+                if _same_per_direction(nk) and _same_per_direction(nks):
+                    nk, nks = nk[:, ::n_s], nks[:, ::n_s]
+                else:
+                    state = np.repeat(state, n_s, axis=1)
             def rhs(tau, y):
                 m = round((tau - t0) / half)  # the row's stage m
                 return _warp_deriv(nk[m], nks[m], y)
@@ -258,8 +289,11 @@ class SurfacePatch:
             for i in range(substeps):
                 state = rk4_step(rhs, t0 + 2 * i * half, state, 2 * half)
             err += np.max(np.abs(state - big)) / (substeps ** 4 - 1)
-            fields[:, :, mid + k + 1] = state[:, :n_s]
-            fields[:, :, mid - k - 1] = state[:, n_s:] * flip
+            if 2 * err > _MARCH_TOL and substeps < _MAX_SUBSTEPS:
+                break
+            width = state.shape[1] // 2
+            fields[:, :, mid + k + 1] = state[:, :width]
+            fields[:, :, mid - k - 1] = state[:, width:] * flip
         return fields, float(err), float(kmax)
 
     # -- basic queries ------------------------------------------------------

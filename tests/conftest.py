@@ -29,6 +29,37 @@ def _reference_warp(patch, s, t, n_steps=2000):
     return {"w": w, "w2_t": 2 * w * u, "w2_s": 2 * w * v}
 
 
+def reference_march_rows(patch, substeps):
+    """`SurfacePatch._march_rows` stepping every column of every row, with no
+    early return: (fields, error, max |K|) as the method returns them."""
+    n_s, mid, h_row = patch.n_s, (patch.n_t - 1) // 2, patch.t[1] - patch.t[0]
+    half = h_row / (2 * substeps)
+    sign = np.repeat([1.0, -1.0], n_s)
+    s = np.broadcast_to(np.tile(patch.s, 2), (2 * substeps + 1, 2 * n_s))
+    flip = np.array([1.0, -1.0, 1.0, -1.0, -1.0])[:, None]
+    fields, err, kmax = np.empty((5, n_s, patch.n_t)), 0.0, 0.0
+    state = surface._warp_initial(patch.base, s[0])
+    state[:, n_s:] *= flip
+    fields[:, :, mid] = state[:, :n_s]
+    for k in range(mid):
+        t0 = k * h_row
+        t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
+        nk = -surface._eval2(patch.base.gauss, s, t)
+        nks = -patch.base.gauss_ds(s, t)
+        kmax = np.maximum(kmax, np.max(np.abs(nk)))
+
+        def rhs(tau, y):
+            m = round((tau - t0) / half)
+            return surface._warp_deriv(nk[m], nks[m], y)
+        big = rk4_step(rhs, t0, state, h_row)
+        for i in range(substeps):
+            state = rk4_step(rhs, t0 + 2 * i * half, state, 2 * half)
+        err += np.max(np.abs(state - big)) / (substeps ** 4 - 1)
+        fields[:, :, mid + k + 1] = state[:, :n_s]
+        fields[:, :, mid - k - 1] = state[:, n_s:] * flip
+    return fields, float(err), float(kmax)
+
+
 def plane_embed(circle_radius, s, t):
     """Planar embedding of the band around a circle (normal pointing inward)."""
     ang = np.asarray(s, dtype=float) / circle_radius

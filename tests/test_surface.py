@@ -1,3 +1,6 @@
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,12 @@ from lagbound.config import build_patch_from_spec
 from lagbound.curves import Curve, tameness
 from lagbound.distances import pairwise_point_distances, set_to_set_distances
 from lagbound.errors import ChartDegenerate, ConfigError
-from lagbound.surface import (BaseCurve, cylinder_distance, flat_cylinder,
-                              hyperbolic_band, plane_annulus, solve_warp,
-                              sphere_band, warp_taylor_check)
+from lagbound.surface import (NAMED_BANDS, BaseCurve, cylinder_distance,
+                              flat_cylinder, hyperbolic_band, plane_annulus,
+                              solve_warp, sphere_band, warp_taylor_check)
 
-from conftest import _reference_warp, plane_embed, sphere_embed
+from conftest import (_reference_warp, plane_embed, reference_march_rows,
+                      sphere_embed)
 
 
 def _band_area(patch):
@@ -126,6 +130,14 @@ class TestBandCurvature:
         assert not plane.is_flat_cylinder and plane.gauss_max == 0.0
         assert not sphere.is_flat_cylinder and sphere.gauss_max == 1.0
 
+    def test_constant_kappa_of_a_spec_band_has_no_s_derivative(self):
+        patch = _spec_band("0.2 + 0.3*t", kappa=0.3, halfwidth=0.6,
+                           grid=(128, 33))
+        assert not np.any(patch.w_s) and not np.any(patch.w_st)
+        s = np.linspace(0.01, patch.length, 41, endpoint=False)
+        got = patch.warp_at(s, np.linspace(-0.5, 0.5, 41))
+        assert not np.any(got["w2_s"])
+
     def test_non_finite_gauss_is_a_value_error(self):
         base = BaseCurve(2 * np.pi, lambda s: 0.0 * s,
                          lambda s, t: np.log(t + 0.5) + 0.0 * s)
@@ -186,6 +198,77 @@ class TestWarpMarch:
         _, coarser, _ = patch._march_rows(patch.substeps // 2)
         assert 2 * coarser > surface._MARCH_TOL
         assert sphere_band(0.6, (512, 129)).substeps == 4
+
+    def test_a_rejected_run_stops_where_its_error_passes_the_tolerance(self):
+        def counted(patch):
+            """The list of the march's rows, one per call of K (the sphere's
+            K_s is analytic)."""
+            gauss, rows = patch.base.gauss, []
+
+            def counting_gauss(s, t):
+                rows.append(t)
+                return gauss(s, t)
+            patch.base = dataclasses.replace(patch.base, gauss=counting_gauss)
+            rows.clear()  # BaseCurve's periodicity probes
+            return rows
+        patch = sphere_band(0.85, (512, 129))
+        assert patch.substeps == 8
+        rows = counted(patch)
+        _, err, _ = patch._march_rows(4)
+        assert 2 * err > surface._MARCH_TOL
+        assert len(rows) < (patch.n_t - 1) // 2
+        last = sphere_band(0.85, (64, 17))
+        rows = counted(last)
+        last._march_rows(surface._MAX_SUBSTEPS)
+        assert len(rows) == (last.n_t - 1) // 2
+
+    # narrow_rows: rows stepped on one column per direction (None: every row)
+    @pytest.mark.parametrize("build, narrow_rows", [
+        *((partial(band, grid=grid), None)
+          for band in NAMED_BANDS.values() for grid in ((64, 17), (512, 129))),
+        (lambda: sphere_band(0.85, (512, 129)), None),
+        (lambda: hyperbolic_band(0.85, (512, 129)), None),
+        (lambda: _spec_band("0.2 + 0.3*t", kappa=0.1, halfwidth=0.6,
+                            grid=(128, 33)), None),
+        # K varies in s only where |t| > 0.3, first in row 3 of 8; S = 256
+        (lambda: _spec_band("1 + 0.1*sin(s)*(abs(t) > 0.3)", halfwidth=0.7,
+                            grid=(64, 17)), 3),
+        (lambda: _spec_band(0.0, kappa="0.1*cos(s)", halfwidth=0.6,
+                            grid=(128, 33)), 0),
+        # kappa = -0.0 where sin s < 0, so w_t holds both signs of zero at
+        # t = 0 (a config expression's + 0.0*s would make every zero +0)
+        (lambda: solve_warp(BaseCurve(
+            2 * np.pi, lambda s: np.where(np.sin(s) < 0, -0.0, 0.0),
+            lambda s, t: 0.0 * s, kappa_prime=lambda s: 0.0 * s,
+            gauss_s=lambda s, t: 0.0 * s), 0.6, (64, 17)), 0),
+    ], ids=[*(f"{name}-{grid[0]}" for name in NAMED_BANDS
+              for grid in ((64, 17), (512, 129))),
+            "sphere_r0.85", "hyperbolic_r0.85", "constant_kappa",
+            "widens_in_row_3", "kappa_cos_s", "kappa_signed_zero"])
+    def test_narrowed_march_matches_the_reference(self, monkeypatch, build,
+                                                  narrow_rows):
+        patch = build()
+        mid = (patch.n_t - 1) // 2
+        want, want_err, want_kmax = reference_march_rows(patch, patch.substeps)
+        marched = np.stack([patch.w, patch.w_t, patch.w_s, patch.w_st,
+                            patch.cum_w])
+        assert marched.tobytes() == want.tobytes()
+        assert patch.gauss_max == want_kmax
+        widths, deriv = [], surface._warp_deriv
+
+        def recording_deriv(nk, nks, state):
+            widths.append(state.shape[1])
+            return deriv(nk, nks, state)
+        monkeypatch.setattr(surface, "_warp_deriv", recording_deriv)
+        fields, err, kmax = patch._march_rows(patch.substeps)
+        assert (fields.tobytes(), err, kmax) == (want.tobytes(), want_err,
+                                                 want_kmax)
+        # each row steps its whole-row step and its substeps at one width
+        per_row = np.reshape(widths, (mid, -1))
+        assert np.all(per_row == per_row[:, :1])
+        narrow_rows = mid if narrow_rows is None else narrow_rows
+        assert list(per_row[:, 0]) == ([2] * narrow_rows
+                                       + [2 * patch.n_s] * (mid - narrow_rows))
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_lookup_matches_the_closed_form(self, name):
