@@ -3,7 +3,7 @@ closed curves in surface bands, and for the tangent-bundle geometry of
 gradient graphs.
 """
 
-from .classify import FamilySpec, MembershipVerdict, classify, generate_family, separation_scan
+from .classify import MembershipVerdict, classify, generate_family, separation_scan
 from .curves import (Curve, CurvatureReport, TamenessReport,
                      geodesic_curvature, tameness, tameness_comparison_check,
                      trig_curve)

@@ -24,7 +24,6 @@ from .surface import NAMED_BANDS, SurfacePatch, plane_annulus
 
 __all__ = [
     "MembershipVerdict",
-    "FamilySpec",
     "classify",
     "min_level",
     "MAX_LEVEL",
@@ -102,9 +101,9 @@ class MembershipVerdict:
 
 def classify(curve: Curve, k: float) -> MembershipVerdict:
     """Decide level-k membership of a graph curve; it is exact when its
-    action |A| is at most 1e-9."""
-    if k <= 0:
-        raise ValueError("level k must be positive")
+    action |A| is at most 1e-9.  ValueError unless k is finite and positive."""
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"level k must be finite and positive, got {k}")
     trep = tameness(curve)
     (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, trep)
     a_val = area_functional(curve)
@@ -127,26 +126,11 @@ def min_level(curve: Curve, trep) -> int | None:
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Named curve family with parameters.
-
-    family one of: escape_cos, parallels, plane_circles, hs_family,
-    hs_variant_alpha.
-    """
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-
-def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float,
-                       n: int | None = None) -> Curve:
+def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float) -> Curve:
     """Graph of minus the q-derivative of s^p * bump(q) * sin(q/s) on the unit
     cylinder, with closed-form first and second derivatives."""
-    if n is None:
-        # at least ~25 samples per oscillation cycle
-        n = int(2 ** np.ceil(np.log2(max(2048, 4.0 / s_param))))
-        n = min(n, 65536)
+    # at least ~25 samples per oscillation cycle
+    n = min(int(2 ** np.ceil(np.log2(max(2048, 4.0 / s_param)))), 65536)
     sp_, p_ = float(s_param), float(p)
 
     def xi(q):
@@ -171,59 +155,38 @@ def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float,
                                 name=f"osc_p{p_:g}_s{sp_:g}")
 
 
-def generate_family(spec: FamilySpec) -> list[Curve]:
-    """Instantiate a named family as curves with closed-form derivatives."""
-    fam, p = spec.family, dict(spec.params)
+# The oscillation ladders' scales.  They start at 2^-7: for larger scales the
+# bump-ramp derivative terms dominate the curvature sup and mask the
+# asymptotic blow-up rate that the ladder is meant to exhibit.
+LADDER_SCALES = tuple(2.0 ** (-j) for j in range(7, 15))
 
-    if fam == "escape_cos":
-        patch = default_cylinder()
-        a = float(p.pop("a", 1.0))
-        modes = [int(m) for m in p.pop("modes", range(1, 11))]
-        if p:
-            raise ParamOutOfRange(f"unknown escape_cos params {sorted(p)}")
-        if not 0 < a < patch.halfwidth:
-            raise ParamOutOfRange(f"amplitude {a} outside (0, r)")
-        if any(m < 1 for m in modes):
-            raise ParamOutOfRange("modes must be positive integers")
-        return [trig_curve(patch, {m: a}, name=f"cos_m{m}_a{a:g}")
-                for m in modes]
 
-    if fam == "parallels":
-        patch = default_cylinder()
-        levels = [float(c) for c in p.pop("levels",
-                                          np.arange(-0.4, 0.41, 0.2).round(10))]
-        if p:
-            raise ParamOutOfRange(f"unknown parallels params {sorted(p)}")
-        if any(abs(c) >= patch.halfwidth for c in levels):
-            raise ParamOutOfRange("parallel level outside the band")
-        return [Curve.constant(patch, c) for c in levels]
+def generate_family(family: str) -> list[Curve]:
+    """The named family's fixed members, with closed-form derivatives:
 
-    if fam == "plane_circles":
+    - escape_cos: cos(m s) at amplitude 1 for modes m = 1..10 (cylinder);
+    - parallels: the levels -0.4..0.4 in steps of 0.2 (cylinder);
+    - plane_circles: plane circles of radii 1.0 and 1.1 (plane annulus);
+    - hs_family, hs_variant_alpha: the oscillation ladders at the scales
+      s = 2^-7..2^-14, exponent p = 1.5 and 2.5 (unit cylinder).
+
+    ParamOutOfRange for any other name."""
+    if family == "escape_cos":
+        return [trig_curve(default_cylinder(), {m: 1.0}, name=f"cos_m{m}_a1")
+                for m in range(1, 11)]
+    if family == "parallels":
+        return [Curve.constant(default_cylinder(), float(c))
+                for c in np.arange(-0.4, 0.41, 0.2).round(10)]
+    if family == "plane_circles":
         patch = default_plane()
         rr = _circle_radius(patch)
-        radii = [float(x) for x in p.pop("radii", (1.0, 1.1))]
-        if p:
-            raise ParamOutOfRange(f"unknown plane_circles params {sorted(p)}")
-        if any(not 0 < rr - rad < patch.halfwidth and rad != rr for rad in radii):
-            raise ParamOutOfRange("circle radius outside the band")
         return [Curve.constant(patch, rr - rad, name=f"circle_r{rad:g}")
-                for rad in radii]
-
-    if fam in ("hs_family", "hs_variant_alpha"):
-        patch = default_unit_cylinder()
-        exponent = 1.5 if fam == "hs_family" else 2.0 + float(p.pop("alpha", 0.5))
-        # The default ladder starts at 2^-7: for larger scales the bump-ramp
-        # derivative terms dominate the curvature sup and mask the asymptotic
-        # blow-up rate that the ladder is meant to exhibit.
-        s_values = [float(x) for x in p.pop("s_values",
-                                            [2.0 ** (-j) for j in range(7, 15)])]
-        if p:
-            raise ParamOutOfRange(f"unknown {fam} params {sorted(p)}")
-        if any(not 0 < sv <= 0.25 for sv in s_values):
-            raise ParamOutOfRange("scale parameter must lie in (0, 1/4]")
-        return [_oscillation_curve(patch, sv, exponent) for sv in s_values]
-
-    raise ParamOutOfRange(f"unknown family {fam!r}")
+                for rad in (1.0, 1.1)]
+    if family in ("hs_family", "hs_variant_alpha"):
+        exponent = 1.5 if family == "hs_family" else 2.5
+        return [_oscillation_curve(default_unit_cylinder(), sv, exponent)
+                for sv in LADDER_SCALES]
+    raise ParamOutOfRange(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +197,17 @@ def generate_family(spec: FamilySpec) -> list[Curve]:
 class ScanResult:
     rows: list          # (name_i, name_j, delta_h, invariant_gap)
     a_emp: float | None
-    invariant_kind: str
 
 
-def separation_scan(curves: list[Curve], invariant_kind: str) -> ScanResult:
-    """Pairwise Hausdorff distances against invariant gaps over a family.
+def separation_scan(curves: list[Curve], kind: str) -> ScanResult:
+    """Pairwise Hausdorff distances against gaps of the named invariant
+    (`isotopy_invariant`) over a family.
 
     a_emp is the smallest Hausdorff distance among pairs whose invariant
     values genuinely differ (by more than 1e-9); None when every pair shares
     its invariant.
     """
-    ambient = {"liouville_class": "cylinder", "enclosed_area": "plane"}
-    if invariant_kind not in ambient:
-        raise ValueError(f"unknown invariant kind {invariant_kind!r}")
-    values = [isotopy_invariant(c, ambient[invariant_kind]).value
-              for c in curves]
+    values = [isotopy_invariant(c, kind).value for c in curves]
     rows = []
     a_emp = None
     for i in range(len(curves)):
@@ -258,4 +217,4 @@ def separation_scan(curves: list[Curve], invariant_kind: str) -> ScanResult:
             rows.append((curves[i].name, curves[j].name, dh, gap))
             if gap > 1e-9:
                 a_emp = dh if a_emp is None else min(a_emp, dh)
-    return ScanResult(rows=rows, a_emp=a_emp, invariant_kind=invariant_kind)
+    return ScanResult(rows=rows, a_emp=a_emp)

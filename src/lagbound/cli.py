@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .classify import (FamilySpec, classify as classify_curve,
-                       generate_family, separation_scan)
+from .classify import (classify as classify_curve, generate_family,
+                       separation_scan)
 from . import sasaki as sas
 from .config import (DEFAULT_GRID, ExperimentConfig, build_patch_from_spec,
                      load_config, parse_curve_spec, parse_grid)
@@ -211,7 +211,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "family":
-        curves = generate_family(FamilySpec(args.family_id))
+        curves = generate_family(args.family_id)
         # the scan runs first, so an invariant that does not fit the band
         # writes nothing; its rows start with the pairwise table
         scan = separation_scan(curves, args.scan) if args.scan else None

@@ -257,20 +257,20 @@ def _circle_radius(patch: SurfacePatch) -> float:
                           f"circle ({reason})")
 
 
-def isotopy_invariant(curve: Curve, ambient: str) -> IsotopyInvariant:
-    """Isotopy invariant of a graph.
+def isotopy_invariant(curve: Curve, kind: str) -> IsotopyInvariant:
+    """Isotopy invariant of a graph, by its name.
 
-    ambient="cylinder": the action integral (zero iff the graph is exact).
-    ambient="plane": the enclosed area of the planar embedding, by Green's
-    theorem, on a band around a whole plane circle (`_circle_radius`).  There
-    w = 1 - t/R > 0 on the band, so the graph embeds as the polar graph of
-    radius R - xi > 0 over one full turn, which never crosses itself.
+    kind="liouville_class": the action integral (zero iff the graph is exact).
+    kind="enclosed_area": the enclosed area of the planar embedding, by
+    Green's theorem, on a band around a whole plane circle (`_circle_radius`).
+    There w = 1 - t/R > 0 on the band, so the graph embeds as the polar graph
+    of radius R - xi > 0 over one full turn, which never crosses itself.
+    ValueError for any other kind.
     """
-    if ambient == "cylinder":
-        return IsotopyInvariant(kind="liouville_class",
-                                value=area_functional(curve))
-    if ambient != "plane":
-        raise ValueError(f"unknown ambient {ambient!r}")
+    if kind == "liouville_class":
+        return IsotopyInvariant(kind=kind, value=area_functional(curve))
+    if kind != "enclosed_area":
+        raise ValueError(f"unknown invariant kind {kind!r}")
     rr = _circle_radius(curve.patch)
     s, xi, dxi = curve.s, curve.xi, curve.dxi
     rho = rr - xi
@@ -280,5 +280,5 @@ def isotopy_invariant(curve: Curve, ambient: str) -> IsotopyInvariant:
     dx = -dxi * np.cos(ang) - rho / rr * np.sin(ang)
     dy = -dxi * np.sin(ang) + rho / rr * np.cos(ang)
     area = abs(float(np.mean(0.5 * (x * dy - y * dx)) * curve.patch.length))
-    return IsotopyInvariant(kind="enclosed_area", value=area,
+    return IsotopyInvariant(kind=kind, value=area,
                             monotonicity_constant=area / 2.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import FamilySpec, generate_family, min_level
+from .classify import LADDER_SCALES, generate_family, min_level
 from . import sasaki as sas
 from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
@@ -383,7 +383,7 @@ def run_figure(family_id: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     svg_path = os.path.join(out_dir, f"{family_id}.svg")
     csv_path = os.path.join(out_dir, f"{family_id}.csv")
-    curves = generate_family(FamilySpec(family_id))
+    curves = generate_family(family_id)
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
 
@@ -398,7 +398,7 @@ def run_figure(family_id: str, out_dir: str,
         rows = [(cv.name, s_val, geodesic_curvature(cv).sup,
                  hausdorff_distance(cv, base).value,
                  cv.sup_norm(), float(np.max(np.abs(cv.dxi))))
-                for cv, s_val in zip(curves, [2.0 ** (-j) for j in range(7, 15)])]
+                for cv, s_val in zip(curves, LADDER_SCALES)]
         panels = [[(cv.name, cv.s[::max(1, cv.n // 1024)],
                     cv.xi[::max(1, cv.n // 1024)])] for cv in curves[:3]]
         slope = loglog_slope([r[1] for r in rows], [r[2] for r in rows])
@@ -407,7 +407,7 @@ def run_figure(family_id: str, out_dir: str,
                   {"family": family_id, "curvature_slope": slope})
     elif family_id == "parallels":
         title = "parallels"
-        rows = [(cv.name, isotopy_invariant(cv, "cylinder").value,
+        rows = [(cv.name, isotopy_invariant(cv, "liouville_class").value,
                  geodesic_curvature(cv).sup,
                  hausdorff_distance(cv, base).value) for cv in curves]
         panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
@@ -415,7 +415,7 @@ def run_figure(family_id: str, out_dir: str,
                              "delta_h_to_base"], rows, {"family": family_id})
     else:  # plane_circles
         title = "circles in the plane (band coordinates)"
-        invs = [isotopy_invariant(cv, "plane") for cv in curves]
+        invs = [isotopy_invariant(cv, "enclosed_area") for cv in curves]
         rows = [(cv.name, inv.value, inv.monotonicity_constant)
                 for cv, inv in zip(curves, invs)]
         panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]

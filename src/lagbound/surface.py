@@ -57,7 +57,7 @@ __all__ = [
 DEFAULT_GRID = (2048, 513)
 _PERIOD_TOL = 1e-10  # relative to max(1, max |f|) on the probe
 _MARCH_TOL = 5e-13  # bound on 2x the measured march error, below the 1e-12 |B| floor
-_MAX_SUBSTEPS = 256  # ends the doubling where the estimate cannot converge
+_MAX_SUBSTEPS = 256  # ends the doubling; a band still above the tolerance is refused
 # the s-interpolant's node count and barycentric weights (-1)^j C(7, j)
 _ORDER = 8
 _BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(_ORDER - 1, j)
@@ -229,7 +229,10 @@ class SurfacePatch:
         `_MARCH_TOL`; `warp_error` adds a unit roundoff per substep.  Each run
         steps one column per direction until a row's K or K_s differs between
         columns, and a rejected run stops at the row where it fails, so only
-        the accepted run (or the one at `_MAX_SUBSTEPS`) marches every row."""
+        the accepted run (or the one at `_MAX_SUBSTEPS`) marches every row.
+        A K that is not finite is a ValueError; a field that overflows, or a
+        run at `_MAX_SUBSTEPS` that still misses the tolerance, is
+        ChartDegenerate."""
         self.substeps, err = 2, np.inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
@@ -242,6 +245,10 @@ class SurfacePatch:
             raise ChartDegenerate(
                 f"warp field of {self.base.name} overflows inside the band "
                 f"(max |K| {self.gauss_max:.3e})")
+        if 2 * err > _MARCH_TOL:
+            raise ChartDegenerate(
+                f"warp march of {self.base.name} does not resolve the band: "
+                f"error {err:.3e} at {self.substeps} substeps per row")
         ulp = np.finfo(float).eps * max(top, bottom)
         self.warp_error = err + float(self.substeps * (self.n_t // 2) * ulp)
         self.w, self.w_t, self.w_s, self.w_st, self.cum_w = fields

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lagbound.classify import FamilySpec, default_cylinder, generate_family, separation_scan
+from lagbound.classify import default_cylinder, generate_family, separation_scan
 from lagbound.cli import main as cli_main
 from lagbound.curves import (Curve, geodesic_curvature, tameness,
                              tameness_comparison_check, trig_curve)
@@ -248,8 +248,7 @@ def test_criterion_09_escape_and_oscillation_families():
     with _Timer(120.0) as tm:
         patch = default_cylinder()
         base = Curve.constant(patch, 0.0, n=2048)
-        escape = generate_family(FamilySpec("escape_cos",
-                                            {"a": 1.0, "modes": range(1, 11)}))
+        escape = generate_family("escape_cos")
         for m, curve in enumerate(escape, start=1):
             rep = geodesic_curvature(curve)
             assert rep.sup == pytest.approx(m * m, rel=1e-10)
@@ -257,12 +256,12 @@ def test_criterion_09_escape_and_oscillation_families():
             assert 0.9 <= res.value <= 1.0 + res.error
 
         s_vals = np.array([2.0 ** (-j) for j in range(7, 15)])
-        hs = generate_family(FamilySpec("hs_family"))
+        hs = generate_family("hs_family")
         sups = [geodesic_curvature(c, _with_error=False).sup for c in hs]
         slope = float(np.polyfit(np.log(s_vals), np.log(sups), 1)[0])
         assert slope == pytest.approx(-1.5, abs=0.1)
 
-        var = generate_family(FamilySpec("hs_variant_alpha", {"alpha": 0.5}))
+        var = generate_family("hs_variant_alpha")
         sups_v = [geodesic_curvature(c, _with_error=False).sup for c in var]
         slope_v = float(np.polyfit(np.log(s_vals), np.log(sups_v), 1)[0])
         assert slope_v == pytest.approx(-0.5, abs=0.1)
@@ -294,14 +293,13 @@ def test_criterion_10_conformal_comparison(cyl):
 
 def test_criterion_11_isotopy_invariants():
     with _Timer(10.0) as tm:
-        parallels = generate_family(FamilySpec("parallels"))
+        parallels = generate_family("parallels")
         for curve, c in zip(parallels, np.arange(-0.4, 0.41, 0.2)):
-            inv = isotopy_invariant(curve, "cylinder")
+            inv = isotopy_invariant(curve, "liouville_class")
             assert abs(inv.value - 2 * np.pi * c) <= 1e-8
-        circles = generate_family(FamilySpec("plane_circles",
-                                             {"radii": [1.0, 1.1]}))
+        circles = generate_family("plane_circles")
         for curve, rad in zip(circles, (1.0, 1.1)):
-            inv = isotopy_invariant(curve, "plane")
+            inv = isotopy_invariant(curve, "enclosed_area")
             assert abs(inv.value - np.pi * rad * rad) <= 1e-8
             assert inv.monotonicity_constant == pytest.approx(
                 np.pi * rad * rad / 2, abs=1e-8)

@@ -247,6 +247,9 @@ class TestOtherCommands:
         ({}, "cos:1", 4),
         ({}, "cos:a,b", 4),
         ({"patches": {"p": dict(BAND, gauss=[1])}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, length=0)}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, gauss="sin(s/2)")}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, kappa="1/(s-0.1234)")}}, "parallel:0", 4),
         ({"patches": {"p": {k: v for k, v in BAND.items() if k != "length"}}},
          "parallel:0", 4),
         # periodicity is held to a gap relative to max(1, max |f|), so a
@@ -298,6 +301,23 @@ class TestOtherCommands:
                    "parallel:0", "--out", str(out)) == code
         assert not list(out.iterdir())
         assert message in capsys.readouterr().err
+
+    # a band whose warp march misses its tolerance at the most substeps is a
+    # runtime error and writes nothing
+    @pytest.mark.parametrize("gauss, halfwidth", [
+        ("1 + 0.1*sin(s)*(abs(t) > 0.3)", 0.7), (-1e6, 0.6),
+        ("-1e4*(1+t)", 0.6)], ids=["jump", "constant", "linear"])
+    def test_band_with_unresolved_warp_is_refused(self, tmp_path, capsys,
+                                                  gauss, halfwidth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patches": {"p": dict(
+            BAND, halfwidth=halfwidth, gauss=gauss)}}))
+        out = tmp_path / "out"
+        assert run("tameness", "--config", str(cfg), "--patch", "p",
+                   "--curve", "parallel:0", "--out", str(out)) == 3
+        assert not list(out.iterdir())
+        assert ("warp march of p does not resolve the band"
+                in capsys.readouterr().err)
 
     def test_config_out_dir_is_the_default_output(self, tmp_path,
                                                   monkeypatch):

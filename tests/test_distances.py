@@ -11,6 +11,7 @@ from lagbound.distances import (_SIMPSON5, _SIMPSON5_X, _eight_neighbor,
                                 _segment_lengths, build_band_graph,
                                 default_dist_grid, pairwise_point_distances,
                                 set_to_set_distances)
+from lagbound.errors import OutOfPatch
 from lagbound.hausdorff import hausdorff_distance
 from lagbound.numerics import wrap_difference
 from lagbound.surface import (cylinder_distance, flat_cylinder,
@@ -62,6 +63,27 @@ def _chord(patch, pts, i, j):
     dsw = wrap_difference(pts[j, 0], pts[i, 0], patch.length)
     return _segment_lengths(patch, pts[i, 0], pts[i, 1], pts[i, 0] + dsw,
                             pts[j, 1], weights=_SIMPSON5, nodes=_SIMPSON5_X)
+
+
+class TestOutOfPatch:
+    # both queries accept points up to the band's edge, not on or past it
+    @pytest.mark.parametrize("edge_t", [0.6, -0.6, 0.7])
+    @pytest.mark.parametrize("band", [
+        lambda: sphere_band(0.6, (64, 17)),
+        lambda: flat_cylinder(halfwidth=0.6, grid=(64, 17))],
+        ids=["sphere", "flat"])
+    def test_points_on_or_past_the_edge(self, band, edge_t):
+        patch = band()
+        s = np.linspace(0.0, patch.length, 6, endpoint=False)
+        inside = np.stack([s, 0.3 * np.cos(s)], axis=1)
+        outside = inside.copy()
+        outside[2, 1] = edge_t
+        with pytest.raises(OutOfPatch):
+            pairwise_point_distances(patch, outside)
+        with pytest.raises(OutOfPatch):
+            set_to_set_distances(patch, inside, outside)
+        with pytest.raises(OutOfPatch):
+            set_to_set_distances(patch, outside, inside)
 
 
 class TestQueryGraph:

@@ -150,17 +150,17 @@ class TestContractionBounds:
 
 class TestIsotopyInvariant:
     def test_parallel_action(self, cyl):
-        inv = isotopy_invariant(Curve.constant(cyl, 0.4, n=512), "cylinder")
+        inv = isotopy_invariant(Curve.constant(cyl, 0.4, n=512), "liouville_class")
         assert inv.kind == "liouville_class"
         assert inv.value == pytest.approx(2 * np.pi * 0.4, abs=1e-10)
 
     def test_mean_zero_action(self, cyl):
-        inv = isotopy_invariant(trig_curve(cyl, {2: 0.5}, n=512), "cylinder")
+        inv = isotopy_invariant(trig_curve(cyl, {2: 0.5}, n=512), "liouville_class")
         assert abs(inv.value) < 1e-12
 
     def test_circle_area_and_rho(self, plane_wide):
         circle = Curve.constant(plane_wide, 2.0 - 1.1, n=512)
-        inv = isotopy_invariant(circle, "plane")
+        inv = isotopy_invariant(circle, "enclosed_area")
         assert inv.kind == "enclosed_area"
         assert inv.value == pytest.approx(np.pi * 1.1 ** 2, abs=1e-10)
         assert inv.monotonicity_constant == pytest.approx(np.pi * 1.1 ** 2 / 2,
@@ -179,7 +179,7 @@ class TestIsotopyInvariant:
                                offset=c0, n=512)
             exact = (np.pi * (radius - c0) ** 2
                      + np.pi / 2 * float(np.sum(a * a + b * b)))
-            inv = isotopy_invariant(curve, "plane")
+            inv = isotopy_invariant(curve, "enclosed_area")
             assert inv.value == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", [
@@ -192,4 +192,8 @@ class TestIsotopyInvariant:
         patch = build_patch_from_spec({"length": 4 * np.pi, "halfwidth": 0.5,
                                        "grid": [64, 17], **spec})
         with pytest.raises(ParamOutOfRange, match="plane circle"):
-            isotopy_invariant(Curve.constant(patch, 0.1, n=64), "plane")
+            isotopy_invariant(Curve.constant(patch, 0.1, n=64), "enclosed_area")
+
+    def test_unknown_kind(self, cyl):
+        with pytest.raises(ValueError, match="unknown invariant kind 'plane'"):
+            isotopy_invariant(Curve.constant(cyl, 0.1, n=64), "plane")

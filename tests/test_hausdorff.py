@@ -3,7 +3,7 @@ import pytest
 
 from lagbound import hausdorff
 from lagbound.curves import Curve, trig_curve
-from lagbound.errors import PatchMismatch
+from lagbound.errors import OutOfPatch, PatchMismatch
 from lagbound.exactness import build_contraction, shifted_curve
 from lagbound.hausdorff import (contraction_path_bound_check,
                                 hausdorff_distance, radial_path_check)
@@ -86,6 +86,12 @@ class TestHausdorffDistance:
 
 
 class TestRadialPaths:
+    def test_section_within_a_row_of_the_edge_is_out_of_patch(self, sphere):
+        # the sphere band's rows are 1.2 / 128 apart: 0.595 is within one
+        sec = Curve.constant(sphere, 0.595, n=256)
+        with pytest.raises(OutOfPatch):
+            radial_path_check(sec, [(1.0, 0.0)])
+
     def test_same_scale_zero(self, cyl):
         sec = trig_curve(cyl, {1: 0.5}, n=512)
         chk = radial_path_check(sec, [(0.4, 0.4)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagbound import curves
-from lagbound.classify import FamilySpec, classify, generate_family
+from lagbound.classify import classify, generate_family
 from lagbound.config import ExperimentConfig
 from lagbound.curves import Curve, geodesic_curvature, trig_curve
 from lagbound.errors import ParamOutOfRange
@@ -92,7 +92,7 @@ class TestFigures:
     def test_escape_figure_writes_the_family_table(self, tmp_path):
         _, csv = run_figure("escape_cos", str(tmp_path / "figure"))
         path = family_table("escape_cos",
-                            generate_family(FamilySpec("escape_cos")),
+                            generate_family("escape_cos"),
                             str(tmp_path / "family"), ExperimentConfig().seed)
         assert open(csv).read() == open(path).read()
         assert open(path).read().splitlines()[1].endswith(",min_level")
@@ -157,6 +157,6 @@ class TestCurvatureMeasuredOnce:
         assert len(curvature_passes) == 2 * 5
 
     def test_family_table(self, tmp_path, curvature_passes):
-        members = generate_family(FamilySpec("parallels"))
+        members = generate_family("parallels")
         family_table("parallels", members, str(tmp_path), 0)
         assert len(curvature_passes) == 2 * len(members)

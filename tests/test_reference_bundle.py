@@ -6,9 +6,10 @@ suite does not reach, against committed references, cell by cell.
     lagbound lemmas --quick --seed 0 --grid 512x129
 
 and each directory named in `EXTRA` the output of its command: the two-way
-graph query (`hausdorff`), the flat two-way query (`family --pairwise
---scan`), the capped tameness scan and the membership verdict with its exit
-code.  A change that moves any cell must regenerate the directory with the
+graph query (`hausdorff`), the flat and plane two-way queries (`family
+--pairwise --scan`), the capped tameness scan, the membership verdict with
+its exit code, and the drawing and companion CSV of each named family
+(`figure`, SVG included).  A change that moves any cell must regenerate the directory with the
 same command and declare the regeneration with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
@@ -32,6 +33,12 @@ EXTRA = {
          "--curve", "parallel:0", "--curve2", "cos:0.2,2"], 0),
     "family_parallels_pairwise_liouville_class": (
         ["family", "parallels", "--pairwise", "--scan", "liouville_class"], 0),
+    "family_plane_circles_pairwise_enclosed_area": (
+        ["family", "plane_circles", "--pairwise", "--scan", "enclosed_area"],
+        0),
+    **{f"figure_{fam}": (["figure", fam], 0)
+       for fam in ("escape_cos", "parallels", "plane_circles", "hs_family",
+                   "hs_variant_alpha")},
     "tameness_sphere_equator_512x129": (
         ["tameness", "--patch", "sphere_equator", "--grid", "512x129",
          "--curve", "cos:0.1,3"], 0),

@@ -34,6 +34,10 @@ class TestBases:
                  + riemann(base, pts, z, x, y))
         assert np.max(np.abs(total)) < 1e-10
 
+    def test_unknown_base_manifold(self):
+        with pytest.raises(ValueError, match="unknown base manifold"):
+            base_manifold("klein_bottle")
+
     def test_sphere_chart_round_trip(self, rng):
         base = base_manifold("round_sphere")
         pts, charts = base.random_points(64, rng)
@@ -405,6 +409,11 @@ GRAPHS = {"torus_cos1": (lambda: torus_gradient_graph(0.01), (sp.cos(U1),)),
 
 
 class TestGradientGraphs:
+    def test_one_h_per_chart(self):
+        with pytest.raises(ValueError, match="one H function per chart"):
+            GradientGraph(base_manifold("round_sphere"),
+                          (sasaki._sphere_harmonic_north,), amplitude=0.1)
+
     @pytest.mark.parametrize("graph_id", list(GRAPHS))
     def test_jets_match_the_symbolic_reference(self, graph_id):
         make_graph, h_exprs = GRAPHS[graph_id]

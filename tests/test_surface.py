@@ -37,6 +37,31 @@ def _fd_second_derivative(col, h):
             + 16 * col[3:-1] - col[4:]) / (12 * h * h)
 
 
+class TestBaseCurve:
+    @pytest.mark.parametrize("length, kappa, gauss, message", [
+        (0.0, 0.0, 0.0, "length must be positive"),
+        (2 * np.pi, 0.0, "sin(s/2)", "gauss is not periodic"),
+        (2 * np.pi, "1/(s-0.1234)", 0.0, "kappa must be bounded"),
+    ], ids=["zero_length", "gauss_not_periodic", "kappa_pole_at_probe"])
+    def test_bad_base_curve_is_config_error(self, length, kappa, gauss,
+                                            message):
+        with pytest.raises(ConfigError, match=message):
+            build_patch_from_spec({"length": length, "halfwidth": 0.5,
+                                   "kappa": kappa, "gauss": gauss,
+                                   "grid": [64, 17]})
+
+    def test_scalar_callables_broadcast_over_the_grid(self):
+        scalar = solve_warp(BaseCurve(2 * np.pi, lambda s: 0.2,
+                                      lambda s, t: 0.5), 0.5, (64, 17))
+        array = solve_warp(BaseCurve(2 * np.pi, lambda s: 0.2 + 0.0 * s,
+                                     lambda s, t: 0.5 + 0.0 * s), 0.5, (64, 17))
+        assert np.array_equal(scalar.kappa, np.full(64, 0.2))
+        assert scalar.gauss_max == array.gauss_max == 0.5
+        for name in ("w", "w_t", "w_s", "w_st", "cum_w"):
+            assert (getattr(scalar, name).tobytes()
+                    == getattr(array, name).tobytes())
+
+
 class TestSolveWarp:
     def test_flat_cylinder_warp_is_one(self, cyl):
         assert np.max(np.abs(cyl.w - 1.0)) < 1e-12
@@ -155,6 +180,18 @@ class TestBandCurvature:
         with pytest.raises(ChartDegenerate, match="overflows"):
             _spec_band(1e300, halfwidth=0.6, grid=(256, 65))
 
+    # 2x the error at _MAX_SUBSTEPS still exceeds _MARCH_TOL: a jump in K
+    # across |t| = 0.3 (5.1e-13) and two growths that no step resolves
+    @pytest.mark.parametrize("gauss, halfwidth", [
+        ("1 + 0.1*sin(s)*(abs(t) > 0.3)", 0.7), (-1e6, 0.6),
+        ("-1e4*(1+t)", 0.6)], ids=["jump", "constant", "linear"])
+    def test_unresolved_warp_march_is_chart_degenerate(self, gauss,
+                                                      halfwidth):
+        with pytest.raises(ChartDegenerate,
+                           match="warp march of config does not resolve "
+                                 "the band: error .* at 256 substeps"):
+            _spec_band(gauss, halfwidth=halfwidth, grid=(64, 17))
+
 
 CLOSED_FORMS = {  # band builder, w(t), w_t(t)
     "sphere": (lambda g: sphere_band(0.6, g), np.cos, lambda t: -np.sin(t)),
@@ -230,9 +267,9 @@ class TestWarpMarch:
         (lambda: hyperbolic_band(0.85, (512, 129)), None),
         (lambda: _spec_band("0.2 + 0.3*t", kappa=0.1, halfwidth=0.6,
                             grid=(128, 33)), None),
-        # K varies in s only where |t| > 0.3, first in row 3 of 8; S = 256
-        (lambda: _spec_band("1 + 0.1*sin(s)*(abs(t) > 0.3)", halfwidth=0.7,
-                            grid=(64, 17)), 3),
+        # K varies in s only where |t| > 0.3, first in row 3 of 8; S = 64
+        (lambda: _spec_band("1 + 0.1*sin(s)*(abs(t) > 0.3)*(abs(t) - 0.3)**6",
+                            halfwidth=0.7, grid=(64, 17)), 3),
         (lambda: _spec_band(0.0, kappa="0.1*cos(s)", halfwidth=0.6,
                             grid=(128, 33)), 0),
         # kappa = -0.0 where sin s < 0, so w_t holds both signs of zero at
