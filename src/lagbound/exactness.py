@@ -7,8 +7,8 @@ A graph xi is exact when its signed band area
 
 vanishes.  For every scale a there is a unique shift c(a) making a*xi + c(a)
 exact, because c -> A(a*xi + c) is strictly increasing (w > 0); c is found
-by bisection inside the guaranteed bracket |c| <= |a| * max|xi|, which keeps
-the graphs inside the band while |a| * max|xi| < r/2.
+by Illinois regula falsi inside the guaranteed bracket |c| <= |a| * max|xi|,
+which keeps the graphs inside the band while |a| * max|xi| < r/2.
 The inner integral W = int_0^t w is read at the patch columns by
 `SurfacePatch.cum_w_at`; every function takes its band from `curve.patch`.
 """
@@ -36,7 +36,7 @@ __all__ = [
     "shifted_curve",
 ]
 
-_C_TOL = 1e-13     # |A| at which a bisection shift counts as exact
+_C_TOL = 1e-13     # |A| at which a regula falsi shift counts as exact
 _LIP_SLACK = 1e-11  # float slack; equality is attained for constant graphs
 
 
@@ -67,10 +67,14 @@ def _area_batch(patch: SurfacePatch, xi_block: np.ndarray) -> np.ndarray:
 def solve_c_grid(curve: Curve, alphas: np.ndarray) -> np.ndarray:
     """Vertical shifts c(a) with A(a*xi + c(a)) = 0 for a whole grid of scales.
 
-    Bisection inside the guaranteed bracket |c| <= |a|*max|xi| (the area is
-    strictly increasing in the shift since the warp is positive), run on all
-    scales simultaneously; each scale follows the same midpoint sequence as a
-    scalar bisection would.  Raises ParamOutOfRange unless
+    Illinois regula falsi inside the guaranteed bracket |c| <= |a|*max|xi|
+    (the area is strictly increasing in the shift since the warp is
+    positive), run on all scales simultaneously.  Each step evaluates A at
+    the secant point of the bracket ends (the midpoint if that is not
+    strictly inside) and keeps the bracket; when one end is kept twice in a
+    row its stored area is halved, so the stale end cannot stall the secant.
+    A scale stops at |A| <= _C_TOL, or at a bracket 4 ulps wide, which
+    returns its midpoint.  Raises ParamOutOfRange unless
     max|a| * max|xi| < r/2, so that every bracketed graph lies in the band.
     """
     alphas = np.asarray(alphas, dtype=float)
@@ -94,20 +98,26 @@ def solve_c_grid(curve: Curve, alphas: np.ndarray) -> np.ndarray:
     done = (alphas == 0.0) | (np.abs(f_lo) <= _C_TOL) | (np.abs(f_hi) <= _C_TOL)
     out[np.abs(f_hi) <= _C_TOL] = hi[np.abs(f_hi) <= _C_TOL]
     out[np.abs(f_lo) <= _C_TOL] = lo[np.abs(f_lo) <= _C_TOL]
+    last = np.zeros_like(alphas)  # sign of the last A: -1 moved lo, +1 hi
     for _ in range(200):  # far past the float resolution of c
-        if done.all():
+        ulps = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        act = np.flatnonzero(~done & (hi - lo > ulps))
+        if act.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = np.full_like(mid, np.nan)
-        act = ~done
-        f_mid[act] = _area_batch(patch, xi_block[act] + mid[act, None])
-        hit = act & (np.abs(f_mid) <= _C_TOL)
-        out[hit] = mid[hit]
-        done |= hit
-        low_side = act & ~hit & (f_mid < 0)
-        high_side = act & ~hit & (f_mid >= 0)
-        lo[low_side] = mid[low_side]
-        hi[high_side] = mid[high_side]
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        x = (a * fb - b * fa) / (fb - fa)  # fa < 0 < fb, so fb - fa > 0
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        fx = _area_batch(patch, xi_block[act] + x[:, None])
+        hit = np.abs(fx) <= _C_TOL
+        out[act[hit]] = x[hit]
+        done[act[hit]] = True
+        low, high = ~hit & (fx < 0), ~hit & (fx > 0)
+        up, down = act[low], act[high]
+        f_hi[up[last[up] < 0]] *= 0.5  # lo moved twice: hi is stale
+        f_lo[down[last[down] > 0]] *= 0.5
+        lo[up], f_lo[up] = x[low], fx[low]
+        hi[down], f_hi[down] = x[high], fx[high]
+        last[act] = np.sign(fx)
     out[~done] = 0.5 * (lo[~done] + hi[~done])
     return out
 

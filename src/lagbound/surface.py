@@ -230,11 +230,17 @@ class SurfacePatch:
         steps one column per direction until a row's K or K_s differs between
         columns, and a rejected run stops at the row where it fails, so only
         the accepted run (or the one at `_MAX_SUBSTEPS`) marches every row.
-        A K that is not finite is a ValueError; a field that overflows, or a
-        run at `_MAX_SUBSTEPS` that still misses the tolerance, is
+        A K that is not finite is a ValueError: K is read on every grid node
+        before the first run, so no run climbs towards rows it cannot reach,
+        and at every RK4 stage by the runs.  A field that overflows, or a run
+        at `_MAX_SUBSTEPS` that still misses the tolerance, is
         ChartDegenerate."""
         self.substeps, err = 2, np.inf
+        nodes = np.meshgrid(self.s, self.t, indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if not np.all(np.isfinite(_eval2(self.base.gauss, *nodes))):
+                raise ValueError(f"K of {self.base.name} is not finite on "
+                                 "the band")
             while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
                 self.substeps *= 2
                 fields, err, self.gauss_max = self._march_rows(self.substeps)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lagbound import sasaki, surface
-from lagbound.errors import StepTooLarge
+from lagbound import exactness, sasaki, surface
+from lagbound.errors import NoBracket, ParamOutOfRange, StepTooLarge
 from lagbound.numerics import rk4_step
 from lagbound.surface import (flat_cylinder, hyperbolic_band, plane_annulus,
                               sphere_band, unit_cylinder)
@@ -58,6 +58,50 @@ def reference_march_rows(patch, substeps):
         fields[:, :, mid + k + 1] = state[:, :n_s]
         fields[:, :, mid - k - 1] = state[:, n_s:] * flip
     return fields, float(err), float(kmax)
+
+
+def reference_solve_c_grid(curve, alphas):
+    """`exactness.solve_c_grid` by bisection inside the same bracket, as the
+    shift was first solved: every scale follows the midpoint sequence of a
+    scalar bisection, at about 40 area evaluations per solve."""
+    alphas = np.asarray(alphas, dtype=float)
+    patch, sup = curve.patch, curve.sup_norm()
+    reach = float(np.max(np.abs(alphas), initial=0.0)) * sup
+    if reach >= patch.halfwidth / 2:
+        raise ParamOutOfRange(f"shift solve requires max|a| max|xi| < r/2 = "
+                              f"{patch.halfwidth / 2:.4g}, got {reach:.4g}")
+    if sup == 0.0:
+        return np.zeros_like(alphas)
+    xi_grid = exactness._xi_on_patch_grid(curve)
+    xi_block = alphas[:, None] * xi_grid[None, :]
+    hi = np.abs(alphas) * sup
+    lo = -hi
+    f_lo = exactness._area_batch(patch, xi_block + lo[:, None])
+    f_hi = exactness._area_batch(patch, xi_block + hi[:, None])
+    tol = exactness._C_TOL
+    if np.any(f_lo > tol) or np.any(f_hi < -tol):
+        raise NoBracket(f"area does not bracket zero: max A(lo)="
+                        f"{f_lo.max():.3e}, min A(hi)={f_hi.min():.3e}")
+    out = np.where(alphas == 0.0, 0.0, 0.5 * (lo + hi))
+    done = (alphas == 0.0) | (np.abs(f_lo) <= tol) | (np.abs(f_hi) <= tol)
+    out[np.abs(f_hi) <= tol] = hi[np.abs(f_hi) <= tol]
+    out[np.abs(f_lo) <= tol] = lo[np.abs(f_lo) <= tol]
+    for _ in range(200):
+        if done.all():
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = np.full_like(mid, np.nan)
+        act = ~done
+        f_mid[act] = exactness._area_batch(patch, xi_block[act] + mid[act, None])
+        hit = act & (np.abs(f_mid) <= tol)
+        out[hit] = mid[hit]
+        done |= hit
+        low_side = act & ~hit & (f_mid < 0)
+        high_side = act & ~hit & (f_mid >= 0)
+        lo[low_side] = mid[low_side]
+        hi[high_side] = mid[high_side]
+    out[~done] = 0.5 * (lo[~done] + hi[~done])
+    return out
 
 
 def plane_embed(circle_radius, s, t):

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from lagbound import exactness
 from lagbound.config import build_patch_from_spec
 from lagbound.curves import Curve, trig_curve
-from lagbound.errors import ParamOutOfRange
+from lagbound.errors import NoBracket, ParamOutOfRange
 from lagbound.exactness import (area_functional, build_contraction,
                                 contraction_bounds_check, isotopy_invariant,
                                 solve_c, solve_c_grid)
 from lagbound.surface import plane_annulus, sphere_band
+
+from conftest import reference_solve_c_grid
 
 
 class TestAreaFunctional:
@@ -89,6 +92,143 @@ class TestSolveC:
         assert np.max(np.abs(solve_c_grid(xi, alphas) + 0.2 * alphas)) < 1e-12
         with pytest.raises(ParamOutOfRange):  # 1.1 * 0.7 >= r/2 = 0.75
             solve_c(xi, -1.1)
+
+
+def _count_area_calls(monkeypatch) -> list:
+    """Row count of every `_area_batch` call made after this point."""
+    calls, area = [], exactness._area_batch
+
+    def counted(patch, xi_block):
+        calls.append(len(xi_block))
+        return area(patch, xi_block)
+    monkeypatch.setattr(exactness, "_area_batch", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def spec_band():
+    return build_patch_from_spec({
+        "length": 2 * np.pi, "halfwidth": 0.5, "grid": [256, 65],
+        "kappa": "0.2*cos(s)", "gauss": "0.5*cos(s) + 0.2*t"})
+
+
+# graph on a band of halfwidth r, and the reach max|a| max|xi| of its scales
+SHIFT_GRAPHS = {
+    "trig": (lambda p, r: trig_curve(p, {1: 0.3 * r, 2: 0.1 * r},
+                                     {3: 0.05 * r}, offset=0.1 * r, n=512),
+             0.4),
+    "near_reach": (lambda p, r: trig_curve(p, {1: 0.25 * r, 2: 0.2 * r},
+                                           offset=0.04 * r, n=512), 0.4999),
+    "constant": (lambda p, r: Curve.constant(p, 0.2 * r, n=512), 0.4),
+}
+SHIFT_SCALES = np.array([-1.0, -0.7, -0.3, 0.0, 0.2, 0.5, 1.0])
+SHIFT_BUDGET = 12  # area evaluations per solve; bisection takes about 40
+
+
+class TestShiftOracle:
+    """`solve_c_grid` against the bisection it replaced (conftest)."""
+
+    @pytest.mark.parametrize("graph", sorted(SHIFT_GRAPHS))
+    @pytest.mark.parametrize("band", ["cyl", "sphere", "plane", "spec_band"])
+    def test_matches_the_bisection(self, request, monkeypatch, band, graph):
+        patch = request.getfixturevalue(band)
+        make, reach = SHIFT_GRAPHS[graph]
+        xi = make(patch, patch.halfwidth)
+        sup, area = xi.sup_norm(), exactness._area_batch
+        alphas = reach * patch.halfwidth / sup * SHIFT_SCALES
+        want = reference_solve_c_grid(xi, alphas)
+        calls = _count_area_calls(monkeypatch)
+        got = solve_c_grid(xi, alphas)
+        assert len(calls) <= SHIFT_BUDGET
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(np.abs(got) <= np.abs(alphas) * sup)
+        xi_grid = exactness._xi_on_patch_grid(xi)
+        residual = area(patch, alphas[:, None] * xi_grid + got[:, None])
+        assert np.max(np.abs(residual)) <= exactness._C_TOL
+        for a, c in zip(alphas, got):  # one scale at a time, same budget
+            calls.clear()
+            assert solve_c(xi, a) == pytest.approx(c, abs=1e-12)
+            assert len(calls) <= SHIFT_BUDGET
+
+    def test_constant_graph_is_solved_at_a_bracket_end(self, sphere,
+                                                      monkeypatch):
+        # c = -a k is an end of the bracket |c| <= |a| k, where A(0) = 0
+        xi = Curve.constant(sphere, 0.12, n=512)
+        alphas = 2.0 * SHIFT_SCALES
+        calls = _count_area_calls(monkeypatch)
+        assert np.array_equal(solve_c_grid(xi, alphas), -0.12 * alphas)
+        assert len(calls) == 2
+
+    def test_linear_area_takes_one_secant_step(self, cyl, monkeypatch):
+        # flat: A(a xi + c) = l (a m + c) is linear in c, so the first secant
+        # point is the root
+        xi = trig_curve(cyl, {1: 0.4, 3: 0.1}, offset=0.15, n=512)
+        calls = _count_area_calls(monkeypatch)
+        got = solve_c_grid(xi, SHIFT_SCALES)
+        assert calls == [7, 7, 6]  # both ends, then every scale but a = 0
+        assert np.max(np.abs(got + 0.15 * SHIFT_SCALES)) <= 1e-14
+
+    def test_exact_zero_tolerance_stops_at_a_narrow_bracket(self, sphere,
+                                                           monkeypatch):
+        # with no |A| tolerance a scale stops once its bracket is 4 ulps wide
+        xi = SHIFT_GRAPHS["trig"][0](sphere, sphere.halfwidth)
+        alphas = 0.4 * sphere.halfwidth / xi.sup_norm() * SHIFT_SCALES
+        want = reference_solve_c_grid(xi, alphas)
+        monkeypatch.setattr(exactness, "_C_TOL", 0.0)
+        calls = _count_area_calls(monkeypatch)
+        got = solve_c_grid(xi, alphas)
+        assert len(calls) < 200
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestShiftContractGuards:
+    """Each refusal of an out-of-contract shift, reached by monkeypatching."""
+
+    def test_area_that_does_not_bracket_zero(self, sphere, monkeypatch):
+        xi = trig_curve(sphere, {1: 0.1}, offset=0.02, n=256)
+        monkeypatch.setattr(exactness, "_area_batch",
+                            lambda patch, block: np.full(len(block), 1e-9))
+        with pytest.raises(NoBracket, match=r"area does not bracket zero: "
+                           r"max A\(lo\)=1\.000e-09, min A\(hi\)=1\.000e-09"):
+            solve_c_grid(xi, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("shifts, message", [
+        (lambda a, sup: np.where(a == 0, 2e-10, 0.0),
+         r"endpoint shifts do not vanish: c\(0\)=2\.00e-10, c\(1\)=0\.00e\+00"),
+        (lambda a, sup: np.where(a == 1, -3e-10, 0.0),
+         r"endpoint shifts do not vanish: c\(0\)=0\.00e\+00, c\(1\)=-3\.00e-10"),
+        (lambda a, sup: np.where(a == 0.5, 0.5 * sup + 1e-9, 0.0),
+         r"shift exceeds the bracket bound a\*max\|xi\|"),
+        # inside the bracket at every scale, but 1.25 sup apart over 0.25
+        (lambda a, sup: np.array([0.0, 0.0, 0.5, -0.75, 0.0]) * sup,
+         r"shift violates the Lipschitz bound max\|xi\| \|a-a'\|"),
+    ], ids=["c0", "c1", "bracket", "lipschitz"])
+    def test_build_contraction_refuses_a_shift(self, sphere, monkeypatch,
+                                               shifts, message):
+        xi = trig_curve(sphere, {1: 0.1}, n=256)
+        sup = xi.sup_norm()
+
+        def solve(curve, alphas):
+            if len(alphas) == 1:  # the input's own shift
+                return np.zeros(1)
+            return shifts(np.asarray(alphas), sup)
+        monkeypatch.setattr(exactness, "solve_c_grid", solve)
+        with pytest.raises(NoBracket, match=message):
+            build_contraction(xi, n_alpha=5)
+
+    def test_build_contraction_refuses_to_leave_the_band(self, sphere,
+                                                         monkeypatch):
+        # |a xi + c| <= 2 max|xi| < 2r/3 for any shift in the bracket, so
+        # only a path curve that is not the shifted graph leaves the band
+        class Wide:
+            def sup_norm(self):
+                return sphere.halfwidth
+        monkeypatch.setattr(exactness, "solve_c_grid",
+                            lambda curve, alphas: np.zeros(len(alphas)))
+        monkeypatch.setattr(exactness, "shifted_curve",
+                            lambda *args, **kwargs: Wide())
+        with pytest.raises(NoBracket, match="contraction leaves the band"):
+            build_contraction(trig_curve(sphere, {1: 0.1}, n=256), n_alpha=5)
 
 
 class TestContractionPath:

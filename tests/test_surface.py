@@ -176,6 +176,22 @@ class TestBandCurvature:
         with pytest.raises(ConfigError, match="not finite"):
             _spec_band(gauss, kappa, halfwidth=0.6, grid=(256, 65))
 
+    # K is NaN only on rows t < -0.5, past where a coarse run's error first
+    # passes the tolerance: the grid nodes refuse it before any run climbs
+    @pytest.mark.parametrize("grid", [(256, 65), (1024, 257)])
+    def test_late_non_finite_gauss_is_refused_before_the_march(
+            self, monkeypatch, grid):
+        calls, march_rows = [], surface.SurfacePatch._march_rows
+
+        def counted(patch, substeps):
+            calls.append(substeps)
+            return march_rows(patch, substeps)
+        monkeypatch.setattr(surface.SurfacePatch, "_march_rows", counted)
+        with pytest.raises(ConfigError,
+                           match="K of config is not finite on the band"):
+            _spec_band("log(t + 0.5)", halfwidth=0.6, grid=grid)
+        assert len(calls) <= 1
+
     def test_non_finite_warp_field_is_chart_degenerate(self):
         with pytest.raises(ChartDegenerate, match="overflows"):
             _spec_band(1e300, halfwidth=0.6, grid=(256, 65))
