@@ -8,8 +8,10 @@ suite does not reach, against committed references, cell by cell.
 and each directory named in `EXTRA` the output of its command: the two-way
 graph query (`hausdorff`), the flat and plane two-way queries (`family
 --pairwise --scan`), the capped tameness scan, the membership verdict with
-its exit code, and the drawing and companion CSV of each named family
-(`figure`, SVG included).  A change that moves any cell must regenerate the directory with the
+its exit code, the drawing and companion CSV of each named family
+(`figure`, SVG included), the single-curve reports (`curvature`, `exactify`,
+`contract`), both kinds of `sasaki` export, a `patch` warp grid and the full
+suite (`lemmas` without `--quick`, the only run of its parameters).  A change that moves any cell must regenerate the directory with the
 same command and declare the regeneration with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
@@ -45,6 +47,20 @@ EXTRA = {
     "classify_sphere_equator_512x129": (
         ["classify", "--patch", "sphere_equator", "--grid", "512x129",
          "--curve", "cos:0.1,3", "--k", "5"], 0),
+    **{f"{cmd}_sphere_equator_256x65": (
+        [cmd, "--patch", "sphere_equator", "--grid", "256x65", *flags], 0)
+       for cmd, flags in (
+           ("curvature", ["--curve", "cos:0.1,3"]),
+           ("exactify", ["--curve", "cos:0.1,3", "--alpha", "0.5"]),
+           ("contract", ["--curve", "cos:0.05,3", "--n-alpha", "4"]))},
+    "sasaki_round_sphere_states2_horizon1": (
+        ["sasaki", "--base", "round_sphere", "--states", "2", "--horizon", "1"],
+        0),
+    "sasaki_flat_torus_sweep0.05": (
+        ["sasaki", "--base", "flat_torus", "--sweep", "0.05"], 0),
+    "patch_sphere_equator_32x17": (
+        ["patch", "--patch", "sphere_equator", "--grid", "32x17"], 0),
+    "lemmas_full_seed0": (["lemmas", "--seed", "0"], 0),
 }
 
 
