@@ -19,7 +19,7 @@ from .curves import Curve, tameness, trig_curve
 from .errors import ParamOutOfRange
 from .exactness import _circle_radius, area_functional, isotopy_invariant
 from .hausdorff import hausdorff_distance
-from .numerics import bump, bump_d1, bump_d2, bump_d3
+from .numerics import bump
 from .surface import NAMED_BANDS, SurfacePatch, plane_annulus
 
 __all__ = [
@@ -93,7 +93,6 @@ class MembershipVerdict:
     containment_ok: bool | None
     verdict: bool | None
     margins: dict = field(default_factory=dict)
-    exactness_value: float = 0.0
     is_exact: bool = False
     curvature: float = 0.0
     epsilon: float = 0.0
@@ -106,11 +105,10 @@ def classify(curve: Curve, k: float) -> MembershipVerdict:
         raise ValueError(f"level k must be finite and positive, got {k}")
     trep = tameness(curve)
     (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, trep)
-    a_val = area_functional(curve)
     return MembershipVerdict(
         k=float(k), curvature_ok=c_curv, tame_ok=c_tame, containment_ok=c_cont,
         verdict=verdict, margins=margins,
-        exactness_value=a_val, is_exact=bool(abs(a_val) <= 1e-9),
+        is_exact=bool(abs(area_functional(curve)) <= 1e-9),
         curvature=trep.curvature.sup, epsilon=trep.epsilon)
 
 
@@ -135,20 +133,20 @@ def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float) -> Curve:
 
     def xi(q):
         q = np.asarray(q, dtype=float) % 1.0
-        return (-sp_ ** p_ * bump_d1(q) * np.sin(q / sp_)
+        return (-sp_ ** p_ * bump(q, 1) * np.sin(q / sp_)
                 - sp_ ** (p_ - 1) * bump(q) * np.cos(q / sp_))
 
     def dxi(q):
         q = np.asarray(q, dtype=float) % 1.0
-        return (-sp_ ** p_ * bump_d2(q) * np.sin(q / sp_)
-                - 2 * sp_ ** (p_ - 1) * bump_d1(q) * np.cos(q / sp_)
+        return (-sp_ ** p_ * bump(q, 2) * np.sin(q / sp_)
+                - 2 * sp_ ** (p_ - 1) * bump(q, 1) * np.cos(q / sp_)
                 + sp_ ** (p_ - 2) * bump(q) * np.sin(q / sp_))
 
     def d2xi(q):
         q = np.asarray(q, dtype=float) % 1.0
-        return (-sp_ ** p_ * bump_d3(q) * np.sin(q / sp_)
-                - 3 * sp_ ** (p_ - 1) * bump_d2(q) * np.cos(q / sp_)
-                + 3 * sp_ ** (p_ - 2) * bump_d1(q) * np.sin(q / sp_)
+        return (-sp_ ** p_ * bump(q, 3) * np.sin(q / sp_)
+                - 3 * sp_ ** (p_ - 1) * bump(q, 2) * np.cos(q / sp_)
+                + 3 * sp_ ** (p_ - 2) * bump(q, 1) * np.sin(q / sp_)
                 + sp_ ** (p_ - 3) * bump(q) * np.cos(q / sp_))
 
     return Curve.from_callables(patch, xi, dxi, d2xi, n=n,

@@ -194,15 +194,19 @@ def _dispatch(args) -> int:
         raise ConfigError(f"--n-alpha must be at least 2, got {args.n_alpha}")
     if args.command == "exactify" and not np.isfinite(args.alpha):
         raise ConfigError(f"--alpha must be finite, got {args.alpha}")
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:  # "", a file, or a path under a file
+        raise ConfigError(f"cannot use output directory {config.out_dir!r}: "
+                          f"{exc}") from exc
     cmd = args.command
 
     if cmd == "lemmas":
-        suite = run_lemma_suite(config)
-        for res in suite.results:
+        results = run_lemma_suite(config)
+        for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name} "
                   f"({len(res.rows)} rows) -> {res.csv_path}")
-        return 1 if suite.any_failed else 0
+        return 0 if all(res.passed for res in results) else 1
 
     if cmd == "figure":
         svg, csv = run_figure(args.family_id, config.out_dir, config)

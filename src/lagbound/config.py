@@ -58,9 +58,12 @@ _SAFE_NAMES["np"] = np
 
 
 def parse_grid(grid) -> tuple[int, int]:
-    """Patch grid (n_s, n_t) from a pair of numbers or numeric strings; a
+    """Patch grid (n_s, n_t) from a pair of integers or integer strings; a
     malformed or invalid grid is a ConfigError."""
     try:
+        # int(64.9) is 64, int(1e999) an OverflowError, and True is an int
+        if any(isinstance(n, (bool, float)) for n in grid):
+            raise ValueError("entries must be integers")
         n_s, n_t = (int(n) for n in grid)
         check_grid(n_s, n_t)
     except (TypeError, ValueError) as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DistortionExceeded
 from .numerics import (fourier_derivative, fourier_primitive_grid,
                        resample_periodic)
-from .surface import _PERIOD_TOL, SurfacePatch, _eval1, _eval2, _period_gap
+from .surface import _PERIOD_TOL, SurfacePatch, _eval, _period_gap
 
 __all__ = [
     "Curve",
@@ -71,7 +71,7 @@ class Curve:
             for f in fns:
                 if f is None:
                     continue
-                gap = _period_gap(_eval1(f, probe), _eval1(f, probe + patch.length))
+                gap = _period_gap(_eval(f, probe), _eval(f, probe + patch.length))
                 if gap > _PERIOD_TOL:
                     raise ValueError(f"curve {name!r}: callable not periodic "
                                      f"(relative gap {gap:.2e})")
@@ -84,9 +84,9 @@ class Curve:
                        dxi: Callable | None = None, d2xi: Callable | None = None,
                        n: int = 2048, name: str = "curve") -> "Curve":
         s = np.arange(n) * (patch.length / n)
-        xs = _eval1(xi, s)
+        xs = _eval(xi, s)
         if dxi is not None and d2xi is not None:
-            dxs, d2xs = _eval1(dxi, s), _eval1(d2xi, s)
+            dxs, d2xs = _eval(dxi, s), _eval(d2xi, s)
         else:
             dxs = fourier_derivative(xs, patch.length)
             d2xs = fourier_derivative(dxs, patch.length)
@@ -162,31 +162,27 @@ def trig_curve(patch: SurfacePatch, cos_amps: dict[int, float] | None = None,
     sin_amps = dict(sin_amps or {})
     om = 2 * np.pi / patch.length
 
-    def xi(s):
-        out = offset + 0.0 * np.asarray(s, dtype=float)
-        for m, a in cos_amps.items():
-            out = out + a * np.cos(om * m * s)
-        for m, a in sin_amps.items():
-            out = out + a * np.sin(om * m * s)
-        return out
+    # the k-th derivative of a cos(w s) and a sin(w s), w = om m, is
+    # sign * coef[k] * function(w s); coef keeps each product's grouping
+    table = ((cos_amps, ((1, np.cos), (-1, np.sin), (-1, np.cos))),
+             (sin_amps, ((1, np.sin), (1, np.cos), (-1, np.sin))))
+    coef = (lambda a, m: a, lambda a, m: a * om * m,
+            lambda a, m: a * (om * m) ** 2)
 
-    def dxi(s):
-        out = 0.0 * np.asarray(s, dtype=float)
-        for m, a in cos_amps.items():
-            out = out - a * om * m * np.sin(om * m * s)
-        for m, a in sin_amps.items():
-            out = out + a * om * m * np.cos(om * m * s)
-        return out
+    def series(k):
+        def f(s):
+            out = 0.0 * np.asarray(s, dtype=float)
+            if k == 0:
+                out = offset + out
+            for amps, derivs in table:
+                sign, g = derivs[k]
+                for m, a in amps.items():
+                    out = out + sign * coef[k](a, m) * g(om * m * s)
+            return out
+        return f
 
-    def d2xi(s):
-        out = 0.0 * np.asarray(s, dtype=float)
-        for m, a in cos_amps.items():
-            out = out - a * (om * m) ** 2 * np.cos(om * m * s)
-        for m, a in sin_amps.items():
-            out = out - a * (om * m) ** 2 * np.sin(om * m * s)
-        return out
-
-    return Curve.from_callables(patch, xi, dxi, d2xi, n=n, name=name)
+    return Curve.from_callables(patch, series(0), series(1), series(2), n=n,
+                                name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +375,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     """
     patch = curve.patch
     nodes = np.meshgrid(patch.s, patch.t, indexing="ij")
-    factors = np.exp(2 * _eval2(conformal_phi, *nodes))
+    factors = np.exp(2 * _eval(conformal_phi, *nodes))
     if factors.max() > C * (1 + 1e-12) or factors.min() < 1 / C * (1 - 1e-12):
         raise DistortionExceeded(
             f"e^(2 phi) spans [{factors.min():.4f}, {factors.max():.4f}], "
@@ -389,7 +385,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
     delta_min = base_report.delta_min
     idx, _ = curve.scan(base_report.n_scan)
 
-    phi_on_curve = _eval2(conformal_phi, curve.s, curve.xi)
+    phi_on_curve = _eval(conformal_phi, curve.s, curve.xi)
     speed_prime = np.exp(phi_on_curve) * curve.speed()
     cum_p = fourier_primitive_grid(speed_prime, patch.length)
     total_p = float(np.mean(speed_prime) * patch.length)
@@ -404,7 +400,7 @@ def tameness_comparison_check(curve: Curve, conformal_phi: Callable, C: float,
         d_m_p = lam * pairwise_point_distances(patch, curve.points(idx),
                                                limit=(1.0 + 1e-12) / lam)
     else:
-        scale = lambda s, t: np.exp(_eval2(conformal_phi, s, t))  # noqa: E731
+        scale = lambda s, t: np.exp(_eval(conformal_phi, s, t))  # noqa: E731
         d_m_p = pairwise_point_distances(patch, curve.points(idx), scale,
                                          limit=1.0)
 

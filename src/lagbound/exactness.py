@@ -22,7 +22,7 @@ import numpy as np
 from .curves import Curve, tameness
 from .errors import NoBracket, OutOfPatch, ParamOutOfRange
 from .numerics import resample_periodic
-from .surface import SurfacePatch, _eval1
+from .surface import SurfacePatch, _eval
 
 __all__ = [
     "ContractionPath",
@@ -45,7 +45,7 @@ def _xi_on_patch_grid(curve: Curve) -> np.ndarray:
     if curve.n == patch.n_s:
         return curve.xi
     if curve.fns is not None and curve.fns[0] is not None:
-        return _eval1(curve.fns[0], patch.s)
+        return _eval(curve.fns[0], patch.s)
     return resample_periodic(curve.xi, patch.n_s)
 
 

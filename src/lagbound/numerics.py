@@ -136,9 +136,10 @@ _SMOOTHSTEP = (lambda x: x ** 3 * (10.0 + x * (-15.0 + 6.0 * x)),
                lambda x: 60.0 + x * (-360.0 + 360.0 * x))
 
 
-def _bump_derivative(q: np.ndarray, order: int) -> np.ndarray:
-    """order-th derivative (0 to 3) of the plateau bump.  The bump is only
-    C^2, so the third derivative jumps at the four ramp joints."""
+def bump(q: np.ndarray, order: int = 0) -> np.ndarray:
+    """C^2 plateau bump on [0,1], zero outside [1/8, 7/8] and one on
+    [1/4, 3/4], or its order-th derivative (0 to 3).  The bump is only C^2,
+    so the third derivative jumps at the four ramp joints."""
     q = np.asarray(q, dtype=float)
     f, scale = _SMOOTHSTEP[order], _RAMP ** order
     return np.select(
@@ -147,23 +148,6 @@ def _bump_derivative(q: np.ndarray, order: int) -> np.ndarray:
          (-1) ** order * f((0.875 - q) / _RAMP) / scale],
         default=0.0,
     )
-
-
-def bump(q: np.ndarray) -> np.ndarray:
-    """C^2 plateau bump on [0,1]: zero outside [1/8, 7/8], one on [1/4, 3/4]."""
-    return _bump_derivative(q, 0)
-
-
-def bump_d1(q: np.ndarray) -> np.ndarray:
-    return _bump_derivative(q, 1)
-
-
-def bump_d2(q: np.ndarray) -> np.ndarray:
-    return _bump_derivative(q, 2)
-
-
-def bump_d3(q: np.ndarray) -> np.ndarray:
-    return _bump_derivative(q, 3)
 
 
 def wrap_difference(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:

@@ -19,16 +19,17 @@ from .classify import LADDER_SCALES, generate_family, min_level
 from . import sasaki as sas
 from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
-from .exactness import (BoundsCheck, ContractionPath, area_functional,
-                        build_contraction, contraction_bounds_check,
-                        isotopy_invariant, shifted_curve, solve_c_grid)
+from .exactness import (BoundsCheck, ContractionPath, _area_batch,
+                        area_functional, build_contraction,
+                        contraction_bounds_check, isotopy_invariant,
+                        shifted_curve, solve_c_grid)
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
 from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
 from .surface import NAMED_BANDS, warp_taylor_check
 
 __all__ = ["run_lemma_suite", "run_figure", "family_table",
-           "contraction_table", "SuiteResult", "CheckResult"]
+           "contraction_table", "CheckResult"]
 
 
 @dataclass
@@ -44,16 +45,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return all(row[-1] for row in self.rows)
-
-
-@dataclass
-class SuiteResult:
-    results: list
-    out_dir: str
-
-    @property
-    def any_failed(self) -> bool:
-        return any(not r.passed for r in self.results)
 
 
 def _suite_params(config: ExperimentConfig) -> dict:
@@ -132,8 +123,7 @@ def _check_exact_shift(config, params, patches, rng):
                 xi = shifted_curve(xi, 0.0, scale=0.9, name=xi.name)
                 sup = xi.sup_norm()
             c_vals = solve_c_grid(xi, alphas)
-            resid = np.array([area_functional(shifted_curve(xi, c, scale=a))
-                              for a, c in zip(alphas, c_vals)])
+            resid = _area_batch(patch, alphas[:, None] * xi.xi + c_vals[:, None])
             bracket_gap = float(np.max(np.abs(c_vals) - alphas * sup))
             dc = np.abs(c_vals[:, None] - c_vals[None, :])
             da = np.abs(alphas[:, None] - alphas[None, :])
@@ -313,8 +303,9 @@ _CHECK_FUNCS = {
 }
 
 
-def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
-    """Run every enabled check and write one CSV per check."""
+def run_lemma_suite(config: ExperimentConfig) -> list:
+    """Run every enabled check, write one CSV per check and return the
+    checks' CheckResults."""
     params = _suite_params(config)
     patches = _suite_patches(params)
     wanted = [name for name, on in config.checks.items() if on]
@@ -330,7 +321,7 @@ def run_lemma_suite(config: ExperimentConfig) -> SuiteResult:
         res.meta = {**res.meta, "seed": config.seed}
         res.csv_path = write_csv(os.path.join(config.out_dir, f"{res.name}.csv"),
                                  res.columns, res.rows, res.meta)
-    return SuiteResult(results=results, out_dir=config.out_dir)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -92,13 +92,6 @@ class _ConformalBase:
         """phi = 0 and K = 0: the Christoffel symbols and R vanish."""
         return self.phis == (None,) and self.gauss_curvature == 0.0
 
-    def phi_grad_lam2(self, u: np.ndarray):
-        """grad phi (..., 2) and lam^2 = e^{2 phi} (..., 1) from one |u|^2."""
-        raise NotImplementedError
-
-    def lam2(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def lam(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(self.lam2(u))
 
@@ -151,6 +144,7 @@ class RoundSphere(_ConformalBase):
     phis = (_sphere_phi,) * 2
 
     def phi_grad_lam2(self, u):
+        """grad phi (..., 2) and lam^2 = e^{2 phi} (..., 1) from one |u|^2."""
         q = 1.0 + (u * u).sum(-1, keepdims=True)
         return -2.0 * u / q, (2.0 / q) ** 2
 

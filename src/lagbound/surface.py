@@ -64,15 +64,9 @@ _BARY_WEIGHTS = np.array([(-1.0) ** j * math.comb(_ORDER - 1, j)
                           for j in range(_ORDER)])
 
 
-def _eval2(f: Callable, s: np.ndarray, t) -> np.ndarray:
-    out = np.asarray(f(s, t), dtype=float)
-    if out.shape != np.shape(s):
-        out = np.broadcast_to(out, np.shape(s)).copy()
-    return out
-
-
-def _eval1(f: Callable, s: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(s), dtype=float)
+def _eval(f: Callable, s: np.ndarray, *t) -> np.ndarray:
+    """f(s, *t) as a float array of the shape of s."""
+    out = np.asarray(f(s, *t), dtype=float)
     if out.shape != np.shape(s):
         out = np.broadcast_to(out, np.shape(s)).copy()
     return out
@@ -119,26 +113,26 @@ class BaseCurve:
         if not self.length > 0:
             raise ValueError("base curve length must be positive")
         probe = np.linspace(0.0, self.length, 7, endpoint=False) + 0.1234
-        k0 = _eval2(lambda s, t: self.kappa(s), probe, 0.0)
-        k1 = _eval2(lambda s, t: self.kappa(s), probe + self.length, 0.0)
+        k0 = _eval(self.kappa, probe)
+        k1 = _eval(self.kappa, probe + self.length)
         if not np.all(np.isfinite(k0)):
             raise ValueError("kappa must be bounded on [0, l)")
         if _period_gap(k0, k1) > _PERIOD_TOL:
             raise ValueError("kappa is not periodic with the declared period")
-        g0 = _eval2(self.gauss, probe, 0.05)
-        g1 = _eval2(self.gauss, probe + self.length, 0.05)
+        g0 = _eval(self.gauss, probe, 0.05)
+        g1 = _eval(self.gauss, probe + self.length, 0.05)
         if _period_gap(g0, g1) > _PERIOD_TOL:
             raise ValueError("gauss is not periodic in s with the declared period")
 
     def kappa_s(self, s: np.ndarray) -> np.ndarray:
         if self.kappa_prime is not None:
-            return _eval1(self.kappa_prime, s)
-        return _five_point(lambda d: _eval1(self.kappa, s + d), 1e-4 * self.length)
+            return _eval(self.kappa_prime, s)
+        return _five_point(lambda d: _eval(self.kappa, s + d), 1e-4 * self.length)
 
     def gauss_ds(self, s: np.ndarray, t) -> np.ndarray:
         if self.gauss_s is not None:
-            return _eval2(self.gauss_s, s, t)
-        return _five_point(lambda d: _eval2(self.gauss, s + d, t),
+            return _eval(self.gauss_s, s, t)
+        return _five_point(lambda d: _eval(self.gauss, s + d, t),
                            1e-4 * self.length)
 
 
@@ -169,7 +163,7 @@ def _warp_initial(base: BaseCurve, s: np.ndarray) -> np.ndarray:
     """Warp system state on the base curve: w = 1, w_t = -kappa, w_st = -kappa'."""
     state = np.zeros((5, s.size))
     state[0] = 1.0
-    state[1] = -_eval1(base.kappa, s)
+    state[1] = -_eval(base.kappa, s)
     state[3] = -base.kappa_s(s)
     return state
 
@@ -211,7 +205,7 @@ class SurfacePatch:
         self.n_t = int(n_t)
         self.s = np.arange(n_s) * (base.length / n_s)
         self.t = np.linspace(-halfwidth, halfwidth, n_t)
-        self.kappa = _eval1(base.kappa, self.s)
+        self.kappa = _eval(base.kappa, self.s)
         if not np.all(np.isfinite(self.kappa)):
             raise ValueError(f"kappa of {base.name} is not finite on the columns")
         self._march()
@@ -238,7 +232,7 @@ class SurfacePatch:
         self.substeps, err = 2, np.inf
         nodes = np.meshgrid(self.s, self.t, indexing="ij")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            if not np.all(np.isfinite(_eval2(self.base.gauss, *nodes))):
+            if not np.all(np.isfinite(_eval(self.base.gauss, *nodes))):
                 raise ValueError(f"K of {self.base.name} is not finite on "
                                  "the band")
             while 2 * err > _MARCH_TOL and self.substeps < _MAX_SUBSTEPS:
@@ -287,7 +281,7 @@ class SurfacePatch:
         for k in range(mid):
             t0 = k * h_row
             t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
-            nk, nks = -_eval2(self.base.gauss, s, t), -self.base.gauss_ds(s, t)
+            nk, nks = -_eval(self.base.gauss, s, t), -self.base.gauss_ds(s, t)
             kmax = np.maximum(kmax, np.max(np.abs(nk)))  # keeps a NaN; max() not
             if state.shape[1] < 2 * n_s:
                 if _same_per_direction(nk) and _same_per_direction(nks):
@@ -360,8 +354,8 @@ class SurfacePatch:
                 out[:, off] = np.einsum("rik,ik->ri", f.take(at_nodes),
                                         bary) / den
         s, tr = np.broadcast_to(s_at, rows.shape), self.t[rows]
-        nk, nks = -_eval2(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)
-        nkt = -_five_point(lambda d: _eval2(self.base.gauss, s, tr + d), 1e-4)
+        nk, nks = -_eval(self.base.gauss, s, tr), -self.base.gauss_ds(s, tr)
+        nkt = -_five_point(lambda d: _eval(self.base.gauss, s, tr + d), 1e-4)
         # (f, f_t, f_tt) of w, w_t and w_s at both rows, from w_tt = -K w
         ends = np.array([[w, u, v], [u, nk * w, y],
                          [nk * w, nkt * w + nk * u, nk * v + nks * w]])
@@ -433,8 +427,8 @@ def warp_taylor_check(patch: SurfacePatch, s: float) -> TaylorFit:
     min(0.1, 0.9 r), has order >= 3 in t.
     """
     t_hi = min(0.1, 0.9 * patch.halfwidth)
-    kap = float(_eval1(patch.base.kappa, np.array([s]))[0])
-    kk0 = float(_eval2(patch.base.gauss, np.array([s]), 0.0)[0])
+    kap = float(_eval(patch.base.kappa, np.array([s]))[0])
+    kk0 = float(_eval(patch.base.gauss, np.array([s]), 0.0)[0])
     expected = (1.0, -2.0 * kap, kap * kap - kk0)
 
     # Degree-4 fit so the quartic tail does not contaminate the quadratic jet.

@@ -19,7 +19,7 @@ def _reference_warp(patch, s, t, n_steps=2000):
     t = np.broadcast_to(np.asarray(t, dtype=float), s.shape)
 
     def rhs(ti, y):
-        return surface._warp_deriv(-surface._eval2(base.gauss, s, ti),
+        return surface._warp_deriv(-surface._eval(base.gauss, s, ti),
                                    -base.gauss_ds(s, ti), y)
 
     state, h = surface._warp_initial(base, s), t / n_steps
@@ -44,7 +44,7 @@ def reference_march_rows(patch, substeps):
     for k in range(mid):
         t0 = k * h_row
         t = sign * (t0 + half * np.arange(2 * substeps + 1)[:, None])
-        nk = -surface._eval2(patch.base.gauss, s, t)
+        nk = -surface._eval(patch.base.gauss, s, t)
         nks = -patch.base.gauss_ds(s, t)
         kmax = np.maximum(kmax, np.max(np.abs(nk)))
 

@@ -260,6 +260,13 @@ class TestOtherCommands:
          "parallel:0", 0),
         ({"patches": {"p": dict(BAND, halfwidth=1.0)}}, "cos:0.5,60", 0),
         ({}, "expr:0.01*s", 4),
+        # a grid is a pair of integers: int() would truncate 64.9 to 64 and
+        # raise OverflowError on inf, and True is an int
+        ({"grid": [64.9, 17]}, "parallel:0", 4),
+        ({"grid": [64.0, 17]}, "parallel:0", 4),
+        ({"grid": [1e999, 17]}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, grid=[64, 17.9])}}, "parallel:0", 4),
+        ({"patches": {"p": dict(BAND, grid=[64, True])}}, "parallel:0", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):
@@ -335,6 +342,25 @@ class TestOtherCommands:
                    "--config", "cfg.json", "--out", "flag_out") == 0
         assert (tmp_path / "flag_out" / "curvature.csv").is_file()
         assert not (tmp_path / "cfg_out").exists()
+
+    # "", a file and a path under a file cannot hold the tables; the
+    # directory is made before any work, so nothing is written
+    @pytest.mark.parametrize("out", ["", "file", "file/sub", None],
+                             ids=["empty", "file", "under_file", "config"])
+    @pytest.mark.parametrize("cmd", [
+        ["curvature", *GRID, "--curve", "parallel:0"],
+        ["lemmas", "--quick", *GRID]], ids=["curvature", "lemmas"])
+    def test_unusable_out_dir_is_config_error(self, tmp_path, monkeypatch,
+                                              capsys, cmd, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "file"}))
+        flags = ["--config", "cfg.json"] if out is None else ["--out", out]
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*cmd, *flags) == 4
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "x"
 
     def test_readme_config_example(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -167,9 +167,9 @@ def _column_lookup(patch, cols, t):
         tr = patch.t[row]
         w, u, v, y = (f[cols, row]
                       for f in (patch.w, patch.w_t, patch.w_s, patch.w_st))
-        nk, nks = -surface._eval2(gauss, s, tr), -patch.base.gauss_ds(s, tr)
+        nk, nks = -surface._eval(gauss, s, tr), -patch.base.gauss_ds(s, tr)
         nkt = -surface._five_point(
-            lambda d: surface._eval2(gauss, s, tr + d), 1e-4)
+            lambda d: surface._eval(gauss, s, tr + d), 1e-4)
         ends.append(np.array([[w, u, v], [u, nk * w, y],
                               [nk * w, nkt * w + nk * u, nk * v + nks * w]]))
     w, u, v = surface._hermite5(*ends, (t - patch.t[j]) / h, h)

@@ -287,6 +287,12 @@ class TestContractionBounds:
         chk = contraction_bounds_check(path, k=0.5, k_prime=0.6)
         assert chk.ok
 
+    @pytest.mark.parametrize("k_prime", [0.5, 0.4])
+    def test_k_prime_must_exceed_k(self, cyl, k_prime):
+        path = build_contraction(Curve.constant(cyl, 0.0, n=256), n_alpha=3)
+        with pytest.raises(ValueError, match="k_prime must exceed k"):
+            contraction_bounds_check(path, k=0.5, k_prime=k_prime)
+
 
 class TestIsotopyInvariant:
     def test_parallel_action(self, cyl):

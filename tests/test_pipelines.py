@@ -25,24 +25,23 @@ class TestLemmaSuite:
         for name in list(quick_cfg.checks):
             quick_cfg.checks[name] = False
         quick_cfg.checks["warp_taylor"] = True
-        suite = run_lemma_suite(quick_cfg)
-        assert [r.name for r in suite.results] == ["warp_taylor"]
-        assert not suite.any_failed
+        results = run_lemma_suite(quick_cfg)
+        assert [r.name for r in results] == ["warp_taylor"]
+        assert all(r.passed for r in results)
 
     def test_empty_bundle(self, quick_cfg):
         for name in list(quick_cfg.checks):
             quick_cfg.checks[name] = False
-        suite = run_lemma_suite(quick_cfg)
-        assert suite.results == [] and not suite.any_failed
+        assert run_lemma_suite(quick_cfg) == []
 
     def test_zero_tolerance_fails_with_witnesses(self, quick_cfg):
         for name in list(quick_cfg.checks):
             quick_cfg.checks[name] = False
         quick_cfg.checks["warp_taylor"] = True
         quick_cfg.tolerances["taylor_order"] = np.inf
-        suite = run_lemma_suite(quick_cfg)
-        assert suite.any_failed
-        res = suite.results[0]
+        results = run_lemma_suite(quick_cfg)
+        assert not all(r.passed for r in results)
+        res = results[0]
         assert any(row[-1] is False or row[-1] == "false" or row[-1] == False
                    for row in res.rows)
 
@@ -52,7 +51,7 @@ class TestLemmaSuite:
         quick_cfg.checks["fiber_norm_parabola"] = True
         for seed in range(10):
             quick_cfg.seed = seed
-            res = run_lemma_suite(quick_cfg).results[0]
+            res = run_lemma_suite(quick_cfg)[0]
             for row in res.rows:
                 r = dict(zip(res.columns, row))
                 assert r["pass"], (seed, r)
@@ -65,8 +64,7 @@ class TestLemmaSuite:
         for name in list(quick_cfg.checks):
             quick_cfg.checks[name] = False
         quick_cfg.checks["contraction_hausdorff"] = True
-        suite = run_lemma_suite(quick_cfg)
-        text = open(suite.results[0].csv_path).read()
+        text = open(run_lemma_suite(quick_cfg)[0].csv_path).read()
         assert text.startswith("# schema=1")
         assert "seed=0" in text.splitlines()[0]
 

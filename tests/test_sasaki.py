@@ -486,6 +486,14 @@ class TestGradientGraphs:
             with pytest.raises(FrameDegenerate):
                 curvature_sweep(gg.base, gg, [1.0], n_theta=90, samples=100)
 
+    def test_non_finite_frame_tensors_are_frame_degenerate(self):
+        # H = 1/u1 has a pole on the sample column u1 = 0
+        gg = GradientGraph(sasaki.FlatTorus(), (lambda u1, u2: 1.0 / u1,))
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(FrameDegenerate, match="frame tensors of graph "
+                                                     "are not finite"):
+            curvature_sweep(gg.base, gg, [0.5, 1.0], n_theta=90, samples=100)
+
     def test_non_finite_scale_is_frame_degenerate(self):
         gg = sphere_harmonic_graph(0.01)
         with pytest.raises(FrameDegenerate):

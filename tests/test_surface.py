@@ -192,6 +192,22 @@ class TestBandCurvature:
             _spec_band("log(t + 0.5)", halfwidth=0.6, grid=grid)
         assert len(calls) <= 1
 
+    # K = 0/(t - 1/128) is 0 on every node of 64x17 at r = 0.5 (rows 1/16
+    # apart), but NaN at the midpoint stage of the first run's (S = 4) step
+    # from t = 0: the runs refuse it after the march
+    def test_non_finite_gauss_between_the_nodes_is_refused(self,
+                                                          monkeypatch):
+        calls, march_rows = [], surface.SurfacePatch._march_rows
+
+        def counted(patch, substeps):
+            calls.append(substeps)
+            return march_rows(patch, substeps)
+        monkeypatch.setattr(surface.SurfacePatch, "_march_rows", counted)
+        with pytest.raises(ConfigError,
+                           match="K of config is not finite on the band"):
+            _spec_band("0.0/(t - 0.0078125)", halfwidth=0.5, grid=(64, 17))
+        assert calls
+
     def test_non_finite_warp_field_is_chart_degenerate(self):
         with pytest.raises(ChartDegenerate, match="overflows"):
             _spec_band(1e300, halfwidth=0.6, grid=(256, 65))
