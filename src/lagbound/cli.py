@@ -6,7 +6,9 @@ line endings and a `# schema=1` header; figures are standalone SVG.
 
 Exit codes: 0 success (classify: membership true), 1 failure / membership
 false (contract: a contraction bound fails), 2 indeterminate membership,
-3 runtime error, 4 configuration error (usage errors included).
+3 runtime error, 4 configuration error: a usage error, a flag that its
+argparse `type` refuses, a bad config or spec, or an output file that cannot
+be written, each printed by `main` as `config error: ...`.  `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .exactness import build_contraction, solve_c
 from .hausdorff import hausdorff_distance
 from .pipelines import (contraction_table, family_table, run_figure,
                         run_lemma_suite)
-from .report import write_csv
+from .report import write_csv, write_warp_csv
 from .surface import NAMED_BANDS
 
 
@@ -45,79 +47,82 @@ def _resolve_patch(name, config: ExperimentConfig):
                       f"{sorted(NAMED_BANDS) + sorted(config.patches)}")
 
 
-def _add_common(p, band: bool = True):
-    """The shared flags; --grid and --patch only for commands with a band."""
+def _checked(kind, ok, rule: str):
+    """An argparse type: the text read as `kind`, refused unless `ok` holds."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "finite and positive")
+_FINITE = _checked(float, np.isfinite, "finite")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 4, not argparse's 2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _command(sub, name: str, help: str, band: bool = True,
+             curve: bool = False):
+    """A subcommand and its shared flags: --grid and --patch if it builds the
+    band (each family builds its own), --curve if it reads one curve."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory (default: out_dir)")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", default=None,
+                   type=_checked(int, lambda v: v >= 0, "non-negative"),
+                   help="override config seed")
     if band:
         p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
         p.add_argument("--patch", default="cylinder",
                        help="patch name (default cylinder)")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit 4 (configuration error);
-    argparse's own code 2 means "indeterminate" here."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(4, f"{self.prog}: error: {message}\n")
+    if curve:
+        p.add_argument("--curve", required=True, help="curve spec, e.g. cos:1,2")
+    return p
 
 
 def build_parser():
-    ap = _Parser(prog="lagbound",
-                 description="curvature/tameness laboratory "
-                             "for curves in surface bands")
+    ap = _Parser(prog="lagbound", description="curvature/tameness "
+                 "laboratory for curves in surface bands")
     sub = ap.add_subparsers(dest="command", required=True)
+    _command(sub, "patch", "build a patch and export its warp grid")
+    _command(sub, "curvature", "curvature report of a curve", curve=True)
+    _command(sub, "tameness", "tameness report of a curve", curve=True)
+    _command(sub, "hausdorff", "Hausdorff distance of two curves",
+             curve=True).add_argument("--curve2", required=True)
+    _command(sub, "exactify", "vertical shift making a*xi exact",
+             curve=True).add_argument("--alpha", type=_FINITE, default=1.0)
+    _command(sub, "contract", "contraction path through exact graphs",
+             curve=True).add_argument("--n-alpha", default=11, type=_checked(
+                 int, lambda v: v >= 2, "at least 2"))
 
-    p = sub.add_parser("patch", help="build a patch and export its warp grid")
-    _add_common(p)
-
-    p = sub.add_parser("curvature", help="curvature report of a curve")
-    _add_common(p)
-    p.add_argument("--curve", required=True, help="curve spec, e.g. cos:1,2")
-
-    p = sub.add_parser("tameness", help="tameness report of a curve")
-    _add_common(p)
-    p.add_argument("--curve", required=True)
-
-    p = sub.add_parser("hausdorff", help="Hausdorff distance of two curves")
-    _add_common(p)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--curve2", required=True)
-
-    p = sub.add_parser("exactify", help="vertical shift making a*xi exact")
-    _add_common(p)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-
-    p = sub.add_parser("contract", help="contraction path through exact graphs")
-    _add_common(p)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--n-alpha", type=int, default=11)
-
-    p = sub.add_parser("sasaki", help="integrate bundle geodesics and export")
-    _add_common(p, band=False)
+    p = _command(sub, "sasaki", "integrate bundle geodesics and export",
+                 band=False)
     p.add_argument("--base", default="flat_torus",
                    choices=["flat_torus", "round_sphere"])
-    p.add_argument("--states", type=int, default=None, help="default 4")
-    p.add_argument("--horizon", type=float, default=None, help="default 10")
-    p.add_argument("--step", type=float, default=None,
+    p.add_argument("--states", help="default 4",
+                   type=_checked(int, lambda v: v >= 1, "at least 1"))
+    p.add_argument("--horizon", type=_POSITIVE, help="default 10")
+    p.add_argument("--step", type=_POSITIVE,
                    help="fixed RK4 step (default: the coarsest dyadic step "
                         "whose halving error meets the tolerance)")
-    p.add_argument("--sweep", type=float, default=None, metavar="EPS",
+    p.add_argument("--sweep", type=_FINITE, metavar="EPS",
                    help="instead export the graph-norm sweep (t, sup|B|) for "
                         "the gradient graph of amplitude EPS; takes none of "
                         "--states, --horizon and --step")
 
-    p = sub.add_parser("classify", help="level-k membership verdict")
-    _add_common(p)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--k", type=float, required=True)
+    _command(sub, "classify", "level-k membership verdict",
+             curve=True).add_argument("--k", type=_POSITIVE, required=True)
 
-    p = sub.add_parser("family", help="generate a named family and report")
-    _add_common(p, band=False)  # each family builds its own patch
+    p = _command(sub, "family", "generate a named family and report",
+                 band=False)
     p.add_argument("family_id")
     p.add_argument("--pairwise", action="store_true",
                    help="also export the pairwise Hausdorff distance matrix")
@@ -125,22 +130,17 @@ def build_parser():
                    choices=["liouville_class", "enclosed_area"],
                    help="also export the separation scan table")
 
-    p = sub.add_parser("lemmas", help="run the full check suite")
-    _add_common(p)
-    p.add_argument("--quick", action="store_true",
-                   help="reduced suite (fast, same CSV schema)")
-
-    p = sub.add_parser("figure", help="draw a family and its companion CSV")
-    _add_common(p, band=False)
-    p.add_argument("family_id")
+    _command(sub, "lemmas", "run the full check suite").add_argument(
+        "--quick", action="store_true",
+        help="reduced suite (fast, same CSV schema)")
+    _command(sub, "figure", "draw a family and its companion CSV",
+             band=False).add_argument("family_id")
     return ap
 
 
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         config.seed = args.seed
     if getattr(args, "grid", None):
         config.grid = parse_grid(args.grid.lower().split("x"))
@@ -152,9 +152,8 @@ def _load(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
@@ -163,37 +162,12 @@ def main(argv=None) -> int:
         return 3
 
 
-def _require_positive(flag: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"{flag} must be finite and positive, got {value}")
-
-
 def _dispatch(args) -> int:
     config = _load(args)
-    if args.command == "classify":
-        _require_positive("--k", args.k)
-    if args.command == "sasaki" and args.sweep is not None:
-        given = [flag for flag, value in (("--states", args.states),
-                                          ("--horizon", args.horizon),
-                                          ("--step", args.step))
-                 if value is not None]
-        if given:
-            raise ConfigError(f"--sweep takes no {', '.join(given)}")
-        if not np.isfinite(args.sweep):
-            raise ConfigError(f"--sweep must be a finite amplitude, "
-                              f"got {args.sweep}")
-    elif args.command == "sasaki":
-        args.states = 4 if args.states is None else args.states
-        args.horizon = 10.0 if args.horizon is None else args.horizon
-        if args.step is not None:
-            _require_positive("--step", args.step)
-        _require_positive("--horizon", args.horizon)
-        if args.states < 1:
-            raise ConfigError(f"--states must be at least 1, got {args.states}")
-    if args.command == "contract" and args.n_alpha < 2:
-        raise ConfigError(f"--n-alpha must be at least 2, got {args.n_alpha}")
-    if args.command == "exactify" and not np.isfinite(args.alpha):
-        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
+    given = [f"--{flag}" for flag in ("states", "horizon", "step")
+             if getattr(args, flag, None) is not None]
+    if getattr(args, "sweep", None) is not None and given:
+        raise ConfigError(f"--sweep takes no {', '.join(given)}")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:  # "", a file, or a path under a file
@@ -209,9 +183,7 @@ def _dispatch(args) -> int:
         return 0 if all(res.passed for res in results) else 1
 
     if cmd == "figure":
-        svg, csv = run_figure(args.family_id, config.out_dir, config)
-        print(svg)
-        print(csv)
+        print(*run_figure(args.family_id, config.out_dir, config), sep="\n")
         return 0
 
     if cmd == "family":
@@ -246,29 +218,25 @@ def _dispatch(args) -> int:
                   else sas.sphere_harmonic_graph(args.sweep))
             t_grid = np.linspace(0.0, 1.0, 11)
             vals = sas.curvature_sweep(base, gg, t_grid)
-            path = write_csv(
+            print(write_csv(
                 os.path.join(config.out_dir, f"sweep_{args.base}.csv"),
                 ["t", "sup_norm"], list(zip(t_grid, vals)),
-                {"base": args.base, "amplitude": args.sweep})
-            print(path)
+                {"base": args.base, "amplitude": args.sweep}))
             return 0
         rng = np.random.default_rng(config.seed)
-        states = sas.random_sasaki_states(base, args.states, rng)
+        states = sas.random_sasaki_states(
+            base, 4 if args.states is None else args.states, rng)
         traj = sas.sasaki_geodesic(
-            base, states, horizon=args.horizon,
+            base, states, horizon=10.0 if args.horizon is None else args.horizon,
             step=np.inf if args.step is None else args.step)
         fit = sas.parabola_check(traj)
-        rows = []
-        for b in range(len(states)):
-            for i, t in enumerate(traj.times):
-                rows.append((b, t, *traj.x[i, b], *traj.y[i, b],
-                             traj.y_norm2[i, b]))
-        path = write_csv(os.path.join(config.out_dir, f"sasaki_{args.base}.csv"),
-                         ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
-                         rows, {"base": args.base, "seed": config.seed,
-                                "step": traj.step,
-                                "halving_error": traj.halving_error})
-        print(path)
+        rows = [(b, t, *traj.x[i, b], *traj.y[i, b], traj.y_norm2[i, b])
+                for b in range(len(states)) for i, t in enumerate(traj.times)]
+        print(write_csv(os.path.join(config.out_dir, f"sasaki_{args.base}.csv"),
+                        ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
+                        rows, {"base": args.base, "seed": config.seed,
+                               "step": traj.step,
+                               "halving_error": traj.halving_error}))
         print(f"max parabola residual {np.max(fit.max_residual):.3e}, "
               f"max leading gap "
               f"{np.max(np.abs(fit.leading - fit.expected_leading)):.3e}")
@@ -277,9 +245,8 @@ def _dispatch(args) -> int:
     patch = _resolve_patch(args.patch, config)
 
     if cmd == "patch":
-        path = os.path.join(config.out_dir, f"warp_{args.patch}.csv")
-        patch.export_warp_csv(path)
-        print(path)
+        print(write_warp_csv(
+            os.path.join(config.out_dir, f"warp_{args.patch}.csv"), patch))
         return 0
 
     curve = parse_curve_spec(args.curve, patch)
@@ -328,11 +295,10 @@ def _dispatch(args) -> int:
     if cmd == "contract":
         rows, chk = contraction_table(
             build_contraction(curve, n_alpha=args.n_alpha), config)
-        path = write_csv(os.path.join(config.out_dir, "contract.csv"),
-                         ["alpha", "c", "sup_curvature", "epsilon",
-                          "delta_h_to_base"], rows, {"patch": args.patch,
-                                                     "curve": curve.name})
-        print(path)
+        print(write_csv(os.path.join(config.out_dir, "contract.csv"),
+                        ["alpha", "c", "sup_curvature", "epsilon",
+                         "delta_h_to_base"], rows, {"patch": args.patch,
+                                                    "curve": curve.name}))
         tol_b = config.tolerances["contraction_curvature"]
         tol_e = config.tolerances["contraction_tameness"]
         print(f"curvature bound: max {chk.max_curvature:.9g} <= "

@@ -138,10 +138,16 @@ def _check_exact_shift(config, params, patches, rng):
                        rows, {"tol_area": tol_area, "lipschitz_slack": slack})
 
 
-def _base_curvature(patch) -> float:
-    """|B| of the base curve, the k of the contraction bounds."""
-    return geodesic_curvature(Curve.constant(patch, 0.0, n=512),
-                              _with_error=False).sup
+def _contraction_bounds(path: ContractionPath,
+                        config: ExperimentConfig) -> BoundsCheck:
+    """The contraction bounds of the suite and of `contract`: k = |B| of the
+    base curve, k' = k + 0.1, at the config's two contraction tolerances."""
+    k = geodesic_curvature(Curve.constant(path.patch, 0.0, n=512),
+                           _with_error=False).sup
+    tol = config.tolerances
+    return contraction_bounds_check(path, k, k + 0.1,
+                                    tol["contraction_curvature"],
+                                    tol["contraction_tameness"])
 
 
 def _contraction_suite(config, params, patches, rng):
@@ -151,13 +157,11 @@ def _contraction_suite(config, params, patches, rng):
     curv_rows, tame_rows = [], []
     for pname in ("flat_cylinder", "plane_circle", "sphere_equator"):
         patch = patches[pname]
-        k_base = _base_curvature(patch)
         for i in range(params["members"]):
             xi = _random_trig(patch, rng, sup_target=0.05 * rng.uniform(0.5, 1.0),
                               name=f"{pname}_xi{i}")
-            path = build_contraction(xi, n_alpha=params["alpha_steps"])
-            chk = contraction_bounds_check(path, k=k_base, k_prime=k_base + 0.1,
-                                           tol_curv=tol_b, tol_eps=tol_e)
+            chk = _contraction_bounds(
+                build_contraction(xi, n_alpha=params["alpha_steps"]), config)
             curv_rows.append((pname, xi.name, chk.max_curvature,
                               chk.curvature_bound,
                               chk.curvature_bound + tol_b - chk.max_curvature,
@@ -351,10 +355,7 @@ def contraction_table(path: ContractionPath,
     """Rows (alpha, c, sup|B|, epsilon, delta_H to the base curve) of a
     contraction path, and its bounds check with k = |B| of the base curve
     and k' = k + 0.1 at the suite's tolerances, as in the lemma suite."""
-    k, tol = _base_curvature(path.patch), config.tolerances
-    chk = contraction_bounds_check(path, k, k + 0.1,
-                                   tol["contraction_curvature"],
-                                   tol["contraction_tameness"])
+    chk = _contraction_bounds(path, config)
     base = Curve.constant(path.patch, 0.0, n=path.curves[0].n)
     rows = [(a, c, curv, eps, hausdorff_distance(cv, base).value)
             for a, c, curv, eps, cv in zip(path.alphas, path.c, chk.curvatures,
@@ -371,7 +372,6 @@ def run_figure(family_id: str, out_dir: str,
     log-log slope of sup|B| against s as `curvature_slope` in the CSV meta.
     """
     config = config or ExperimentConfig()
-    os.makedirs(out_dir, exist_ok=True)
     svg_path = os.path.join(out_dir, f"{family_id}.svg")
     csv_path = os.path.join(out_dir, f"{family_id}.csv")
     curves = generate_family(family_id)

@@ -2,7 +2,9 @@
 
 Every CSV starts with a single `# schema=1` comment line (optionally extended
 with key=value metadata), uses UTF-8 with LF line endings, and formats floats
-with repr-faithful precision so identical runs produce identical bytes.
+with repr-faithful precision so identical runs produce identical bytes.  Every
+file is written through one opener, which makes its directory; a path that
+cannot be written is a configuration error (`ConfigError`, exit 4).
 
 Figures are self-contained SVG files written by hand (no plotting library);
 the numeric data is embedded as XML comments for reproducibility.
@@ -14,7 +16,9 @@ import os
 
 import numpy as np
 
-__all__ = ["format_float", "write_csv", "write_curves_svg"]
+from .errors import ConfigError
+
+__all__ = ["format_float", "write_csv", "write_curves_svg", "write_warp_csv"]
 
 _PALETTE = ["#1b6ca8", "#c2185b", "#2e7d32", "#e65100", "#5e35b1",
             "#00838f", "#6d4c41", "#37474f", "#9e9d24", "#ad1457"]
@@ -37,17 +41,35 @@ def format_float(x) -> str:
     return format(v, ".17g")
 
 
+def _write_lines(path, lines) -> str:
+    """Write each line and an LF to `path` as UTF-8, making its directory."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:  # a directory or a file under a file at the path
+        raise ConfigError(f"cannot write {os.fspath(path)!r}: "
+                          f"{exc.strerror or exc}") from exc
+    return path
+
+
+def _row(values) -> str:
+    return ",".join(format_float(v) for v in values)
+
+
 def write_csv(path, columns, rows, meta: dict | None = None) -> str:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     header = "# schema=1"
     if meta:
         header += "".join(f",{k}={format_float(v)}" for k, v in sorted(meta.items()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
-    return path
+    return _write_lines(path, [header, ",".join(columns), *map(_row, rows)])
+
+
+def write_warp_csv(path, patch) -> str:
+    """The patch's warp grid: a meta line with l, r, n_s and n_t, then one
+    row of w per column s, with no header."""
+    header = (f"# schema=1,l={format_float(patch.length)},"
+              f"r={format_float(patch.halfwidth)},n_s={patch.n_s},n_t={patch.n_t}")
+    return _write_lines(path, [header, *map(_row, patch.w)])
 
 
 def _polyline(xs, ys, color, width=1.5):
@@ -101,7 +123,4 @@ def write_curves_svg(path, panels, length: float, halfwidth: float,
                          f'font-family="monospace" font-size="11" '
                          f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write_lines(path, parts)

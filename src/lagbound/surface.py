@@ -390,16 +390,6 @@ class SurfacePatch:
             self._stencil_error = estimate_stencil_error(self)
         return self._stencil_error
 
-    def export_warp_csv(self, path):
-        from .report import format_float
-
-        header = (f"# schema=1,l={format_float(self.length)},"
-                  f"r={format_float(self.halfwidth)},n_s={self.n_s},n_t={self.n_t}\n")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header)
-            for i in range(self.n_s):
-                fh.write(",".join(format_float(x) for x in self.w[i]) + "\n")
-
     def __repr__(self):
         return (f"SurfacePatch({self.base.name}, l={self.length:.6g}, "
                 f"r={self.halfwidth:.6g}, grid={self.n_s}x{self.n_t})")

@@ -13,7 +13,7 @@ from lagbound.config import (ALL_CHECKS, DEFAULT_GRID, DEFAULT_TOLERANCES,
 from lagbound.curves import Curve, geodesic_curvature
 from lagbound.errors import ConfigError
 from lagbound.exactness import build_contraction, contraction_bounds_check
-from lagbound.report import format_float
+from lagbound.report import format_float, write_warp_csv
 from lagbound.surface import flat_cylinder, plane_annulus, unit_cylinder
 
 GRID = "--grid", "256x65"
@@ -74,7 +74,7 @@ class TestOtherCommands:
     def test_unit_cylinder_default_grid(self, tmp_path):
         assert run("patch", "--patch", "unit_cylinder",
                    "--out", str(tmp_path)) == 0
-        unit_cylinder(grid=(2048, 257)).export_warp_csv(tmp_path / "ref.csv")
+        write_warp_csv(tmp_path / "ref.csv", unit_cylinder(grid=(2048, 257)))
         assert ((tmp_path / "warp_unit_cylinder.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
@@ -362,6 +362,23 @@ class TestOtherCommands:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "file").read_text() == "x"
 
+    # a directory where an output file goes: refused with exit 4, after the
+    # files written before it
+    @pytest.mark.parametrize("cmd, name", [
+        (["curvature", *GRID, "--curve", "parallel:0"], "curvature.csv"),
+        (["patch", "--patch", "sphere_equator", "--grid", "32x17"],
+         "warp_sphere_equator.csv"),
+        (["figure", "parallels"], "parallels.svg"),
+        (["lemmas", "--quick", *GRID], "warp_taylor.csv")],
+        ids=["curvature", "patch", "figure", "lemmas"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys,
+                                                   cmd, name):
+        (tmp_path / name).mkdir()
+        assert run(*cmd, "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert "config error: cannot write" in err and name in err
+        assert "Traceback" not in err
+
     def test_readme_config_example(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = readme.split("```json\n")[1].split("```")[0]
@@ -434,11 +451,13 @@ class TestOtherCommands:
         ["sasaki", *GRID],
         ["family", "parallels", *GRID],  # each family builds its own patch
         ["figure", "parallels", "--patch", "nonsense"],
+        ["sasaki", "--states", "1.5"],
+        ["contract", "--curve", "cos:1,2", "--n-alpha", "x"],
     ])
-    def test_usage_error_is_config_error(self, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(*argv, "--out", str(tmp_path))
-        assert exc.value.code == 4
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 4
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

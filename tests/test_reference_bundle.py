@@ -15,7 +15,9 @@ suite (`lemmas` without `--quick`, the only run of its parameters).  A change th
 same command and declare the regeneration with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
-column with its largest difference.
+column with its largest difference, or, in a CSV with no header (the `patch`
+warp grid, whose second line is already numbers), each moved cell by its row
+and column index.
 """
 
 from pathlib import Path
@@ -95,6 +97,14 @@ def _column_changes(name: str, columns: list, ref_rows: list,
     return lines
 
 
+def _cell_changes(name: str, ref_rows: list, got_rows: list) -> list:
+    """One line per changed cell of a CSV with no header, by row and column
+    index (both from 0, rows counted after the meta line)."""
+    return [f"{name}: row {i}, column {k}: {r!r} -> {g!r}"
+            for i, (ref_row, got_row) in enumerate(zip(ref_rows, got_rows))
+            for k, (r, g) in enumerate(zip(ref_row, got_row)) if r != g]
+
+
 def _bundle_changes(ref_dir: Path, got_dir: Path) -> list:
     ref_files = sorted(p.name for p in ref_dir.iterdir())
     got_files = sorted(p.name for p in got_dir.iterdir())
@@ -108,18 +118,24 @@ def _bundle_changes(ref_dir: Path, got_dir: Path) -> list:
             continue
         ref_lines = ref.decode("utf-8").splitlines()
         got_lines = got.decode("utf-8").splitlines()
-        if ref_lines[:2] != got_lines[:2] or len(ref_lines) != len(got_lines):
+        # a second line of numbers is data: the file has no header
+        has_header = not (len(ref_lines) > 1 and all(
+            _as_float(cell) is not None for cell in ref_lines[1].split(",")))
+        top = 1 + has_header
+        if (ref_lines[:top] != got_lines[:top]
+                or len(ref_lines) != len(got_lines)):
             changes.append(f"{name}: meta, header or row count "
-                           f"{ref_lines[:2]} ({len(ref_lines)} lines) -> "
-                           f"{got_lines[:2]} ({len(got_lines)} lines)")
+                           f"{ref_lines[:top]} ({len(ref_lines)} lines) -> "
+                           f"{got_lines[:top]} ({len(got_lines)} lines)")
             continue
-        ref_rows = [line.split(",") for line in ref_lines[2:]]
-        got_rows = [line.split(",") for line in got_lines[2:]]
+        ref_rows = [line.split(",") for line in ref_lines[top:]]
+        got_rows = [line.split(",") for line in got_lines[top:]]
         if [len(r) for r in ref_rows] != [len(g) for g in got_rows]:
             changes.append(f"{name}: a row's cell count changed")
             continue
-        changes += (_column_changes(name, ref_lines[1].split(","), ref_rows,
-                                    got_rows)
+        changes += ((_column_changes(name, ref_lines[1].split(","), ref_rows,
+                                     got_rows) if has_header
+                     else _cell_changes(name, ref_rows, got_rows))
                     or [f"{name}: same cells, different bytes"])
     return changes
 
@@ -143,3 +159,16 @@ def test_extra_output_matches_the_reference(tmp_path, capsys, name):
     changes = _bundle_changes(DATA / name, out)
     assert not changes, "\n".join(changes)
     assert code == expected
+
+
+def test_a_moved_cell_of_a_grid_without_header_is_named(tmp_path):
+    ref = DATA / "patch_sphere_equator_32x17"
+    got = tmp_path / "got"
+    got.mkdir()
+    (name,) = (p.name for p in ref.iterdir())
+    meta, first, *rest = (ref / name).read_text().splitlines()
+    cells = first.split(",")
+    cells[3] = repr(float(cells[3]) + 1e-9)
+    (got / name).write_text("\n".join([meta, ",".join(cells), *rest]) + "\n")
+    assert _bundle_changes(ref, got) == [
+        f"{name}: row 0, column 3: {first.split(',')[3]!r} -> {cells[3]!r}"]

@@ -11,6 +11,7 @@ from lagbound.config import build_patch_from_spec
 from lagbound.curves import Curve, tameness
 from lagbound.distances import pairwise_point_distances, set_to_set_distances
 from lagbound.errors import ChartDegenerate, ConfigError
+from lagbound.report import write_warp_csv
 from lagbound.surface import (NAMED_BANDS, BaseCurve, cylinder_distance,
                               flat_cylinder, hyperbolic_band, plane_annulus,
                               solve_warp, sphere_band, warp_taylor_check)
@@ -109,7 +110,7 @@ class TestSolveWarp:
 
     def test_warp_csv_export(self, cyl, tmp_path):
         path = tmp_path / "warp.csv"
-        cyl.export_warp_csv(path)
+        write_warp_csv(path, cyl)
         head = path.read_text().splitlines()[0]
         assert head.startswith("# schema=1,")
         assert "n_s=512" in head and "n_t=129" in head
