@@ -78,9 +78,11 @@ def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
     t and h may be scalars or arrays broadcasting against y's trailing axes,
     so one call advances a whole batch of independent trajectories.
     """
+    half = h / 2
+    t_half = t + half
     k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + (h / 2) * k1)
-    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k2 = rhs(t_half, y + half * k1)
+    k3 = rhs(t_half, y + half * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 

@@ -62,7 +62,7 @@ __all__ = [
     "SandwichReport",
 ]
 
-_THETA_BLOCK = 180  # frame directions evaluated per vectorized block
+_BLOCK_VALUES = 2 ** 15  # sweep block size: a dozen 256 KiB arrays fit L2
 _N_QUAD = 33        # Simpson nodes (odd) along each pair geodesic
 _HALVING_TOL = 1e-6  # largest halving error a bundle geodesic accepts
 _HALVING_SAFETY = 2.0  # widens the Richardson part of the halving error
@@ -144,9 +144,9 @@ class RoundSphere(_ConformalBase):
     phis = (_sphere_phi,) * 2
 
     def phi_grad_lam2(self, u):
-        """grad phi (..., 2) and lam^2 = e^{2 phi} (..., 1) from one |u|^2."""
-        q = 1.0 + (u * u).sum(-1, keepdims=True)
-        return -2.0 * u / q, (2.0 / q) ** 2
+        """grad phi (2, B) and lam^2 = e^{2 phi} (B,) from one |u|^2."""
+        q = 1.0 + (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
+        return -2.0 * u.T / q, (2.0 / q) ** 2
 
     def lam2(self, u):
         return (2.0 / (1.0 + (u * u).sum(-1))) ** 2
@@ -269,28 +269,39 @@ def _rhs(base, x, vyz):
     """Bundle geodesic equations: x' = v, cov_v v = -R(Y, Z) v, cov_v Y = Z,
     cov_v Z = 0, written with the chart Christoffel symbols.
 
-    `vyz` stacks (v, Y, Z) with shape (3, B, 2), so Gamma(v, .) of all three
-    takes the two dot products dphi . (v, Y, Z) and v . (v, Y, Z), and
-    R(Y, Z) v = K lam^2 (<Z, v> Y - <Y, v> Z) reads the last two entries of
-    the second.  On a flat base v and Z are constant.
+    x (B, 2) and `vyz` = (v, Y, Z) (3, B, 2) are views of `_integrate`'s
+    component-major (4, 2, B) state, so each component is a row of B.
+    Gamma(v, .) of all three takes the dot products dphi . (v, Y, Z) and
+    v . (v, Y, Z), each a0 b0 + a1 b1, and R(Y, Z) v = K lam^2 (<Z, v> Y -
+    <Y, v> Z) reads the last two of the second.  On a flat base v and Z are
+    constant.  Returns the (4, B, 2) view of a (4, 2, B) array.
     """
-    v, y, z = vyz
+    vyz = vyz.transpose(0, 2, 1)
+    out = np.empty((4, 2, len(x)))
     if base.flat:
-        zero = np.zeros(v.shape)
-        return v, zero, z, zero
+        out[::2], out[1::2] = vyz[::2], 0.0
+        return out.transpose(0, 2, 1)
+    v, y, z = vyz
     dphi, lam2 = base.phi_grad_lam2(x)
-    d_vyz = (dphi * vyz).sum(-1, keepdims=True)
-    v_vyz = (v * vyz).sum(-1, keepdims=True)
-    gam = d_vyz * v + d_vyz[0] * vyz - v_vyz * dphi
-    riem = base.gauss_curvature * lam2 * (v_vyz[2] * y - v_vyz[1] * z)
-    return v, -gam[0] - riem, z - gam[1], -gam[2]
+    dv = np.array([dphi, v])
+    dots = dv[:, None, 0] * vyz[:, 0] + dv[:, None, 1] * vyz[:, 1]
+    terms = dots[:, :, None] * dv[::-1, None]  # (dphi . w) v, (v . w) dphi
+    gam = terms[0] + dots[0, 0] * vyz - terms[1]
+    riem = base.gauss_curvature * lam2 * (dots[1, 2] * y - dots[1, 1] * z)
+    out[0] = v
+    np.negative(gam, out=out[1:])
+    out[1] -= riem
+    out[2] += z  # -gam[1] + z is z - gam[1], bit for bit
+    return out.transpose(0, 2, 1)
 
 
 def _integrate(base, state, charts, runs):
     """RK4 runs `runs` = [(n_steps, h), ...], longest first, from the stacked
-    state (x, v, Y, Z) of shape (4, B, 2).  The runs advance as one batch
-    with a step h per member, re-charting after every step, and each run
-    leaves the batch when it finishes; _rhs does not read t.
+    state (x, v, Y, Z) of shape (4, B, 2).  The runs advance as one batch,
+    held component-major as (4, 2, members), with a step h per member,
+    re-charting after every step (the batch is restacked only when `rechart`
+    moved a member), and each run leaves the batch when it finishes; _rhs
+    does not read t.
 
     Each run records every _RECORD_EVERY // 2 steps and its last, so the
     records of a run at 2h fall on the _RECORD_EVERY-th steps of a run at h
@@ -298,31 +309,34 @@ def _integrate(base, state, charts, runs):
     (k, 4, B, 2) and charts (k, B).
     """
     def rhs(_t, st):
-        return np.array(_rhs(base, st[0], st[1:]))
+        return _rhs(base, st[0].T, st[1:].transpose(0, 2, 1)).transpose(0, 2, 1)
 
     n_b, n_steps = len(charts), [n for n, _ in runs]
     # the step of each member in the state's full shape, for the first k
     # runs: an array of that shape multiplies as fast as a scalar
-    h = np.repeat([step for _, step in runs], 2 * n_b).reshape(-1, 2)
-    hs = [np.array([h[:k * n_b]] * 4) for k in range(1, len(runs) + 1)]
-    state = np.concatenate([state] * len(runs), axis=1)
+    h = np.repeat([step for _, step in runs], n_b)
+    hs = [np.tile(h[:k * n_b], (4, 2, 1)) for k in range(1, len(runs) + 1)]
+    state = np.concatenate([state.transpose(0, 2, 1)] * len(runs), axis=2)
     charts = np.tile(charts, len(runs))
     recs = [([], [], []) for _ in runs]
     for step_i in range(n_steps[0] + 1):
         for k, n in enumerate(n_steps):
             if step_i % (_RECORD_EVERY // 2) == 0 or step_i == n:
                 recs[k][0].append(step_i)
-                recs[k][1].append(state[:, k * n_b:(k + 1) * n_b].copy())
+                recs[k][1].append(state[..., k * n_b:(k + 1) * n_b].copy())
                 recs[k][2].append(charts[k * n_b:(k + 1) * n_b].copy())
         while n_steps and n_steps[-1] == step_i:
             n_steps.pop()
         if not n_steps:
             break
         m = len(n_steps) * n_b
-        state = rk4_step(rhs, 0.0, state[:, :m], hs[len(n_steps) - 1])
-        x, charts, *vecs = base.rechart(state[0], charts[:m], *state[1:])
-        state = np.array([x, *vecs])
-    return [(np.array(i), np.stack(r), np.stack(c)) for i, r, c in recs]
+        state = rk4_step(rhs, 0.0, state[..., :m], hs[len(n_steps) - 1])
+        x, charts, *vecs = base.rechart(state[0].T, charts[:m],
+                                        *state[1:].transpose(0, 2, 1))
+        if x.base is not state:  # a copy: rechart moved a member
+            state = np.stack([x.T, *(vec.T for vec in vecs)])
+    return [(np.array(i), np.stack(r).swapaxes(2, 3).copy(), np.stack(c))
+            for i, r, c in recs]
 
 
 def _fiber_norm2(base, xs, vecs):
@@ -369,9 +383,13 @@ def sasaki_geodesic(base, initial, horizon: float = 10.0,
     j >= 1 that gives at most _LADDER_START, so the run ends at the horizon;
     the tolerance is _HALVING_TOL / 10 and the floor _LADDER_FLOOR.  A finite
     `step` is the only rung: 2 * ceil(horizon / (2 step)) steps, so both runs
-    end together, and the tolerance is _HALVING_TOL.
+    end together, and the tolerance is _HALVING_TOL.  ParamOutOfRange
+    refuses a horizon not in (0, inf), a step not above 0 or no state.
     """
     states = initial if isinstance(initial, (list, tuple)) else [initial]
+    if not (0.0 < horizon < np.inf and step > 0.0 and states):
+        raise ParamOutOfRange(f"need 0 < horizon < inf, step > 0 and a state, "
+                              f"got {horizon}, {step} and {len(states)}")
     state = np.stack([[np.asarray(getattr(s, f), dtype=float) for s in states]
                       for f in ("x", "v", "y", "z")])
     charts = np.array([s.chart for s in states], dtype=int)
@@ -651,13 +669,18 @@ def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
     v(t) = (A(x^, x^) - t^2 K T R(x^)) / nu^2, whose squared normal-frame
     norm is the quadratic form of (I + t^2 T^2)^{-1}.  Only nu, v and that
     form depend on t, so the frame tensors are evaluated once and each block
-    of _THETA_BLOCK directions computes the rest once, then runs through the
-    scales elementwise, keeping one running max per scale; the per-block
-    arrays, not all n_theta directions at once, bound the memory.
+    of directions computes the rest once, then runs through the scales
+    elementwise, keeping one running max per scale.  A block holds about
+    _BLOCK_VALUES = 2^15 values (20 directions at 1600 samples), so its
+    dozen arrays stay in a core's L2 cache; the max over blocks is exact,
+    so any block size gives the same bytes.
 
     Raises FrameDegenerate when the frame tensors or a sup are not finite, or
     when |grad xi| reaches 1 and the frame normalization is undefined.
     """
+    if not (n_theta >= 1 and samples >= 1):
+        raise ParamOutOfRange(f"need n_theta >= 1 and samples >= 1, got "
+                              f"{n_theta} and {samples}")
     t_grid = np.asarray(t_grid, dtype=float)
     coords, charts = graph.default_samples(samples)
     data = graph.frame_data(coords, charts)
@@ -678,10 +701,10 @@ def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
                       -m[:, 1, 0, None] / det, m[:, 0, 0, None] / det))
     best = np.zeros(len(t_grid))
     theta = np.arange(n_theta) * (np.pi / n_theta)
-    for k0 in range(0, n_theta, _THETA_BLOCK):
+    block = max(1, _BLOCK_VALUES // len(coords))
+    for k0 in range(0, n_theta, block):
         best = np.maximum(best, _block_maxima(
-            data, base.gauss_curvature, theta[k0:k0 + _THETA_BLOCK], t_grid,
-            minvs))
+            data, base.gauss_curvature, theta[k0:k0 + block], t_grid, minvs))
     sups = np.abs(t_grid) * np.sqrt(best)
     if not np.all(np.isfinite(sups)):
         raise FrameDegenerate(f"sup norm of {graph.name} is not finite at "

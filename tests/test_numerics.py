@@ -66,6 +66,29 @@ class TestRK4Step:
             single = rk4_step(rhs, t[b], y0[:, b], h[b])
             assert np.array_equal(batched[:, b], single)
 
+    @pytest.mark.parametrize("h", [0.1, np.array([0.1, -0.05, 0.02])],
+                             ids=["scalar", "per-member"])
+    def test_matches_the_textbook_formula_byte_for_byte(self, h):
+        def textbook(rhs, t, y, h):
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + (h / 2) * k1)
+            k3 = rhs(t + h / 2, y + (h / 2) * k2)
+            k4 = rhs(t + h, y + h * k3)
+            return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        def run(step, t):
+            # the rhs reads t, as the warp march's does; every t is recorded
+            seen = []
+
+            def rhs(t, y):
+                seen.append(np.array(t, dtype=float).tobytes())
+                return np.stack([y[1] * np.cos(t), -t * y[0] + np.sin(3 * t)])
+            y0 = np.array([[1.0, 0.5, -0.2], [0.0, 0.3, 1.1]])
+            return step(rhs, t, y0, h).tobytes(), seen
+
+        for t in (0.7, np.array([0.0, 0.4, 1.3])):
+            assert run(rk4_step, t) == run(textbook, t)
+
 
 class TestPeriodicBilinear:
     period = 2.0

@@ -10,9 +10,12 @@ graph query (`hausdorff`), the flat and plane two-way queries (`family
 --pairwise --scan`), the capped tameness scan, the membership verdict with
 its exit code, the drawing and companion CSV of each named family
 (`figure`, SVG included), the single-curve reports (`curvature`, `exactify`,
-`contract`), both kinds of `sasaki` export, a `patch` warp grid and the full
-suite (`lemmas` without `--quick`, the only run of its parameters).  A change that moves any cell must regenerate the directory with the
-same command and declare the regeneration with the cells it moved.  The last
+`contract`), both kinds of `sasaki` export on both bases (the round-sphere
+sweep runs the curved branch of the frame form, the flat-torus run a fixed
+step), a `patch` warp grid and the full suite (`lemmas` without `--quick`,
+the only run of its parameters).  A change that moves any cell must
+regenerate the directory with the same command and declare the regeneration
+with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
 column with its largest difference, or, in a CSV with no header (the `patch`
@@ -60,6 +63,11 @@ EXTRA = {
         0),
     "sasaki_flat_torus_sweep0.05": (
         ["sasaki", "--base", "flat_torus", "--sweep", "0.05"], 0),
+    "sasaki_round_sphere_sweep0.01": (
+        ["sasaki", "--base", "round_sphere", "--sweep", "0.01"], 0),
+    "sasaki_flat_torus_states3_horizon3_step1e-3": (
+        ["sasaki", "--base", "flat_torus", "--states", "3", "--horizon", "3",
+         "--step", "1e-3"], 0),
     "patch_sphere_equator_32x17": (
         ["patch", "--patch", "sphere_equator", "--grid", "32x17"], 0),
     "lemmas_full_seed0": (["lemmas", "--seed", "0"], 0),

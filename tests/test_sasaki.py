@@ -7,7 +7,7 @@ import sympy as sp
 from conftest import gamma_vw, reference_sasaki_geodesic, riemann
 
 from lagbound import jets, sasaki
-from lagbound.errors import FrameDegenerate, StepTooLarge
+from lagbound.errors import FrameDegenerate, ParamOutOfRange, StepTooLarge
 from lagbound.numerics import rk4_step
 from lagbound.sasaki import (GradientGraph, SasakiState, base_manifold,
                              curvature_sweep, graph_tameness_bounds,
@@ -147,6 +147,22 @@ class TestGeodesics:
         assert np.stack(recs).tobytes() == np.stack(
             [traj.x, traj.v, traj.y, traj.z], axis=1).tobytes()
         assert traj.step == 1e-2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": np.nan}, {"horizon": -1.0}, {"horizon": np.inf},
+        {"horizon": 0.0}, {"step": 0.0}, {"step": -1e-2}, {"step": np.nan},
+        {"initial": []}],
+        ids=["horizon-nan", "horizon-negative", "horizon-inf", "horizon-0",
+             "step-0", "step-negative", "step-nan", "no-state"])
+    def test_invalid_parameters_are_param_out_of_range(self, kwargs):
+        base = base_manifold("round_sphere")
+        call = {"initial": random_sasaki_states(base, 2,
+                                                np.random.default_rng(0)),
+                "horizon": 1.0, "step": 1e-2, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic
+            with pytest.raises(ParamOutOfRange):
+                sasaki_geodesic(base, **call)
 
     def test_flat_base_keeps_v_and_z(self, monkeypatch):
         torus = base_manifold("flat_torus")
@@ -474,6 +490,48 @@ class TestGradientGraphs:
         gg = sphere_harmonic_graph(0.01)
         curvature_sweep(gg.base, gg, [0.0, 0.5, 1.0], n_theta=250, samples=100)
         assert sum(seen) == 3 * 250 * 100
+
+    @pytest.mark.parametrize("make_graph", [
+        lambda: torus_gradient_graph(0.02, mode=2),
+        lambda: sphere_harmonic_graph(0.01)],
+        ids=["torus_cos2", "sphere_harmonic"])
+    def test_sweep_bytes_do_not_depend_on_the_block_size(self, monkeypatch,
+                                                         make_graph):
+        # 250 directions in blocks of 1, 7, the default (20 at 1600 samples,
+        # so the last block is partial), all and twice all directions
+        graph = make_graph()
+        n_samples = len(graph.default_samples(1600)[1])
+        default = sasaki._BLOCK_VALUES // n_samples
+        t_grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        blocks = []
+        original = sasaki._block_maxima
+
+        def counted(data, k_curv, theta, t_grid, minvs):
+            blocks[-1].append(len(theta))
+            return original(data, k_curv, theta, t_grid, minvs)
+        monkeypatch.setattr(sasaki, "_block_maxima", counted)
+        sweeps = []
+        for directions in (1, 7, default, 250, 500):
+            monkeypatch.setattr(sasaki, "_BLOCK_VALUES",
+                                directions * n_samples)
+            blocks.append([])
+            sweeps.append(curvature_sweep(graph.base, graph, t_grid,
+                                          n_theta=250).tobytes())
+        assert default == 20 and blocks[2] == [20] * 12 + [10]
+        assert [max(b) for b in blocks] == [1, 7, 20, 250, 250]
+        assert all(sum(b) == 250 for b in blocks)
+        assert len(set(sweeps)) == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_theta": -3}, {"n_theta": 0}, {"samples": 0}],
+        ids=["n_theta-negative", "n_theta-0", "samples-0"])
+    def test_invalid_sweep_grids_are_param_out_of_range(self, kwargs):
+        gg = sphere_harmonic_graph(0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParamOutOfRange):
+                curvature_sweep(gg.base, gg, [0.5, 1.0],
+                                **{"n_theta": 90, "samples": 100, **kwargs})
 
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
     def test_non_finite_graph_is_frame_degenerate(self, amplitude):
