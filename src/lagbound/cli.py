@@ -70,15 +70,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _command(sub, name: str, help: str, band: bool = True,
-             curve: bool = False):
+             curve: bool = False, seed: bool = False):
     """A subcommand and its shared flags: --grid and --patch if it builds the
-    band (each family builds its own), --curve if it reads one curve."""
+    band (each family builds its own), --curve if it reads one curve, --seed
+    if it draws or records a seed."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory (default: out_dir)")
-    p.add_argument("--seed", default=None,
-                   type=_checked(int, lambda v: v >= 0, "non-negative"),
-                   help="override config seed")
+    if seed:
+        p.add_argument("--seed", default=None,
+                       type=_checked(int, lambda v: v >= 0, "non-negative"),
+                       help="override config seed")
     if band:
         p.add_argument("--grid", default=None, help="patch grid, e.g. 2048x513")
         p.add_argument("--patch", default="cylinder",
@@ -104,7 +106,7 @@ def build_parser():
                  int, lambda v: v >= 2, "at least 2"))
 
     p = _command(sub, "sasaki", "integrate bundle geodesics and export",
-                 band=False)
+                 band=False, seed=True)
     p.add_argument("--base", default="flat_torus",
                    choices=["flat_torus", "round_sphere"])
     p.add_argument("--states", help="default 4",
@@ -116,13 +118,13 @@ def build_parser():
     p.add_argument("--sweep", type=_FINITE, metavar="EPS",
                    help="instead export the graph-norm sweep (t, sup|B|) for "
                         "the gradient graph of amplitude EPS; takes none of "
-                        "--states, --horizon and --step")
+                        "--states, --horizon, --step and --seed")
 
     _command(sub, "classify", "level-k membership verdict",
              curve=True).add_argument("--k", type=_POSITIVE, required=True)
 
     p = _command(sub, "family", "generate a named family and report",
-                 band=False)
+                 band=False, seed=True)
     p.add_argument("family_id")
     p.add_argument("--pairwise", action="store_true",
                    help="also export the pairwise Hausdorff distance matrix")
@@ -130,17 +132,17 @@ def build_parser():
                    choices=["liouville_class", "enclosed_area"],
                    help="also export the separation scan table")
 
-    _command(sub, "lemmas", "run the full check suite").add_argument(
-        "--quick", action="store_true",
-        help="reduced suite (fast, same CSV schema)")
+    p = _command(sub, "lemmas", "run the full check suite", seed=True)
+    p.add_argument("--quick", action="store_true",
+                   help="reduced suite (fast, same CSV schema)")
     _command(sub, "figure", "draw a family and its companion CSV",
-             band=False).add_argument("family_id")
+             band=False, seed=True).add_argument("family_id")
     return ap
 
 
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "grid", None):
         config.grid = parse_grid(args.grid.lower().split("x"))
@@ -149,6 +151,13 @@ def _load(args) -> ExperimentConfig:
     if args.out is not None:
         config.out_dir = args.out
     return config
+
+
+def _emit(out_dir, name, columns, rows, meta, summary=None, *extra):
+    """Write `<out_dir>/<name>.csv`, then print `<summary> -> <path>` (the
+    bare path without a summary) and each extra line."""
+    path = write_csv(os.path.join(out_dir, f"{name}.csv"), columns, rows, meta)
+    print(f"{summary} -> {path}" if summary else path, *extra, sep="\n")
 
 
 def main(argv=None) -> int:
@@ -164,7 +173,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     config = _load(args)
-    given = [f"--{flag}" for flag in ("states", "horizon", "step")
+    given = [f"--{flag}" for flag in ("states", "horizon", "step", "seed")
              if getattr(args, flag, None) is not None]
     if getattr(args, "sweep", None) is not None and given:
         raise ConfigError(f"--sweep takes no {', '.join(given)}")
@@ -213,31 +222,26 @@ def _dispatch(args) -> int:
     if cmd == "sasaki":
         base = sas.base_manifold(args.base)
         if args.sweep is not None:
-            gg = (sas.torus_gradient_graph(args.sweep)
-                  if args.base == "flat_torus"
-                  else sas.sphere_harmonic_graph(args.sweep))
+            gg = (sas.torus_gradient_graph if args.base == "flat_torus"
+                  else sas.sphere_harmonic_graph)(args.sweep)
             t_grid = np.linspace(0.0, 1.0, 11)
-            vals = sas.curvature_sweep(base, gg, t_grid)
-            print(write_csv(
-                os.path.join(config.out_dir, f"sweep_{args.base}.csv"),
-                ["t", "sup_norm"], list(zip(t_grid, vals)),
-                {"base": args.base, "amplitude": args.sweep}))
+            _emit(config.out_dir, f"sweep_{args.base}", ["t", "sup_norm"],
+                  list(zip(t_grid, sas.curvature_sweep(base, gg, t_grid))),
+                  {"base": args.base, "amplitude": args.sweep})
             return 0
-        rng = np.random.default_rng(config.seed)
-        states = sas.random_sasaki_states(
-            base, 4 if args.states is None else args.states, rng)
-        traj = sas.sasaki_geodesic(
-            base, states, horizon=10.0 if args.horizon is None else args.horizon,
-            step=np.inf if args.step is None else args.step)
+        # each flag is None or positive, so `or` gives its default
+        states = sas.random_sasaki_states(base, args.states or 4,
+                                          np.random.default_rng(config.seed))
+        traj = sas.sasaki_geodesic(base, states, horizon=args.horizon or 10.0,
+                                   step=args.step or np.inf)
         fit = sas.parabola_check(traj)
-        rows = [(b, t, *traj.x[i, b], *traj.y[i, b], traj.y_norm2[i, b])
-                for b in range(len(states)) for i, t in enumerate(traj.times)]
-        print(write_csv(os.path.join(config.out_dir, f"sasaki_{args.base}.csv"),
-                        ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
-                        rows, {"base": args.base, "seed": config.seed,
-                               "step": traj.step,
-                               "halving_error": traj.halving_error}))
-        print(f"max parabola residual {np.max(fit.max_residual):.3e}, "
+        _emit(config.out_dir, f"sasaki_{args.base}",
+              ["state", "t", "x1", "x2", "y1", "y2", "y_norm2"],
+              [(b, t, *traj.x[i, b], *traj.y[i, b], traj.y_norm2[i, b])
+               for b in range(len(states)) for i, t in enumerate(traj.times)],
+              {"base": args.base, "seed": config.seed, "step": traj.step,
+               "halving_error": traj.halving_error}, None,
+              f"max parabola residual {np.max(fit.max_residual):.3e}, "
               f"max leading gap "
               f"{np.max(np.abs(fit.leading - fit.expected_leading)):.3e}")
         return 0
@@ -250,80 +254,56 @@ def _dispatch(args) -> int:
         return 0
 
     curve = parse_curve_spec(args.curve, patch)
-
+    meta, summary, extra, code = {"patch": args.patch}, None, (), 0
     if cmd == "curvature":
         rep = geodesic_curvature(curve)
-        path = write_csv(os.path.join(config.out_dir, "curvature.csv"),
-                         ["curve", "sup", "arg_s", "error"],
-                         [(curve.name, rep.sup, rep.arg_s, rep.error)],
-                         {"patch": args.patch})
-        print(f"sup|B| = {rep.sup:.12g} at s = {rep.arg_s:.6g} "
-              f"(err {rep.error:.2e}) -> {path}")
-        return 0
-
-    if cmd == "tameness":
+        columns = ["curve", "sup", "arg_s", "error"]
+        rows = [(curve.name, rep.sup, rep.arg_s, rep.error)]
+        summary = (f"sup|B| = {rep.sup:.12g} at s = {rep.arg_s:.6g} "
+                   f"(err {rep.error:.2e})")
+    elif cmd == "tameness":
         rep = tameness(curve)
-        path = write_csv(os.path.join(config.out_dir, "tameness.csv"),
-                         ["curve", "epsilon", "long_range_min",
-                          "short_range_bound", "delta_min", "pair_s",
-                          "pair_s2", "error"],
-                         [(curve.name, rep.epsilon, rep.long_range_min,
-                           rep.short_range_bound, rep.delta_min, rep.pair[0],
-                           rep.pair[1], rep.error)], {"patch": args.patch})
-        print(f"epsilon = {rep.epsilon:.9g} (err {rep.error:.2e}) -> {path}")
-        return 0
-
-    if cmd == "hausdorff":
+        columns = ["curve", "epsilon", "long_range_min", "short_range_bound",
+                   "delta_min", "pair_s", "pair_s2", "error"]
+        rows = [(curve.name, rep.epsilon, rep.long_range_min,
+                 rep.short_range_bound, rep.delta_min, *rep.pair, rep.error)]
+        summary = f"epsilon = {rep.epsilon:.9g} (err {rep.error:.2e})"
+    elif cmd == "hausdorff":
         other = parse_curve_spec(args.curve2, patch)
         res = hausdorff_distance(curve, other)
-        path = write_csv(os.path.join(config.out_dir, "hausdorff.csv"),
-                         ["curve_a", "curve_b", "delta_h", "directed_ab",
-                          "directed_ba", "error"],
-                         [(curve.name, other.name, res.value, res.directed_ab,
-                           res.directed_ba, res.error)], {"patch": args.patch})
-        print(f"delta_H = {res.value:.9g} (err {res.error:.2e}) -> {path}")
-        return 0
-
-    if cmd == "exactify":
+        columns = ["curve_a", "curve_b", "delta_h", "directed_ab",
+                   "directed_ba", "error"]
+        rows = [(curve.name, other.name, res.value, res.directed_ab,
+                 res.directed_ba, res.error)]
+        summary = f"delta_H = {res.value:.9g} (err {res.error:.2e})"
+    elif cmd == "exactify":
         c = solve_c(curve, args.alpha)
-        print(f"c({args.alpha:g}) = {c:.15g}")
-        write_csv(os.path.join(config.out_dir, "exactify.csv"),
-                  ["curve", "alpha", "c"], [(curve.name, args.alpha, c)],
-                  {"patch": args.patch})
-        return 0
-
-    if cmd == "contract":
+        columns, rows = ["curve", "alpha", "c"], [(curve.name, args.alpha, c)]
+        summary = f"c({args.alpha:g}) = {c:.15g}"
+    elif cmd == "contract":
         rows, chk = contraction_table(
             build_contraction(curve, n_alpha=args.n_alpha), config)
-        print(write_csv(os.path.join(config.out_dir, "contract.csv"),
-                        ["alpha", "c", "sup_curvature", "epsilon",
-                         "delta_h_to_base"], rows, {"patch": args.patch,
-                                                    "curve": curve.name}))
+        columns = ["alpha", "c", "sup_curvature", "epsilon", "delta_h_to_base"]
+        meta["curve"], code = curve.name, 0 if chk.ok else 1
         tol_b = config.tolerances["contraction_curvature"]
         tol_e = config.tolerances["contraction_tameness"]
-        print(f"curvature bound: max {chk.max_curvature:.9g} <= "
-              f"{chk.curvature_bound:.9g} + {tol_b:g}  "
-              f"({'ok' if chk.curvature_ok else 'FAIL'})")
-        print(f"tameness bound:  min {chk.min_tameness:.9g} >= "
-              f"{chk.tameness_bound:.9g} - {tol_e:g}  "
-              f"({'ok' if chk.tameness_ok else 'FAIL'})")
-        return 0 if chk.ok else 1
-
-    # classify, the one command left
-    verdict = classify_curve(curve, args.k)
-    label = {True: "member", False: "not_member", None: "indeterminate"}
-    write_csv(os.path.join(config.out_dir, "classify.csv"),
-              ["curve", "k", "verdict", "curvature", "epsilon",
-               "curvature_margin", "tameness_margin",
-               "containment_margin"],
-              [(curve.name, args.k, label[verdict.verdict],
-                verdict.curvature, verdict.epsilon,
-                verdict.margins["curvature"][0],
-                verdict.margins["tameness"][0],
-                verdict.margins["containment"][0])],
-              {"patch": args.patch})
-    print(f"{curve.name} at k={args.k:g}: {label[verdict.verdict]}")
-    return {True: 0, False: 1, None: 2}[verdict.verdict]
+        extra = (f"curvature bound: max {chk.max_curvature:.9g} <= "
+                 f"{chk.curvature_bound:.9g} + {tol_b:g}  "
+                 f"({'ok' if chk.curvature_ok else 'FAIL'})",
+                 f"tameness bound:  min {chk.min_tameness:.9g} >= "
+                 f"{chk.tameness_bound:.9g} - {tol_e:g}  "
+                 f"({'ok' if chk.tameness_ok else 'FAIL'})")
+    else:  # classify, the one command left
+        verdict = classify_curve(curve, args.k)
+        label = {True: "member", False: "not_member", None: "indeterminate"}
+        columns = ["curve", "k", "verdict", "curvature", "epsilon",
+                   "curvature_margin", "tameness_margin", "containment_margin"]
+        rows = [(curve.name, args.k, label[verdict.verdict], verdict.curvature,
+                 verdict.epsilon, *(m for m, _ in verdict.margins.values()))]
+        summary = f"{curve.name} at k={args.k:g}: {label[verdict.verdict]}"
+        code = {True: 0, False: 1, None: 2}[verdict.verdict]
+    _emit(config.out_dir, cmd, columns, rows, meta, summary, *extra)
+    return code
 
 
 if __name__ == "__main__":

@@ -52,11 +52,11 @@ def _suite_params(config: ExperimentConfig) -> dict:
         return dict(grid=config.grid or (512, 129), n_xi=3, n_alpha=21,
                     members=1, alpha_steps=7, states=4, horizon=4.0,
                     n_theta=240, t_steps=6, pairs=4, n_scan_flat=384,
-                    samples=700)
+                    samples=700)  # 700 on the sphere, 26^2 = 676 on the torus
     return dict(grid=config.grid or DEFAULT_GRID, n_xi=10, n_alpha=101,
                 members=3, alpha_steps=11, states=25, horizon=10.0,
                 n_theta=720, t_steps=11, pairs=10, n_scan_flat=512,
-                samples=1600)
+                samples=1600)  # 1600 on both bases: 40^2 on the torus
 
 
 def _suite_patches(params) -> dict:

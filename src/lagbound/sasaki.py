@@ -111,6 +111,7 @@ class FlatTorus(_ConformalBase):
         return np.ones(u.shape[:-1])
 
     def sample_points(self, n: int = 1600):
+        """The k x k grid, k = floor(sqrt(n)): 676 points at n = 700."""
         k = int(np.sqrt(n))
         g = np.arange(k) * (self.period / k)
         uu = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -661,9 +662,11 @@ def curvature_sweep(base, graph: GradientGraph, t_grid: np.ndarray,
 
     At each scale t this is the sup over base samples and unit tangent frames
     of the normalized trilinear form, with the normal frame maximized in
-    closed form.  The sample and direction grids are fixed across scales, so
-    each indexed frame value inherits the pointwise monotonicity of the
-    rescaling law and the returned sups are directly comparable.
+    closed form.  The base gives the samples: `samples` points on the round
+    sphere, floor(sqrt(samples))^2 on the flat torus (676 at 700).  The
+    sample and direction grids are fixed across scales, so each indexed frame
+    value inherits the pointwise monotonicity of the rescaling law and the
+    returned sups are directly comparable.
 
     The frame x~ = x^ / nu, nu^2 = 1 + t^2 |T x^|^2, gives the vector
     v(t) = (A(x^, x^) - t^2 K T R(x^)) / nu^2, whose squared normal-frame

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,15 @@ from lagbound.surface import flat_cylinder, plane_annulus, unit_cylinder
 
 GRID = "--grid", "256x65"
 BAND = {"length": 2 * np.pi, "halfwidth": 0.5, "grid": [64, 17]}
+# the six single-curve commands, each with the flags it needs
+CURVE_ARGV = {
+    "curvature": ["--curve", "cos:0.1,3"],
+    "tameness": ["--curve", "cos:0.1,3"],
+    "hausdorff": ["--curve", "parallel:0", "--curve2", "cos:0.1,3"],
+    "exactify": ["--curve", "cos:0.1,3", "--alpha", "0.5"],
+    "contract": ["--curve", "cos:0.05,3", "--n-alpha", "4"],
+    "classify": ["--curve", "cos:0.1,3", "--k", "5"],
+}
 
 
 def run(*args):
@@ -52,6 +62,47 @@ class TestClassifyCommand:
                    "--out", str(tmp_path)) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "classify.csv").exists()
+
+
+class TestStdout:
+    """A single-CSV command prints `<summary> -> <path>`, or the bare path
+    when it has no summary, for the CSV it wrote, then its extra lines."""
+
+    BOUND = r"{} bound: +{} \S+ {} \S+ [+-] \S+  \((ok|FAIL)\)"
+
+    @pytest.mark.parametrize("argv, name, summary, extra", [
+        (["curvature"], "curvature",
+         r"sup\|B\| = \S+ at s = \S+ \(err \S+\)", []),
+        (["tameness"], "tameness", r"epsilon = \S+ \(err \S+\)", []),
+        (["hausdorff"], "hausdorff", r"delta_H = \S+ \(err \S+\)", []),
+        (["exactify"], "exactify", r"c\(0\.5\) = \S+", []),
+        (["classify"], "classify", r"cos_m3_a0\.1 at k=5: member", []),
+        (["contract"], "contract", None,
+         [BOUND.format("curvature", "max", "<="),
+          BOUND.format("tameness", "min", ">=")]),
+        (["sasaki", "--states", "1", "--horizon", "0.5"], "sasaki_flat_torus",
+         None, [r"max parabola residual \S+, max leading gap \S+"]),
+        (["sasaki", "--base", "round_sphere", "--sweep", "0.01"],
+         "sweep_round_sphere", None, []),
+    ], ids=["curvature", "tameness", "hausdorff", "exactify", "classify",
+            "contract", "sasaki", "sweep"])
+    def test_first_line_names_the_csv_it_wrote(self, tmp_path, capsys, argv,
+                                               name, summary, extra):
+        if argv[0] in CURVE_ARGV:
+            argv = [*argv, *CURVE_ARGV[argv[0]], "--patch", "sphere_equator",
+                    *GRID]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        path = str(tmp_path / f"{name}.csv")
+        assert [p.name for p in tmp_path.iterdir()] == [f"{name}.csv"]
+        assert (tmp_path / f"{name}.csv").read_text().startswith("# schema=1")
+        if summary is None:
+            assert first == path
+        else:
+            assert re.fullmatch(f"{summary} -> {re.escape(path)}", first)
+        assert len(rest) == len(extra)
+        assert all(re.fullmatch(pattern, line)
+                   for pattern, line in zip(extra, rest))
 
 
 class TestOtherCommands:
@@ -414,7 +465,7 @@ class TestOtherCommands:
         "--seed=-1",
         # a sweep reads none of the bundle-geodesic flags
         "--sweep=0.01 --states=7", "--sweep=0.01 --horizon=3",
-        "--sweep=0.01 --step=1e-3"])
+        "--sweep=0.01 --step=1e-3", "--sweep=0.01 --seed=3"])
     def test_bad_sasaki_input_is_config_error(self, tmp_path, flag):
         assert run("sasaki", *flag.split(), "--out", str(tmp_path)) == 4
         assert not list(tmp_path.iterdir())
@@ -453,6 +504,10 @@ class TestOtherCommands:
         ["figure", "parallels", "--patch", "nonsense"],
         ["sasaki", "--states", "1.5"],
         ["contract", "--curve", "cos:1,2", "--n-alpha", "x"],
+        # --seed is declared only where a seed is read
+        *([cmd, *flags, *GRID, "--seed", "3"]
+          for cmd, flags in CURVE_ARGV.items()),
+        ["patch", *GRID, "--seed", "9"],
     ])
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 4

@@ -34,6 +34,14 @@ class TestBases:
                  + riemann(base, pts, z, x, y))
         assert np.max(np.abs(total)) < 1e-10
 
+    # the torus samples a k x k grid, k = floor(sqrt(n)); the sphere n points
+    @pytest.mark.parametrize("n, torus, sphere",
+                             [(700, 676, 700), (1600, 1600, 1600)])
+    def test_sample_counts(self, n, torus, sphere):
+        for name, count in (("flat_torus", torus), ("round_sphere", sphere)):
+            coords, charts = base_manifold(name).sample_points(n)
+            assert coords.shape == (count, 2) and charts.shape == (count,)
+
     def test_unknown_base_manifold(self):
         with pytest.raises(ValueError, match="unknown base manifold"):
             base_manifold("klein_bottle")
