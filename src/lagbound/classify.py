@@ -27,6 +27,7 @@ __all__ = [
     "classify",
     "min_level",
     "MAX_LEVEL",
+    "FAMILIES",
     "generate_family",
     "separation_scan",
     "default_cylinder",
@@ -158,6 +159,10 @@ def _oscillation_curve(patch: SurfacePatch, s_param: float, p: float) -> Curve:
 # asymptotic blow-up rate that the ladder is meant to exhibit.
 LADDER_SCALES = tuple(2.0 ** (-j) for j in range(7, 15))
 
+# the named families: the choices of `lagbound family`
+FAMILIES = ("escape_cos", "parallels", "plane_circles", "hs_family",
+            "hs_variant_alpha")
+
 
 def generate_family(family: str) -> list[Curve]:
     """The named family's fixed members, with closed-form derivatives:
@@ -169,6 +174,8 @@ def generate_family(family: str) -> list[Curve]:
       s = 2^-7..2^-14, exponent p = 1.5 and 2.5 (unit cylinder).
 
     ParamOutOfRange for any other name."""
+    if family not in FAMILIES:
+        raise ParamOutOfRange(f"unknown family {family!r}")
     if family == "escape_cos":
         return [trig_curve(default_cylinder(), {m: 1.0}, name=f"cos_m{m}_a1")
                 for m in range(1, 11)]
@@ -180,11 +187,9 @@ def generate_family(family: str) -> list[Curve]:
         rr = _circle_radius(patch)
         return [Curve.constant(patch, rr - rad, name=f"circle_r{rad:g}")
                 for rad in (1.0, 1.1)]
-    if family in ("hs_family", "hs_variant_alpha"):
-        exponent = 1.5 if family == "hs_family" else 2.5
-        return [_oscillation_curve(default_unit_cylinder(), sv, exponent)
-                for sv in LADDER_SCALES]
-    raise ParamOutOfRange(f"unknown family {family!r}")
+    exponent = 1.5 if family == "hs_family" else 2.5  # the two ladders
+    return [_oscillation_curve(default_unit_cylinder(), sv, exponent)
+            for sv in LADDER_SCALES]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: patch, curvature, tameness, hausdorff, exactify, contract,
-sasaki, classify, family, lemmas, figure.  All outputs are UTF-8 CSV with LF
-line endings and a `# schema=1` header; figures are standalone SVG.
+sasaki, classify, family, lemmas.  All outputs are UTF-8 CSV with LF line
+endings and a `# schema=1` header; `family` also draws the family as a
+standalone SVG.
 
 Exit codes: 0 success (classify: membership true), 1 failure / membership
 false (contract: a contraction bound fails), 2 indeterminate membership,
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .classify import (classify as classify_curve, generate_family,
+from .classify import (FAMILIES, classify as classify_curve, generate_family,
                        separation_scan)
 from . import sasaki as sas
 from .config import (DEFAULT_GRID, ExperimentConfig, build_patch_from_spec,
@@ -28,8 +29,7 @@ from .curves import geodesic_curvature, tameness
 from .errors import ConfigError, LagboundError
 from .exactness import build_contraction, solve_c
 from .hausdorff import hausdorff_distance
-from .pipelines import (contraction_table, family_table, run_figure,
-                        run_lemma_suite)
+from .pipelines import contraction_table, family_table, run_lemma_suite
 from .report import write_csv, write_warp_csv
 from .surface import NAMED_BANDS
 
@@ -123,9 +123,9 @@ def build_parser():
     _command(sub, "classify", "level-k membership verdict",
              curve=True).add_argument("--k", type=_POSITIVE, required=True)
 
-    p = _command(sub, "family", "generate a named family and report",
-                 band=False, seed=True)
-    p.add_argument("family_id")
+    p = _command(sub, "family", "table and drawing of a named family",
+                 band=False)
+    p.add_argument("family_id", choices=FAMILIES)
     p.add_argument("--pairwise", action="store_true",
                    help="also export the pairwise Hausdorff distance matrix")
     p.add_argument("--scan", default=None,
@@ -135,8 +135,6 @@ def build_parser():
     p = _command(sub, "lemmas", "run the full check suite", seed=True)
     p.add_argument("--quick", action="store_true",
                    help="reduced suite (fast, same CSV schema)")
-    _command(sub, "figure", "draw a family and its companion CSV",
-             band=False, seed=True).add_argument("family_id")
     return ap
 
 
@@ -191,17 +189,12 @@ def _dispatch(args) -> int:
                   f"({len(res.rows)} rows) -> {res.csv_path}")
         return 0 if all(res.passed for res in results) else 1
 
-    if cmd == "figure":
-        print(*run_figure(args.family_id, config.out_dir, config), sep="\n")
-        return 0
-
     if cmd == "family":
         curves = generate_family(args.family_id)
         # the scan runs first, so an invariant that does not fit the band
         # writes nothing; its rows start with the pairwise table
         scan = separation_scan(curves, args.scan) if args.scan else None
-        print(family_table(args.family_id, curves, config.out_dir,
-                           config.seed))
+        print(*family_table(args.family_id, curves, config.out_dir), sep="\n")
         if args.pairwise:
             mat_rows = ([row[:3] for row in scan.rows] if scan else
                         [(a.name, b.name, hausdorff_distance(a, b).value)

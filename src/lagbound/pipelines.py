@@ -1,5 +1,5 @@
-"""Experiment pipelines: the lemma-check suite, figure emission, and the
-classification command.
+"""Experiment pipelines: the lemma-check suite, the table and drawing of a
+named family, and the table of a contraction path.
 
 Each suite check writes one CSV (pass/fail per row with margins and witness
 data) into the output directory.  A check passes when every row's `pass` is
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LADDER_SCALES, generate_family, min_level
+from .classify import LADDER_SCALES, min_level
 from . import sasaki as sas
 from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
@@ -28,7 +28,7 @@ from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
 from .surface import NAMED_BANDS, warp_taylor_check
 
-__all__ = ["run_lemma_suite", "run_figure", "family_table",
+__all__ = ["run_lemma_suite", "family_table",
            "contraction_table", "CheckResult"]
 
 
@@ -329,26 +329,8 @@ def run_lemma_suite(config: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# figures and tables
+# family and contraction tables
 # ---------------------------------------------------------------------------
-
-def family_table(family_id: str, curves: list, out_dir: str, seed: int) -> str:
-    """Write `<family_id>.csv` for the family's curves: per member sup|B|,
-    epsilon, delta_H to the base curve, the action class and the smallest
-    admitting level (`classify.min_level`, empty when none).  Returns the CSV
-    path."""
-    patch = curves[0].patch
-    base = Curve.constant(patch, 0.0, n=curves[0].n)
-    rows = [(cv.name, trep.curvature.sup, trep.epsilon,
-             hausdorff_distance(cv, base).value, area_functional(cv),
-             min_level(cv, trep))
-            for cv, trep in zip(curves, map(tameness, curves))]
-    path = write_csv(os.path.join(out_dir, f"{family_id}.csv"),
-                     ["member", "sup_curvature", "epsilon", "delta_h_to_base",
-                      "action_class", "min_level"], rows,
-                     {"family": family_id, "seed": seed})
-    return path
-
 
 def contraction_table(path: ContractionPath,
                       config: ExperimentConfig) -> tuple[list, BoundsCheck]:
@@ -363,56 +345,47 @@ def contraction_table(path: ContractionPath,
     return rows, chk
 
 
-def run_figure(family_id: str, out_dir: str,
-               config: ExperimentConfig | None = None) -> tuple[str, str]:
-    """Draw a family in band coordinates (SVG) and write its companion CSV
-    with curvature, tameness, distance-to-base, and invariant columns.
-
-    escape_cos writes the `family_table`; the oscillation ladders record the
-    log-log slope of sup|B| against s as `curvature_slope` in the CSV meta.
-    """
-    config = config or ExperimentConfig()
-    svg_path = os.path.join(out_dir, f"{family_id}.svg")
-    csv_path = os.path.join(out_dir, f"{family_id}.csv")
-    curves = generate_family(family_id)
+def family_table(family_id: str, curves: list, out_dir: str) -> tuple[str, str]:
+    """Write `<family_id>.csv` for the family's curves: per member sup|B|,
+    epsilon, delta_H to the base curve, the action class and the smallest
+    admitting level (`classify.min_level`, empty when none).  The oscillation
+    ladders add the scale s, sup|xi| and sup|xi'|, and record the log-log
+    slope of sup|B| against s as `curvature_slope` in the meta;
+    plane_circles adds the enclosed area and its monotonicity constant.
+    Beside it, draw the family in band coordinates as `<family_id>.svg`.
+    Returns the CSV path and the SVG path."""
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
-
+    columns = ["member", "sup_curvature", "epsilon", "delta_h_to_base",
+               "action_class", "min_level"]
+    rows = [[cv.name, trep.curvature.sup, trep.epsilon,
+             hausdorff_distance(cv, base).value, area_functional(cv),
+             min_level(cv, trep)]
+            for cv, trep in zip(curves, map(tameness, curves))]
+    meta = {"family": family_id}
+    title = family_id
+    panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
     if family_id == "escape_cos":
-        family_table(family_id, curves, out_dir, config.seed)
         title = "escape family in band coordinates"
         panels = [[("base", base.s[::8], base.xi[::8]),
                    (cv.name, cv.s[::4], cv.xi[::4])]
                   for cv in (curves[1], curves[9])]
     elif family_id in ("hs_family", "hs_variant_alpha"):
         title = f"{family_id}: oscillation ladder"
-        rows = [(cv.name, s_val, geodesic_curvature(cv).sup,
-                 hausdorff_distance(cv, base).value,
-                 cv.sup_norm(), float(np.max(np.abs(cv.dxi))))
-                for cv, s_val in zip(curves, LADDER_SCALES)]
+        columns += ["s", "sup_xi", "sup_dxi"]
+        for row, cv, s_val in zip(rows, curves, LADDER_SCALES):
+            row += [s_val, cv.sup_norm(), float(np.max(np.abs(cv.dxi)))]
+        meta["curvature_slope"] = loglog_slope(LADDER_SCALES,
+                                               [row[1] for row in rows])
         panels = [[(cv.name, cv.s[::max(1, cv.n // 1024)],
                     cv.xi[::max(1, cv.n // 1024)])] for cv in curves[:3]]
-        slope = loglog_slope([r[1] for r in rows], [r[2] for r in rows])
-        write_csv(csv_path, ["member", "s", "sup_curvature", "delta_h_to_base",
-                             "sup_xi", "sup_dxi"], rows,
-                  {"family": family_id, "curvature_slope": slope})
-    elif family_id == "parallels":
-        title = "parallels"
-        rows = [(cv.name, isotopy_invariant(cv, "liouville_class").value,
-                 geodesic_curvature(cv).sup,
-                 hausdorff_distance(cv, base).value) for cv in curves]
-        panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
-        write_csv(csv_path, ["member", "action_class", "sup_curvature",
-                             "delta_h_to_base"], rows, {"family": family_id})
-    else:  # plane_circles
+    elif family_id == "plane_circles":
         title = "circles in the plane (band coordinates)"
-        invs = [isotopy_invariant(cv, "enclosed_area") for cv in curves]
-        rows = [(cv.name, inv.value, inv.monotonicity_constant)
-                for cv, inv in zip(curves, invs)]
-        panels = [[(cv.name, cv.s[::16], cv.xi[::16]) for cv in curves]]
-        write_csv(csv_path, ["member", "enclosed_area",
-                             "monotonicity_constant"], rows,
-                  {"family": family_id})
-    write_curves_svg(svg_path, panels, patch.length, patch.halfwidth,
-                     title=title)
-    return svg_path, csv_path
+        columns += ["enclosed_area", "monotonicity_constant"]
+        for row, cv in zip(rows, curves):
+            inv = isotopy_invariant(cv, "enclosed_area")
+            row += [inv.value, inv.monotonicity_constant]
+    stem = os.path.join(out_dir, family_id)
+    return (write_csv(f"{stem}.csv", columns, rows, meta),
+            write_curves_svg(f"{stem}.svg", panels, patch.length,
+                             patch.halfwidth, title=title))

@@ -560,9 +560,11 @@ class GradientGraph:
         return g
 
     def default_samples(self, n: int = 1600):
-        if self._samples is None or len(self._samples[1]) != n:
-            self._samples = self.base.sample_points(n)
-        return self._samples
+        """The base's `sample_points(n)`, kept for the last n asked: the
+        torus returns floor(sqrt(n))^2 points, so the key is n itself."""
+        if self._samples is None or self._samples[0] != n:
+            self._samples = (n, self.base.sample_points(n))
+        return self._samples[1]
 
     def frame_data(self, coords: np.ndarray, charts: np.ndarray) -> dict:
         """Frame tensors at the given points: xi (.,2), T (.,2,2), A (.,2,2,2);

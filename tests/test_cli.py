@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lagbound import sasaki as sas
+from lagbound.classify import FAMILIES
 from lagbound.cli import main
 from lagbound.config import (ALL_CHECKS, DEFAULT_GRID, DEFAULT_TOLERANCES,
                              build_patch_from_spec, load_config,
@@ -206,9 +207,10 @@ class TestOtherCommands:
             assert run("sasaki", "--horizon", "1e-3", "--out",
                        str(tmp_path)) == 3
 
-    def test_family_and_figure(self, tmp_path):
+    def test_family_prints_the_table_then_the_drawing(self, tmp_path, capsys):
         assert run("family", "parallels", "--out", str(tmp_path)) == 0
-        assert run("figure", "parallels", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "parallels.csv"), str(tmp_path / "parallels.svg")]
         svg = (tmp_path / "parallels.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
@@ -419,9 +421,9 @@ class TestOtherCommands:
         (["curvature", *GRID, "--curve", "parallel:0"], "curvature.csv"),
         (["patch", "--patch", "sphere_equator", "--grid", "32x17"],
          "warp_sphere_equator.csv"),
-        (["figure", "parallels"], "parallels.svg"),
+        (["family", "parallels"], "parallels.svg"),
         (["lemmas", "--quick", *GRID], "warp_taylor.csv")],
-        ids=["curvature", "patch", "figure", "lemmas"])
+        ids=["curvature", "patch", "family", "lemmas"])
     def test_unwritable_output_file_is_config_error(self, tmp_path, capsys,
                                                    cmd, name):
         (tmp_path / name).mkdir()
@@ -501,13 +503,14 @@ class TestOtherCommands:
         ["sasaki", "--patch", "nonsense"],  # sasaki builds no band
         ["sasaki", *GRID],
         ["family", "parallels", *GRID],  # each family builds its own patch
-        ["figure", "parallels", "--patch", "nonsense"],
+        ["figure", "parallels"],  # no such command: `family` draws
         ["sasaki", "--states", "1.5"],
         ["contract", "--curve", "cos:1,2", "--n-alpha", "x"],
         # --seed is declared only where a seed is read
         *([cmd, *flags, *GRID, "--seed", "3"]
           for cmd, flags in CURVE_ARGV.items()),
         ["patch", *GRID, "--seed", "9"],
+        ["family", "parallels", "--seed", "3"],  # no family draws at random
     ])
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 4
@@ -559,8 +562,13 @@ class TestOtherCommands:
         assert run("curvature", "--curve", f"csv:{path}", *GRID,
                    "--out", str(tmp_path)) == 4
 
-    def test_unknown_figure_is_runtime_error(self, tmp_path):
-        assert run("figure", "nope", "--out", str(tmp_path)) == 3
+    def test_unknown_family_is_config_error(self, tmp_path, capsys):
+        assert run("family", "nope", "--out", str(tmp_path)) == 4
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit):
+            run("family", "--help")
+        assert "{" + ",".join(FAMILIES) + "}" in capsys.readouterr().out
 
     # the default cylinder has r = 2: the shift solve needs
     # max|a| max|xi| < r/2, the contraction path max|xi| < r/3

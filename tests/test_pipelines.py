@@ -5,10 +5,8 @@ from lagbound import curves
 from lagbound.classify import classify, generate_family
 from lagbound.config import ExperimentConfig
 from lagbound.curves import Curve, geodesic_curvature, trig_curve
-from lagbound.errors import ParamOutOfRange
 from lagbound.exactness import build_contraction, contraction_bounds_check
-from lagbound.pipelines import (contraction_table, family_table, run_figure,
-                                run_lemma_suite)
+from lagbound.pipelines import contraction_table, family_table, run_lemma_suite
 
 
 @pytest.fixture()
@@ -69,17 +67,18 @@ class TestLemmaSuite:
         assert "seed=0" in text.splitlines()[0]
 
 
-class TestFigures:
+class TestFamilyTable:
     @pytest.mark.parametrize("family", ["parallels", "plane_circles"])
     def test_families_draw(self, tmp_path, family):
-        svg, csv = run_figure(family, str(tmp_path))
+        csv, svg = family_table(family, generate_family(family), str(tmp_path))
         svg_text = open(svg).read()
         assert svg_text.startswith("<svg") and "<!-- data" in svg_text
         csv_text = open(csv).read()
         assert csv_text.startswith("# schema=1")
 
-    def test_escape_figure_values(self, tmp_path):
-        svg, csv = run_figure("escape_cos", str(tmp_path))
+    def test_escape_values(self, tmp_path):
+        csv, _ = family_table("escape_cos", generate_family("escape_cos"),
+                              str(tmp_path))
         rows = [line.split(",") for line in open(csv).read().splitlines()[2:]]
         sup = {r[0]: float(r[1]) for r in rows}
         assert sup["cos_m2_a1"] == pytest.approx(4.0, rel=1e-9)
@@ -87,31 +86,42 @@ class TestFigures:
         dh = {r[0]: float(r[3]) for r in rows}
         assert all(0.9 <= v <= 1.01 for v in dh.values())
 
-    def test_escape_figure_writes_the_family_table(self, tmp_path):
-        _, csv = run_figure("escape_cos", str(tmp_path / "figure"))
-        path = family_table("escape_cos",
-                            generate_family("escape_cos"),
-                            str(tmp_path / "family"), ExperimentConfig().seed)
-        assert open(csv).read() == open(path).read()
-        assert open(path).read().splitlines()[1].endswith(",min_level")
+    # every family writes the six common columns, then its own
+    @pytest.mark.parametrize("family, extra", [
+        ("escape_cos", []), ("parallels", []),
+        ("plane_circles", ["enclosed_area", "monotonicity_constant"]),
+        ("hs_family", ["s", "sup_xi", "sup_dxi"])])
+    def test_columns(self, tmp_path, family, extra):
+        csv, svg = family_table(family, generate_family(family), str(tmp_path))
+        assert (csv, svg) == (str(tmp_path / f"{family}.csv"),
+                              str(tmp_path / f"{family}.svg"))
+        assert open(csv).read().splitlines()[1].split(",") == [
+            "member", "sup_curvature", "epsilon", "delta_h_to_base",
+            "action_class", "min_level", *extra]
+
+    def test_plane_circle_enclosed_area(self, tmp_path):
+        csv, _ = family_table("plane_circles", generate_family("plane_circles"),
+                              str(tmp_path))
+        _, header, *rows = open(csv).read().splitlines()
+        areas = [float(dict(zip(header.split(","), r.split(",")))
+                       ["enclosed_area"]) for r in rows]
+        # the circles of radii 1.0 and 1.1 enclose pi r^2
+        assert areas == pytest.approx([np.pi, np.pi * 1.21], rel=1e-12)
 
     @pytest.mark.parametrize("family, rate", [("hs_family", -1.5),
                                               ("hs_variant_alpha", -0.5)])
     def test_oscillation_curvature_slope(self, tmp_path, family, rate):
-        _, csv = run_figure(family, str(tmp_path))
-        header, _, *rows = open(csv).read().splitlines()
+        csv, _ = family_table(family, generate_family(family), str(tmp_path))
+        header, columns, *rows = open(csv).read().splitlines()
         meta = dict(item.split("=") for item in header.split(",")[1:])
         slope = float(meta["curvature_slope"])
         assert slope == pytest.approx(rate, abs=0.05)
         # the log-log fit of the written (s, sup_curvature) columns
-        s_vals, sups = np.array([[float(v) for v in r.split(",")[1:3]]
-                                 for r in rows]).T
+        table = [dict(zip(columns.split(","), r.split(","))) for r in rows]
+        s_vals, sups = np.array([[float(r["s"]), float(r["sup_curvature"])]
+                                 for r in table]).T
         assert slope == pytest.approx(
             np.polyfit(np.log(s_vals), np.log(sups), 1)[0], rel=1e-12)
-
-    def test_unknown_family(self, tmp_path):
-        with pytest.raises(ParamOutOfRange):
-            run_figure("nope", str(tmp_path))
 
 
 class TestContractionTable:
@@ -156,5 +166,5 @@ class TestCurvatureMeasuredOnce:
 
     def test_family_table(self, tmp_path, curvature_passes):
         members = generate_family("parallels")
-        family_table("parallels", members, str(tmp_path), 0)
+        family_table("parallels", members, str(tmp_path))
         assert len(curvature_passes) == 2 * len(members)

@@ -6,16 +6,16 @@ suite does not reach, against committed references, cell by cell.
     lagbound lemmas --quick --seed 0 --grid 512x129
 
 and each directory named in `EXTRA` the output of its command: the two-way
-graph query (`hausdorff`), the flat and plane two-way queries (`family
---pairwise --scan`), the capped tameness scan, the membership verdict with
-its exit code, the drawing and companion CSV of each named family
-(`figure`, SVG included), the single-curve reports (`curvature`, `exactify`,
-`contract`), both kinds of `sasaki` export on both bases (the round-sphere
-sweep runs the curved branch of the frame form, the flat-torus run a fixed
-step), a `patch` warp grid and the full suite (`lemmas` without `--quick`,
-the only run of its parameters).  A change that moves any cell must
-regenerate the directory with the same command and declare the regeneration
-with the cells it moved.  The last
+graph query (`hausdorff`), the table and drawing of each named family
+(`family`: the flat and plane families through their two-way queries,
+`--pairwise --scan`, the other three on their own), the capped tameness
+scan, the membership verdict with its exit code, the single-curve reports
+(`curvature`, `exactify`, `contract`), both kinds of `sasaki` export on both
+bases (the round-sphere sweep runs the curved branch of the frame form, the
+flat-torus run a fixed step), a `patch` warp grid and the full suite
+(`lemmas` without `--quick`, the only run of its parameters).  A change that
+moves any cell must regenerate the directory with the same command and
+declare the regeneration with the cells it moved.  The last
 digits of some cells depend on numpy's floating-point kernels, so a
 different numpy build can move them too; the failure lists each moved
 column with its largest difference, or, in a CSV with no header (the `patch`
@@ -43,9 +43,8 @@ EXTRA = {
     "family_plane_circles_pairwise_enclosed_area": (
         ["family", "plane_circles", "--pairwise", "--scan", "enclosed_area"],
         0),
-    **{f"figure_{fam}": (["figure", fam], 0)
-       for fam in ("escape_cos", "parallels", "plane_circles", "hs_family",
-                   "hs_variant_alpha")},
+    **{f"family_{fam}": (["family", fam], 0)
+       for fam in ("escape_cos", "hs_family", "hs_variant_alpha")},
     "tameness_sphere_equator_512x129": (
         ["tameness", "--patch", "sphere_equator", "--grid", "512x129",
          "--curve", "cos:0.1,3"], 0),

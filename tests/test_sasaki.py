@@ -42,6 +42,18 @@ class TestBases:
             coords, charts = base_manifold(name).sample_points(n)
             assert coords.shape == (count, 2) and charts.shape == (count,)
 
+    # kept under the requested n, not the count returned (676 at n = 700)
+    @pytest.mark.parametrize("n", [700, 1600])
+    @pytest.mark.parametrize("make_graph", [torus_gradient_graph,
+                                            sphere_harmonic_graph])
+    def test_default_samples_are_kept_for_the_requested_n(self, make_graph, n):
+        g = make_graph(0.05)
+        coords, charts = g.default_samples(n)
+        assert g.default_samples(n) is g.default_samples(n)
+        fresh = g.base.sample_points(n)
+        assert np.array_equal(coords, fresh[0])
+        assert np.array_equal(charts, fresh[1])
+
     def test_unknown_base_manifold(self):
         with pytest.raises(ValueError, match="unknown base manifold"):
             base_manifold("klein_bottle")
