@@ -20,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .classify import (FAMILIES, classify as classify_curve, generate_family,
-                       separation_scan)
+from .classify import FAMILIES, classify as classify_curve, generate_family
 from . import sasaki as sas
 from .config import (DEFAULT_GRID, ExperimentConfig, build_patch_from_spec,
                      load_config, parse_curve_spec, parse_grid)
@@ -190,26 +189,8 @@ def _dispatch(args) -> int:
         return 0 if all(res.passed for res in results) else 1
 
     if cmd == "family":
-        curves = generate_family(args.family_id)
-        # the scan runs first, so an invariant that does not fit the band
-        # writes nothing; its rows start with the pairwise table
-        scan = separation_scan(curves, args.scan) if args.scan else None
-        print(*family_table(args.family_id, curves, config.out_dir), sep="\n")
-        if args.pairwise:
-            mat_rows = ([row[:3] for row in scan.rows] if scan else
-                        [(a.name, b.name, hausdorff_distance(a, b).value)
-                         for i, a in enumerate(curves) for b in curves[i + 1:]])
-            print(write_csv(
-                os.path.join(config.out_dir, f"{args.family_id}_pairwise.csv"),
-                ["member_a", "member_b", "delta_h"], mat_rows,
-                {"family": args.family_id}))
-        if scan:
-            print(write_csv(
-                os.path.join(config.out_dir, f"{args.family_id}_scan.csv"),
-                ["member_a", "member_b", "delta_h", "invariant_gap"],
-                scan.rows,
-                {"family": args.family_id, "invariant": args.scan,
-                 "a_emp": scan.a_emp if scan.a_emp is not None else "none"}))
+        print(*family_table(args.family_id, generate_family(args.family_id),
+                            config.out_dir, args.pairwise, args.scan), sep="\n")
         return 0
 
     if cmd == "sasaki":

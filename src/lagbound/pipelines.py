@@ -1,4 +1,4 @@
-"""Experiment pipelines: the lemma-check suite, the table and drawing of a
+"""Experiment pipelines: the lemma-check suite, the tables and drawing of a
 named family, and the table of a contraction path.
 
 Each suite check writes one CSV (pass/fail per row with margins and witness
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LADDER_SCALES, min_level
+from .classify import LADDER_SCALES, min_level, separation_scan
 from . import sasaki as sas
 from .config import DEFAULT_GRID, ExperimentConfig
 from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_check, trig_curve
@@ -345,7 +345,8 @@ def contraction_table(path: ContractionPath,
     return rows, chk
 
 
-def family_table(family_id: str, curves: list, out_dir: str) -> tuple[str, str]:
+def family_table(family_id: str, curves: list, out_dir: str,
+                 pairwise: bool = False, scan: str | None = None) -> tuple:
     """Write `<family_id>.csv` for the family's curves: per member sup|B|,
     epsilon, delta_H to the base curve, the action class and the smallest
     admitting level (`classify.min_level`, empty when none).  The oscillation
@@ -353,7 +354,11 @@ def family_table(family_id: str, curves: list, out_dir: str) -> tuple[str, str]:
     slope of sup|B| against s as `curvature_slope` in the meta;
     plane_circles adds the enclosed area and its monotonicity constant.
     Beside it, draw the family in band coordinates as `<family_id>.svg`.
-    Returns the CSV path and the SVG path."""
+    `pairwise` adds `<family_id>_pairwise.csv`, delta_H of each pair; `scan`,
+    an `isotopy_invariant` kind, adds `<family_id>_scan.csv`, its
+    `separation_scan`, which runs first: a kind that does not fit the band
+    writes no file.  Returns the paths in the order written."""
+    scanned = separation_scan(curves, scan) if scan else None
     patch = curves[0].patch
     base = Curve.constant(patch, 0.0, n=curves[0].n)
     columns = ["member", "sup_curvature", "epsilon", "delta_h_to_base",
@@ -386,6 +391,20 @@ def family_table(family_id: str, curves: list, out_dir: str) -> tuple[str, str]:
             inv = isotopy_invariant(cv, "enclosed_area")
             row += [inv.value, inv.monotonicity_constant]
     stem = os.path.join(out_dir, family_id)
-    return (write_csv(f"{stem}.csv", columns, rows, meta),
-            write_curves_svg(f"{stem}.svg", panels, patch.length,
-                             patch.halfwidth, title=title))
+    paths = [write_csv(f"{stem}.csv", columns, rows, meta),
+             write_curves_svg(f"{stem}.svg", panels, patch.length,
+                              patch.halfwidth, title=title)]
+    if pairwise:
+        pairs = ([row[:3] for row in scanned.rows] if scanned else
+                 [(a.name, b.name, hausdorff_distance(a, b).value)
+                  for i, a in enumerate(curves) for b in curves[i + 1:]])
+        paths.append(write_csv(f"{stem}_pairwise.csv",
+                               ["member_a", "member_b", "delta_h"], pairs,
+                               {"family": family_id}))
+    if scanned:
+        paths.append(write_csv(
+            f"{stem}_scan.csv",
+            ["member_a", "member_b", "delta_h", "invariant_gap"], scanned.rows,
+            {"family": family_id, "invariant": scan, "a_emp":
+             scanned.a_emp if scanned.a_emp is not None else "none"}))
+    return tuple(paths)

@@ -99,6 +99,16 @@ class TestFamilyTable:
             "member", "sup_curvature", "epsilon", "delta_h_to_base",
             "action_class", "min_level", *extra]
 
+    def test_pairwise_and_scan_paths(self, tmp_path):
+        paths = family_table("parallels", generate_family("parallels"),
+                             str(tmp_path), pairwise=True,
+                             scan="liouville_class")
+        assert paths == tuple(str(tmp_path / f"parallels{suffix}") for suffix
+                              in (".csv", ".svg", "_pairwise.csv", "_scan.csv"))
+        pairwise, scan = (open(p).read().splitlines()[2:] for p in paths[2:])
+        # the pairwise table is the scan's distances
+        assert pairwise == [row.rsplit(",", 1)[0] for row in scan]
+
     def test_plane_circle_enclosed_area(self, tmp_path):
         csv, _ = family_table("plane_circles", generate_family("plane_circles"),
                               str(tmp_path))

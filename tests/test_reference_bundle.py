@@ -1,28 +1,33 @@
-"""The quick suite's CSV bundle, and the README's extra A/B outputs that the
-suite does not reach, against committed references, cell by cell.
+"""Every pinned output against its committed reference, cell by cell.
 
-`data/lemmas_quick_seed0_512x129` holds the output of
-
-    lagbound lemmas --quick --seed 0 --grid 512x129
-
-and each directory named in `EXTRA` the output of its command: the two-way
-graph query (`hausdorff`), the table and drawing of each named family
+`PINS` is the one list of pinned outputs: each directory under `data/` holds
+the output of one command, and `PINS` maps its name to that command and its
+exit code.  The pins cover the quick and the full suite (`lemmas`), the
+two-way graph query (`hausdorff`), the table and drawing of each named family
 (`family`: the flat and plane families through their two-way queries,
 `--pairwise --scan`, the other three on their own), the capped tameness
 scan, the membership verdict with its exit code, the single-curve reports
 (`curvature`, `exactify`, `contract`), both kinds of `sasaki` export on both
 bases (the round-sphere sweep runs the curved branch of the frame form, the
-flat-torus run a fixed step), a `patch` warp grid and the full suite
-(`lemmas` without `--quick`, the only run of its parameters).  A change that
-moves any cell must regenerate the directory with the same command and
-declare the regeneration with the cells it moved.  The last
-digits of some cells depend on numpy's floating-point kernels, so a
-different numpy build can move them too; the failure lists each moved
-column with its largest difference, or, in a CSV with no header (the `patch`
-warp grid, whose second line is already numbers), each moved cell by its row
-and column index.
+flat-torus run a fixed step) and a `patch` warp grid.  A change that moves
+any cell must regenerate the directory with the same command and declare
+the regeneration with the cells it moved.  The last digits of some cells
+depend on numpy's floating-point kernels, so a different numpy build can
+move them too; a failure lists each moved column with its largest
+difference, or, in a CSV with no header (the `patch` warp grid, whose second
+line is already numbers), each moved cell by its row and column index.
+
+Under pytest each pin runs in-process.  Run as a script,
+
+    PYTHONPATH=src python tests/test_reference_bundle.py
+
+runs each pin in a fresh `python -m lagbound.cli` process, prints `ok <name>`
+or `FAIL <name>` and the changes, and exits 1 when any pin fails.
 """
 
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +36,11 @@ import pytest
 from lagbound.cli import main
 
 DATA = Path(__file__).parent / "data"
-REFERENCE = DATA / "lemmas_quick_seed0_512x129"
-ARGV = ["lemmas", "--quick", "--seed", "0", "--grid", "512x129"]
 # reference directory -> (command, exit code)
-EXTRA = {
+PINS = {
+    "lemmas_quick_seed0_512x129": (
+        ["lemmas", "--quick", "--seed", "0", "--grid", "512x129"], 0),
+    "lemmas_full_seed0": (["lemmas", "--seed", "0"], 0),
     "hausdorff_hyperbolic_band_512x129": (
         ["hausdorff", "--patch", "hyperbolic_band", "--grid", "512x129",
          "--curve", "parallel:0", "--curve2", "cos:0.2,2"], 0),
@@ -69,7 +75,6 @@ EXTRA = {
          "--step", "1e-3"], 0),
     "patch_sphere_equator_32x17": (
         ["patch", "--patch", "sphere_equator", "--grid", "32x17"], 0),
-    "lemmas_full_seed0": (["lemmas", "--seed", "0"], 0),
 }
 
 
@@ -114,7 +119,9 @@ def _cell_changes(name: str, ref_rows: list, got_rows: list) -> list:
 
 def _bundle_changes(ref_dir: Path, got_dir: Path) -> list:
     ref_files = sorted(p.name for p in ref_dir.iterdir())
-    got_files = sorted(p.name for p in got_dir.iterdir())
+    # a run that stops before making its output directory wrote no file
+    got_files = (sorted(p.name for p in got_dir.iterdir())
+                 if got_dir.is_dir() else [])
     if ref_files != got_files:
         return [f"files: {ref_files} -> {got_files}"]
     changes = []
@@ -147,25 +154,25 @@ def _bundle_changes(ref_dir: Path, got_dir: Path) -> list:
     return changes
 
 
-def test_quick_bundle_matches_the_reference(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main([*ARGV, "--out", str(out)])
-    capsys.readouterr()
-    changes = _bundle_changes(REFERENCE, out)
-    print("\n".join(changes))
-    assert not changes, "\n".join(changes)
-    assert code == 0
-
-
-@pytest.mark.parametrize("name", sorted(EXTRA))
-def test_extra_output_matches_the_reference(tmp_path, capsys, name):
-    argv, expected = EXTRA[name]
-    out = tmp_path / "out"
-    code = main([*argv, "--out", str(out)])
-    capsys.readouterr()
+def _pin_changes(name: str, code: int, out: Path) -> list:
+    """What moved in pin `name`, run with exit code `code` into `out`."""
     changes = _bundle_changes(DATA / name, out)
+    if code != PINS[name][1]:
+        changes.insert(0, f"exit code {PINS[name][1]} -> {code}")
+    return changes
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_pinned_output_matches_the_reference(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code = main([*PINS[name][0], "--out", str(out)])
+    capsys.readouterr()
+    changes = _pin_changes(name, code, out)
     assert not changes, "\n".join(changes)
-    assert code == expected
+
+
+def test_every_reference_directory_is_pinned():
+    assert sorted(p.name for p in DATA.iterdir()) == sorted(PINS)
 
 
 def test_a_moved_cell_of_a_grid_without_header_is_named(tmp_path):
@@ -179,3 +186,20 @@ def test_a_moved_cell_of_a_grid_without_header_is_named(tmp_path):
     (got / name).write_text("\n".join([meta, ",".join(cells), *rest]) + "\n")
     assert _bundle_changes(ref, got) == [
         f"{name}: row 0, column 3: {first.split(',')[3]!r} -> {cells[3]!r}"]
+
+
+if __name__ == "__main__":
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(PINS):
+            out = Path(tmp) / name
+            run = subprocess.run(
+                [sys.executable, "-m", "lagbound.cli", *PINS[name][0],
+                 "--out", str(out)], capture_output=True, text=True)
+            changes = _pin_changes(name, run.returncode, out)
+            if run.returncode != PINS[name][1]:
+                changes += run.stderr.splitlines()
+            print(f"{'FAIL' if changes else 'ok'} {name}",
+                  *(f"  {line}" for line in changes), sep="\n", flush=True)
+            failed += bool(changes)
+    sys.exit(1 if failed else 0)
