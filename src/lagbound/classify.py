@@ -66,19 +66,6 @@ def _clause(margin: float, err: float):
     return None
 
 
-def _decide(curve: Curve, k: float, trep):
-    """Clauses, three-valued verdict and (margin, error) per clause of level-k
-    membership, from the curve's tameness report (which carries |B|)."""
-    r, curv = curve.patch.halfwidth, trep.curvature
-    margins = {"curvature": (k - curv.sup, curv.error),
-               "tameness": (trep.epsilon - 1.0 / (k + 1.0), trep.error),
-               "containment": (r * (1.0 - 1.0 / (k + 1.0)) - curve.sup_norm(),
-                               1e-12)}
-    clauses = tuple(_clause(m, err) for m, err in margins.values())
-    verdict = False if False in clauses else None if None in clauses else True
-    return clauses, verdict, margins
-
-
 @dataclass
 class MembershipVerdict:
     """Level-k decision with per-clause margins.
@@ -99,18 +86,28 @@ class MembershipVerdict:
     epsilon: float = 0.0
 
 
+def _decide(curve: Curve, k: float, trep) -> MembershipVerdict:
+    """Level-k membership, its clauses and (margin, error) per clause, from
+    the curve's tameness report (which carries |B|); is_exact is left unset."""
+    r, curv = curve.patch.halfwidth, trep.curvature
+    margins = {"curvature": (k - curv.sup, curv.error),
+               "tameness": (trep.epsilon - 1.0 / (k + 1.0), trep.error),
+               "containment": (r * (1.0 - 1.0 / (k + 1.0)) - curve.sup_norm(),
+                               1e-12)}
+    clauses = tuple(_clause(m, err) for m, err in margins.values())
+    verdict = False if False in clauses else None if None in clauses else True
+    return MembershipVerdict(float(k), *clauses, verdict, margins,
+                             curvature=curv.sup, epsilon=trep.epsilon)
+
+
 def classify(curve: Curve, k: float) -> MembershipVerdict:
     """Decide level-k membership of a graph curve; it is exact when its
     action |A| is at most 1e-9.  ValueError unless k is finite and positive."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"level k must be finite and positive, got {k}")
-    trep = tameness(curve)
-    (c_curv, c_tame, c_cont), verdict, margins = _decide(curve, k, trep)
-    return MembershipVerdict(
-        k=float(k), curvature_ok=c_curv, tame_ok=c_tame, containment_ok=c_cont,
-        verdict=verdict, margins=margins,
-        is_exact=bool(abs(area_functional(curve)) <= 1e-9),
-        curvature=trep.curvature.sup, epsilon=trep.epsilon)
+    verdict = _decide(curve, k, tameness(curve))
+    verdict.is_exact = bool(abs(area_functional(curve)) <= 1e-9)
+    return verdict
 
 
 def min_level(curve: Curve, trep) -> int | None:
@@ -118,7 +115,7 @@ def min_level(curve: Curve, trep) -> int | None:
     decided from the curve's tameness report (default scan); None when no
     such level exists."""
     return next((k for k in range(1, MAX_LEVEL + 1)
-                 if _decide(curve, k, trep)[1] is True), None)
+                 if _decide(curve, k, trep).verdict is True), None)
 
 
 # ---------------------------------------------------------------------------

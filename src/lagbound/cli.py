@@ -33,11 +33,11 @@ from .report import write_csv, write_warp_csv
 from .surface import NAMED_BANDS
 
 
-def _resolve_patch(name, config: ExperimentConfig):
+def _resolve_patch(name, config: ExperimentConfig, grid_flag):
     if name in config.patches:
-        spec = dict(config.patches[name])
-        spec.setdefault("name", name)
-        spec.setdefault("grid", config.grid or DEFAULT_GRID)
+        spec = {"name": name, **config.patches[name]}
+        if grid_flag or "grid" not in spec:  # --grid wins over the spec's
+            spec["grid"] = config.grid or DEFAULT_GRID
         return build_patch_from_spec(spec)
     if name in NAMED_BANDS:
         build = NAMED_BANDS[name]
@@ -220,7 +220,7 @@ def _dispatch(args) -> int:
               f"{np.max(np.abs(fit.leading - fit.expected_leading)):.3e}")
         return 0
 
-    patch = _resolve_patch(args.patch, config)
+    patch = _resolve_patch(args.patch, config, args.grid)
 
     if cmd == "patch":
         print(write_warp_csv(

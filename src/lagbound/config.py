@@ -117,7 +117,9 @@ class ExperimentConfig:
         # int(1.5) is 1, and True is an int
         if type(cfg.seed) is not int or cfg.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        cfg.out_dir = str(data.get("out_dir", cfg.out_dir))
+        cfg.out_dir = data.get("out_dir", cfg.out_dir)
+        if not isinstance(cfg.out_dir, str):
+            raise ConfigError("out_dir must be a string")
         cfg.quick = data.get("quick", cfg.quick)
         if "grid" in data:
             cfg.grid = parse_grid(data["grid"])

@@ -58,16 +58,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .numerics import wrap_difference
+from .numerics import simpson_rule, wrap_difference
 from .surface import cylinder_distance
 
 DEFAULT_DIST_GRID = (128, 129)
 _DIRECT_REACH = 0.4  # least coordinate arc joined by direct quadrature edges
 
-_SIMPSON3 = np.array([1.0, 4.0, 1.0]) / 6.0
-_SIMPSON3_X = np.array([0.0, 0.5, 1.0])
-_SIMPSON5 = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
-_SIMPSON5_X = np.linspace(0.0, 1.0, 5)
+_SIMPSON3_X, _SIMPSON3 = simpson_rule(3)
+_SIMPSON5_X, _SIMPSON5 = simpson_rule(5)
 # the 16-neighbor stencil is the coprime (a, b) with |a|, |b| <= 2; each
 # undirected edge is built once, along the half with a > 0 or (a = 0, b > 0)
 _HALF_STENCIL = [(a, b) for a in range(3) for b in range(-2, 3)

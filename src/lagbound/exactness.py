@@ -34,6 +34,7 @@ __all__ = [
     "contraction_bounds_check",
     "isotopy_invariant",
     "shifted_curve",
+    "shift_gaps",
 ]
 
 _C_TOL = 1e-13     # |A| at which a regula falsi shift counts as exact
@@ -139,6 +140,15 @@ def shifted_curve(curve: Curve, shift: float, scale: float = 1.0,
                  name=name or f"{curve.name}{scale:+g}x{shift:+.3g}", fns=fns)
 
 
+def shift_gaps(curve: Curve, alphas: np.ndarray, c: np.ndarray) -> tuple:
+    """The shift contract's bracket gap max(|c(a)| - a*max|xi|) and Lipschitz
+    gap max(|c(a) - c(a')| - max|xi| |a - a'|) for the shifts c of `curve`."""
+    sup = curve.sup_norm()
+    dc = np.abs(c[:, None] - c[None, :])
+    da = np.abs(alphas[:, None] - alphas[None, :])
+    return float(np.max(np.abs(c) - alphas * sup)), float(np.max(dc - sup * da))
+
+
 @dataclass
 class ContractionPath:
     """Family alpha -> graph(alpha * xi + c(alpha)) of exact graphs.
@@ -169,7 +179,6 @@ def build_contraction(curve: Curve, n_alpha: int = 101) -> ContractionPath:
     c_fix = solve_c(curve, 1.0)
     xi_hat = shifted_curve(curve, c_fix, name=f"{curve.name}_exact") \
         if abs(c_fix) > 0 else curve
-    sup = xi_hat.sup_norm()
 
     alphas = np.linspace(0.0, 1.0, n_alpha)
     c = solve_c_grid(xi_hat, alphas)
@@ -180,11 +189,10 @@ def build_contraction(curve: Curve, n_alpha: int = 101) -> ContractionPath:
     if abs(c[0]) > 1e-10 or abs(c[-1]) > 1e-10:
         raise NoBracket(f"endpoint shifts do not vanish: c(0)={c[0]:.2e}, "
                         f"c(1)={c[-1]:.2e}")
-    if np.any(np.abs(c) > alphas * sup + 1e-12):
+    bracket_gap, lip_gap = shift_gaps(xi_hat, alphas, c)
+    if bracket_gap > 1e-12:
         raise NoBracket("shift exceeds the bracket bound a*max|xi|")
-    dc = np.abs(c[:, None] - c[None, :])
-    da = np.abs(alphas[:, None] - alphas[None, :])
-    if np.any(dc > sup * da + _LIP_SLACK):
+    if lip_gap > _LIP_SLACK:
         raise NoBracket("shift violates the Lipschitz bound max|xi| |a-a'|")
     for cv in curves:
         if cv.sup_norm() >= patch.halfwidth:

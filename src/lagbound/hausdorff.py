@@ -22,7 +22,6 @@ from .exactness import shifted_curve
 
 __all__ = [
     "HausdorffResult",
-    "RadialCheck",
     "hausdorff_distance",
     "radial_path_check",
     "contraction_path_bound_check",
@@ -65,37 +64,29 @@ def hausdorff_distance(a: Curve, b: Curve,
                            witness_ba=wit_ba, error=float(err))
 
 
-@dataclass
-class RadialCheck:
-    rows: list
-
-    @property
-    def ok(self) -> bool:
-        return all(residual <= tol for *_, residual, tol in self.rows)
-
-
 def radial_path_check(section: Curve, scale_pairs,
-                      tol_factor: float = 2.0) -> RadialCheck:
+                      tol_factor: float = 2.0) -> list:
     """Check that vertical scalings of a graph realize Hausdorff distance
     |t - s| * max|xi| for each requested (t, s) pair.
 
-    Rows carry (t, s, measured, expected, residual, tolerance); tolerance is
-    tol_factor * (metric sample spacing + distance-field error).
+    Rows carry (t, s, measured, expected, residual, tolerance, pass);
+    tolerance is tol_factor * (metric sample spacing + distance-field error)
+    and pass is residual <= tolerance.
     """
-    patch = section.patch
     sup = section.sup_norm()
-    patch.require_inside(section.xi)
+    section.patch.require_inside(section.xi)
     rows = []
     for tv, sv in scale_pairs:
         ca, cb = (shifted_curve(section, 0.0, f) for f in (tv, sv))
         res = hausdorff_distance(ca, cb)
         expected = abs(tv - sv) * sup
-        rows.append((float(tv), float(sv), res.value, expected,
-                     abs(res.value - expected), tol_factor * res.error))
-    return RadialCheck(rows=rows)
+        residual, tol = abs(res.value - expected), tol_factor * res.error
+        rows.append((float(tv), float(sv), res.value, expected, residual, tol,
+                     residual <= tol))
+    return rows
 
 
-def contraction_path_bound_check(path) -> tuple[bool, list]:
+def contraction_path_bound_check(path) -> list:
     """Check the Lipschitz bound delta_H(graph_a, graph_a') <= 2 |a - a'| max|xi|
     along a contraction path (duck-typed: needs .alphas, .curves, .xi), each
     pair with its measured error as slack.
@@ -113,4 +104,4 @@ def contraction_path_bound_check(path) -> tuple[bool, list]:
             rows.append((float(path.alphas[i]), float(path.alphas[j]),
                          res.value, bound, res.value - bound,
                          res.value <= bound + res.error))
-    return all(row[-1] for row in rows), rows
+    return rows

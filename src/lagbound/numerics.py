@@ -69,8 +69,16 @@ def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fixed-step Runge-Kutta
+# Simpson quadrature and fixed-step Runge-Kutta
 # ---------------------------------------------------------------------------
+
+def simpson_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Simpson rule on [0, 1], n odd."""
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return np.linspace(0.0, 1.0, n), weights / (3.0 * (n - 1))
+
 
 def rk4_step(rhs, t, y: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step of y' = rhs(t, y) from t to t + h.

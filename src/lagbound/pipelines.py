@@ -22,7 +22,7 @@ from .curves import Curve, geodesic_curvature, tameness, tameness_comparison_che
 from .exactness import (BoundsCheck, ContractionPath, _area_batch,
                         area_functional, build_contraction,
                         contraction_bounds_check, isotopy_invariant,
-                        shifted_curve, solve_c_grid)
+                        shift_gaps, shifted_curve, solve_c_grid)
 from .hausdorff import contraction_path_bound_check, hausdorff_distance, radial_path_check
 from .numerics import loglog_slope
 from .report import write_csv, write_curves_svg
@@ -118,16 +118,11 @@ def _check_exact_shift(config, params, patches, rng):
             offset = rng.uniform(-0.2, 0.2) * sup_target
             xi = _random_trig(patch, rng, sup_target, name=f"xi{i}")
             xi = shifted_curve(xi, offset, name=f"xi{i}")
-            sup = xi.sup_norm()
-            if sup >= patch.halfwidth / 3:
+            if xi.sup_norm() >= patch.halfwidth / 3:
                 xi = shifted_curve(xi, 0.0, scale=0.9, name=xi.name)
-                sup = xi.sup_norm()
             c_vals = solve_c_grid(xi, alphas)
             resid = _area_batch(patch, alphas[:, None] * xi.xi + c_vals[:, None])
-            bracket_gap = float(np.max(np.abs(c_vals) - alphas * sup))
-            dc = np.abs(c_vals[:, None] - c_vals[None, :])
-            da = np.abs(alphas[:, None] - alphas[None, :])
-            lip_gap = float(np.max(dc - sup * da))
+            bracket_gap, lip_gap = shift_gaps(xi, alphas, c_vals)
             max_resid = float(np.max(np.abs(resid)))
             rows.append((pname, xi.name, max_resid, bracket_gap, lip_gap,
                          max_resid <= tol_area and bracket_gap <= 1e-12
@@ -276,8 +271,8 @@ def _check_radial(config, params, patches, rng):
     for pname, sec in sections.items():
         pairs = [(float(t), float(s))
                  for t, s in rng.uniform(0.0, 1.0, size=(params["pairs"], 2))]
-        rows += [(pname, *row, row[4] <= row[5])
-                 for row in radial_path_check(sec, pairs, tol_factor=factor).rows]
+        rows += [(pname, *row)
+                 for row in radial_path_check(sec, pairs, tol_factor=factor)]
     return CheckResult("radial_hausdorff",
                        ["patch", "t", "s", "measured", "expected", "residual",
                         "tolerance", "pass"],
@@ -288,11 +283,10 @@ def _check_contraction_hausdorff(config, params, patches, rng):
     patch = patches["flat_cylinder"]
     xi = _random_trig(patch, rng, sup_target=0.3, name="xi_h")
     path = build_contraction(xi, n_alpha=params["alpha_steps"])
-    _, rows = contraction_path_bound_check(path)
     return CheckResult("contraction_hausdorff",
                        ["alpha", "alpha_prime", "delta_h", "bound", "gap",
                         "pass"],
-                       rows, {})
+                       contraction_path_bound_check(path), {})
 
 
 _CHECK_FUNCS = {

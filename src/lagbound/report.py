@@ -1,10 +1,10 @@
 """Deterministic CSV and SVG output.
 
 Every CSV starts with a single `# schema=1` comment line (optionally extended
-with key=value metadata), uses UTF-8 with LF line endings, and formats floats
-with repr-faithful precision so identical runs produce identical bytes.  Every
-file is written through one opener, which makes its directory; a path that
-cannot be written is a configuration error (`ConfigError`, exit 4).
+with key=value metadata), uses UTF-8, LF line endings and RFC 4180 quoting,
+and formats floats with repr-faithful precision so identical runs produce
+identical bytes.  Every file is written through one opener, which makes its
+directory; an unwritable path is a configuration error (`ConfigError`, exit 4).
 
 Figures are self-contained SVG files written by hand (no plotting library);
 the numeric data is embedded as XML comments for reproducibility.
@@ -53,15 +53,22 @@ def _write_lines(path, lines) -> str:
     return path
 
 
+def _cell(value) -> str:
+    """Formatted cell; a string with a comma, quote or newline gets quoted."""
+    text = format_float(value)
+    if isinstance(value, str) and any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _row(values) -> str:
-    return ",".join(format_float(v) for v in values)
+    return ",".join(map(_cell, values))
 
 
 def write_csv(path, columns, rows, meta: dict | None = None) -> str:
-    header = "# schema=1"
-    if meta:
-        header += "".join(f",{k}={format_float(v)}" for k, v in sorted(meta.items()))
-    return _write_lines(path, [header, ",".join(columns), *map(_row, rows)])
+    header = ["# schema=1", *(f"{k}={format_float(v)}"
+                              for k, v in sorted((meta or {}).items()))]
+    return _write_lines(path, [_row(header), _row(columns), *map(_row, rows)])
 
 
 def write_warp_csv(path, patch) -> str:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import jets
 from .errors import FrameDegenerate, ParamOutOfRange, StepTooLarge
-from .numerics import rk4_step
+from .numerics import rk4_step, simpson_rule
 
 __all__ = [
     "FlatTorus",
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _BLOCK_VALUES = 2 ** 15  # sweep block size: a dozen 256 KiB arrays fit L2
-_N_QUAD = 33        # Simpson nodes (odd) along each pair geodesic
+_QUAD_TAU, _QUAD_W = simpson_rule(33)  # Simpson nodes along pair geodesics
 _HALVING_TOL = 1e-6  # largest halving error a bundle geodesic accepts
 _HALVING_SAFETY = 2.0  # widens the Richardson part of the halving error
 _LADDER_START = 2.0 ** -5   # the largest step the step controller tries
@@ -123,8 +123,7 @@ class FlatTorus(_ConformalBase):
     def pair_geodesics(self, pa, ca, pb, cb):
         delta = (pb - pa + np.pi) % self.period - np.pi
         d = np.linalg.norm(delta, axis=-1)
-        tau = np.linspace(0.0, 1.0, _N_QUAD)
-        nodes = pa[:, None, :] + tau[None, :, None] * delta[:, None, :]
+        nodes = pa[:, None, :] + _QUAD_TAU[None, :, None] * delta[:, None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
             tang = delta / np.where(d[:, None] > 0, d[:, None], 1.0)
         tang = np.broadcast_to(tang[:, None, :], nodes.shape).copy()
@@ -218,7 +217,7 @@ class RoundSphere(_ConformalBase):
         d = np.arccos(cosd)
         sind = np.sqrt(np.maximum(1e-300, 1.0 - cosd ** 2))
         e = (p1 - cosd[:, None] * p0) / sind[:, None]
-        tau = np.linspace(0.0, 1.0, _N_QUAD)[None, :, None] * d[:, None, None]
+        tau = _QUAD_TAU[None, :, None] * d[:, None, None]
         pts3 = np.cos(tau) * p0[:, None, :] + np.sin(tau) * e[:, None, :]
         t3 = -np.sin(tau) * p0[:, None, :] + np.cos(tau) * e[:, None, :]
         u, charts = self.to_chart(pts3)
@@ -750,12 +749,7 @@ def graph_tameness_bounds(base, graph: GradientGraph, n_pairs: int = 120,
     t_mat = graph.frame_data(nodes, charts)["T"]
     tdot = np.einsum("bqij,bqj->bqi", t_mat, tang)
     speed = np.sqrt(1.0 + (tdot * tdot).sum(-1))
-    # composite Simpson weights over [0, 1]
-    wq = np.ones(_N_QUAD)
-    wq[1:-1:2] = 4.0
-    wq[2:-1:2] = 2.0
-    wq = wq / (3.0 * (_N_QUAD - 1))
-    lifted = d * (speed * wq[None, :]).sum(-1)
+    lifted = d * (speed * _QUAD_W[None, :]).sum(-1)
 
     gb = graph.grad_bound()
     upper = np.sqrt(1.0 + gb * gb) * d

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -122,6 +123,18 @@ class TestOtherCommands:
                        "--out", str(tmp_path / out)) == 0
             head = (tmp_path / out / "warp_unit_cylinder.csv").read_text()
             assert head.splitlines()[0].endswith("n_s=64,n_t=17")
+
+    def test_grid_flag_wins_over_a_config_patch_grid(self, tmp_path):
+        # precedence: --grid, then the patch's own grid, then the config's
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"grid": [128, 33],
+                                   "patches": {"my_band": BAND}}))
+        for out, flags, meta in (("flag", ["--grid", "32x9"], "n_s=32,n_t=9"),
+                                 ("spec", [], "n_s=64,n_t=17")):
+            assert run("patch", "--config", str(cfg), "--patch", "my_band",
+                       *flags, "--out", str(tmp_path / out)) == 0
+            head = (tmp_path / out / "warp_my_band.csv").read_text()
+            assert head.splitlines()[0].endswith(meta)
 
     def test_unit_cylinder_default_grid(self, tmp_path):
         assert run("patch", "--patch", "unit_cylinder",
@@ -320,6 +333,10 @@ class TestOtherCommands:
         ({"grid": [1e999, 17]}, "parallel:0", 4),
         ({"patches": {"p": dict(BAND, grid=[64, 17.9])}}, "parallel:0", 4),
         ({"patches": {"p": dict(BAND, grid=[64, True])}}, "parallel:0", 4),
+        # str() would turn these into directory names such as "None"
+        ({"out_dir": None}, "parallel:0", 4),
+        ({"out_dir": 5}, "parallel:0", 4),
+        ({"out_dir": ["o"]}, "parallel:0", 4),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, config, curve,
                                               code):
@@ -712,6 +729,21 @@ class TestConfig:
         assert c3.sup_norm() == pytest.approx(0.1, abs=1e-9)
         with pytest.raises(ConfigError):
             parse_curve_spec("bad:1", patch)
+
+    def test_curve_name_with_a_comma_stays_one_cell(self, tmp_path,
+                                                     monkeypatch):
+        # the name `csv_a,b.csv` lands in the first cell of curvature.csv
+        l, n = 2 * np.pi, 128
+        s = np.arange(n) * (l / n)
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("a,b.csv", np.stack([s, 0.1 * np.cos(s)], axis=1),
+                   delimiter=",")
+        assert run("curvature", "--patch", "cylinder", *GRID,
+                   "--curve", "csv:a,b.csv", "--out", "o") == 0
+        with open("o/curvature.csv", newline="", encoding="utf-8") as fh:
+            meta, header, row = csv.reader(fh)
+        assert header == ["curve", "sup", "arg_s", "error"]
+        assert len(row) == 4 and row[0] == "csv_a,b.csv"
 
     def test_curve_csv_ingestion(self, tmp_path, rng):
         patch = flat_cylinder(grid=(256, 65))

@@ -94,25 +94,27 @@ class TestRadialPaths:
 
     def test_same_scale_zero(self, cyl):
         sec = trig_curve(cyl, {1: 0.5}, n=512)
-        chk = radial_path_check(sec, [(0.4, 0.4)])
-        assert chk.ok
-        assert chk.rows[0][4] == pytest.approx(0.0, abs=1e-12)
+        rows = radial_path_check(sec, [(0.4, 0.4)])
+        t, s, measured, expected, residual, tol, passed = rows[0]
+        assert len(rows) == 1 and passed
+        assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_cylinder_identity(self, cyl):
         sec = trig_curve(cyl, {1: 0.45}, n=1024)
         pairs = [(1.0, 0.0), (0.75, 0.25), (0.9, 0.1), (0.3, 0.7)]
-        chk = radial_path_check(sec, pairs)
-        assert chk.ok
-        for t, s, measured, expected, residual, tol in chk.rows:
+        rows = radial_path_check(sec, pairs)
+        assert len(rows) == len(pairs)
+        for t, s, measured, expected, residual, tol, passed in rows:
             assert expected == pytest.approx(abs(t - s) * 0.45, abs=1e-12)
-            assert residual <= tol
+            assert residual <= tol and passed
 
     def test_sphere_identity(self, sphere):
         sec = trig_curve(sphere, {1: 0.2}, n=512)
-        chk = radial_path_check(sec, [(0.75, 0.25), (1.0, 0.0)])
-        assert chk.ok
+        rows = radial_path_check(sec, [(0.75, 0.25), (1.0, 0.0)])
+        assert all(passed for *_, passed in rows)
         # 0.75/0.25 pair: distance 0.5 * 0.2 = 0.1 within tolerance
-        assert chk.rows[0][2] == pytest.approx(0.1, abs=chk.rows[0][5])
+        t, s, measured, expected, residual, tol, passed = rows[0]
+        assert measured == pytest.approx(0.1, abs=tol)
 
     def test_scaled_curve_helper(self, cyl):
         sec = trig_curve(cyl, {2: 0.4}, n=256)
@@ -124,8 +126,7 @@ class TestContractionBound:
     def test_mean_zero_path(self, cyl):
         xi = trig_curve(cyl, {3: 0.2}, n=512)
         path = build_contraction(xi, n_alpha=9)
-        ok, rows = contraction_path_bound_check(path)
-        assert ok
+        rows = contraction_path_bound_check(path)
         assert all(row[-1] for row in rows)
         # mean-zero: shifts vanish, the distance equals |da| * max|xi|
         for a, b, d, bound, gap, passed in rows:
@@ -136,8 +137,7 @@ class TestContractionBound:
     def test_nonzero_mean_path(self, cyl):
         xi = trig_curve(cyl, {1: 0.25}, offset=0.1, n=512)
         path = build_contraction(xi, n_alpha=9)
-        ok, rows = contraction_path_bound_check(path)
-        assert ok
+        assert all(row[-1] for row in contraction_path_bound_check(path))
 
     @pytest.mark.parametrize("excess", [(0.5, 0.5, 0.5), (0.5, 2.0, 0.5)])
     def test_row_flags_are_the_verdict(self, cyl, monkeypatch, excess):
@@ -156,8 +156,7 @@ class TestContractionBound:
             return res
 
         monkeypatch.setattr(hausdorff, "hausdorff_distance", measured)
-        ok, rows = contraction_path_bound_check(path)
+        rows = contraction_path_bound_check(path)
         assert len(rows) == len(calls) == 3
         assert [row[-1] for row in rows] == [e <= 1 for e in excess]
         assert all(gap > 0 for *_, gap, _ in rows)
-        assert ok == all(row[-1] for row in rows) == (max(excess) <= 1)

@@ -25,6 +25,7 @@ runs each pin in a fresh `python -m lagbound.cli` process, prints `ok <name>`
 or `FAIL <name>` and the changes, and exits 1 when any pin fails.
 """
 
+import csv
 import subprocess
 import sys
 import tempfile
@@ -173,6 +174,17 @@ def test_pinned_output_matches_the_reference(tmp_path, capsys, name):
 
 def test_every_reference_directory_is_pinned():
     assert sorted(p.name for p in DATA.iterdir()) == sorted(PINS)
+
+
+def test_every_reference_csv_has_rows_as_wide_as_its_header():
+    """Read by `csv.reader`, each pinned CSV's data rows are as wide as its
+    header, or n_t wide in the headerless `patch` warp grid."""
+    for path in sorted(DATA.glob("*/*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            meta, *rows = csv.reader(fh)
+        fields = dict(cell.split("=", 1) for cell in meta)
+        width = int(fields["n_t"]) if "n_t" in fields else len(rows.pop(0))
+        assert rows and all(len(row) == width for row in rows), path
 
 
 def test_a_moved_cell_of_a_grid_without_header_is_named(tmp_path):
